@@ -6,7 +6,8 @@ timestamps, input and output paths) next to its primary output, so a run
 can be replayed byte-identically for the deterministic commands.
 
 Exit codes: 0 for optimal or feasible outcomes, 2 for proven infeasibility,
-3 for an inconclusive timeout, 64 for usage errors.
+3 for no verdict (a timeout, or a genetic search that found no schedule),
+64 for usage errors.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ _STATUS_EXIT = {
     "feasible_timeout": EXIT_OK,
     "infeasible": EXIT_INFEASIBLE,
     "unknown_timeout": EXIT_UNKNOWN_TIMEOUT,
+    "unknown": EXIT_UNKNOWN_TIMEOUT,
 }
 
 

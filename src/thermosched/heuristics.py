@@ -6,6 +6,8 @@ which splits evenly into window sub-intervals. A repair pass turns a genome
 into a feasible assignment where possible (two cyclic sweeps over the
 windows, bumping tasks whose preferred slot is full to the next window);
 genomes that cannot be repaired are discarded by ranking them worst.
+Populations are scored as a whole from per-(task, cluster) tables built
+once per run; decode and reconstruct share that decode and repair code.
 
 The greedy heuristic fixes one task at a time, most energy-hungry first, to
 the cheapest cluster that still leaves the rest of the instance completable,
@@ -24,7 +26,13 @@ import numpy as np
 
 from .exact import ObjectiveKind, ObjectiveSpec, PartialFix, SearchStatus, solve
 from .model import Assignment, Instance, Placement, _open_for
-from .power import PowerModel, RegressionCoefficients, schedule_power
+from .power import (
+    PowerModel,
+    RegressionCoefficients,
+    _lr_energy,
+    _sm_accumulate,
+    schedule_power,  # noqa: F401  (re-exported: callers look it up in this module)
+)
 
 _GENE_MAX = 1.0 - 1e-12  # genes live in [0, 1)
 
@@ -114,6 +122,46 @@ class GaResult:
         return self.assignment is not None
 
 
+def _decode_population(
+    genomes: np.ndarray, m: int, q: int, task_ids: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Decode a (population, n) gene array in one pass.
+
+    Returns the 0-based preferred cluster index, the preference, the
+    1-based preferred window and, per genome, the task indices by ascending
+    (preference, task id). The window is monotone in the preference, so
+    that order also groups the tasks by preferred window. The float
+    operations are those of the scalar formula in decode, element by
+    element, so the values are bit-identical to it.
+    """
+    ci = np.minimum((genomes * m).astype(np.int64), m - 1)
+    pref = (genomes - ci / m) * q * m
+    pref = np.minimum(np.maximum(pref, 0.0), math.nextafter(float(q), 0.0))
+    window = np.minimum(pref.astype(np.int64), q - 1) + 1
+    order = np.lexsort((np.broadcast_to(np.asarray(task_ids), pref.shape), pref))
+    return ci, pref, window, order
+
+
+def _decode_genome(genome: Sequence[float], instance: Instance) -> tuple[list, list, list, list]:
+    """Validate one genome and decode it as _decode_population does, as lists."""
+    if len(genome) != len(instance.tasks):
+        raise ValueError(
+            f"genome length {len(genome)} does not match task count "
+            f"{len(instance.tasks)}"
+        )
+    genes = np.array([float(x) for x in genome], dtype=float)
+    outside = np.flatnonzero(~((genes >= 0.0) & (genes < 1.0)))
+    if outside.size:
+        raise ValueError(f"gene {genes[outside[0]]} outside [0, 1)")
+    decoded = _decode_population(
+        genes[None, :],
+        len(instance.platform.clusters),
+        instance.max_windows,
+        [t.id for t in instance.tasks],
+    )
+    return tuple(a[0].tolist() for a in decoded)
+
+
 def decode(genome: Sequence[float], instance: Instance) -> list[DecodedGene]:
     """Map genes in [0, 1) to preferred (cluster, window) pairs.
 
@@ -122,24 +170,60 @@ def decode(genome: Sequence[float], instance: Instance) -> list[DecodedGene]:
     integer part selects the window. Total on the whole of [0, 1)
     including values within rounding distance of sub-interval boundaries.
     """
-    m = len(instance.platform.clusters)
-    q = instance.max_windows
-    if len(genome) != len(instance.tasks):
-        raise ValueError(
-            f"genome length {len(genome)} does not match task count "
-            f"{len(instance.tasks)}"
-        )
-    out = []
-    for x in genome:
-        x = float(x)
-        if not 0.0 <= x < 1.0:
-            raise ValueError(f"gene {x} outside [0, 1)")
-        ci = min(int(x * m), m - 1)
-        pref = (x - ci / m) * q * m
-        pref = min(max(pref, 0.0), math.nextafter(float(q), 0.0))
-        window = min(int(pref), q - 1) + 1
-        out.append(DecodedGene(cluster=ci + 1, window=window, preference=pref))
-    return out
+    ci, pref, window, _ = _decode_genome(genome, instance)
+    return [
+        DecodedGene(cluster=c + 1, window=w, preference=x)
+        for c, w, x in zip(ci, window, pref)
+    ]
+
+
+def _repair(
+    order: Sequence[int],
+    cluster: Sequence[int],
+    window: Sequence[int],
+    task_ids: Sequence[int],
+    cores: Sequence[int],
+    q: int,
+) -> list[int] | None:
+    """The repair sweeps of reconstruct; 1-based window per task, or None.
+
+    order lists the task indices by ascending (preference, task id), as
+    _decode_population returns it, so each window's own tasks form one run
+    of it. A task bumped out of a window re-enters the next one with
+    preference zero, ahead of that window's own tasks (whose preferences
+    are at least 1 from window 2 on) and ordered by task id among the
+    bumped. Costs O(n log n + q) per genome.
+    """
+    m = len(cores)
+    n = len(order)
+    free = list(cores) * q  # free cores, indexed (window - 1) * m + cluster
+    placed = [0] * n
+    carry: list[int] = []  # tasks bumped out of the previous window
+    k = 0  # next unvisited position in order
+    for sweep in range(2 * q):
+        j = sweep % q + 1
+        todo = carry
+        if len(todo) > 1:
+            todo.sort(key=task_ids.__getitem__)
+        carry = []
+        if sweep < q:
+            end = k
+            while end < n and window[order[end]] == j:
+                end += 1
+            if end > k:
+                todo += order[k:end]
+                k = end
+        base = (j - 1) * m
+        for i in todo:
+            slot = base + cluster[i]
+            if free[slot]:
+                free[slot] -= 1
+                placed[i] = j
+            else:
+                carry.append(i)
+        if not carry and k == n:
+            return placed
+    return None
 
 
 def reconstruct(genome: Sequence[float], instance: Instance) -> Assignment | None:
@@ -152,40 +236,90 @@ def reconstruct(genome: Sequence[float], instance: Instance) -> Assignment | Non
     preference reset to zero. Fails when a task stays unassigned or the
     derived window lengths exceed the major frame.
     """
-    genes = decode(genome, instance)
-    q = instance.max_windows
-    tasks = instance.tasks
-    n = len(tasks)
-    capacity = {
-        (j, c.id): c.core_count
-        for j in range(1, q + 1)
-        for c in instance.platform.clusters
-    }
-    window = [g.window for g in genes]
-    preference = [g.preference for g in genes]
-    assigned = [False] * n
-    placements: list[Placement] = []
-
-    for iteration in range(2 * q):
-        current = iteration % q + 1
-        todo = [i for i in range(n) if not assigned[i] and window[i] == current]
-        todo.sort(key=lambda i: (preference[i], tasks[i].id))
-        for i in todo:
-            cid = genes[i].cluster
-            if capacity[(current, cid)] > 0:
-                capacity[(current, cid)] -= 1
-                assigned[i] = True
-                placements.append(Placement(tasks[i].id, current, cid))
-            else:
-                window[i] = current % q + 1
-                preference[i] = 0.0
-
-    if not all(assigned):
+    cluster, _, window, order = _decode_genome(genome, instance)
+    task_ids = [t.id for t in instance.tasks]
+    cores = [c.core_count for c in instance.platform.clusters]
+    placed = _repair(order, cluster, window, task_ids, cores, instance.max_windows)
+    if placed is None:
         return None
-    assignment = Assignment.from_placements(instance, placements)
+    assignment = Assignment.from_placements(
+        instance,
+        [Placement(tid, w, c + 1) for tid, w, c in zip(task_ids, placed, cluster)],
+    )
     if assignment.total_window_length_ms > instance.major_frame_ms:
         return None
     return assignment
+
+
+class _PopulationFitness:
+    """SM or LR fitness of whole GA populations for one instance.
+
+    Per-(task, cluster) execution times, characteristics and LR energies
+    are looked up once per run. A genome is decoded with the rest of its
+    population, repaired by _repair and scored without building an
+    Assignment: SM through the window accumulation schedule_power uses, LR
+    through its per-task closed form. Genomes that do not repair, or whose
+    windows overflow the major frame, score inf.
+    """
+
+    def __init__(
+        self,
+        instance: Instance,
+        model: PowerModel,
+        coefficients: RegressionCoefficients | None,
+    ):
+        clusters = instance.platform.clusters
+        self.m = len(clusters)
+        self.q = instance.max_windows
+        self.h = instance.major_frame_ms
+        self.idle = instance.platform.idle_power_watts
+        self.cores = [c.core_count for c in clusters]
+        self.task_ids = [t.id for t in instance.tasks]
+        # schedule_power visits placements, hence windows, in task-id order
+        self.by_id = sorted(range(len(self.task_ids)), key=self.task_ids.__getitem__)
+        self.chars = [[t.on(c.id) for c in clusters] for t in instance.tasks]
+        self.exec_ms = [[tc.exec_time_ms for tc in row] for row in self.chars]
+        self.lr = None
+        if model is PowerModel.LR:
+            self.lr = [
+                [_lr_energy(tc, coefficients.beta(c.id)) for tc, c in zip(row, clusters)]
+                for row in self.chars
+            ]
+
+    def __call__(self, population: np.ndarray) -> np.ndarray:
+        ci, _, window, order = _decode_population(population, self.m, self.q, self.task_ids)
+        fitness = np.full(len(population), math.inf)
+        for r, (cluster, wins, row_order) in enumerate(
+            zip(ci.tolist(), window.tolist(), order.tolist())
+        ):
+            placed = _repair(row_order, cluster, wins, self.task_ids, self.cores, self.q)
+            if placed is not None:
+                fitness[r] = self._score(placed, cluster)
+        return fitness
+
+    def _score(self, placed: list[int], cluster: list[int]) -> float:
+        lengths = [0] * self.q
+        for i, (j, c) in enumerate(zip(placed, cluster)):
+            e = self.exec_ms[i][c]
+            if e > lengths[j - 1]:
+                lengths[j - 1] = e
+        if sum(lengths) > self.h:
+            return math.inf
+        if self.lr is not None:
+            activity = 0.0
+            offset = 0.0
+            for i in self.by_id:
+                a, b = self.lr[i][cluster[i]]
+                activity += a
+                offset += b
+            return self.idle + activity / self.h + offset / self.h
+        by_window: dict[int, list] = {}
+        for i in self.by_id:
+            by_window.setdefault(placed[i], []).append(self.chars[i][cluster[i]])
+        activity, offset = _sm_accumulate(
+            ((lengths[j - 1], tcs) for j, tcs in by_window.items()), self.h
+        )
+        return self.idle + activity + offset
 
 
 def write_fitness_trace_csv(
@@ -232,12 +366,19 @@ def run_ga(
 ) -> GaResult:
     """Evolve allocations against the SM or LR power model.
 
+    Each generation is scored as a whole: the population is decoded in one
+    array pass, every genome is repaired as reconstruct would repair it,
+    and its power is computed from per-(task, cluster) tables built once
+    per run, equal to schedule_power of the repaired assignment (SM bit
+    for bit, LR through the same closed form). An Assignment is built only
+    when a genome improves on the best so far.
+
     Selection is by uniform ranking: the worst elite_discard_fraction of
     each generation is discarded and parents are drawn uniformly from the
     survivors. Reconstruction failures rank after every finite fitness. On
     stalling the population restarts from fresh random genomes; the best
-    assignment ever seen is returned, or an infeasible result when no
-    genome ever reconstructed.
+    assignment ever seen is returned, or a result without an assignment
+    when no genome ever reconstructed.
     """
     model = PowerModel(model)
     if model is PowerModel.LR_UB:
@@ -261,11 +402,7 @@ def run_ga(
         None if config.time_limit_ms is None else t_start + config.time_limit_ms / 1000.0
     )
 
-    def fitness_of(vec: np.ndarray) -> float:
-        asg = reconstruct(vec, instance)
-        if asg is None:
-            return math.inf
-        return schedule_power(instance, asg, model, coefficients).watts
+    fitness_of = _PopulationFitness(instance, model, coefficients)
 
     best_fitness = math.inf
     best_assignment: Assignment | None = None
@@ -280,7 +417,7 @@ def run_ga(
         stall = 0
         generation = 0
         while True:
-            fitness = np.array([fitness_of(ind) for ind in population])
+            fitness = fitness_of(population)
             i_best = int(np.argmin(fitness))
             if fitness[i_best] < restart_best:
                 restart_best = float(fitness[i_best])

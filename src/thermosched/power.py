@@ -8,7 +8,9 @@ Three predictors are implemented:
 * linear regression (LR): a window is cut into processing-idling intervals
   (no task starts or ends strictly inside an interval); interval power is a
   per-cluster dot product of regression coefficients with the summed task
-  feature vectors.
+  feature vectors. Every task starts at its window start and is active in
+  intervals summing to its execution time, so schedule-level LR reduces to
+  a per-task closed form; the interval view remains for fitting.
 * LR upper bound (LR-UB): LR under the assumption that every task occupies
   its window completely, which over-approximates LR whenever the per-task
   coefficient combination is nonnegative.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Sequence, Union
@@ -35,6 +38,7 @@ from .model import (
     Platform,
     TaskCharacteristics,
     _open_for,
+    check_feasible,
     derive_core_schedule,
 )
 
@@ -106,19 +110,69 @@ def sm_window_power(
     """
     if not window_tasks:
         return PowerEstimate.compose(platform.idle_power_watts, 0.0, 0.0)
+    activity, offset = _sm_window_terms(window_tasks, window_length_ms)
+    return PowerEstimate.compose(platform.idle_power_watts, activity, offset)
+
+
+def _sm_window_terms(
+    window_tasks: Sequence[TaskCharacteristics], window_length_ms: int
+) -> tuple[float, float]:
+    """SM (activity, offset) terms of one non-empty window, summed in the given order."""
     if window_length_ms < 1:
         raise ValueError("a non-empty window must have positive length")
-    longest = max(tc.exec_time_ms for tc in window_tasks)
+    activity = 0.0
+    longest = 0
+    offset = -math.inf
+    for tc in window_tasks:
+        e = tc.exec_time_ms
+        activity += tc.activity_coef * (e / window_length_ms)
+        if e > longest:
+            longest = e
+        if tc.offset_coef > offset:
+            offset = tc.offset_coef
     if longest > window_length_ms:
         raise ValueError(
             f"window of {window_length_ms} ms is shorter than a contained "
             f"task of {longest} ms"
         )
-    activity = sum(
-        tc.activity_coef * (tc.exec_time_ms / window_length_ms) for tc in window_tasks
+    return activity, offset
+
+
+def _sm_accumulate(
+    windows: Iterable[tuple[int, Sequence[TaskCharacteristics]]], h: int
+) -> tuple[float, float]:
+    """Frame-weighted SM (activity, offset) above idle over (length, tasks) windows.
+
+    Windows are summed in the order given. schedule_power and the genetic
+    search both pass them by first appearance in task-id order, which makes
+    their values agree bit for bit.
+    """
+    activity = 0.0
+    offset = 0.0
+    for length, window_tasks in windows:
+        a, b = _sm_window_terms(window_tasks, length)
+        w = length / h
+        activity += w * a
+        offset += w * b
+    return activity, offset
+
+
+def _lr_energy(tc: TaskCharacteristics, beta: Sequence[float]) -> tuple[float, float]:
+    """LR (activity, offset) energy of one task on its cluster, in W*ms per frame.
+
+    A task contributes its beta-weighted features for exactly its execution
+    time, so schedule-level LR power is idle power plus the sum of these
+    terms over all tasks divided by the major frame.
+    """
+    if len(beta) != FEATURE_DIM:
+        raise ValueError(
+            f"cluster {tc.cluster_id}: expected beta of dimension {FEATURE_DIM}, "
+            f"got {len(beta)}"
+        )
+    return (
+        beta[0] * tc.activity_coef * tc.exec_time_ms,
+        beta[1] * tc.offset_coef * tc.exec_time_ms,
     )
-    offset = max(tc.offset_coef for tc in window_tasks)
-    return PowerEstimate.compose(platform.idle_power_watts, activity, offset)
 
 
 def lr_ub_window_power(
@@ -160,14 +214,7 @@ def decompose_intervals(
     The interval lengths sum to the window length; an empty window yields
     no intervals.
     """
-    return _decompose_with_schedule(
-        instance, assignment, window, derive_core_schedule(instance, assignment)
-    )
-
-
-def _decompose_with_schedule(
-    instance: Instance, assignment: Assignment, window: int, schedule
-) -> list[ProcessingInterval]:
+    schedule = derive_core_schedule(instance, assignment)
     length = assignment.window_lengths_ms[window - 1]
     if length == 0:
         return []
@@ -245,9 +292,12 @@ def schedule_power(
 ) -> PowerEstimate:
     """Average power of a whole schedule under the selected model.
 
-    Window (SM, LR-UB) or interval (LR) contributions above idle are weighted
-    by their lengths and divided by the major frame length, so frame time not
-    covered by any window contributes idle power only.
+    Window (SM, LR-UB) contributions above idle are weighted by their
+    lengths and divided by the major frame length, so frame time not covered
+    by any window contributes idle power only. LR uses its per-task closed
+    form, which equals the length-weighted sum over processing-idling
+    intervals (decompose_intervals, lr_interval_power); it raises ValueError
+    on an infeasible assignment.
     """
     model = PowerModel(model)
     if model in (PowerModel.LR, PowerModel.LR_UB) and coefficients is None:
@@ -255,29 +305,38 @@ def schedule_power(
 
     h = instance.major_frame_ms
     plat = instance.platform
-    activity = 0.0
-    offset = 0.0
 
     if model is PowerModel.LR:
-        schedule = derive_core_schedule(instance, assignment)
-        for j in range(1, instance.max_windows + 1):
-            for interval in _decompose_with_schedule(instance, assignment, j, schedule):
-                est = lr_interval_power(plat, coefficients, interval, instance)
-                w = interval.length_ms / h
-                activity += w * est.activity_watts
-                offset += w * est.offset_watts
-        return PowerEstimate.compose(plat.idle_power_watts, activity, offset)
+        verdict = check_feasible(instance, assignment)
+        if not verdict:
+            raise ValueError(
+                "cannot evaluate LR power of an infeasible assignment: "
+                + "; ".join(verdict.violations)
+            )
+        activity = 0.0
+        offset = 0.0
+        for p in assignment.placements:
+            tc = instance.task_by_id(p.task_id).on(p.cluster)
+            a, b = _lr_energy(tc, coefficients.beta(p.cluster))
+            activity += a
+            offset += b
+        return PowerEstimate.compose(plat.idle_power_watts, activity / h, offset / h)
 
     by_window: dict[int, list[TaskCharacteristics]] = {}
     for p in assignment.placements:
         tc = instance.task_by_id(p.task_id).on(p.cluster)
         by_window.setdefault(p.window, []).append(tc)
+    if model is PowerModel.SM:
+        activity, offset = _sm_accumulate(
+            ((assignment.window_lengths_ms[j - 1], tcs) for j, tcs in by_window.items()), h
+        )
+        return PowerEstimate.compose(plat.idle_power_watts, activity, offset)
+
+    activity = 0.0
+    offset = 0.0
     for j, tcs in by_window.items():
         length = assignment.window_lengths_ms[j - 1]
-        if model is PowerModel.SM:
-            est = sm_window_power(plat, tcs, length)
-        else:
-            est = lr_ub_window_power(plat, coefficients, tcs, length)
+        est = lr_ub_window_power(plat, coefficients, tcs, length)
         w = length / h
         activity += w * est.activity_watts
         offset += w * est.offset_watts

@@ -99,7 +99,8 @@ def run_method(
         result = run_ga(instance, model, config, coefficients)
         return MethodOutcome(
             method=method,
-            status="feasible" if result.feasible else "infeasible",
+            # a search that found nothing proves nothing: no verdict
+            status="feasible" if result.feasible else "unknown",
             assignment=result.assignment,
             objective=result.fitness if result.feasible else None,
             bound=None,

@@ -126,6 +126,78 @@ def grouped_assignment(instance: ts.Instance, cluster_of: dict[int, int]) -> ts.
     return ts.Assignment.from_placements(instance, placements)
 
 
+def reference_decode(genome, instance: ts.Instance) -> list[ts.DecodedGene]:
+    """Scalar, gene-by-gene decode: the formula the population decode must match bit for bit."""
+    m = len(instance.platform.clusters)
+    q = instance.max_windows
+    out = []
+    for x in genome:
+        x = float(x)
+        ci = min(int(x * m), m - 1)
+        pref = (x - ci / m) * q * m
+        pref = min(max(pref, 0.0), math.nextafter(float(q), 0.0))
+        window = min(int(pref), q - 1) + 1
+        out.append(ts.DecodedGene(cluster=ci + 1, window=window, preference=pref))
+    return out
+
+
+def reference_reconstruct(genome, instance: ts.Instance) -> ts.Assignment | None:
+    """Independent rebuild of the genome repair: two literal cyclic sweeps.
+
+    Each visited window rescans every task, so this costs O(q * n) per
+    genome; it is the oracle the solver's bucketed repair is checked
+    against and is deliberately kept free of solver internals.
+    """
+    genes = reference_decode(genome, instance)
+    q = instance.max_windows
+    tasks = instance.tasks
+    n = len(tasks)
+    capacity = {
+        (j, c.id): c.core_count
+        for j in range(1, q + 1)
+        for c in instance.platform.clusters
+    }
+    window = [g.window for g in genes]
+    preference = [g.preference for g in genes]
+    assigned = [False] * n
+    placements = []
+
+    for iteration in range(2 * q):
+        current = iteration % q + 1
+        todo = [i for i in range(n) if not assigned[i] and window[i] == current]
+        todo.sort(key=lambda i: (preference[i], tasks[i].id))
+        for i in todo:
+            cid = genes[i].cluster
+            if capacity[(current, cid)] > 0:
+                capacity[(current, cid)] -= 1
+                assigned[i] = True
+                placements.append((tasks[i].id, current, cid))
+            else:
+                window[i] = current % q + 1
+                preference[i] = 0.0
+
+    if not all(assigned):
+        return None
+    assignment = ts.Assignment.from_placements(instance, placements)
+    if assignment.total_window_length_ms > instance.major_frame_ms:
+        return None
+    return assignment
+
+
+def lr_interval_oracle(
+    instance: ts.Instance, assignment: ts.Assignment, coefficients
+) -> float:
+    """LR schedule power as the length-weighted sum over processing intervals."""
+    h = instance.major_frame_ms
+    plat = instance.platform
+    above_idle = 0.0
+    for j in range(1, instance.max_windows + 1):
+        for interval in ts.decompose_intervals(instance, assignment, j):
+            est = ts.lr_interval_power(plat, coefficients, interval, instance)
+            above_idle += interval.length_ms / h * (est.activity_watts + est.offset_watts)
+    return plat.idle_power_watts + above_idle
+
+
 def random_feasible_assignments(
     instance: ts.Instance, rng: random.Random, count: int, max_attempts: int = 20000
 ) -> list[ts.Assignment]:

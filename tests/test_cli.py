@@ -21,6 +21,7 @@ def test_exit_code_contract():
     assert _STATUS_EXIT["feasible_timeout"] == EXIT_OK
     assert _STATUS_EXIT["infeasible"] == EXIT_INFEASIBLE
     assert _STATUS_EXIT["unknown_timeout"] == EXIT_UNKNOWN_TIMEOUT
+    assert _STATUS_EXIT["unknown"] == EXIT_UNKNOWN_TIMEOUT
 
 
 def infeasible_instance():
@@ -138,6 +139,29 @@ class TestSolve:
         assert main(args + ["-o", str(a)]) == EXIT_OK
         assert main(args + ["-o", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bb_sm_without_schedule_reports_unknown(self, tmp_path, capsys):
+        # q = n windows: no random genome of this instance repairs within
+        # five generations, yet ilp-sm proves an optimum, so the GA's
+        # empty result must not claim infeasibility
+        inst_path = tmp_path / "inst.json"
+        main(["generate", "--n", "10", "--kernels", "mixed", "--seed", "7", "-o", str(inst_path)])
+        code = main([
+            "solve", str(inst_path), "--method", "bb-sm", "--seed", "1",
+            "--max-generations", "5", "--time-limit", "600000",
+            "-o", str(tmp_path / "ga.json"),
+        ])
+        assert code == EXIT_UNKNOWN_TIMEOUT
+        assert "bb-sm: unknown" in capsys.readouterr().out
+        result = json.loads((tmp_path / "ga.result.json").read_text())
+        assert result["status"] == "unknown" and result["objective_value"] is None
+        assert not (tmp_path / "ga.json").exists()
+        assert main([
+            "solve", str(inst_path), "--method", "ilp-sm", "-o", str(tmp_path / "ilp.json"),
+        ]) == EXIT_OK
+        exact = json.loads((tmp_path / "ilp.result.json").read_text())
+        assert exact["status"] == "optimal"
+        assert exact["objective_value"] == pytest.approx(7.660336, abs=1e-6)
 
     def test_flow_fixed_runs(self, tmp_path, example_files):
         inst_path, _ = example_files

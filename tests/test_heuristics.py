@@ -1,12 +1,21 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import thermosched as ts
 from thermosched.exact import ObjectiveKind, ObjectiveSpec, SearchStatus
+from thermosched.generator import GeneratorConfig, generate_instance
+from thermosched.heuristics import _GENE_MAX, _PopulationFitness
+from thermosched.power import PowerModel
+
+PINNED_TRACES = Path(__file__).parent / "data" / "ga_pinned_traces.json"
 
 
 def qm_instance(n_tasks, q, core_counts=(4, 2), frame=1000, exec_times=None):
@@ -77,8 +86,69 @@ class TestDecode:
         with pytest.raises(ValueError):
             ts.decode([1.0], instance)
 
+    def test_bit_identical_to_scalar_formula(self):
+        rng = random.Random(3)
+        for q in (1, 2, 3, 7, 30):
+            instance = qm_instance(1, q)
+            genes = [0.0, _GENE_MAX] + special_genes(2, q) + [rng.random() for _ in range(200)]
+            for x in genes:
+                [got] = ts.decode([x], instance)
+                [want] = helpers.reference_decode([x], instance)
+                assert (got.cluster, got.window) == (want.cluster, want.window)
+                assert got.preference.hex() == want.preference.hex()
+
+
+def special_genes(m, q):
+    """Genes on cluster and window sub-interval boundaries and their neighbours."""
+    edges = [(k + j / q) / m for k in range(m) for j in range(q)]
+    near = [math.nextafter(x, 1.0) for x in edges] + [math.nextafter(x, 0.0) for x in edges[1:]]
+    return [min(x, _GENE_MAX) for x in edges + near]
+
+
+@st.composite
+def few_core_instance(draw):
+    """Up to three clusters of one or two cores, so that windows overflow often."""
+    cores = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    n = draw(st.integers(1, 12))
+    exec_times = [
+        tuple(draw(st.integers(1, 100)) for _ in cores) for _ in range(n)
+    ]
+    return qm_instance(
+        n, draw(st.integers(1, 6)), core_counts=tuple(cores),
+        frame=draw(st.integers(50, 600)), exec_times=exec_times,
+    )
+
+
+@st.composite
+def instance_and_genome(draw):
+    instance = draw(st.one_of(
+        few_core_instance(),
+        st.builds(
+            lambda seed, n, q: helpers.small_random_instance(
+                seed, n=n, q_max=q, kappa_lo=0.8, kappa_hi=3.0
+            ),
+            st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 8),
+        ),
+    ))
+    n = len(instance.tasks)
+    m = len(instance.platform.clusters)
+    genome = draw(st.lists(
+        st.one_of(
+            st.sampled_from([0.0, _GENE_MAX] + special_genes(m, instance.max_windows)),
+            st.floats(0.0, _GENE_MAX),
+        ),
+        min_size=n, max_size=n,
+    ))
+    return instance, genome
+
 
 class TestReconstruct:
+    @settings(max_examples=300, deadline=None)
+    @given(instance_and_genome())
+    def test_matches_reference_repair(self, case):
+        instance, genome = case
+        assert ts.reconstruct(genome, instance) == helpers.reference_reconstruct(genome, instance)
+
     def test_conflict_free_matches_decode(self):
         instance = qm_instance(3, 3, frame=1000)
         genome = [0.05, 0.40, 0.90]
@@ -194,6 +264,83 @@ class TestRunGa:
         lines = path.read_text().splitlines()
         assert lines[0] == "generation,restart,best_fitness"
         assert len(lines) == len(result.trace) + 1
+
+
+def feasible_genomes(instance, rng, count):
+    """Random genomes that repair into feasible assignments."""
+    out = []
+    for _ in range(100 * count):
+        genome = rng.random(len(instance.tasks))
+        if ts.reconstruct(genome, instance) is not None:
+            out.append(genome)
+            if len(out) == count:
+                break
+    return np.array(out)
+
+
+class TestPopulationFitness:
+    def test_sm_equals_schedule_power(self):
+        rng = np.random.default_rng(8)
+        scored = 0
+        for seed in range(10):
+            instance = helpers.small_random_instance(seed, n_hi=12, q_max=6, kappa_lo=1.0)
+            population = rng.random((100, len(instance.tasks)))
+            fitness = _PopulationFitness(instance, PowerModel.SM, None)(population)
+            for genome, value in zip(population, fitness):
+                assignment = ts.reconstruct(genome, instance)
+                if assignment is None:
+                    assert value == math.inf
+                else:
+                    assert value == ts.schedule_power(instance, assignment, "sm").watts
+                    scored += 1
+        assert scored > 100
+
+    def test_lr_matches_interval_path(self, mek_coefficients):
+        rng = np.random.default_rng(9)
+        scored = 0
+        for seed in range(10):
+            instance = helpers.small_random_instance(seed, n_hi=12, q_max=6, kappa_lo=1.0)
+            population = feasible_genomes(instance, rng, 20)
+            if not len(population):
+                continue
+            fitness = _PopulationFitness(instance, PowerModel.LR, mek_coefficients)(population)
+            for genome, value in zip(population, fitness):
+                assignment = ts.reconstruct(genome, instance)
+                oracle = helpers.lr_interval_oracle(instance, assignment, mek_coefficients)
+                assert abs(value - oracle) <= 1e-12
+                scored += 1
+        assert scored > 100
+
+
+def pinned_cases():
+    return json.loads(PINNED_TRACES.read_text())
+
+
+@pytest.mark.parametrize(
+    "case", pinned_cases(), ids=lambda c: f"{c['case']}-{c['model']}"
+)
+def test_ga_matches_pinned_trace(case, mek_coefficients):
+    """Traces and best assignments recorded from the per-genome reconstruct + schedule_power GA."""
+    instance = generate_instance(
+        GeneratorConfig(
+            kernel_pool=helpers.MIXED_POOL, n_tasks=case["n"],
+            rng_seed=case["gen_seed"], tightness_kappa=case["kappa"],
+        ),
+        helpers.MEK,
+    )
+    config = ts.GaConfig(
+        population_size=40, max_generations=14, stall_generations=4, rng_seed=case["rng_seed"]
+    )
+    result = ts.run_ga(instance, case["model"], config, mek_coefficients)
+    tol = 0.0 if case["model"] == "sm" else 1e-12
+    assert len(result.trace) == len(case["trace"])
+    for point, (generation, restart, best) in zip(result.trace, case["trace"]):
+        assert (point.generation, point.restart) == (generation, restart)
+        if best == "inf":
+            assert point.best_fitness == math.inf
+        else:
+            assert abs(point.best_fitness - best) <= tol
+    assert [[p.task_id, p.window, p.cluster] for p in result.assignment.placements] == case["placements"]
 
 
 class TestGreedy:

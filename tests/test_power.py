@@ -173,6 +173,27 @@ class TestSchedulePower:
         with pytest.raises(ValueError):
             ts.schedule_power(instance, assignment, "lr")
 
+    def test_lr_closed_form_matches_interval_path(self, mek_coefficients):
+        rng = random.Random(17)
+        checked = 0
+        for seed in range(12):
+            instance = helpers.small_random_instance(seed, n_hi=10, q_max=5)
+            for assignment in helpers.random_feasible_assignments(instance, rng, 8, 2000):
+                lr = ts.schedule_power(instance, assignment, "lr", mek_coefficients).watts
+                oracle = helpers.lr_interval_oracle(instance, assignment, mek_coefficients)
+                assert abs(lr - oracle) <= 1e-12
+                checked += 1
+        assert checked > 50
+
+    def test_lr_rejects_infeasible_assignment(self, mek_coefficients):
+        instance, assignment = helpers.seven_task_layout()
+        # all seven tasks in window 1 overflow the 4 + 2 cores
+        crowded = ts.Assignment.from_placements(
+            instance, [(p.task_id, 1, p.cluster) for p in assignment.placements]
+        )
+        with pytest.raises(ValueError, match="infeasible"):
+            ts.schedule_power(instance, crowded, "lr", mek_coefficients)
+
     def test_sm_aggregation_identity(self):
         rng = random.Random(5)
         checked = 0
