@@ -235,6 +235,7 @@ def _cmd_solve(args, argv) -> int:
         "objective_value": outcome.objective,
         "lower_bound": outcome.bound,
         "elapsed_ms": outcome.elapsed_ms,
+        "nodes_explored": outcome.nodes,
     }
     with open(result_path, "w", encoding="utf-8") as f:
         json.dump(result_doc, f, indent=2, sort_keys=True)

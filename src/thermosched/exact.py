@@ -7,6 +7,9 @@ idle time, and plain feasibility with optional per-task cluster fixes.
 The power objectives are searched by depth-first branch and bound over
 (window, cluster) placements with admissible incremental bounds and window
 symmetry breaking (a task may only open the lowest-indexed empty window).
+Each candidate placement is bounded from its change to the window terms
+before it is applied, so a pruned candidate never touches the search state;
+only the survivors are applied, searched below and undone.
 The idle-time objectives and the feasibility oracle branch over cluster
 choices only: once every task has a cluster, the cheapest window partition
 is obtained by sorting each cluster's tasks by decreasing execution time,
@@ -136,25 +139,26 @@ def _check_inputs(
 
 
 def _grouped_lengths(
-    instance: Instance, cluster_lists: Sequence[Sequence[int]]
+    instance: Instance, neg_lists: Sequence[Sequence[int]]
 ) -> list[int] | None:
     """Minimal window lengths for complete cluster choices.
 
-    cluster_lists[ci] holds the execution times of the tasks put on cluster
-    position ci, sorted in non-increasing order. Returns the per-window
-    lengths of the cheapest partition, or None when more windows would be
-    needed than the instance allows.
+    neg_lists[ci] holds the negated execution times of the tasks put on
+    cluster position ci, in ascending order (so the times themselves are
+    non-increasing); the searches keep them in this form with insort.
+    Returns the per-window lengths of the cheapest partition, or None when
+    more windows would be needed than the instance allows.
     """
     q = instance.max_windows
     lengths: list[int] = []
     for ci, cluster in enumerate(instance.platform.clusters):
         cap = cluster.core_count
-        times = cluster_lists[ci]
-        groups = (len(times) + cap - 1) // cap
+        neg = neg_lists[ci]
+        groups = (len(neg) + cap - 1) // cap
         if groups > q:
             return None
         for j in range(groups):
-            head = times[j * cap]
+            head = -neg[j * cap]
             if j == len(lengths):
                 lengths.append(head)
             elif head > lengths[j]:
@@ -181,7 +185,7 @@ def _grouped_assignment(
     lists = []
     for c in instance.platform.clusters:
         entries = sorted(per_cluster[c.id])
-        lists.append([-e for e, _ in entries])
+        lists.append([neg_e for neg_e, _ in entries])
         for rank, (_, tid) in enumerate(entries):
             placements.append(Placement(tid, rank // c.core_count + 1, c.id))
     lengths = _grouped_lengths(instance, lists)
@@ -277,7 +281,7 @@ def _heuristic_cluster_maps(
             ci = cid - 1
             e = t.on(cid).exec_time_ms
             insort(lists[ci], -e)
-            lengths = _grouped_lengths(instance, [[-x for x in l] for l in lists])
+            lengths = _grouped_lengths(instance, lists)
             total = math.inf if lengths is None else sum(lengths)
             lists[ci].remove(-e)
             if best_total is None or total < best_total:
@@ -322,84 +326,81 @@ def _window_search(
         ((fix[t.id] - 1),) if t.id in fix else tuple(range(m)) for t in ordered
     ]
     exec_ms = [[tc.exec_time_ms for tc in t.per_cluster] for t in ordered]
-    act_e = [
-        [tc.activity_coef * tc.exec_time_ms for tc in t.per_cluster] for t in ordered
-    ]
-    off = [[tc.offset_coef for tc in t.per_cluster] for t in ordered]
+    # Per (task, cluster): the window coefficient the task brings (its offset
+    # for SM, merged by max; its star rate for LR-UB, merged by sum) and the
+    # activity energy it adds outside the window terms (zero for LR-UB).
     if is_lrub:
-        unit = [
+        coef = [
             [
                 tc.activity_coef * betas[ci][0] + tc.offset_coef * betas[ci][1]
                 for ci, tc in enumerate(t.per_cluster)
             ]
             for t in ordered
         ]
+        act_e = [[0.0] * m for _ in ordered]
+    else:
+        coef = [[tc.offset_coef for tc in t.per_cluster] for t in ordered]
+        act_e = [
+            [tc.activity_coef * tc.exec_time_ms for tc in t.per_cluster]
+            for t in ordered
+        ]
 
-    # Suffix bounds over unassigned tasks. For SM every placement adds at
-    # least the smallest activity energy; offsets of not-yet-placed tasks can
-    # only lower the objective when negative, which the h-scaled slack covers.
+    # Admissible bound on what the unassigned tasks from depth d on can add:
+    # tail[d]. For SM every placement adds at least the smallest activity
+    # energy, and offsets of not-yet-placed tasks can only lower the
+    # objective when negative, which the h-scaled slack covers. For LR-UB a
+    # placement adds at least its star energy, or h times a negative rate.
     if is_lrub:
         incr = [
             min(
-                (unit[p][ci] * exec_ms[p][ci]) if unit[p][ci] >= 0.0 else unit[p][ci] * h
+                (coef[p][ci] * exec_ms[p][ci]) if coef[p][ci] >= 0.0 else coef[p][ci] * h
                 for ci in allowed[p]
             )
             for p in range(n)
         ]
+        neg_b = [0.0] * n
     else:
         incr = [min(act_e[p][ci] for ci in allowed[p]) for p in range(n)]
-        neg_b = [min(0.0, min(off[p][ci] for ci in allowed[p]) * h) for p in range(n)]
+        neg_b = [min(0.0, min(coef[p][ci] for ci in allowed[p]) * h) for p in range(n)]
     suffix = [0.0] * (n + 1)
+    suffix_neg = [0.0] * (n + 1)
     for p in range(n - 1, -1, -1):
         suffix[p] = suffix[p + 1] + incr[p]
-    if not is_lrub:
-        suffix_neg = [0.0] * (n + 1)
-        for p in range(n - 1, -1, -1):
-            suffix_neg[p] = suffix_neg[p + 1] + neg_b[p]
+        suffix_neg[p] = suffix_neg[p + 1] + neg_b[p]
+    tail = [suffix[p] + suffix_neg[p] for p in range(n + 1)]
 
-    cnt = [[0] * m for _ in range(q)]
-    wtotal = [0] * q
+    # Window state. Windows open in index order, so windows below `used` hold
+    # at least one task and window `used` is the only empty one a task may
+    # take. room[ci][j] is the free core count of cluster ci in window j;
+    # wcoef[j] is the window's merged coefficient (max offset for SM, summed
+    # star rate for LR-UB).
+    room = [[caps[ci]] * q for ci in range(m)]
     wlen = [0] * q
-    wmaxb = [0.0] * q
-    wstar = [0.0] * q
-    state = {"used": 0, "suml": 0, "sum_ae": 0.0, "true": 0.0, "safe": 0.0}
-    # "true" accumulates the exact window offset (SM) or star (LR-UB) terms;
-    # "safe" accumulates their admissible lower bounds (h-scaled when the
-    # window term is negative and could still grow).
-
-    def window_terms(j):
-        if wtotal[j] == 0:
-            return 0.0, 0.0
-        s = wstar[j] if is_lrub else wmaxb[j]
-        true_term = wlen[j] * s
-        safe_term = true_term if s >= 0.0 else h * s
-        return true_term, safe_term
-
-    def bound_at(depth) -> float:
-        slack = 0.0 if is_lrub else suffix_neg[depth]
-        base = state["safe"] + suffix[depth] + slack
-        if not is_lrub:
-            base += state["sum_ae"]
-        return p_idle + base / h
-
-    incumbent: list = [None, math.inf]  # [placements, value]
+    wcoef = [0.0] * q
     trail: list[tuple[int, int, int]] = []
 
+    best_placements = None
+    best_value = math.inf
     for cmap in _heuristic_cluster_maps(instance, fix, objective):
         asg = _grouped_assignment(instance, cmap)
         if asg is None:
             continue
         val = _evaluate_placements(instance, objective, asg.placements)
-        if val < incumbent[1]:
-            incumbent[0] = asg.placements
-            incumbent[1] = val
+        if val < best_value:
+            best_placements = asg.placements
+            best_value = val
 
     nodes = 0
     aborted = False
-    root_bound = bound_at(0)
+    root_bound = p_idle + tail[0] / h
 
-    def rec(depth: int):
-        nonlocal nodes, aborted
+    # A node carries its accumulators as arguments: sum_ae (activity energy,
+    # SM only), true (exact window offset or star terms) and safe (their
+    # admissible lower bounds, h-scaled where a window's coefficient is
+    # negative and the window could still grow). Its bound is
+    # p_idle + (safe + tail[depth] + sum_ae) / h.
+    def rec(depth: int, used: int, suml: int, sum_ae: float, true: float, safe: float):
+        nonlocal nodes, aborted, best_placements, best_value
         nodes += 1
         if deadline is not None and (nodes & _TIME_CHECK_MASK) == 0:
             if time.perf_counter() > deadline:
@@ -407,84 +408,104 @@ def _window_search(
         if aborted:
             return
         if node_recorder is not None:
-            node_recorder(tuple(trail), bound_at(depth))
+            node_recorder(tuple(trail), p_idle + (safe + tail[depth] + sum_ae) / h)
         if depth == n:
-            value = p_idle + (state["true"] + (0.0 if is_lrub else state["sum_ae"])) / h
-            if value < incumbent[1]:
-                incumbent[0] = tuple(
-                    Placement(t, j, k) for (t, j, k) in trail
-                )
-                incumbent[1] = value
+            value = p_idle + (true + sum_ae) / h
+            if value < best_value:
+                best_placements = tuple(Placement(t, j, k) for (t, j, k) in trail)
+                best_value = value
             return
 
+        # Generate every placement with its change to the true and safe
+        # window terms and bound it, without touching the shared window
+        # state; options the incumbent already prunes are dropped here.
         options = []
-        open_limit = min(state["used"] + 1, q)
+        open_limit = used + 1 if used < q else q
+        exec_row = exec_ms[depth]
+        coef_row = coef[depth]
+        act_row = act_e[depth]
+        room_left = h - suml
+        depth1 = depth + 1
+        tail1 = tail[depth1]
         for ci in allowed[depth]:
-            e = exec_ms[depth][ci]
+            e = exec_row[ci]
+            c = coef_row[ci]
+            ae = act_row[ci]
+            free = room[ci]
             for j in range(open_limit):
-                if cnt[j][ci] >= caps[ci]:
+                if free[j] == 0:
                     continue
-                grow = e - wlen[j] if e > wlen[j] else 0
-                if state["suml"] + grow > h:
+                wl = wlen[j]
+                grow = e - wl if e > wl else 0
+                if grow > room_left:
                     continue
-                newl = wlen[j] + grow
-                if is_lrub:
-                    news = wstar[j] + unit[depth][ci]
-                    old_true, _ = window_terms(j)
-                    delta = newl * news - old_true
+                newl = wl + grow
+                if j == used:  # empty window
+                    news = c
+                    dtrue = newl * news
+                    dsafe = dtrue if news >= 0.0 else h * news
                 else:
-                    b = off[depth][ci]
-                    newb = b if wtotal[j] == 0 else max(wmaxb[j], b)
-                    old_true, _ = window_terms(j)
-                    delta = act_e[depth][ci] + (newl * newb - old_true)
-                options.append((delta, ci, j, grow))
-        options.sort(key=lambda o: (o[0], o[1], o[2]))
+                    s = wcoef[j]
+                    if is_lrub:
+                        news = s + c
+                    else:
+                        news = s if s >= c else c
+                    old_true = wl * s
+                    new_true = newl * news
+                    dtrue = new_true - old_true
+                    dsafe = (new_true if news >= 0.0 else h * news) - (
+                        old_true if s >= 0.0 else h * s
+                    )
+                child_safe = safe + dsafe
+                child_ae = sum_ae + ae
+                bound = p_idle + (child_safe + tail1 + child_ae) / h
+                if bound >= best_value - _EPS:
+                    continue
+                options.append(
+                    (ae + dtrue, ci, j, bound, newl, news, true + dtrue, child_safe, child_ae)
+                )
+        options.sort()
 
-        for delta, ci, j, grow in options:
-            old = (wlen[j], wmaxb[j], wstar[j], wtotal[j])
-            old_true, old_safe = window_terms(j)
-            cnt[j][ci] += 1
-            wtotal[j] += 1
-            wlen[j] += grow
-            if is_lrub:
-                wstar[j] += unit[depth][ci]
-            else:
-                b = off[depth][ci]
-                wmaxb[j] = b if old[3] == 0 else max(wmaxb[j], b)
-            new_true, new_safe = window_terms(j)
-            opened = j == state["used"]
-            state["used"] += 1 if opened else 0
-            state["suml"] += grow
-            state["sum_ae"] += 0.0 if is_lrub else act_e[depth][ci]
-            state["true"] += new_true - old_true
-            state["safe"] += new_safe - old_safe
+        # Visit in order of increasing objective change. The incumbent only
+        # improves, so an option bounded out above stays out; the rest are
+        # bounded again against the incumbent as it stands now, and only one
+        # that survives is applied. Undo assigns the saved values back.
+        for _, ci, j, bound, newl, news, child_true, child_safe, child_ae in options:
+            if bound >= best_value - _EPS:
+                continue
+            free = room[ci]
+            wl = wlen[j]
+            s = wcoef[j]
+            free[j] -= 1
+            wlen[j] = newl
+            wcoef[j] = news
             trail.append((tid[depth], j + 1, ci + 1))
-
-            if incumbent[0] is None or bound_at(depth + 1) < incumbent[1] - _EPS:
-                rec(depth + 1)
-
+            rec(
+                depth1,
+                used + 1 if j == used else used,
+                suml + newl - wl,
+                child_ae,
+                child_true,
+                child_safe,
+            )
             trail.pop()
-            cnt[j][ci] -= 1
-            wlen[j], wmaxb[j], wstar[j], wtotal[j] = old
-            state["used"] -= 1 if opened else 0
-            state["suml"] -= grow
-            state["sum_ae"] -= 0.0 if is_lrub else act_e[depth][ci]
-            state["true"] -= new_true - old_true
-            state["safe"] -= new_safe - old_safe
+            free[j] += 1
+            wlen[j] = wl
+            wcoef[j] = s
             if aborted:
                 return
 
-    rec(0)
+    rec(0, 0, 0, 0.0, 0.0, 0.0)
     elapsed = (time.perf_counter() - t_start) * 1000.0
-    if incumbent[0] is not None:
-        assignment = Assignment.from_placements(instance, incumbent[0])
+    if best_placements is not None:
+        assignment = Assignment.from_placements(instance, best_placements)
         if aborted:
             return SearchResult(
-                SearchStatus.FEASIBLE_TIMEOUT, assignment, incumbent[1],
+                SearchStatus.FEASIBLE_TIMEOUT, assignment, best_value,
                 root_bound, nodes, elapsed,
             )
         return SearchResult(
-            SearchStatus.OPTIMAL, assignment, incumbent[1], incumbent[1], nodes, elapsed
+            SearchStatus.OPTIMAL, assignment, best_value, best_value, nodes, elapsed
         )
     if aborted:
         return SearchResult(
@@ -544,7 +565,7 @@ def _cluster_search(
         base += sign * e
 
     def grouped_total() -> int | None:
-        lengths = _grouped_lengths(instance, [[-x for x in l] for l in lists])
+        lengths = _grouped_lengths(instance, lists)
         return None if lengths is None else sum(lengths)
 
     caps_total = [q * c.core_count for c in plat.clusters]
@@ -702,7 +723,7 @@ def _feasibility_search(
                 aborted = True
         if aborted:
             return False
-        lengths = _grouped_lengths(instance, [[-x for x in l] for l in lists])
+        lengths = _grouped_lengths(instance, lists)
         if lengths is None or sum(lengths) > h:
             return False
         if depth == n_free:

@@ -50,6 +50,7 @@ class MethodOutcome:
     bound: float | None
     elapsed_ms: float
     trace: tuple | None = None  # GA fitness trace; None for other methods
+    nodes: int | None = None  # search nodes explored; None for non-exact methods
 
 
 def max_workers() -> int:
@@ -87,6 +88,7 @@ def run_method(
             objective=result.objective_value,
             bound=result.lower_bound,
             elapsed_ms=result.elapsed_ms,
+            nodes=result.nodes_explored,
         )
 
     if method in ("bb-sm", "bb-lr"):

@@ -229,14 +229,18 @@ def sm_value(instance: ts.Instance, assignment: ts.Assignment) -> float:
     return instance.platform.idle_power_watts + (total_ae + off) / h
 
 
-def best_sm_completion(
-    instance: ts.Instance, partial: tuple[tuple[int, int, int], ...]
+def _best_completion(
+    instance: ts.Instance,
+    partial: tuple[tuple[int, int, int], ...],
+    value,
 ) -> float | None:
-    """Exhaustive minimum SM objective over completions of a placed prefix.
+    """Exhaustive minimum of value(members, lengths) over completions of a prefix.
 
-    Windows are NOT canonicalized here: the prefix already pins window
-    identities, and this checks solver node bounds against all genuine
-    completions. Returns None when no feasible completion exists.
+    members[j] lists the characteristics of the tasks in window j + 1 and
+    lengths[j] is that window's length. Windows are NOT canonicalized here:
+    the prefix already pins window identities, and this checks solver node
+    bounds against all genuine completions. Returns None when no feasible
+    completion exists.
     """
     q = instance.max_windows
     h = instance.major_frame_ms
@@ -246,28 +250,20 @@ def best_sm_completion(
 
     counts = {(j, c.id): 0 for j in range(1, q + 1) for c in clusters}
     lengths = [0] * q
-    total_ae = 0.0
-    max_b = [-math.inf] * q
+    members: list[list[ts.TaskCharacteristics]] = [[] for _ in range(q)]
     for tid, j, cid in partial:
         tc = instance.task_by_id(tid).on(cid)
         counts[(j, cid)] += 1
         lengths[j - 1] = max(lengths[j - 1], tc.exec_time_ms)
-        total_ae += tc.activity_coef * tc.exec_time_ms
-        max_b[j - 1] = max(max_b[j - 1], tc.offset_coef)
+        members[j - 1].append(tc)
 
     best = [None]
 
-    def value(ae):
-        off = sum(
-            lengths[j] * max_b[j] for j in range(q) if max_b[j] > -math.inf
-        )
-        return instance.platform.idle_power_watts + (ae + off) / h
-
-    def rec(i, ae):
+    def rec(i):
         if sum(lengths) > h:
             return
         if i == len(rest):
-            v = value(ae)
+            v = value(members, lengths)
             if best[0] is None or v < best[0]:
                 best[0] = v
             return
@@ -275,18 +271,57 @@ def best_sm_completion(
         for c in clusters:
             tc = t.on(c.id)
             for j in range(1, q + 1):
-                cap = c.core_count
-                if counts[(j, c.id)] >= cap:
+                if counts[(j, c.id)] >= c.core_count:
                     continue
-                old_len, old_b = lengths[j - 1], max_b[j - 1]
+                old_len = lengths[j - 1]
                 lengths[j - 1] = max(old_len, tc.exec_time_ms)
-                max_b[j - 1] = max(old_b, tc.offset_coef)
+                members[j - 1].append(tc)
                 counts[(j, c.id)] += 1
-                rec(i + 1, ae + tc.activity_coef * tc.exec_time_ms)
+                rec(i + 1)
                 counts[(j, c.id)] -= 1
-                lengths[j - 1], max_b[j - 1] = old_len, old_b
-    rec(0, total_ae)
+                members[j - 1].pop()
+                lengths[j - 1] = old_len
+    rec(0)
     return best[0]
+
+
+def best_sm_completion(
+    instance: ts.Instance, partial: tuple[tuple[int, int, int], ...]
+) -> float | None:
+    """Exhaustive minimum SM objective over completions of a placed prefix."""
+    h = instance.major_frame_ms
+
+    def value(members, lengths):
+        total_ae = sum(tc.activity_coef * tc.exec_time_ms for tcs in members for tc in tcs)
+        off = sum(
+            length * max(tc.offset_coef for tc in tcs)
+            for tcs, length in zip(members, lengths)
+            if tcs
+        )
+        return instance.platform.idle_power_watts + (total_ae + off) / h
+
+    return _best_completion(instance, partial, value)
+
+
+def best_lrub_completion(
+    instance: ts.Instance, partial: tuple[tuple[int, int, int], ...], coefficients
+) -> float | None:
+    """Exhaustive minimum LR-UB objective over completions of a placed prefix.
+
+    Every task is charged its cluster's regression rate over the whole
+    length of its window: P_idle + sum_j L_j * sum_t (beta0 a_t + beta1 b_t) / h.
+    """
+    h = instance.major_frame_ms
+
+    def value(members, lengths):
+        energy = 0.0
+        for tcs, length in zip(members, lengths):
+            for tc in tcs:
+                beta = coefficients.beta(tc.cluster_id)
+                energy += length * (beta[0] * tc.activity_coef + beta[1] * tc.offset_coef)
+        return instance.platform.idle_power_watts + energy / h
+
+    return _best_completion(instance, partial, value)
 
 
 def flow_oracle_min_cost(

@@ -103,6 +103,7 @@ class TestSolve:
         assert ts.check_feasible(instance, assignment).feasible
         result = json.loads((tmp_path / "sol.result.json").read_text())
         assert result["status"] == "optimal"
+        assert isinstance(result["nodes_explored"], int) and result["nodes_explored"] >= 1
 
     def test_flow_fixed_needs_lengths(self, tmp_path, example_files):
         inst_path, _ = example_files
@@ -155,6 +156,7 @@ class TestSolve:
         assert "bb-sm: unknown" in capsys.readouterr().out
         result = json.loads((tmp_path / "ga.result.json").read_text())
         assert result["status"] == "unknown" and result["objective_value"] is None
+        assert result["nodes_explored"] is None  # the GA explores no search tree
         assert not (tmp_path / "ga.json").exists()
         assert main([
             "solve", str(inst_path), "--method", "ilp-sm", "-o", str(tmp_path / "ilp.json"),

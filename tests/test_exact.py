@@ -1,10 +1,17 @@
+import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 import helpers
 import thermosched as ts
 from thermosched.exact import ObjectiveKind, ObjectiveSpec, PartialFix, SearchStatus
+from thermosched.generator import GeneratorConfig, generate_instance, sweep_seed
+from thermosched.power import RegressionCoefficients
+
+PINNED_SEARCH = Path(__file__).parent / "data" / "exact_pinned_search.json"
 
 ALL_KINDS = (
     ObjectiveKind.SM_POWER,
@@ -187,22 +194,64 @@ class TestOracleAgreement:
             )
 
 
+def with_negated_odd_offsets(instance):
+    """The instance with the offset coefficients of odd task ids negated."""
+    tasks = tuple(
+        ts.Task(t.id, t.name, tuple(
+            dataclasses.replace(tc, offset_coef=-tc.offset_coef) if t.id % 2 else tc
+            for tc in t.per_cluster
+        ))
+        for t in instance.tasks
+    )
+    return dataclasses.replace(instance, tasks=tasks)
+
+
+# Cluster 1's offset rate is negative, so some tasks have a negative LR-UB
+# rate and the searches' h-scaled safe terms come into play.
+SIGNED_COEFF = RegressionCoefficients(betas=((1.205, -0.9), (0.969, 0.456)))
+
+
 class TestBoundValidity:
-    def test_node_bounds_admissible(self):
-        rng = random.Random(13)
-        for seed in (0, 3, 7):
-            instance = helpers.small_random_instance(seed, n_hi=6, q_max=3)
+    @staticmethod
+    def audit(kind, coefficients, best_completion, transform=lambda instance: instance):
+        """Every sampled node bound is at most the best completion of its prefix."""
+        checked = 0
+        for seed in range(20):
+            instance = transform(helpers.small_random_instance(seed, n_hi=7, q_max=3))
             records = []
             ts.solve(
                 instance,
-                spec(ObjectiveKind.SM_POWER),
+                ObjectiveSpec(kind, coefficients),
                 node_recorder=lambda trail, bound: records.append((trail, bound)),
             )
+            rng = random.Random(13)
             sample = records if len(records) <= 100 else rng.sample(records, 100)
             for trail, bound in sample:
-                best = helpers.best_sm_completion(instance, trail)
+                best = best_completion(instance, trail)
                 if best is not None:
-                    assert bound <= best + 1e-9
+                    checked += 1
+                    assert bound <= best + 1e-9, (seed, trail)
+        assert checked >= 100
+
+    def test_node_bounds_admissible(self):
+        self.audit(ObjectiveKind.SM_POWER, None, helpers.best_sm_completion)
+
+    def test_sm_node_bounds_admissible_with_negative_offsets(self):
+        self.audit(
+            ObjectiveKind.SM_POWER, None, helpers.best_sm_completion,
+            with_negated_odd_offsets,
+        )
+
+    @pytest.mark.parametrize("coefficients", [helpers.MEK_COEFF, SIGNED_COEFF],
+                             ids=["mek", "signed"])
+    def test_lr_ub_node_bounds_admissible(self, coefficients):
+        self.audit(
+            ObjectiveKind.LR_UB_POWER,
+            coefficients,
+            lambda instance, trail: helpers.best_lrub_completion(
+                instance, trail, coefficients
+            ),
+        )
 
 
 class TestPartialFix:
@@ -228,3 +277,43 @@ class TestPartialFix:
                 subset = dict(rng.sample(items, rng.randint(0, len(items))))
                 sub = ts.solve(instance, feas, PartialFix.of(subset))
                 assert sub.status is SearchStatus.OPTIMAL
+
+
+def pinned_instance(case):
+    if "sweep" in case:
+        base_seed, n, rep = case["sweep"]
+        config = GeneratorConfig(
+            kernel_pool=helpers.MIXED_POOL, n_tasks=n,
+            rng_seed=sweep_seed(base_seed, n, rep), tightness_kappa=case["kappa"],
+        )
+        return generate_instance(config, helpers.MEK)
+    seed, kwargs = case["small"]
+    return helpers.small_random_instance(seed, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(PINNED_SEARCH.read_text()), ids=lambda c: c["case"]
+)
+def test_solve_matches_pinned_search(case):
+    """Statuses, node counts and optima recorded from the apply-then-bound window search.
+
+    Equal node counts and assignments show that every search still visits
+    the same tree in the same order. Objectives are compared to 1e-12: the
+    recorded values carry the last-bit drift of window accumulators that
+    were restored by subtraction.
+    """
+    instance = pinned_instance(case)
+    partial = PartialFix.of(dict(case["fix"])) if case["fix"] else None
+    for kind in ObjectiveKind:
+        expected = case["results"][kind.value]
+        result = ts.solve(instance, spec(kind), partial)
+        placements = (
+            None if result.assignment is None
+            else [[p.task_id, p.window, p.cluster] for p in result.assignment.placements]
+        )
+        got = (result.status.value, result.nodes_explored, placements)
+        assert got == (expected["status"], expected["nodes_explored"], expected["placements"]), kind
+        if expected["objective_value"] is None:
+            assert result.objective_value is None
+        else:
+            assert abs(result.objective_value - expected["objective_value"]) <= 1e-12, kind
