@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import json
 import os
 import secrets
 import sys
@@ -38,6 +37,8 @@ from .model import (
     save_assignment,
     save_instance,
     _platform_from_dict,
+    _read_json_object,
+    _write_json,
 )
 from .power import (
     PowerModel,
@@ -111,9 +112,7 @@ def _write_manifest(
         "inputs": inputs,
         "outputs": outputs,
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(doc, path)
 
 
 def _manifest_path(output_path: str) -> str:
@@ -124,8 +123,7 @@ def _manifest_path(output_path: str) -> str:
 def _resolve_platform(value: str) -> Platform:
     if value in PLATFORM_NAMES:
         return builtin_platform(value)
-    with open(value, encoding="utf-8") as f:
-        return _platform_from_dict(json.load(f))
+    return _platform_from_dict(_read_json_object(value, "platform"))
 
 
 def _resolve_kernels(value: str):
@@ -237,9 +235,7 @@ def _cmd_solve(args, argv) -> int:
         "elapsed_ms": outcome.elapsed_ms,
         "nodes_explored": outcome.nodes,
     }
-    with open(result_path, "w", encoding="utf-8") as f:
-        json.dump(result_doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(result_doc, result_path)
     outputs.append(result_path)
     _write_manifest(
         "solve", argv, vars(args) | {"seed": seed}, seed,
@@ -273,17 +269,13 @@ def _cmd_evaluate(args, argv) -> int:
         report["temperature_celsius"] = power_to_temperature(
             instance.platform, estimate.watts
         )
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    _write_json(report, args.output or sys.stdout)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
         _write_manifest(
             "evaluate", argv, vars(args), None,
             inputs=[args.instance, args.assignment], outputs=[args.output],
             started_at=started, path=_manifest_path(args.output),
         )
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

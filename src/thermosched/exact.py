@@ -10,13 +10,15 @@ symmetry breaking (a task may only open the lowest-indexed empty window).
 Each candidate placement is bounded from its change to the window terms
 before it is applied, so a pruned candidate never touches the search state;
 only the survivors are applied, searched below and undone.
-The idle-time objectives and the feasibility oracle branch over cluster
-choices only: once every task has a cluster, the cheapest window partition
-is obtained by sorting each cluster's tasks by decreasing execution time,
-cutting them into core-count sized groups and aligning the groups rank by
-rank across clusters. That grouping provably minimizes the total window
-length, so it decides feasibility exactly and never affects the idle-time
-value, which depends on cluster choices alone.
+The other kinds branch over cluster choices only: once every task has a
+cluster, the cheapest window partition is obtained by sorting each cluster's
+tasks by decreasing execution time, cutting them into core-count sized
+groups and aligning the groups rank by rank across clusters. That grouping
+provably minimizes the total window length, so it decides feasibility
+exactly and never affects the idle-time value, which depends on cluster
+choices alone. One cluster search minimizes a per-(task, cluster) cost: the
+signed execution time for the idle-time kinds, and zero for feasibility, so
+that its first witness meets the zero root bound and closes the search.
 
 brute_force_optimum() is an independent exhaustive enumerator used as a
 testing oracle; it shares no search code with solve().
@@ -197,19 +199,10 @@ def _grouped_assignment(
 def _evaluate_placements(
     instance: Instance, objective: ObjectiveSpec, placements: Sequence[Placement]
 ) -> float:
-    """Objective value of a complete placement list (no feasibility check)."""
+    """SM or LR-UB power of a complete placement list (no feasibility check)."""
     h = instance.major_frame_ms
     plat = instance.platform
     kind = objective.kind
-    if kind is ObjectiveKind.FEASIBILITY_ONLY:
-        return 0.0
-    if kind in (ObjectiveKind.IDLE_MIN, ObjectiveKind.IDLE_MAX):
-        processing = sum(
-            instance.task_by_id(p.task_id).on(p.cluster).exec_time_ms
-            for p in placements
-        )
-        return float(h * plat.total_cores - processing)
-
     wlen: dict[int, int] = {}
     wmaxb: dict[int, float] = {}
     wstar: dict[int, float] = {}
@@ -290,6 +283,54 @@ def _heuristic_cluster_maps(
         insort(lists[best_cid - 1], -t.on(best_cid).exec_time_ms)
     maps.append(balanced)
     return maps
+
+
+def _seed_incumbent(
+    instance: Instance,
+    fix: Mapping[int, int],
+    objective: ObjectiveSpec,
+    value_of: Callable[[Assignment], float],
+    root_bound: float,
+) -> tuple[dict[int, int] | None, Assignment | None, float]:
+    """Best heuristic cluster map that groups feasibly, its assignment and value.
+
+    Returns (None, None, inf) when no map groups feasibly. Stops at the first
+    map whose value reaches root_bound, which no other map can beat.
+    """
+    best: tuple[dict[int, int] | None, Assignment | None, float] = (None, None, math.inf)
+    for cmap in _heuristic_cluster_maps(instance, fix, objective):
+        asg = _grouped_assignment(instance, cmap)
+        if asg is None:
+            continue
+        value = value_of(asg)
+        if value < best[2]:
+            best = (cmap, asg, value)
+            if value <= root_bound:
+                break
+    return best
+
+
+def _finish(
+    t_start: float,
+    assignment: Assignment | None,
+    value: float | None,
+    timeout_bound: float | None,
+    nodes: int,
+    aborted: bool,
+) -> SearchResult:
+    """Result of a search that ended with the given incumbent, or none.
+
+    A completed search proves its incumbent optimal, or infeasibility when it
+    has none; a search cut by its deadline reports timeout_bound.
+    """
+    elapsed = (time.perf_counter() - t_start) * 1000.0
+    if assignment is None:
+        status = SearchStatus.UNKNOWN_TIMEOUT if aborted else SearchStatus.INFEASIBLE
+        bound = timeout_bound if aborted else None
+        return SearchResult(status, None, None, bound, nodes, elapsed)
+    status = SearchStatus.FEASIBLE_TIMEOUT if aborted else SearchStatus.OPTIMAL
+    bound = timeout_bound if aborted else value
+    return SearchResult(status, assignment, value, bound, nodes, elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +420,15 @@ def _window_search(
     wcoef = [0.0] * q
     trail: list[tuple[int, int, int]] = []
 
-    best_placements = None
-    best_value = math.inf
-    for cmap in _heuristic_cluster_maps(instance, fix, objective):
-        asg = _grouped_assignment(instance, cmap)
-        if asg is None:
-            continue
-        val = _evaluate_placements(instance, objective, asg.placements)
-        if val < best_value:
-            best_placements = asg.placements
-            best_value = val
-
+    root_bound = p_idle + tail[0] / h
+    _, seed, best_value = _seed_incumbent(
+        instance, fix, objective,
+        lambda asg: _evaluate_placements(instance, objective, asg.placements),
+        root_bound,
+    )
+    best_placements = None if seed is None else seed.placements
     nodes = 0
     aborted = False
-    root_bound = p_idle + tail[0] / h
 
     # A node carries its accumulators as arguments: sum_ae (activity energy,
     # SM only), true (exact window offset or star terms) and safe (their
@@ -496,22 +532,11 @@ def _window_search(
                 return
 
     rec(0, 0, 0, 0.0, 0.0, 0.0)
-    elapsed = (time.perf_counter() - t_start) * 1000.0
-    if best_placements is not None:
-        assignment = Assignment.from_placements(instance, best_placements)
-        if aborted:
-            return SearchResult(
-                SearchStatus.FEASIBLE_TIMEOUT, assignment, best_value,
-                root_bound, nodes, elapsed,
-            )
-        return SearchResult(
-            SearchStatus.OPTIMAL, assignment, best_value, best_value, nodes, elapsed
-        )
-    if aborted:
-        return SearchResult(
-            SearchStatus.UNKNOWN_TIMEOUT, None, None, root_bound, nodes, elapsed
-        )
-    return SearchResult(SearchStatus.INFEASIBLE, None, None, None, nodes, elapsed)
+    assignment = (
+        None if best_placements is None
+        else Assignment.from_placements(instance, best_placements)
+    )
+    return _finish(t_start, assignment, best_value, root_bound, nodes, aborted)
 
 
 # ---------------------------------------------------------------------------
@@ -530,76 +555,79 @@ def _cluster_search(
     m = len(plat.clusters)
     q = instance.max_windows
     h = instance.major_frame_ms
-    total_cores = plat.total_cores
-    idle_const = h * total_cores
-    # Internal objective: minimize the signed processing time.
-    sign = 1 if objective.kind is ObjectiveKind.IDLE_MAX else -1
+    feasibility = objective.kind is ObjectiveKind.FEASIBILITY_ONLY
+    # Internal objective: minimize the signed processing time, sign * e per
+    # task. Feasibility's zero cost lets the first witness meet the root
+    # bound, which prunes the rest of the tree.
+    sign = {ObjectiveKind.IDLE_MIN: -1, ObjectiveKind.IDLE_MAX: 1}.get(objective.kind, 0)
+    idle_const = 0 if feasibility else h * plat.total_cores
 
-    free = [t for t in instance.tasks if t.id not in fix]
-    free.sort(
-        key=lambda t: (
-            -(max(tc.exec_time_ms for tc in t.per_cluster)
-              - min(tc.exec_time_ms for tc in t.per_cluster)),
-            -min(tc.exec_time_ms for tc in t.per_cluster),
-            t.id,
-        )
-    )
-    n_free = len(free)
-    exec_ms = [[tc.exec_time_ms for tc in t.per_cluster] for t in free]
-    # Cluster order tried cheapest-first for the internal minimization.
-    choice_order = [
-        sorted(range(m), key=lambda ci: (sign * exec_ms[p][ci], ci))
-        for p in range(n_free)
-    ]
-    suffix = [0] * (n_free + 1)
-    for p in range(n_free - 1, -1, -1):
-        suffix[p] = suffix[p + 1] + min(sign * e for e in exec_ms[p])
+    def to_value(signed_processing: int) -> float:
+        return float(idle_const - sign * signed_processing)
 
     lists: list[list[int]] = [[] for _ in range(m)]  # negated times, ascending
-    counts = [0] * m
     base = 0
     for tid, cid in fix.items():
         e = instance.task_by_id(tid).on(cid).exec_time_ms
         insort(lists[cid - 1], -e)
-        counts[cid - 1] += 1
         base += sign * e
+    start_lengths = _grouped_lengths(instance, lists)
+    if start_lengths is None or sum(start_lengths) > h:
+        return _finish(t_start, None, None, None, 1, False)
 
-    def grouped_total() -> int | None:
-        lengths = _grouped_lengths(instance, lists)
-        return None if lengths is None else sum(lengths)
+    # Seed before building the branching tables: most feasibility calls are
+    # settled here, since a seed that meets the root bound prunes every child
+    # of the root.
+    free = [t for t in instance.tasks if t.id not in fix]
+    root_bound = base + sum(
+        min(sign * tc.exec_time_ms for tc in t.per_cluster) for t in free
+    )
+    best_map, seed, best = _seed_incumbent(
+        instance, fix, objective,
+        lambda asg: sum(
+            sign * instance.task_by_id(p.task_id).on(p.cluster).exec_time_ms
+            for p in asg.placements
+        ),
+        root_bound,
+    )
+    timeout_bound = None if feasibility else to_value(root_bound)
+    if seed is not None and best <= root_bound:
+        return _finish(t_start, seed, to_value(best), timeout_bound, 1, False)
 
-    caps_total = [q * c.core_count for c in plat.clusters]
-    for ci in range(m):
-        if counts[ci] > caps_total[ci]:
-            return SearchResult(
-                SearchStatus.INFEASIBLE, None, None, None, 1,
-                (time.perf_counter() - t_start) * 1000.0,
+    # Feasibility branches on the hardest-to-place tasks first and tries the
+    # clusters by time per core; idle time branches on the tasks whose choice
+    # matters most and tries the cheapest signed time first.
+    if feasibility:
+        free.sort(key=lambda t: (-min(tc.exec_time_ms for tc in t.per_cluster), t.id))
+    else:
+        free.sort(
+            key=lambda t: (
+                -(max(tc.exec_time_ms for tc in t.per_cluster)
+                  - min(tc.exec_time_ms for tc in t.per_cluster)),
+                -min(tc.exec_time_ms for tc in t.per_cluster),
+                t.id,
             )
-    start_total = grouped_total()
-    if start_total is None or start_total > h:
-        return SearchResult(
-            SearchStatus.INFEASIBLE, None, None, None, 1,
-            (time.perf_counter() - t_start) * 1000.0,
         )
+    n_free = len(free)
+    exec_ms = [[tc.exec_time_ms for tc in t.per_cluster] for t in free]
+    cost = [[sign * e for e in row] for row in exec_ms]
+    rank = (
+        [[e / c.core_count for e, c in zip(row, plat.clusters)] for row in exec_ms]
+        if feasibility else cost
+    )
+    choice_order = [sorted(range(m), key=lambda ci: (row[ci], ci)) for row in rank]
+    suffix = [0] * (n_free + 1)
+    for p in range(n_free - 1, -1, -1):
+        suffix[p] = suffix[p + 1] + min(cost[p])
+    caps_total = [q * c.core_count for c in plat.clusters]
 
-    incumbent: list = [None, math.inf]  # [cluster map, signed processing]
-    for cmap in _heuristic_cluster_maps(instance, fix, objective):
-        asg = _grouped_assignment(instance, cmap)
-        if asg is None:
-            continue
-        val = sum(
-            sign * instance.task_by_id(t.id).on(cmap[t.id]).exec_time_ms
-            for t in instance.tasks
-        )
-        if val < incumbent[1]:
-            incumbent[0] = dict(cmap)
-            incumbent[1] = val
-
+    incumbent: list = [best_map, best]  # [cluster map, signed processing]
     current = dict(fix)
     nodes = 0
     aborted = False
-    root_bound = base + suffix[0]
 
+    # A child is entered only when its cluster has room, the bound leaves it
+    # open and its aligned grouping still fits the frame.
     def rec(depth: int, acc: int):
         nonlocal nodes, aborted
         nodes += 1
@@ -613,146 +641,34 @@ def _cluster_search(
                 incumbent[0] = dict(current)
                 incumbent[1] = acc
             return
-        t = free[depth]
+        tid = free[depth].id
+        exec_row = exec_ms[depth]
+        cost_row = cost[depth]
+        rest = suffix[depth + 1]
         for ci in choice_order[depth]:
-            if counts[ci] + 1 > caps_total[ci]:
+            neg = lists[ci]
+            if len(neg) >= caps_total[ci]:
                 continue
-            contribution = sign * exec_ms[depth][ci]
-            if acc + contribution + suffix[depth + 1] >= incumbent[1]:
+            c = cost_row[ci]
+            if acc + c + rest >= incumbent[1]:
                 continue
-            e = exec_ms[depth][ci]
-            insort(lists[ci], -e)
-            counts[ci] += 1
-            current[t.id] = ci + 1
-            total = grouped_total()
-            if total is not None and total <= h:
-                rec(depth + 1, acc + contribution)
-            del current[t.id]
-            counts[ci] -= 1
-            lists[ci].remove(-e)
+            e = exec_row[ci]
+            insort(neg, -e)
+            lengths = _grouped_lengths(instance, lists)
+            if lengths is not None and sum(lengths) <= h:
+                current[tid] = ci + 1
+                rec(depth + 1, acc + c)
+                del current[tid]
+            neg.remove(-e)
             if aborted:
                 return
 
     rec(0, base)
-    elapsed = (time.perf_counter() - t_start) * 1000.0
-
-    def to_idle(signed_processing: float) -> float:
-        return float(idle_const - sign * signed_processing)
-
+    assignment = value = None
     if incumbent[0] is not None:
         assignment = _grouped_assignment(instance, incumbent[0])
-        value = to_idle(incumbent[1])
-        if aborted:
-            return SearchResult(
-                SearchStatus.FEASIBLE_TIMEOUT, assignment, value,
-                to_idle(root_bound), nodes, elapsed,
-            )
-        return SearchResult(
-            SearchStatus.OPTIMAL, assignment, value, value, nodes, elapsed
-        )
-    if aborted:
-        return SearchResult(
-            SearchStatus.UNKNOWN_TIMEOUT, None, None, to_idle(root_bound), nodes, elapsed
-        )
-    return SearchResult(SearchStatus.INFEASIBLE, None, None, None, nodes, elapsed)
-
-
-def _feasibility_search(
-    instance: Instance,
-    fix: Mapping[int, int],
-    time_limit_ms: float | None,
-) -> SearchResult:
-    t_start = time.perf_counter()
-    deadline = None if time_limit_ms is None else t_start + time_limit_ms / 1000.0
-    plat = instance.platform
-    m = len(plat.clusters)
-    q = instance.max_windows
-    h = instance.major_frame_ms
-
-    def done(status, assignment=None, nodes=0):
-        elapsed = (time.perf_counter() - t_start) * 1000.0
-        obj = 0.0 if assignment is not None else None
-        return SearchResult(status, assignment, obj, obj, nodes, elapsed)
-
-    # Necessary conditions that settle most calls immediately.
-    for t in instance.tasks:
-        candidates = [fix[t.id]] if t.id in fix else [c.id for c in plat.clusters]
-        if min(t.on(cid).exec_time_ms for cid in candidates) > h:
-            return done(SearchStatus.INFEASIBLE)
-    caps_total = {c.id: q * c.core_count for c in plat.clusters}
-    forced = {c.id: 0 for c in plat.clusters}
-    for tid, cid in fix.items():
-        forced[cid] += 1
-        if forced[cid] > caps_total[cid]:
-            return done(SearchStatus.INFEASIBLE)
-
-    objective = ObjectiveSpec(ObjectiveKind.FEASIBILITY_ONLY)
-    for cmap in _heuristic_cluster_maps(instance, fix, objective):
-        asg = _grouped_assignment(instance, cmap)
-        if asg is not None:
-            return done(SearchStatus.OPTIMAL, asg, nodes=1)
-
-    # Exhaustive search over cluster choices for the free tasks.
-    free = sorted(
-        (t for t in instance.tasks if t.id not in fix),
-        key=lambda t: (-min(tc.exec_time_ms for tc in t.per_cluster), t.id),
-    )
-    n_free = len(free)
-    exec_ms = [[tc.exec_time_ms for tc in t.per_cluster] for t in free]
-    choice_order = [
-        sorted(range(m), key=lambda ci: (exec_ms[p][ci] / plat.clusters[ci].core_count, ci))
-        for p in range(n_free)
-    ]
-    lists: list[list[int]] = [[] for _ in range(m)]
-    counts = [0] * m
-    for tid, cid in fix.items():
-        insort(lists[cid - 1], -instance.task_by_id(tid).on(cid).exec_time_ms)
-        counts[cid - 1] += 1
-    current = dict(fix)
-    caps_list = [caps_total[c.id] for c in plat.clusters]
-
-    nodes = 0
-    aborted = False
-    witness: list = [None]
-
-    def rec(depth: int) -> bool:
-        nonlocal nodes, aborted
-        nodes += 1
-        if deadline is not None and (nodes & _TIME_CHECK_MASK) == 0:
-            if time.perf_counter() > deadline:
-                aborted = True
-        if aborted:
-            return False
-        lengths = _grouped_lengths(instance, lists)
-        if lengths is None or sum(lengths) > h:
-            return False
-        if depth == n_free:
-            witness[0] = dict(current)
-            return True
-        t = free[depth]
-        for ci in choice_order[depth]:
-            if counts[ci] + 1 > caps_list[ci]:
-                continue
-            e = exec_ms[depth][ci]
-            insort(lists[ci], -e)
-            counts[ci] += 1
-            current[t.id] = ci + 1
-            found = rec(depth + 1)
-            del current[t.id]
-            counts[ci] -= 1
-            lists[ci].remove(-e)
-            if found:
-                return True
-            if aborted:
-                return False
-        return False
-
-    found = rec(0)
-    if found:
-        return done(SearchStatus.OPTIMAL, _grouped_assignment(instance, witness[0]), nodes)
-    if aborted:
-        return done(SearchStatus.UNKNOWN_TIMEOUT, nodes=nodes)
-    return done(SearchStatus.INFEASIBLE, nodes=nodes)
+        value = to_value(incumbent[1])
+    return _finish(t_start, assignment, value, timeout_bound, nodes, aborted)
 
 
 def solve(
@@ -769,7 +685,11 @@ def solve(
     the first feasible assignment. The returned lower_bound is proven: it
     equals the objective at optimality and falls back to the root bound on
     timeout (for idle-time maximization it is an upper bound, reported in
-    the same field).
+    the same field; feasibility-only reports none without a witness).
+
+    nodes_explored counts the nodes the search entered, the root included.
+    A child rejected before it is entered, by the capacity, grouping, frame
+    or bound checks, is not counted.
 
     node_recorder, when given, is invoked on every node of the SM / LR-UB
     search with the placed prefix and the node's bound; it exists for bound
@@ -778,11 +698,9 @@ def solve(
     if time_limit_ms is not None and time_limit_ms < 1:
         raise ValueError("time_limit_ms must be at least 1")
     fix = _check_inputs(instance, objective, partial)
-    if objective.kind is ObjectiveKind.FEASIBILITY_ONLY:
-        return _feasibility_search(instance, fix, time_limit_ms)
-    if objective.kind in (ObjectiveKind.IDLE_MIN, ObjectiveKind.IDLE_MAX):
-        return _cluster_search(instance, objective, fix, time_limit_ms)
-    return _window_search(instance, objective, fix, time_limit_ms, node_recorder)
+    if objective.kind in (ObjectiveKind.SM_POWER, ObjectiveKind.LR_UB_POWER):
+        return _window_search(instance, objective, fix, time_limit_ms, node_recorder)
+    return _cluster_search(instance, objective, fix, time_limit_ms)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from .exact import ObjectiveKind, ObjectiveSpec, PartialFix, SearchStatus, solve
-from .model import Assignment, Instance, Placement, _open_for
+from .model import Assignment, Instance, Placement, _open_for, _read_json_object
 from .power import (
     PowerModel,
     RegressionCoefficients,
@@ -88,17 +88,7 @@ def ga_config_from_dict(doc: dict, **overrides) -> GaConfig:
 
 
 def load_ga_config(path_or_file: Union[str, IO[str]], **overrides) -> GaConfig:
-    import json
-
-    f, owned = _open_for(path_or_file, "r")
-    try:
-        doc = json.load(f)
-    finally:
-        if owned:
-            f.close()
-    if not isinstance(doc, dict):
-        raise ValueError("GA config document must be a JSON object")
-    return ga_config_from_dict(doc, **overrides)
+    return ga_config_from_dict(_read_json_object(path_or_file, "GA config"), **overrides)
 
 
 @dataclass(frozen=True)

@@ -544,30 +544,39 @@ def _open_for(path_or_file, mode: str):
     return open(path_or_file, mode, encoding="utf-8"), True
 
 
-def load_instance(path_or_file: Union[str, IO[str]]) -> Instance:
-    """Load an instance document; raises ParseError on malformed input."""
+def _read_json_object(path_or_file: Union[str, IO[str]], what: str) -> dict:
+    """Parse a JSON document that must be an object; raises ParseError otherwise."""
     f, owned = _open_for(path_or_file, "r")
     try:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
+        doc = json.load(f)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
     finally:
         if owned:
             f.close()
     if not isinstance(doc, dict):
-        raise ParseError("instance document must be a JSON object")
-    return instance_from_dict(doc)
+        raise ParseError(f"{what} document must be a JSON object")
+    return doc
 
 
-def save_instance(instance: Instance, path_or_file: Union[str, IO[str]]) -> None:
+def _write_json(doc: dict, path_or_file: Union[str, IO[str]]) -> None:
+    """Write a document as indented JSON with sorted keys and a final newline."""
     f, owned = _open_for(path_or_file, "w")
     try:
-        json.dump(instance_to_dict(instance), f, indent=2, sort_keys=True)
+        json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
     finally:
         if owned:
             f.close()
+
+
+def load_instance(path_or_file: Union[str, IO[str]]) -> Instance:
+    """Load an instance document; raises ParseError on malformed input."""
+    return instance_from_dict(_read_json_object(path_or_file, "instance"))
+
+
+def save_instance(instance: Instance, path_or_file: Union[str, IO[str]]) -> None:
+    _write_json(instance_to_dict(instance), path_or_file)
 
 
 def assignment_from_dict(doc: dict) -> Assignment:
@@ -597,28 +606,11 @@ def assignment_to_dict(assignment: Assignment) -> dict:
 
 
 def load_assignment(path_or_file: Union[str, IO[str]]) -> Assignment:
-    f, owned = _open_for(path_or_file, "r")
-    try:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    finally:
-        if owned:
-            f.close()
-    if not isinstance(doc, dict):
-        raise ParseError("assignment document must be a JSON object")
-    return assignment_from_dict(doc)
+    return assignment_from_dict(_read_json_object(path_or_file, "assignment"))
 
 
 def save_assignment(assignment: Assignment, path_or_file: Union[str, IO[str]]) -> None:
-    f, owned = _open_for(path_or_file, "w")
-    try:
-        json.dump(assignment_to_dict(assignment), f, indent=2, sort_keys=True)
-        f.write("\n")
-    finally:
-        if owned:
-            f.close()
+    _write_json(assignment_to_dict(assignment), path_or_file)
 
 
 CHARACTERISTICS_HEADER = ["kernel", "cluster_id", "exec_time_ms", "activity_coef", "offset_coef"]

@@ -22,7 +22,6 @@ frame; frame time not covered by any window contributes idle power only.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -38,6 +37,8 @@ from .model import (
     Platform,
     TaskCharacteristics,
     _open_for,
+    _read_json_object,
+    _write_json,
     check_feasible,
     derive_core_schedule,
 )
@@ -437,10 +438,12 @@ def coefficients_from_dict(doc: dict) -> RegressionCoefficients:
     entries = doc.get("clusters")
     if entries is None:
         raise ParseError("coefficients document: missing field 'clusters'")
+    if not isinstance(entries, list):
+        raise ParseError("coefficients document: 'clusters' must be a list")
     by_id = {}
     for pos, cd in enumerate(entries):
         where = f"clusters[{pos}]"
-        if "cluster_id" not in cd or "beta" not in cd:
+        if not isinstance(cd, dict) or "cluster_id" not in cd or "beta" not in cd:
             raise ParseError(f"{where}: needs 'cluster_id' and 'beta'")
         by_id[int(cd["cluster_id"])] = tuple(float(x) for x in cd["beta"])
     betas = tuple(by_id[k] for k in sorted(by_id))
@@ -463,28 +466,13 @@ def coefficients_to_dict(coefficients: RegressionCoefficients) -> dict:
 
 
 def load_coefficients(path_or_file: Union[str, IO[str]]) -> RegressionCoefficients:
-    f, owned = _open_for(path_or_file, "r")
-    try:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    finally:
-        if owned:
-            f.close()
-    return coefficients_from_dict(doc)
+    return coefficients_from_dict(_read_json_object(path_or_file, "coefficients"))
 
 
 def save_coefficients(
     coefficients: RegressionCoefficients, path_or_file: Union[str, IO[str]]
 ) -> None:
-    f, owned = _open_for(path_or_file, "w")
-    try:
-        json.dump(coefficients_to_dict(coefficients), f, indent=2, sort_keys=True)
-        f.write("\n")
-    finally:
-        if owned:
-            f.close()
+    _write_json(coefficients_to_dict(coefficients), path_or_file)
 
 
 def _fit_sample_header(n_clusters: int) -> list[str]:

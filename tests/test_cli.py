@@ -129,6 +129,19 @@ class TestSolve:
         result = json.loads((tmp_path / "x.result.json").read_text())
         assert result["status"] == "infeasible"
 
+    @pytest.mark.parametrize("document", ["[]", '{"clusters": 5}'], ids=["list", "scalar-clusters"])
+    def test_malformed_coefficients_are_an_error(self, tmp_path, capsys, example_files, document):
+        inst_path, _ = example_files
+        coeff_path = tmp_path / "c.json"
+        coeff_path.write_text(document)
+        code = main([
+            "solve", inst_path, "--method", "qp-lr-ub", "--coefficients", str(coeff_path),
+            "-o", str(tmp_path / "x.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_bb_sm_seed_determinism(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         main(["generate", "--n", "6", "--kernels", "mixed", "--seed", "5", "-o", str(inst_path)])

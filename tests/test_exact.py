@@ -176,6 +176,25 @@ class TestOracleAgreement:
                         oracle.objective_value, abs=1e-9
                     ), (seed, kind)
 
+    def test_feasibility_with_fixes_matches_brute_force(self):
+        rng = random.Random(23)
+        feas = ObjectiveSpec(ObjectiveKind.FEASIBILITY_ONLY)
+        statuses = set()
+        for seed in range(25):
+            instance = helpers.small_random_instance(seed)
+            full = helpers.random_cluster_map(instance, rng)
+            fix = dict(rng.sample(sorted(full.items()), rng.randint(0, len(full))))
+            partial = PartialFix.of(fix)
+            exact = ts.solve(instance, feas, partial)
+            oracle = ts.brute_force_optimum(instance, feas, partial)
+            assert exact.status == oracle.status, (seed, fix)
+            statuses.add(exact.status)
+            if exact.status is SearchStatus.OPTIMAL:
+                assert ts.check_feasible(instance, exact.assignment).feasible, seed
+                placed = {p.task_id: p.cluster for p in exact.assignment.placements}
+                assert all(placed[tid] == cid for tid, cid in fix.items()), seed
+        assert statuses == {SearchStatus.OPTIMAL, SearchStatus.INFEASIBLE}
+
     def test_window_symmetry_invariance(self):
         rng = random.Random(9)
         for seed in range(6):
@@ -298,9 +317,11 @@ def test_solve_matches_pinned_search(case):
     """Statuses, node counts and optima recorded from the apply-then-bound window search.
 
     Equal node counts and assignments show that every search still visits
-    the same tree in the same order. Objectives are compared to 1e-12: the
-    recorded values carry the last-bit drift of window accumulators that
-    were restored by subtraction.
+    the same tree in the same order. Three feasibility-only counts were
+    re-recorded when feasibility moved into the cluster search, which does
+    not count children it rejects on grouping. Objectives are compared to
+    1e-12: the recorded values carry the last-bit drift of window
+    accumulators that were restored by subtraction.
     """
     instance = pinned_instance(case)
     partial = PartialFix.of(dict(case["fix"])) if case["fix"] else None
