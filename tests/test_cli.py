@@ -357,3 +357,86 @@ class TestSweepCommand:
             "--seed", "0", "-o", str(tmp_path / "x.csv"),
         ])
         assert code == EXIT_USAGE
+
+
+def _manifest_cases(tmp_path, inst_path, asg_path):
+    """(argv, manifest path, rng_seed, inputs, outputs, flags) per command."""
+    import random
+    from test_power import synthetic_samples
+
+    samples = str(tmp_path / "samples.csv")
+    ts.write_fit_samples_csv(
+        synthetic_samples(helpers.MEK, ((1.2, 0.3), (1.0, 0.5)), 20, 0.0, random.Random(0)),
+        samples,
+    )
+    out = lambda name: str(tmp_path / name)  # noqa: E731
+    return {
+        "generate": (
+            ["generate", "--n", "6", "--kernels", "mixed", "--seed", "7", "-o", out("gen.json")],
+            "gen.manifest.json", 7, ["mixed"], [out("gen.json")],
+            {"big_cluster": None, "exec_max": 160, "exec_min": 40, "kappa": 3.5,
+             "kernels": "mixed", "n": 6, "output": out("gen.json"),
+             "platform": "imx8-mek", "seed": 7},
+        ),
+        "solve": (
+            ["solve", inst_path, "--method", "ilp-sm", "-o", out("sol.json")],
+            "sol.manifest.json", 0, [inst_path], [out("sol.json"), out("sol.result.json")],
+            {"coefficients": None, "ga_config": None, "instance": inst_path,
+             "max_generations": None, "method": "ilp-sm", "output": out("sol.json"),
+             "seed": 0, "time_limit": 300000.0, "window_lengths": None},
+        ),
+        "evaluate": (
+            ["evaluate", inst_path, asg_path, "-o", out("rep.json")],
+            "rep.manifest.json", None, [inst_path, asg_path], [out("rep.json")],
+            {"assignment": asg_path, "coefficients": None, "instance": inst_path,
+             "model": "sm", "output": out("rep.json"), "temperature": False},
+        ),
+        "fit": (
+            ["fit", samples, "--platform", "imx8-mek", "-o", out("coeff.json")],
+            "coeff.manifest.json", None, [samples], [out("coeff.json")],
+            {"output": out("coeff.json"), "platform": "imx8-mek", "samples": samples},
+        ),
+        "sweep": (
+            ["sweep", "--sizes", "4", "--reps", "1", "--methods", "heur",
+             "--kernels", "mixed", "--seed", "3", "-o", out("sweep.csv")],
+            "sweep.manifest.json", 3, ["mixed"], [out("sweep.csv")],
+            {"coefficients": None, "kappa": 3.5, "kernels": "mixed", "methods": "heur",
+             "output": out("sweep.csv"), "platform": "imx8-mek", "reps": 1, "seed": 3,
+             "sizes": "4", "time_limit": 300000.0},
+        ),
+        "export-gantt": (
+            ["export-gantt", inst_path, asg_path, "-o", out("g.svg")],
+            "g.manifest.json", None, [inst_path, asg_path], [out("g.svg")],
+            {"assignment": asg_path, "instance": inst_path, "output": out("g.svg")},
+        ),
+        "compare": (
+            ["compare", inst_path, "--methods", "heur", "--seed", "2", "-o", out("cmp.csv")],
+            "cmp.manifest.json", 2, [inst_path], [out("cmp.csv")],
+            {"coefficients": None, "instance": inst_path, "methods": "heur",
+             "model": "sm", "output": out("cmp.csv"), "seed": 2, "time_limit": 300000.0},
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "command", ["generate", "solve", "evaluate", "fit", "sweep", "export-gantt", "compare"]
+)
+def test_manifest_records_the_run(tmp_path, example_files, command):
+    argv, name, seed, inputs, outputs, flags = _manifest_cases(tmp_path, *example_files)[command]
+    assert main(argv) == EXIT_OK
+    manifest = json.loads((tmp_path / name).read_text())
+    assert manifest["command"] == command
+    assert manifest["argv"] == argv
+    assert manifest["rng_seed"] == seed
+    assert manifest["inputs"] == inputs
+    assert manifest["outputs"] == outputs
+    assert manifest["flags"] == flags
+    assert manifest["tool_version"] == ts.__version__
+    assert manifest["started_at"] <= manifest["finished_at"]
+
+
+def test_evaluate_to_stdout_writes_no_manifest(tmp_path, monkeypatch, capsys, example_files):
+    monkeypatch.chdir(tmp_path)
+    assert main(["evaluate", *example_files]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["model"] == "sm"
+    assert list(tmp_path.glob("*.manifest.json")) == []
