@@ -16,7 +16,6 @@ from .exact import (
     PartialFix,
     SearchResult,
     SearchStatus,
-    Sense,
     brute_force_optimum,
     solve,
 )

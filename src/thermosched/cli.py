@@ -13,7 +13,6 @@ Exit codes: 0 for optimal or feasible outcomes, 2 for proven infeasibility,
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import os
 import secrets
@@ -36,8 +35,9 @@ from .model import (
     load_instance,
     save_assignment,
     save_instance,
+    _load_json,
     _platform_from_dict,
-    _read_json_object,
+    _write_csv,
     _write_json,
 )
 from .power import (
@@ -82,28 +82,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+#: What a command returns to main: exit code, the seed it used (None when
+#: it draws no random numbers), and its input and output paths.
+_Run = tuple[int, int | None, list[str], list[str]]
+
+
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def _write_manifest(
-    command: str,
-    argv: list[str],
-    flags: dict,
-    seed: int | None,
-    inputs: list[str],
-    outputs: list[str],
+    args, argv: list[str], seed: int | None, inputs: list[str], outputs: list[str],
     started_at: str,
-    path: str,
 ) -> None:
-    skip = {"func", "command"}
+    """Write <output stem>.manifest.json; a --seed flag records the seed used."""
+    flags = vars(args)
+    if "seed" in flags:
+        flags = flags | {"seed": seed}
     doc = {
-        "command": command,
+        "command": args.command,
         "argv": argv,
         "flags": {
             k: v
             for k, v in sorted(flags.items())
-            if not k.startswith("_") and k not in skip
+            if not k.startswith("_") and k not in ("func", "command")
         },
         "rng_seed": seed,
         "tool_version": __version__,
@@ -112,18 +114,13 @@ def _write_manifest(
         "inputs": inputs,
         "outputs": outputs,
     }
-    _write_json(doc, path)
-
-
-def _manifest_path(output_path: str) -> str:
-    stem, _ = os.path.splitext(output_path)
-    return stem + ".manifest.json"
+    _write_json(doc, os.path.splitext(args.output)[0] + ".manifest.json")
 
 
 def _resolve_platform(value: str) -> Platform:
     if value in PLATFORM_NAMES:
         return builtin_platform(value)
-    return _platform_from_dict(_read_json_object(value, "platform"))
+    return _load_json(value, "platform", _platform_from_dict)
 
 
 def _resolve_kernels(value: str):
@@ -155,8 +152,7 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
         raise _UsageError(f"{flag} expects a comma-separated integer list") from None
 
 
-def _cmd_generate(args, argv) -> int:
-    started = _now()
+def _cmd_generate(args) -> _Run:
     seed = _resolve_seed(args)
     platform = _resolve_platform(args.platform)
     pool = _resolve_kernels(args.kernels)
@@ -171,16 +167,10 @@ def _cmd_generate(args, argv) -> int:
     )
     instance = generate_instance(config, platform)
     save_instance(instance, args.output)
-    _write_manifest(
-        "generate", argv, vars(args) | {"seed": seed}, seed,
-        inputs=[args.kernels], outputs=[args.output],
-        started_at=started, path=_manifest_path(args.output),
-    )
-    return EXIT_OK
+    return EXIT_OK, seed, [args.kernels], [args.output]
 
 
-def _cmd_solve(args, argv) -> int:
-    started = _now()
+def _cmd_solve(args) -> _Run:
     if args.method not in METHOD_NAMES:
         raise _UsageError(
             f"unknown method {args.method!r}; valid: {', '.join(METHOD_NAMES)}"
@@ -237,20 +227,14 @@ def _cmd_solve(args, argv) -> int:
     }
     _write_json(result_doc, result_path)
     outputs.append(result_path)
-    _write_manifest(
-        "solve", argv, vars(args) | {"seed": seed}, seed,
-        inputs=[args.instance], outputs=outputs,
-        started_at=started, path=_manifest_path(args.output),
-    )
     print(f"{outcome.method}: {outcome.status}", end="")
     if outcome.objective is not None:
         print(f", objective {outcome.objective:.6f}", end="")
     print()
-    return _STATUS_EXIT[outcome.status]
+    return _STATUS_EXIT[outcome.status], seed, [args.instance], outputs
 
 
-def _cmd_evaluate(args, argv) -> int:
-    started = _now()
+def _cmd_evaluate(args) -> _Run:
     instance = load_instance(args.instance)
     assignment = load_assignment(args.assignment)
     model = PowerModel(args.model)
@@ -270,32 +254,19 @@ def _cmd_evaluate(args, argv) -> int:
             instance.platform, estimate.watts
         )
     _write_json(report, args.output or sys.stdout)
-    if args.output:
-        _write_manifest(
-            "evaluate", argv, vars(args), None,
-            inputs=[args.instance, args.assignment], outputs=[args.output],
-            started_at=started, path=_manifest_path(args.output),
-        )
-    return EXIT_OK
+    return EXIT_OK, None, [args.instance, args.assignment], [args.output]
 
 
-def _cmd_fit(args, argv) -> int:
-    started = _now()
+def _cmd_fit(args) -> _Run:
     platform = _resolve_platform(args.platform)
     samples = read_fit_samples_csv(args.samples, len(platform.clusters))
     coefficients = fit_regression_coefficients(samples, platform)
     save_coefficients(coefficients, args.output)
-    _write_manifest(
-        "fit", argv, vars(args), None,
-        inputs=[args.samples], outputs=[args.output],
-        started_at=started, path=_manifest_path(args.output),
-    )
     print(f"r_squared: {coefficients.r_squared:.6f}")
-    return EXIT_OK
+    return EXIT_OK, None, [args.samples], [args.output]
 
 
-def _cmd_sweep(args, argv) -> int:
-    started = _now()
+def _cmd_sweep(args) -> _Run:
     seed = _resolve_seed(args)
     platform = _resolve_platform(args.platform)
     pool = _resolve_kernels(args.kernels)
@@ -320,31 +291,19 @@ def _cmd_sweep(args, argv) -> int:
         n_workers=max_workers(),
     )
     write_sweep_csv(cells, args.output)
-    _write_manifest(
-        "sweep", argv, vars(args) | {"seed": seed}, seed,
-        inputs=[args.kernels], outputs=[args.output],
-        started_at=started, path=_manifest_path(args.output),
-    )
-    return EXIT_OK
+    return EXIT_OK, seed, [args.kernels], [args.output]
 
 
-def _cmd_export_gantt(args, argv) -> int:
-    started = _now()
+def _cmd_export_gantt(args) -> _Run:
     instance = load_instance(args.instance)
     assignment = load_assignment(args.assignment)
     svg = render_gantt_svg(instance, assignment)
     with open(args.output, "w", encoding="utf-8") as f:
         f.write(svg)
-    _write_manifest(
-        "export-gantt", argv, vars(args), None,
-        inputs=[args.instance, args.assignment], outputs=[args.output],
-        started_at=started, path=_manifest_path(args.output),
-    )
-    return EXIT_OK
+    return EXIT_OK, None, [args.instance, args.assignment], [args.output]
 
 
-def _cmd_compare(args, argv) -> int:
-    started = _now()
+def _cmd_compare(args) -> _Run:
     seed = _resolve_seed(args)
     instance = load_instance(args.instance)
     model = PowerModel(args.model)
@@ -377,27 +336,21 @@ def _cmd_compare(args, argv) -> int:
             ).watts
         rows.append((method, outcome.status, predicted, outcome.objective, outcome.elapsed_ms))
     rows.sort(key=lambda r: (r[2] is None, r[2] if r[2] is not None else 0.0, r[0]))
-    with open(args.output, "w", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(
-            ["method", "status", "predicted_power_watts", "objective", "elapsed_ms"]
-        )
-        for method, status, predicted, objective, elapsed in rows:
-            writer.writerow(
-                [
-                    method,
-                    status,
-                    "" if predicted is None else repr(predicted),
-                    "" if objective is None else repr(objective),
-                    repr(elapsed),
-                ]
-            )
-    _write_manifest(
-        "compare", argv, vars(args) | {"seed": seed}, seed,
-        inputs=[args.instance], outputs=[args.output],
-        started_at=started, path=_manifest_path(args.output),
+    _write_csv(
+        args.output,
+        ["method", "status", "predicted_power_watts", "objective", "elapsed_ms"],
+        (
+            [
+                method,
+                status,
+                "" if predicted is None else repr(predicted),
+                "" if objective is None else repr(objective),
+                repr(elapsed),
+            ]
+            for method, status, predicted, objective, elapsed in rows
+        ),
     )
-    return EXIT_OK
+    return EXIT_OK, seed, [args.instance], [args.output]
 
 
 def _build_parser() -> _Parser:
@@ -481,7 +434,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, argv)
+        started_at = _now()
+        code, seed, inputs, outputs = args.func(args)
+        if args.output:
+            _write_manifest(args, argv, seed, inputs, outputs, started_at)
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,10 +31,10 @@ import time
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .model import Assignment, Instance, Placement, assignment_to_dict, structural_violations
-from .power import RegressionCoefficients
+from .power import PowerModel, RegressionCoefficients, schedule_power
 
 _EPS = 1e-12
 _TIME_CHECK_MASK = 0x3FF  # check the clock every 1024 nodes
@@ -48,11 +48,6 @@ class ObjectiveKind(str, Enum):
     FEASIBILITY_ONLY = "feasibility-only"
 
 
-class Sense(str, Enum):
-    MINIMIZE = "minimize"
-    MAXIMIZE = "maximize"
-
-
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """What to optimize; LR-UB additionally needs regression coefficients.
@@ -64,10 +59,6 @@ class ObjectiveSpec:
     kind: ObjectiveKind
     coefficients: RegressionCoefficients | None = None
 
-    @property
-    def sense(self) -> Sense:
-        return Sense.MAXIMIZE if self.kind is ObjectiveKind.IDLE_MAX else Sense.MINIMIZE
-
 
 @dataclass(frozen=True)
 class PartialFix:
@@ -78,9 +69,6 @@ class PartialFix:
     @classmethod
     def of(cls, mapping: Mapping[int, int]) -> "PartialFix":
         return cls(tuple(sorted(mapping.items())))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.fixed_clusters)
 
 
 class SearchStatus(str, Enum):
@@ -196,42 +184,12 @@ def _grouped_assignment(
     return Assignment.from_placements(instance, placements)
 
 
-def _evaluate_placements(
-    instance: Instance, objective: ObjectiveSpec, placements: Sequence[Placement]
-) -> float:
-    """SM or LR-UB power of a complete placement list (no feasibility check)."""
-    h = instance.major_frame_ms
-    plat = instance.platform
-    kind = objective.kind
-    wlen: dict[int, int] = {}
-    wmaxb: dict[int, float] = {}
-    wstar: dict[int, float] = {}
-    sum_ae = 0.0
-    for p in placements:
-        tc = instance.task_by_id(p.task_id).on(p.cluster)
-        wlen[p.window] = max(wlen.get(p.window, 0), tc.exec_time_ms)
-        if kind is ObjectiveKind.SM_POWER:
-            sum_ae += tc.activity_coef * tc.exec_time_ms
-            prev = wmaxb.get(p.window)
-            b = tc.offset_coef
-            wmaxb[p.window] = b if prev is None else max(prev, b)
-        else:
-            beta = objective.coefficients.beta(p.cluster)
-            wstar[p.window] = wstar.get(p.window, 0.0) + (
-                tc.activity_coef * beta[0] + tc.offset_coef * beta[1]
-            )
-    if kind is ObjectiveKind.SM_POWER:
-        off = sum(wlen[j] * wmaxb[j] for j in wlen)
-        return plat.idle_power_watts + (sum_ae + off) / h
-    return plat.idle_power_watts + sum(wlen[j] * wstar[j] for j in wlen) / h
-
-
 def _heuristic_cluster_maps(
     instance: Instance,
     fix: Mapping[int, int],
     objective: ObjectiveSpec,
-) -> list[dict[int, int]]:
-    """Cheap complete cluster choices used to seed incumbents."""
+) -> Iterator[dict[int, int]]:
+    """Cheap complete cluster choices used to seed incumbents, built on demand."""
     clusters = instance.platform.clusters
     kind = objective.kind
 
@@ -244,12 +202,8 @@ def _heuristic_cluster_maps(
                 out[t.id] = min(clusters, key=lambda c: (score(t.on(c.id)), c.id)).id
         return out
 
-    maps = [
-        build(lambda tc: tc.exec_time_ms),
-        build(lambda tc: tc.activity_coef * tc.exec_time_ms),
-    ]
     if kind is ObjectiveKind.IDLE_MIN:
-        maps.insert(0, build(lambda tc: -tc.exec_time_ms))
+        yield build(lambda tc: -tc.exec_time_ms)
     if kind is ObjectiveKind.LR_UB_POWER:
         betas = objective.coefficients
 
@@ -257,7 +211,9 @@ def _heuristic_cluster_maps(
             beta = betas.beta(tc.cluster_id)
             return (tc.activity_coef * beta[0] + tc.offset_coef * beta[1]) * tc.exec_time_ms
 
-        maps.insert(0, build(star_cost))
+        yield build(star_cost)
+    yield build(lambda tc: tc.exec_time_ms)
+    yield build(lambda tc: tc.activity_coef * tc.exec_time_ms)
 
     # Balance-aware variant: place hardest tasks first, always onto the
     # cluster that keeps the grouped total window length smallest.
@@ -281,8 +237,7 @@ def _heuristic_cluster_maps(
                 best_cid, best_total = cid, total
         balanced[t.id] = best_cid
         insort(lists[best_cid - 1], -t.on(best_cid).exec_time_ms)
-    maps.append(balanced)
-    return maps
+    yield balanced
 
 
 def _seed_incumbent(
@@ -421,9 +376,10 @@ def _window_search(
     trail: list[tuple[int, int, int]] = []
 
     root_bound = p_idle + tail[0] / h
+    model = PowerModel.LR_UB if is_lrub else PowerModel.SM
     _, seed, best_value = _seed_incumbent(
         instance, fix, objective,
-        lambda asg: _evaluate_placements(instance, objective, asg.placements),
+        lambda asg: schedule_power(instance, asg, model, objective.coefficients).watts,
         root_bound,
     )
     best_placements = None if seed is None else seed.placements

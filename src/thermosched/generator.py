@@ -10,13 +10,20 @@ tight the generated schedules are.
 
 from __future__ import annotations
 
-import csv
 import random
 import statistics
 from dataclasses import dataclass
 from typing import IO, Sequence, Union
 
-from .model import Instance, ParseError, Platform, Task, TaskCharacteristics, _open_for
+from .model import (
+    Instance,
+    ParseError,
+    Platform,
+    Task,
+    TaskCharacteristics,
+    _read_csv,
+    _write_csv,
+)
 from .power import RegressionCoefficients
 
 KERNEL_POOL_HEADER = [
@@ -66,38 +73,24 @@ class KernelSpec:
 
 def load_kernel_pool(path_or_file: Union[str, IO[str]]) -> tuple[KernelSpec, ...]:
     """Load a kernel pool CSV; every kernel must cover every cluster."""
-    f, owned = _open_for(path_or_file, "r")
-    try:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != KERNEL_POOL_HEADER:
-            raise ParseError(
-                "kernel pool CSV must have header " + ",".join(KERNEL_POOL_HEADER)
-            )
-        rows: dict[str, dict[int, KernelClusterData]] = {}
-        order: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                name = row["kernel"].strip()
-                data = KernelClusterData(
-                    cluster_id=int(row["cluster_id"]),
-                    activity_coef=float(row["activity_coef"]),
-                    offset_coef=float(row["offset_coef"]),
-                    ips=float(row["ips"]),
-                    frequency_mhz=int(row["frequency_mhz"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            if name not in rows:
-                rows[name] = {}
-                order.append(name)
-            rows[name][data.cluster_id] = data
-    finally:
-        if owned:
-            f.close()
+
+    def parse(row: list[str]) -> tuple[str, KernelClusterData]:
+        name, cluster_id, activity, offset, ips, frequency = row
+        return name.strip(), KernelClusterData(
+            cluster_id=int(cluster_id),
+            activity_coef=float(activity),
+            offset_coef=float(offset),
+            ips=float(ips),
+            frequency_mhz=int(frequency),
+        )
+
+    rows: dict[str, dict[int, KernelClusterData]] = {}
+    for name, data in _read_csv(path_or_file, KERNEL_POOL_HEADER, "kernel pool", parse):
+        rows.setdefault(name, {})[data.cluster_id] = data
     if not rows:
         raise ParseError("kernel pool CSV holds no kernels")
     all_clusters = sorted({cid for data in rows.values() for cid in data})
-    for name in order:
+    for name in rows:
         missing = [cid for cid in all_clusters if cid not in rows[name]]
         if missing:
             raise ParseError(
@@ -109,7 +102,7 @@ def load_kernel_pool(path_or_file: Union[str, IO[str]]) -> tuple[KernelSpec, ...
             name=name,
             per_cluster=tuple(rows[name][cid] for cid in all_clusters),
         )
-        for name in order
+        for name in rows
     )
 
 
@@ -276,22 +269,19 @@ def scalability_sweep(
 
 
 def write_sweep_csv(cells: Sequence[SweepCell], path_or_file: Union[str, IO[str]]) -> None:
-    f, owned = _open_for(path_or_file, "w")
-    try:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["n", "method", "rep", "status", "elapsed_ms", "objective", "bound"])
-        for c in cells:
-            writer.writerow(
-                [
-                    c.n,
-                    c.method,
-                    c.rep,
-                    c.status,
-                    repr(c.elapsed_ms),
-                    "" if c.objective is None else repr(c.objective),
-                    "" if c.bound is None else repr(c.bound),
-                ]
-            )
-    finally:
-        if owned:
-            f.close()
+    _write_csv(
+        path_or_file,
+        ["n", "method", "rep", "status", "elapsed_ms", "objective", "bound"],
+        (
+            [
+                c.n,
+                c.method,
+                c.rep,
+                c.status,
+                repr(c.elapsed_ms),
+                "" if c.objective is None else repr(c.objective),
+                "" if c.bound is None else repr(c.bound),
+            ]
+            for c in cells
+        ),
+    )

@@ -16,7 +16,6 @@ using the exact feasibility oracle from the solver.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from .exact import ObjectiveKind, ObjectiveSpec, PartialFix, SearchStatus, solve
-from .model import Assignment, Instance, Placement, _open_for, _read_json_object
+from .model import Assignment, Instance, ParseError, Placement, _load_json, _write_csv
 from .power import (
     PowerModel,
     RegressionCoefficients,
@@ -77,18 +76,24 @@ class GaConfig:
 def ga_config_from_dict(doc: dict, **overrides) -> GaConfig:
     """Build a GaConfig from a JSON-style document; overrides win.
 
-    Unknown fields are ignored so configs can carry annotations. Override
-    values of None are dropped, which lets callers pass through unset CLI
-    flags directly.
+    Unknown fields are ignored so configs can carry annotations. Known fields
+    must hold numbers (or null where the default is unset); anything else is
+    a ParseError. Override values of None are dropped, which lets callers
+    pass through unset CLI flags directly.
     """
     fields = {f.name for f in GaConfig.__dataclass_fields__.values()}
     merged = {k: v for k, v in doc.items() if k in fields}
+    for k, v in merged.items():
+        if type(v) not in (int, float) and not (v is None and getattr(GaConfig, k) is None):
+            raise ParseError(f"GA config: '{k}' must be a number, got {v!r}")
     merged.update({k: v for k, v in overrides.items() if v is not None and k in fields})
     return GaConfig(**merged)
 
 
 def load_ga_config(path_or_file: Union[str, IO[str]], **overrides) -> GaConfig:
-    return ga_config_from_dict(_read_json_object(path_or_file, "GA config"), **overrides)
+    return _load_json(
+        path_or_file, "GA config", lambda doc: ga_config_from_dict(doc, **overrides)
+    )
 
 
 @dataclass(frozen=True)
@@ -315,15 +320,11 @@ class _PopulationFitness:
 def write_fitness_trace_csv(
     trace: Sequence[TracePoint], path_or_file: Union[str, IO[str]]
 ) -> None:
-    f, owned = _open_for(path_or_file, "w")
-    try:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["generation", "restart", "best_fitness"])
-        for p in trace:
-            writer.writerow([p.generation, p.restart, repr(p.best_fitness)])
-    finally:
-        if owned:
-            f.close()
+    _write_csv(
+        path_or_file,
+        ["generation", "restart", "best_fitness"],
+        ([p.generation, p.restart, repr(p.best_fitness)] for p in trace),
+    )
 
 
 def _two_point_crossover(rng: np.random.Generator, p1: np.ndarray, p2: np.ndarray):

@@ -14,11 +14,14 @@ here is safe to share between concurrent solver runs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar, Union
+
+_T = TypeVar("_T")
 
 
 class ParseError(ValueError):
@@ -538,41 +541,86 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
-def _open_for(path_or_file, mode: str):
+@contextlib.contextmanager
+def _opened(path_or_file: Union[str, IO[str]], mode: str) -> Iterator[IO[str]]:
+    """The caller's open file as it is, or the named file opened here and closed on exit."""
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, mode, encoding="utf-8"), True
+        yield path_or_file
+    else:
+        with open(path_or_file, mode, encoding="utf-8") as f:
+            yield f
 
 
-def _read_json_object(path_or_file: Union[str, IO[str]], what: str) -> dict:
-    """Parse a JSON document that must be an object; raises ParseError otherwise."""
-    f, owned = _open_for(path_or_file, "r")
-    try:
-        doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    finally:
-        if owned:
-            f.close()
+def _load_json(
+    path_or_file: Union[str, IO[str]], what: str, from_dict: Callable[[dict], _T]
+) -> _T:
+    """Parse a JSON object with from_dict; raises ParseError on malformed input.
+
+    A field of the wrong shape or type, such as a number where a list or an
+    object belongs, makes from_dict raise TypeError or AttributeError, which
+    is reported as a ParseError too.
+    """
+    with _opened(path_or_file, "r") as f:
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{what} document must be a JSON object")
-    return doc
+    try:
+        return from_dict(doc)
+    except (TypeError, AttributeError) as exc:
+        raise ParseError(f"{what} document has a field of the wrong type: {exc}") from exc
 
 
 def _write_json(doc: dict, path_or_file: Union[str, IO[str]]) -> None:
     """Write a document as indented JSON with sorted keys and a final newline."""
-    f, owned = _open_for(path_or_file, "w")
-    try:
+    with _opened(path_or_file, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    finally:
-        if owned:
-            f.close()
+
+
+def _read_csv(
+    path_or_file: Union[str, IO[str]],
+    header: list[str],
+    what: str,
+    parse: Callable[[list[str]], _T],
+) -> list[_T]:
+    """parse() of every row of a CSV document that has exactly the given header.
+
+    Blank rows are skipped. A row with another number of columns, or one
+    whose parse raises ValueError, is a ParseError naming its line.
+    """
+    with _opened(path_or_file, "r") as f:
+        reader = csv.reader(f)
+        first = next(reader, None)
+        if first is None or [c.strip() for c in first] != header:
+            raise ParseError(f"{what} CSV must have header " + ",".join(header))
+        parsed = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"line {reader.line_num}: expected {len(header)} columns")
+            try:
+                parsed.append(parse(row))
+            except ValueError as exc:
+                raise ParseError(f"line {reader.line_num}: {exc}") from exc
+        return parsed
+
+
+def _write_csv(
+    path_or_file: Union[str, IO[str]], header: list[str], rows: Iterable[Sequence]
+) -> None:
+    with _opened(path_or_file, "w") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_instance(path_or_file: Union[str, IO[str]]) -> Instance:
     """Load an instance document; raises ParseError on malformed input."""
-    return instance_from_dict(_read_json_object(path_or_file, "instance"))
+    return _load_json(path_or_file, "instance", instance_from_dict)
 
 
 def save_instance(instance: Instance, path_or_file: Union[str, IO[str]]) -> None:
@@ -606,7 +654,7 @@ def assignment_to_dict(assignment: Assignment) -> dict:
 
 
 def load_assignment(path_or_file: Union[str, IO[str]]) -> Assignment:
-    return assignment_from_dict(_read_json_object(path_or_file, "assignment"))
+    return _load_json(path_or_file, "assignment", assignment_from_dict)
 
 
 def save_assignment(assignment: Assignment, path_or_file: Union[str, IO[str]]) -> None:
@@ -623,29 +671,17 @@ def read_characteristics_csv(
 
     Returns {kernel name: {cluster_id: TaskCharacteristics}}.
     """
-    f, owned = _open_for(path_or_file, "r")
-    try:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != CHARACTERISTICS_HEADER:
-            raise ParseError(
-                "characteristics CSV must have header "
-                + ",".join(CHARACTERISTICS_HEADER)
-            )
-        table: dict[str, dict[int, TaskCharacteristics]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                kernel = row["kernel"].strip()
-                cluster_id = int(row["cluster_id"])
-                tc = TaskCharacteristics(
-                    cluster_id=cluster_id,
-                    exec_time_ms=int(row["exec_time_ms"]),
-                    activity_coef=float(row["activity_coef"]),
-                    offset_coef=float(row["offset_coef"]),
-                )
-            except (TypeError, KeyError, ValueError) as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            table.setdefault(kernel, {})[cluster_id] = tc
-        return table
-    finally:
-        if owned:
-            f.close()
+
+    def parse(row: list[str]) -> tuple[str, TaskCharacteristics]:
+        kernel, cluster_id, exec_time, activity, offset = row
+        return kernel.strip(), TaskCharacteristics(
+            cluster_id=int(cluster_id),
+            exec_time_ms=int(exec_time),
+            activity_coef=float(activity),
+            offset_coef=float(offset),
+        )
+
+    table: dict[str, dict[int, TaskCharacteristics]] = {}
+    for kernel, tc in _read_csv(path_or_file, CHARACTERISTICS_HEADER, "characteristics", parse):
+        table.setdefault(kernel, {})[tc.cluster_id] = tc
+    return table

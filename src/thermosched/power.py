@@ -21,7 +21,6 @@ frame; frame time not covered by any window contributes idle power only.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -36,8 +35,9 @@ from .model import (
     ParseError,
     Platform,
     TaskCharacteristics,
-    _open_for,
-    _read_json_object,
+    _load_json,
+    _read_csv,
+    _write_csv,
     _write_json,
     check_feasible,
     derive_core_schedule,
@@ -240,24 +240,6 @@ def decompose_intervals(
         intervals.append(ProcessingInterval(length_ms=end - start, active=active))
         start = end
     return intervals
-
-
-def _interval_features(
-    instance: Instance, interval: ProcessingInterval
-) -> list[tuple[float, float]]:
-    """Summed (activity, offset) feature vector per cluster; idle slots add zero."""
-    features = []
-    for ci, cluster in enumerate(instance.platform.clusters):
-        sum_a = 0.0
-        sum_b = 0.0
-        for tid in interval.active[ci]:
-            if tid is IDLE:
-                continue
-            tc = instance.task_by_id(tid).on(cluster.id)
-            sum_a += tc.activity_coef
-            sum_b += tc.offset_coef
-        features.append((sum_a, sum_b))
-    return features
 
 
 def lr_interval_power(
@@ -466,7 +448,7 @@ def coefficients_to_dict(coefficients: RegressionCoefficients) -> dict:
 
 
 def load_coefficients(path_or_file: Union[str, IO[str]]) -> RegressionCoefficients:
-    return coefficients_from_dict(_read_json_object(path_or_file, "coefficients"))
+    return _load_json(path_or_file, "coefficients", coefficients_from_dict)
 
 
 def save_coefficients(
@@ -486,41 +468,17 @@ def read_fit_samples_csv(
     path_or_file: Union[str, IO[str]], n_clusters: int
 ) -> list[FitSample]:
     """Read fitting samples: per-cluster summed features plus measured power."""
-    f, owned = _open_for(path_or_file, "r")
-    try:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        expected = _fit_sample_header(n_clusters)
-        if header is None or [c.strip() for c in header] != expected:
-            raise ParseError(
-                "fitting-sample CSV must have header " + ",".join(expected)
-            )
-        samples = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise ParseError(f"line {lineno}: expected {len(expected)} columns")
-            try:
-                length = int(row[0])
-                watts = float(row[1])
-                feats = tuple(
-                    (float(row[2 + 2 * k]), float(row[3 + 2 * k]))
-                    for k in range(n_clusters)
-                )
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            samples.append(
-                FitSample(
-                    interval_length_ms=length,
-                    measured_power_watts=watts,
-                    features=feats,
-                )
-            )
-        return samples
-    finally:
-        if owned:
-            f.close()
+
+    def parse(row: list[str]) -> FitSample:
+        return FitSample(
+            interval_length_ms=int(row[0]),
+            measured_power_watts=float(row[1]),
+            features=tuple(
+                (float(row[2 + 2 * k]), float(row[3 + 2 * k])) for k in range(n_clusters)
+            ),
+        )
+
+    return _read_csv(path_or_file, _fit_sample_header(n_clusters), "fitting-sample", parse)
 
 
 def write_fit_samples_csv(
@@ -529,16 +487,12 @@ def write_fit_samples_csv(
     samples = list(samples)
     if not samples:
         raise ValueError("cannot write an empty sample set")
-    n_clusters = len(samples[0].features)
-    f, owned = _open_for(path_or_file, "w")
-    try:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(_fit_sample_header(n_clusters))
-        for s in samples:
-            row = [s.interval_length_ms, repr(s.measured_power_watts)]
-            for feat in s.features:
-                row += [repr(feat[0]), repr(feat[1])]
-            writer.writerow(row)
-    finally:
-        if owned:
-            f.close()
+    _write_csv(
+        path_or_file,
+        _fit_sample_header(len(samples[0].features)),
+        (
+            [s.interval_length_ms, repr(s.measured_power_watts)]
+            + [repr(x) for feat in s.features for x in (feat[0], feat[1])]
+            for s in samples
+        ),
+    )

@@ -1,5 +1,6 @@
 import csv
 import json
+import pathlib
 
 import pytest
 
@@ -129,7 +130,11 @@ class TestSolve:
         result = json.loads((tmp_path / "x.result.json").read_text())
         assert result["status"] == "infeasible"
 
-    @pytest.mark.parametrize("document", ["[]", '{"clusters": 5}'], ids=["list", "scalar-clusters"])
+    @pytest.mark.parametrize(
+        "document",
+        ["[]", '{"clusters": 5}', '{"clusters": [{"cluster_id": 1, "beta": 5}]}'],
+        ids=["list", "scalar-clusters", "scalar-beta"],
+    )
     def test_malformed_coefficients_are_an_error(self, tmp_path, capsys, example_files, document):
         inst_path, _ = example_files
         coeff_path = tmp_path / "c.json"
@@ -141,6 +146,19 @@ class TestSolve:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_ga_config_field_of_wrong_type_is_an_error(self, tmp_path, capsys, example_files):
+        inst_path, _ = example_files
+        config_path = tmp_path / "ga.json"
+        config_path.write_text('{"crossover_rate": "x"}')
+        code = main([
+            "solve", inst_path, "--method", "bb-sm", "--seed", "1", "--max-generations", "2",
+            "--ga-config", str(config_path), "-o", str(tmp_path / "x.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "crossover_rate" in err
+        assert not (tmp_path / "x.result.json").exists()
 
     def test_bb_sm_seed_determinism(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -205,6 +223,26 @@ class TestSolve:
         trace = (tmp_path / "sol.trace.csv").read_text().splitlines()
         assert trace[0] == "generation,restart,best_fitness"
         assert len(trace) == 6  # 5 generations recorded
+
+
+@pytest.mark.parametrize("document", ["platform", "instance", "assignment"])
+def test_document_field_of_wrong_type_is_an_error(tmp_path, capsys, example_files, document):
+    inst_path, asg_path = example_files
+    bad = tmp_path / "bad.json"
+    if document == "platform":
+        bad.write_text('{"clusters": 5, "idle_power_watts": 1}')
+        argv = ["generate", "--kernels", "mixed", "--platform", str(bad), "-o", str(tmp_path / "g.json")]
+    else:
+        path, field = (inst_path, "tasks") if document == "instance" else (asg_path, "placements")
+        doc = json.loads(pathlib.Path(path).read_text())
+        doc[field] = 3
+        bad.write_text(json.dumps(doc))
+        pair = [str(bad), asg_path] if document == "instance" else [inst_path, str(bad)]
+        argv = ["evaluate", *pair]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {document} document has a field of the wrong type")
+    assert "Traceback" not in err
 
 
 class TestEvaluate:

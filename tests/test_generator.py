@@ -51,6 +51,18 @@ class TestLoadKernelPool:
         with pytest.raises(ts.ParseError, match="lonely"):
             load_kernel_pool(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "row", ["k,2,0.2,0.2,500,1000,extra", "k,2,0.2,0.2,500"], ids=["extra-column", "short-row"]
+    )
+    def test_row_must_have_the_header_columns(self, row):
+        text = (
+            "kernel,cluster_id,activity_coef,offset_coef,ips,frequency_mhz\n"
+            "k,1,0.1,0.1,500,1000\n"
+            f"{row}\n"
+        )
+        with pytest.raises(ts.ParseError, match="^line 3: expected 6 columns$"):
+            load_kernel_pool(io.StringIO(text))
+
     def test_known_speedup(self, mixed_pool):
         a2time = next(k for k in mixed_pool if k.name == "a2time-4K")
         assert a2time.time_scale(2, 1) == pytest.approx(2.8)

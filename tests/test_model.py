@@ -281,3 +281,16 @@ class TestCharacteristicsCsv:
     def test_bad_header(self):
         with pytest.raises(ts.ParseError):
             ts.read_characteristics_csv(io.StringIO("kernel,exec_time_ms\nx,1\n"))
+
+    @pytest.mark.parametrize(
+        "row", ["a,1,450,0.25,0.25,extra", "a,1,450,0.25"], ids=["extra-column", "short-row"]
+    )
+    def test_row_must_have_the_header_columns(self, row):
+        text = (
+            "kernel,cluster_id,exec_time_ms,activity_coef,offset_coef\n"
+            "a,2,161,0.52,0.37\n"
+            "\n"
+            f"{row}\n"
+        )
+        with pytest.raises(ts.ParseError, match="^line 4: expected 5 columns$"):
+            ts.read_characteristics_csv(io.StringIO(text))
