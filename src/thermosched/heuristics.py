@@ -77,15 +77,18 @@ def ga_config_from_dict(doc: dict, **overrides) -> GaConfig:
     """Build a GaConfig from a JSON-style document; overrides win.
 
     Unknown fields are ignored so configs can carry annotations. Known fields
-    must hold numbers (or null where the default is unset); anything else is
-    a ParseError. Override values of None are dropped, which lets callers
-    pass through unset CLI flags directly.
+    must hold an integer where the field is one, a number otherwise, or null
+    where the default is unset; anything else is a ParseError. Override
+    values of None are dropped, which lets callers pass through unset CLI
+    flags directly.
     """
-    fields = {f.name for f in GaConfig.__dataclass_fields__.values()}
+    fields = GaConfig.__dataclass_fields__
     merged = {k: v for k, v in doc.items() if k in fields}
     for k, v in merged.items():
-        if type(v) not in (int, float) and not (v is None and getattr(GaConfig, k) is None):
-            raise ParseError(f"GA config: '{k}' must be a number, got {v!r}")
+        numeric = (int,) if fields[k].type.startswith("int") else (int, float)
+        if type(v) not in numeric and not (v is None and fields[k].default is None):
+            kind = "an integer" if numeric == (int,) else "a number"
+            raise ParseError(f"GA config: '{k}' must be {kind}, got {v!r}")
     merged.update({k: v for k, v in overrides.items() if v is not None and k in fields})
     return GaConfig(**merged)
 

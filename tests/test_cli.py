@@ -147,17 +147,23 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
-    def test_ga_config_field_of_wrong_type_is_an_error(self, tmp_path, capsys, example_files):
+    @pytest.mark.parametrize(
+        "document", ['{"crossover_rate": "x"}', '{"population_size": 40.5}'],
+        ids=["string-rate", "fractional-population"],
+    )
+    def test_ga_config_field_of_wrong_type_is_an_error(
+        self, tmp_path, capsys, example_files, document
+    ):
         inst_path, _ = example_files
         config_path = tmp_path / "ga.json"
-        config_path.write_text('{"crossover_rate": "x"}')
+        config_path.write_text(document)
         code = main([
             "solve", inst_path, "--method", "bb-sm", "--seed", "1", "--max-generations", "2",
             "--ga-config", str(config_path), "-o", str(tmp_path / "x.json"),
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "crossover_rate" in err
+        assert err.startswith("error: GA config: ") and "Traceback" not in err
         assert not (tmp_path / "x.result.json").exists()
 
     def test_bb_sm_seed_determinism(self, tmp_path):
@@ -243,6 +249,13 @@ def test_document_field_of_wrong_type_is_an_error(tmp_path, capsys, example_file
     err = capsys.readouterr().err
     assert err.startswith(f"error: {document} document has a field of the wrong type")
     assert "Traceback" not in err
+
+
+def test_output_path_that_is_a_directory_is_an_error(tmp_path, capsys):
+    code = main(["generate", "--n", "5", "--kernels", "mixed", "--seed", "1", "-o", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestEvaluate:
