@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the installed package."""
+"""Every demo script runs to completion against the package in src/."""
 
 import os
 import pathlib
@@ -7,14 +7,16 @@ import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
