@@ -491,3 +491,25 @@ def test_evaluate_to_stdout_writes_no_manifest(tmp_path, monkeypatch, capsys, ex
     assert main(["evaluate", *example_files]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["model"] == "sm"
     assert list(tmp_path.glob("*.manifest.json")) == []
+
+
+_SWEEP = ["sweep", "--sizes", "4", "--reps", "1", "--kernels", "mixed", "--seed", "0"]
+_USAGE_ERRORS = {
+    "solve-qp-lr-ub-no-coefficients": lambda i, a: ["solve", i, "--method", "qp-lr-ub"],
+    "solve-bb-lr-no-coefficients": lambda i, a: ["solve", i, "--method", "bb-lr", "--seed", "0"],
+    "sweep-flow-fixed": lambda i, a: _SWEEP + ["--methods", "flow-fixed"],
+    "compare-flow-fixed": lambda i, a: ["compare", i, "--methods", "heur,flow-fixed"],
+    "sweep-qp-lr-ub-no-coefficients": lambda i, a: _SWEEP + ["--methods", "heur,qp-lr-ub"],
+    "compare-qp-lr-ub-no-coefficients": lambda i, a: ["compare", i, "--methods", "qp-lr-ub"],
+    "sweep-unknown-method": lambda i, a: _SWEEP + ["--methods", "heur,simplex"],
+    "compare-unknown-method": lambda i, a: ["compare", i, "--methods", "simplex"],
+    "evaluate-lr-no-coefficients": lambda i, a: ["evaluate", i, a, "--model", "lr"],
+    "compare-lr-no-coefficients": lambda i, a: ["compare", i, "--methods", "heur", "--model", "lr"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_USAGE_ERRORS))
+def test_missing_method_input_is_a_usage_error(tmp_path, example_files, case):
+    argv = _USAGE_ERRORS[case](*example_files) + ["-o", str(tmp_path / "out")]
+    assert main(argv) == EXIT_USAGE
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["asg.json", "inst.json"]
