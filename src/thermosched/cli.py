@@ -56,7 +56,7 @@ from .presets import (
     builtin_kernel_pool,
     builtin_platform,
 )
-from .runners import METHOD_NAMES, max_workers, run_jobs, run_method
+from .runners import METHOD_NAMES, METHODS, check_methods, run_jobs, run_method
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -145,11 +145,36 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _parse_int_list(raw: str, flag: str) -> list[int]:
+def _parse_int_list(raw: str | None, flag: str) -> list[int] | None:
+    if raw is None:
+        return None
     try:
         return [int(x) for x in raw.split(",") if x.strip() != ""]
     except ValueError:
         raise _UsageError(f"{flag} expects a comma-separated integer list") from None
+
+
+def _check_methods(methods: list[str], coefficients, window_lengths=None) -> list[str]:
+    """check_methods, with its ValueError turned into a usage error."""
+    try:
+        check_methods(methods, coefficients, window_lengths)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    return methods
+
+
+def _parse_methods(args) -> list[str]:
+    """The --methods list of sweep and compare, which supply no window lengths."""
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    return _check_methods(methods, args.coefficients)
+
+
+def _power_model(args) -> PowerModel:
+    """The --model of evaluate and compare; the LR models need --coefficients."""
+    model = PowerModel(args.model)
+    if model in (PowerModel.LR, PowerModel.LR_UB) and args.coefficients is None:
+        raise _UsageError(f"--model {model.value} requires --coefficients")
+    return model
 
 
 def _cmd_generate(args) -> _Run:
@@ -171,33 +196,20 @@ def _cmd_generate(args) -> _Run:
 
 
 def _cmd_solve(args) -> _Run:
-    if args.method not in METHOD_NAMES:
-        raise _UsageError(
-            f"unknown method {args.method!r}; valid: {', '.join(METHOD_NAMES)}"
-        )
-    if args.method == "flow-fixed" and args.window_lengths is None:
-        raise _UsageError("--method flow-fixed requires --window-lengths")
-    if args.method in ("qp-lr-ub", "bb-lr") and args.coefficients is None:
-        raise _UsageError(f"--method {args.method} requires --coefficients")
-    seed = _resolve_seed(args) if args.method in ("bb-sm", "bb-lr") else (args.seed or 0)
+    lengths = _parse_int_list(args.window_lengths, "--window-lengths")
+    _check_methods([args.method], args.coefficients, lengths)
+    randomized = METHODS[args.method].randomized
+    seed = _resolve_seed(args) if randomized else (args.seed or 0)
     instance = load_instance(args.instance)
     coefficients = _resolve_coefficients(args.coefficients)
-    lengths = (
-        _parse_int_list(args.window_lengths, "--window-lengths")
-        if args.window_lengths
-        else None
-    )
     ga_config = None
-    if args.method in ("bb-sm", "bb-lr"):
+    if randomized:
         overrides = dict(
-            time_limit_ms=args.time_limit,
-            rng_seed=seed,
-            max_generations=args.max_generations,
+            time_limit_ms=args.time_limit, rng_seed=seed, max_generations=args.max_generations
         )
-        if args.ga_config:
-            ga_config = load_ga_config(args.ga_config, **overrides)
-        else:
-            ga_config = GaConfig(**overrides)
+        ga_config = (
+            load_ga_config(args.ga_config, **overrides) if args.ga_config else GaConfig(**overrides)
+        )
     outcome = run_method(
         args.method,
         instance,
@@ -235,12 +247,10 @@ def _cmd_solve(args) -> _Run:
 
 
 def _cmd_evaluate(args) -> _Run:
+    model = _power_model(args)
     instance = load_instance(args.instance)
     assignment = load_assignment(args.assignment)
-    model = PowerModel(args.model)
     coefficients = _resolve_coefficients(args.coefficients)
-    if model in (PowerModel.LR, PowerModel.LR_UB) and coefficients is None:
-        raise _UsageError(f"--model {model.value} requires --coefficients")
     estimate = schedule_power(instance, assignment, model, coefficients)
     report = {
         "model": model.value,
@@ -268,16 +278,13 @@ def _cmd_fit(args) -> _Run:
 
 def _cmd_sweep(args) -> _Run:
     seed = _resolve_seed(args)
+    sizes = _parse_int_list(args.sizes, "--sizes")
+    if not sizes:
+        raise _UsageError("--sizes needs at least one size")
+    methods = _parse_methods(args)
     platform = _resolve_platform(args.platform)
     pool = _resolve_kernels(args.kernels)
     coefficients = _resolve_coefficients(args.coefficients)
-    sizes = _parse_int_list(args.sizes, "--sizes")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHOD_NAMES or m == "flow-fixed":
-            raise _UsageError(f"method {m!r} is not sweepable")
-    if any(m in ("qp-lr-ub", "bb-lr") for m in methods) and coefficients is None:
-        raise _UsageError("methods qp-lr-ub and bb-lr require --coefficients")
     cells = scalability_sweep(
         sizes=sizes,
         repetitions=args.reps,
@@ -288,7 +295,6 @@ def _cmd_sweep(args) -> _Run:
         coefficients=coefficients,
         base_seed=seed,
         tightness_kappa=args.kappa,
-        n_workers=max_workers(),
     )
     write_sweep_csv(cells, args.output)
     return EXIT_OK, seed, [args.kernels], [args.output]
@@ -305,30 +311,17 @@ def _cmd_export_gantt(args) -> _Run:
 
 def _cmd_compare(args) -> _Run:
     seed = _resolve_seed(args)
+    model = _power_model(args)
+    methods = _parse_methods(args)
     instance = load_instance(args.instance)
-    model = PowerModel(args.model)
     coefficients = _resolve_coefficients(args.coefficients)
-    if model in (PowerModel.LR, PowerModel.LR_UB) and coefficients is None:
-        raise _UsageError(f"--model {model.value} requires --coefficients")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHOD_NAMES or m == "flow-fixed":
-            raise _UsageError(f"method {m!r} cannot be compared")
-    if any(m in ("qp-lr-ub", "bb-lr") for m in methods) and coefficients is None:
-        raise _UsageError("methods qp-lr-ub and bb-lr require --coefficients")
-
     jobs = [
-        {
-            "method": method,
-            "instance": instance,
-            "time_limit_ms": args.time_limit,
-            "seed": seed,
-            "coefficients": coefficients,
-        }
+        dict(method=method, instance=instance, time_limit_ms=args.time_limit, seed=seed,
+             coefficients=coefficients)
         for method in methods
     ]
     rows = []
-    for method, outcome in zip(methods, run_jobs(jobs, n_workers=max_workers())):
+    for method, outcome in zip(methods, run_jobs(jobs)):
         predicted = None
         if outcome.assignment is not None:
             predicted = schedule_power(

@@ -220,7 +220,6 @@ def scalability_sweep(
     coefficients: RegressionCoefficients | None = None,
     base_seed: int = 0,
     tightness_kappa: float = 3.5,
-    n_workers: int | None = None,
 ) -> list[SweepCell]:
     """Run every method on seeded random instances of the given sizes.
 
@@ -253,7 +252,7 @@ def scalability_sweep(
                     }
                 )
                 meta.append((n, method, rep))
-    outcomes = run_jobs(jobs, n_workers=n_workers)
+    outcomes = run_jobs(jobs)
     return [
         SweepCell(
             n=n,

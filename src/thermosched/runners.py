@@ -1,11 +1,16 @@
-"""Uniform dispatch for every optimization method the toolkit offers.
+"""One table of every optimization method: ``METHODS``.
 
-The method names mirror the comparison table of the experiment harness:
-exact searches (ilp-sm, qp-lr-ub, idle-min, idle-max), the black-box
-genetic searches (bb-sm, bb-lr), the greedy heuristic (heur) and the
-fixed-window flow solver (flow-fixed). Jobs are plain picklable argument
-dicts so independent runs can fan out over processes; THERMOSCHED_THREADS
-caps that parallelism.
+Each entry maps a method name to its runner and to what the method needs:
+regression coefficients, fixed window lengths, and whether it is randomized
+(takes a seed). ``check_methods`` is the one place that rejects an unknown
+method or a missing input; ``run_method`` and the CLI's solve, sweep and
+compare all call it. Sweep and compare supply no window lengths, so the
+check leaves the fixed-window flow out of them. Runners look up ``solve``,
+``run_ga``, ``greedy``, ``build_network`` and ``min_cost_assignment`` in
+this module when called, so replacing such a name here reaches every method
+that uses it. Jobs are picklable ``run_method`` keyword dicts, so
+independent runs can fan out over processes; THERMOSCHED_THREADS caps that
+parallelism.
 """
 
 from __future__ import annotations
@@ -14,31 +19,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .exact import ObjectiveKind, ObjectiveSpec, solve
 from .flow import build_network, min_cost_assignment
 from .heuristics import GaConfig, greedy, run_ga
 from .model import Assignment, Instance
 from .power import PowerModel, RegressionCoefficients
-
-METHOD_NAMES = (
-    "ilp-sm",
-    "qp-lr-ub",
-    "bb-sm",
-    "bb-lr",
-    "heur",
-    "idle-min",
-    "idle-max",
-    "flow-fixed",
-)
-
-_EXACT_KINDS = {
-    "ilp-sm": ObjectiveKind.SM_POWER,
-    "qp-lr-ub": ObjectiveKind.LR_UB_POWER,
-    "idle-min": ObjectiveKind.IDLE_MIN,
-    "idle-max": ObjectiveKind.IDLE_MAX,
-}
 
 
 @dataclass
@@ -51,6 +38,91 @@ class MethodOutcome:
     elapsed_ms: float
     trace: tuple | None = None  # GA fitness trace; None for other methods
     nodes: int | None = None  # search nodes explored; None for non-exact methods
+
+
+def _exact(kind: ObjectiveKind):
+    def run(method, instance, *, time_limit_ms, coefficients, **_):
+        result = solve(instance, ObjectiveSpec(kind, coefficients), time_limit_ms=time_limit_ms)
+        return MethodOutcome(
+            method, result.status.value, result.assignment, result.objective_value,
+            result.lower_bound, result.elapsed_ms, nodes=result.nodes_explored,
+        )
+
+    return run
+
+
+def _genetic(model: PowerModel):
+    def run(method, instance, *, time_limit_ms, seed, coefficients, ga_config, **_):
+        if ga_config is None:
+            if time_limit_ms is None:
+                raise ValueError(f"method {method} needs a time limit")
+            ga_config = GaConfig(time_limit_ms=time_limit_ms, rng_seed=seed)
+        result = run_ga(instance, model, ga_config, coefficients)
+        # a search that found nothing proves nothing: no verdict
+        status, objective = ("feasible", result.fitness) if result.feasible else ("unknown", None)
+        return MethodOutcome(
+            method, status, result.assignment, objective, None, result.elapsed_ms,
+            trace=result.trace,
+        )
+
+    return run
+
+
+def _greedy(method, instance, *, time_limit_ms, **_):
+    t0 = time.perf_counter()
+    assignment = greedy(instance, feasibility_time_limit_ms=time_limit_ms)
+    elapsed = (time.perf_counter() - t0) * 1000.0
+    status = "feasible" if assignment is not None else "infeasible"
+    return MethodOutcome(method, status, assignment, None, None, elapsed)
+
+
+def _flow(method, instance, *, window_lengths, **_):
+    t0 = time.perf_counter()
+    result = min_cost_assignment(build_network(instance, window_lengths))
+    elapsed = (time.perf_counter() - t0) * 1000.0
+    status = "optimal" if result.feasible else "infeasible"
+    cost = result.total_cost
+    return MethodOutcome(method, status, result.assignment, cost, cost, elapsed)
+
+
+@dataclass(frozen=True)
+class Method:
+    """A method's runner and what it needs besides an instance."""
+
+    run: Callable[..., MethodOutcome]
+    needs_coefficients: bool = False
+    needs_window_lengths: bool = False
+    randomized: bool = False
+
+
+METHODS = {
+    "ilp-sm": Method(_exact(ObjectiveKind.SM_POWER)),
+    "qp-lr-ub": Method(_exact(ObjectiveKind.LR_UB_POWER), needs_coefficients=True),
+    "bb-sm": Method(_genetic(PowerModel.SM), randomized=True),
+    "bb-lr": Method(_genetic(PowerModel.LR), needs_coefficients=True, randomized=True),
+    "heur": Method(_greedy),
+    "idle-min": Method(_exact(ObjectiveKind.IDLE_MIN)),
+    "idle-max": Method(_exact(ObjectiveKind.IDLE_MAX)),
+    "flow-fixed": Method(_flow, needs_window_lengths=True),
+}
+METHOD_NAMES = tuple(METHODS)
+
+
+def check_methods(methods: Sequence[str], coefficients=None, window_lengths=None) -> None:
+    """Raise ValueError unless there is a method and each one has its inputs.
+
+    Coefficients are missing when None; window lengths when None or empty.
+    """
+    if not methods:
+        raise ValueError("no method given")
+    for name in methods:
+        method = METHODS.get(name)
+        if method is None:
+            raise ValueError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
+        if method.needs_coefficients and coefficients is None:
+            raise ValueError(f"method {name} needs regression coefficients")
+        if method.needs_window_lengths and not window_lengths:
+            raise ValueError(f"method {name} needs fixed window lengths")
 
 
 def max_workers() -> int:
@@ -74,82 +146,15 @@ def run_method(
     ga_config: GaConfig | None = None,
 ) -> MethodOutcome:
     """Run one method on one instance and normalize the outcome."""
-    if method not in METHOD_NAMES:
-        raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHOD_NAMES)}")
-
-    if method in _EXACT_KINDS:
-        kind = _EXACT_KINDS[method]
-        spec = ObjectiveSpec(kind, coefficients)
-        result = solve(instance, spec, time_limit_ms=time_limit_ms)
-        return MethodOutcome(
-            method=method,
-            status=result.status.value,
-            assignment=result.assignment,
-            objective=result.objective_value,
-            bound=result.lower_bound,
-            elapsed_ms=result.elapsed_ms,
-            nodes=result.nodes_explored,
-        )
-
-    if method in ("bb-sm", "bb-lr"):
-        model = PowerModel.SM if method == "bb-sm" else PowerModel.LR
-        config = ga_config
-        if config is None:
-            if time_limit_ms is None:
-                raise ValueError(f"method {method} needs a time limit")
-            config = GaConfig(time_limit_ms=time_limit_ms, rng_seed=seed)
-        result = run_ga(instance, model, config, coefficients)
-        return MethodOutcome(
-            method=method,
-            # a search that found nothing proves nothing: no verdict
-            status="feasible" if result.feasible else "unknown",
-            assignment=result.assignment,
-            objective=result.fitness if result.feasible else None,
-            bound=None,
-            elapsed_ms=result.elapsed_ms,
-            trace=result.trace,
-        )
-
-    if method == "heur":
-        t0 = time.perf_counter()
-        assignment = greedy(instance, feasibility_time_limit_ms=time_limit_ms)
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        return MethodOutcome(
-            method=method,
-            status="feasible" if assignment is not None else "infeasible",
-            assignment=assignment,
-            objective=None,
-            bound=None,
-            elapsed_ms=elapsed,
-        )
-
-    # flow-fixed
-    if window_lengths is None:
-        raise ValueError("method flow-fixed needs fixed window lengths")
-    t0 = time.perf_counter()
-    network = build_network(instance, window_lengths)
-    result = min_cost_assignment(network)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return MethodOutcome(
-        method="flow-fixed",
-        status="optimal" if result.feasible else "infeasible",
-        assignment=result.assignment,
-        objective=result.total_cost,
-        bound=result.total_cost,
-        elapsed_ms=elapsed,
+    check_methods([method], coefficients, window_lengths)
+    return METHODS[method].run(
+        method, instance, time_limit_ms=time_limit_ms, seed=seed, coefficients=coefficients,
+        window_lengths=window_lengths, ga_config=ga_config,
     )
 
 
 def _run_job(job: dict) -> MethodOutcome:
-    return run_method(
-        job["method"],
-        job["instance"],
-        time_limit_ms=job.get("time_limit_ms"),
-        seed=job.get("seed", 0),
-        coefficients=job.get("coefficients"),
-        window_lengths=job.get("window_lengths"),
-        ga_config=job.get("ga_config"),
-    )
+    return run_method(**job)
 
 
 def run_jobs(jobs: Sequence[dict], n_workers: int | None = None) -> list[MethodOutcome]:

@@ -513,3 +513,22 @@ def test_missing_method_input_is_a_usage_error(tmp_path, example_files, case):
     argv = _USAGE_ERRORS[case](*example_files) + ["-o", str(tmp_path / "out")]
     assert main(argv) == EXIT_USAGE
     assert sorted(p.name for p in tmp_path.iterdir()) == ["asg.json", "inst.json"]
+
+
+_EMPTY_LISTS = {
+    "solve-flow-fixed-empty-window-lengths": lambda i: [
+        "solve", i, "--method", "flow-fixed", "--window-lengths", "",
+    ],
+    "sweep-methods-comma": lambda i: _SWEEP + ["--methods", ","],
+    "sweep-sizes-empty": lambda i: [
+        "sweep", "--sizes", "", "--methods", "heur", "--kernels", "mixed", "--seed", "0",
+    ],
+    "compare-methods-empty": lambda i: ["compare", i, "--methods", ""],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EMPTY_LISTS))
+def test_empty_list_is_a_usage_error(tmp_path, example_files, case):
+    argv = _EMPTY_LISTS[case](example_files[0]) + ["-o", str(tmp_path / "out")]
+    assert main(argv) == EXIT_USAGE
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["asg.json", "inst.json"]

@@ -1,7 +1,25 @@
 import pytest
 
 import helpers
-from thermosched.runners import max_workers, run_jobs, run_method
+import thermosched.runners as runners
+from thermosched.heuristics import GaConfig, greedy
+from thermosched.model import check_feasible
+from thermosched.presets import builtin_coefficients
+from thermosched.runners import METHOD_NAMES, METHODS, max_workers, run_jobs, run_method
+
+EXACT_METHODS = ("ilp-sm", "qp-lr-ub", "idle-min", "idle-max")
+# The name each method must call in `runners`; a tracer that replaces
+# these names there sees every solver call.
+SOLVER_NAMES = {
+    "ilp-sm": ["solve"],
+    "qp-lr-ub": ["solve"],
+    "bb-sm": ["run_ga"],
+    "bb-lr": ["run_ga"],
+    "heur": ["greedy"],
+    "idle-min": ["solve"],
+    "idle-max": ["solve"],
+    "flow-fixed": ["build_network", "min_cost_assignment"],
+}
 
 
 class TestRunMethod:
@@ -33,6 +51,38 @@ class TestRunMethod:
         outcome = run_method("heur", instance)
         assert outcome.status in ("feasible", "infeasible")
         assert outcome.objective is None
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_method_table_entry(method, monkeypatch):
+    instance = helpers.small_random_instance(5)  # n=7; every method finds a schedule
+    lengths = greedy(instance).window_lengths_ms
+    calls = []
+    for name in ("solve", "run_ga", "greedy", "build_network", "min_cost_assignment"):
+        monkeypatch.setattr(runners, name, _counting(calls, name, getattr(runners, name)))
+    outcome = run_method(
+        method,
+        instance,
+        time_limit_ms=30000,
+        coefficients=builtin_coefficients("imx8-mek"),
+        window_lengths=lengths,
+        ga_config=GaConfig(population_size=30, max_generations=10, rng_seed=0),
+    )
+    assert calls == SOLVER_NAMES[method]
+    assert outcome.method == method
+    assert isinstance(outcome.nodes, int) == (method in EXACT_METHODS)
+    assert (outcome.trace is not None) == METHODS[method].randomized
+    assert (outcome.bound is None) == (method in ("bb-sm", "bb-lr", "heur"))
+    assert outcome.assignment is not None
+    assert check_feasible(instance, outcome.assignment).feasible
 
 
 class TestWorkers:
