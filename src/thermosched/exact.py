@@ -9,7 +9,10 @@ The power objectives are searched by depth-first branch and bound over
 symmetry breaking (a task may only open the lowest-indexed empty window).
 Each candidate placement is bounded from its change to the window terms
 before it is applied, so a pruned candidate never touches the search state;
-only the survivors are applied, searched below and undone.
+only the survivors are applied, searched below and undone. The SM root
+bound, which a timeout reports, also charges window offsets: it groups the
+tasks' cheapest offset surcharges C = total cores to a window, the argument
+that makes the aligned grouping below optimal.
 The other kinds branch over cluster choices only: once every task has a
 cluster, the cheapest window partition is obtained by sorting each cluster's
 tasks by decreasing execution time, cutting them into core-count sized
@@ -18,7 +21,8 @@ provably minimizes the total window length, so it decides feasibility
 exactly and never affects the idle-time value, which depends on cluster
 choices alone. One cluster search minimizes a per-(task, cluster) cost: the
 signed execution time for the idle-time kinds, and zero for feasibility, so
-that its first witness meets the zero root bound and closes the search.
+that its first witness meets the zero root bound and closes the search. It
+keeps the grouping's window lengths up to date as tasks are inserted.
 
 brute_force_optimum() is an independent exhaustive enumerator used as a
 testing oracle; it shares no search code with solve().
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping, Sequence
@@ -135,7 +139,7 @@ def _grouped_lengths(
 
     neg_lists[ci] holds the negated execution times of the tasks put on
     cluster position ci, in ascending order (so the times themselves are
-    non-increasing); the searches keep them in this form with insort.
+    non-increasing); the searches keep them sorted as tasks are inserted.
     Returns the per-window lengths of the cheapest partition, or None when
     more windows would be needed than the instance allows.
     """
@@ -375,7 +379,27 @@ def _window_search(
     wcoef = [0.0] * q
     trail: list[tuple[int, int, int]] = []
 
-    root_bound = p_idle + tail[0] / h
+    # The root bound also charges SM window offsets, once per solve. A task p
+    # whose allowed offsets are all nonnegative costs, together with the
+    # offset term of any window w holding it, at least min_k(ae + e*off),
+    # because l_w >= e and max off >= off >= 0: delta_p above its min ae.
+    # So a window costs at least the largest delta among its tasks. A window
+    # holds at most C = total cores tasks, so the windows together cost at
+    # least every C-th delta in descending order (the aligned-grouping
+    # argument of _grouped_lengths). Node bounds do not use it.
+    offset_charge = 0.0
+    if not is_lrub:
+        deltas = sorted(
+            (
+                min(act_e[p][ci] + exec_ms[p][ci] * coef[p][ci] for ci in allowed[p])
+                - incr[p]
+                for p in range(n)
+                if min(coef[p][ci] for ci in allowed[p]) >= 0.0
+            ),
+            reverse=True,
+        )
+        offset_charge = sum(deltas[:: plat.total_cores])
+    root_bound = p_idle + (tail[0] + offset_charge) / h
     model = PowerModel.LR_UB if is_lrub else PowerModel.SM
     _, seed, best_value = _seed_incumbent(
         instance, fix, objective,
@@ -575,7 +599,11 @@ def _cluster_search(
     suffix = [0] * (n_free + 1)
     for p in range(n_free - 1, -1, -1):
         suffix[p] = suffix[p + 1] + min(cost[p])
-    caps_total = [q * c.core_count for c in plat.clusters]
+    caps = [c.core_count for c in plat.clusters]
+    caps_total = [q * cap for cap in caps]
+    # lengths[j] is window j's length in the aligned grouping of the tasks
+    # placed so far: the largest head (rank j * cap) over the clusters.
+    lengths = start_lengths + [0] * (q - len(start_lengths))
 
     incumbent: list = [best_map, best]  # [cluster map, signed processing]
     current = dict(fix)
@@ -583,8 +611,11 @@ def _cluster_search(
     aborted = False
 
     # A child is entered only when its cluster has room, the bound leaves it
-    # open and its aligned grouping still fits the frame.
-    def rec(depth: int, acc: int):
+    # open and its aligned grouping still fits the frame. The grouping is
+    # kept up to date: a task inserted at rank pos of its cluster shifts the
+    # heads of that cluster's groups from rank pos on, and a shifted head can
+    # only grow, so only those windows can lengthen.
+    def rec(depth: int, acc: int, suml: int):
         nonlocal nodes, aborted
         nodes += 1
         if deadline is not None and (nodes & _TIME_CHECK_MASK) == 0:
@@ -609,17 +640,28 @@ def _cluster_search(
             if acc + c + rest >= incumbent[1]:
                 continue
             e = exec_row[ci]
-            insort(neg, -e)
-            lengths = _grouped_lengths(instance, lists)
-            if lengths is not None and sum(lengths) <= h:
+            pos = bisect_right(neg, -e)
+            neg.insert(pos, -e)
+            cap = caps[ci]
+            lo = -(-pos // cap)
+            hi = (len(neg) - 1) // cap + 1
+            saved = lengths[lo:hi]
+            grow = 0
+            for j in range(lo, hi):
+                head = -neg[j * cap]
+                if head > lengths[j]:
+                    grow += head - lengths[j]
+                    lengths[j] = head
+            if suml + grow <= h:
                 current[tid] = ci + 1
-                rec(depth + 1, acc + c)
+                rec(depth + 1, acc + c, suml + grow)
                 del current[tid]
-            neg.remove(-e)
+            lengths[lo:hi] = saved
+            del neg[pos]
             if aborted:
                 return
 
-    rec(0, base)
+    rec(0, base, sum(start_lengths))
     assignment = value = None
     if incumbent[0] is not None:
         assignment = _grouped_assignment(instance, incumbent[0])
@@ -641,7 +683,9 @@ def solve(
     the first feasible assignment. The returned lower_bound is proven: it
     equals the objective at optimality and falls back to the root bound on
     timeout (for idle-time maximization it is an upper bound, reported in
-    the same field; feasibility-only reports none without a witness).
+    the same field; feasibility-only reports none without a witness). For
+    SM power the root bound charges window offsets as well as activity
+    energy; for LR-UB power it charges the star energy alone.
 
     nodes_explored counts the nodes the search entered, the root included.
     A child rejected before it is entered, by the capacity, grouping, frame

@@ -2,7 +2,8 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines; the whole suite takes several minutes, dominated by the exact-solver
-legs of the scalability ordering check.
+legs of the scalability ordering check. Every test here carries the
+`acceptance` marker, so `pytest -m "not acceptance"` runs the fast checks.
 """
 
 import math
@@ -16,6 +17,8 @@ import thermosched as ts
 from thermosched.exact import ObjectiveKind, ObjectiveSpec, SearchStatus
 from thermosched.flow import build_network, min_cost_assignment
 from thermosched.generator import GeneratorConfig, generate_instance, scalability_sweep
+
+pytestmark = pytest.mark.acceptance
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

@@ -103,18 +103,17 @@ class TestSolveBasics:
             ts.solve(instance, spec(ObjectiveKind.SM_POWER), time_limit_ms=0)
 
     def test_timeout_keeps_valid_bound(self):
-        instance = helpers.small_random_instance(2, n=8, q_max=4, kappa_lo=1.5, kappa_hi=1.6)
+        # The search needs 14772 nodes, so a 1 ms limit trips at a clock check
+        # (every 1024 nodes) well before it completes.
+        instance = helpers.small_random_instance(28, n=12, q_max=6)
         sm = spec(ObjectiveKind.SM_POWER)
         limited = ts.solve(instance, sm, time_limit_ms=1)
         full = ts.solve(instance, sm)
-        assert limited.status in (
-            SearchStatus.OPTIMAL,
-            SearchStatus.FEASIBLE_TIMEOUT,
-            SearchStatus.UNKNOWN_TIMEOUT,
-        )
-        if limited.status is SearchStatus.FEASIBLE_TIMEOUT:
-            assert limited.lower_bound <= full.objective_value + 1e-9
-            assert limited.objective_value >= full.objective_value - 1e-9
+        assert full.status is SearchStatus.OPTIMAL
+        assert limited.status is SearchStatus.FEASIBLE_TIMEOUT
+        assert limited.nodes_explored < full.nodes_explored
+        assert limited.lower_bound <= full.objective_value + 1e-9
+        assert limited.objective_value >= full.objective_value - 1e-9
 
     def test_result_document(self):
         instance = helpers.small_random_instance(3)
@@ -271,6 +270,62 @@ class TestBoundValidity:
                 instance, trail, coefficients
             ),
         )
+
+    @pytest.mark.parametrize("variant", ["plain", "negated-odd-offsets", "partial-fix"])
+    def test_sm_root_bound_at_most_brute_force_optimum(self, monkeypatch, variant):
+        """The offset-charging SM root bound never exceeds the proven optimum.
+
+        The root bound is what a timeout reports; it is read here from the
+        search's _finish call, since these searches complete.
+        """
+        root_bounds = []
+        finish = ts.exact._finish
+
+        def spy(t_start, assignment, value, timeout_bound, nodes, aborted):
+            root_bounds.append(timeout_bound)
+            return finish(t_start, assignment, value, timeout_bound, nodes, aborted)
+
+        monkeypatch.setattr(ts.exact, "_finish", spy)
+        sm = spec(ObjectiveKind.SM_POWER)
+        rng = random.Random(31)
+        checked = 0
+        for seed in range(300):
+            if checked == 100:
+                break
+            instance = helpers.small_random_instance(seed)
+            partial = None
+            if variant == "negated-odd-offsets":
+                instance = with_negated_odd_offsets(instance)
+            elif variant == "partial-fix":
+                full = helpers.random_cluster_map(instance, rng)
+                fix = rng.sample(sorted(full.items()), rng.randint(1, len(full)))
+                partial = PartialFix.of(dict(fix))
+            oracle = ts.brute_force_optimum(instance, sm, partial)
+            if oracle.status is not SearchStatus.OPTIMAL:
+                continue
+            root_bounds.clear()
+            ts.solve(instance, sm, partial)
+            checked += 1
+            (root_bound,) = root_bounds
+            assert root_bound <= oracle.objective_value + 1e-9, seed
+        assert checked == 100
+
+
+def test_timeout_bound_charges_window_offsets():
+    """A forced timeout at n=24 reports a bound that charges window offsets.
+
+    The offset charge lifts it 4.5 % above the activity-only bound
+    p_idle + sum_t min_k ae_tk / h; an activity-only root bound fails this.
+    """
+    instance = pinned_instance({"sweep": [0, 24, 0], "kappa": 3.5})
+    result = ts.solve(instance, spec(ObjectiveKind.SM_POWER), time_limit_ms=1)
+    assert result.status is SearchStatus.FEASIBLE_TIMEOUT
+    activity_only = instance.platform.idle_power_watts + sum(
+        min(tc.activity_coef * tc.exec_time_ms for tc in t.per_cluster)
+        for t in instance.tasks
+    ) / instance.major_frame_ms
+    assert result.lower_bound >= 1.03 * activity_only
+    assert result.lower_bound <= result.objective_value
 
 
 class TestPartialFix:
