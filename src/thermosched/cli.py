@@ -56,7 +56,7 @@ from .presets import (
     builtin_kernel_pool,
     builtin_platform,
 )
-from .runners import METHOD_NAMES, METHODS, check_methods, run_jobs, run_method
+from .runners import METHOD_NAMES, METHODS, check_methods, run_method
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -315,13 +315,11 @@ def _cmd_compare(args) -> _Run:
     methods = _parse_methods(args)
     instance = load_instance(args.instance)
     coefficients = _resolve_coefficients(args.coefficients)
-    jobs = [
-        dict(method=method, instance=instance, time_limit_ms=args.time_limit, seed=seed,
-             coefficients=coefficients)
-        for method in methods
-    ]
     rows = []
-    for method, outcome in zip(methods, run_jobs(jobs)):
+    for method in methods:
+        outcome = run_method(
+            method, instance, time_limit_ms=args.time_limit, seed=seed, coefficients=coefficients
+        )
         predicted = None
         if outcome.assignment is not None:
             predicted = schedule_power(

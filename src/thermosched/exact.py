@@ -117,8 +117,10 @@ def _check_inputs(
     violations = structural_violations(instance)
     if violations:
         raise ValueError("instance is not usable: " + "; ".join(violations))
-    if objective.kind is ObjectiveKind.LR_UB_POWER and objective.coefficients is None:
-        raise ValueError("the LR upper-bound objective requires regression coefficients")
+    if objective.kind is ObjectiveKind.LR_UB_POWER:
+        if objective.coefficients is None:
+            raise ValueError("the LR upper-bound objective requires regression coefficients")
+        objective.coefficients.check_covers(instance.platform)
     fix: dict[int, int] = {}
     if partial is not None:
         task_ids = {t.id for t in instance.tasks}
@@ -849,8 +851,6 @@ def brute_force_optimum(
     fix = _check_inputs(instance, objective, partial)
     fixed = tuple(sorted(fix.items()))
     betas = objective.coefficients.betas if objective.coefficients else None
-    if objective.kind is ObjectiveKind.LR_UB_POWER and betas is None:
-        raise ValueError("the LR upper-bound objective requires regression coefficients")
 
     key = (instance, fixed, betas)
     table = _brute_cache.get(key)

@@ -25,6 +25,7 @@ from .model import (
     _write_csv,
 )
 from .power import RegressionCoefficients
+from .runners import run_method
 
 KERNEL_POOL_HEADER = [
     "kernel",
@@ -223,14 +224,12 @@ def scalability_sweep(
 ) -> list[SweepCell]:
     """Run every method on seeded random instances of the given sizes.
 
-    Timeouts are recorded in the status column, never raised. Independent
-    (instance, method) cells may run in parallel; results come back in a
-    fixed order either way.
+    Timeouts are recorded in the status column, never raised. Cells run one
+    at a time in this process, in (n, rep, method) order. A cell depends
+    only on sweep_seed(base_seed, n, rep), so sweeps over disjoint sizes give
+    the same rows as one sweep over all of them.
     """
-    from .runners import run_jobs  # local import to avoid a cycle
-
-    jobs = []
-    meta = []
+    cells = []
     for n in sizes:
         for rep in range(repetitions):
             seed = sweep_seed(base_seed, n, rep)
@@ -242,29 +241,14 @@ def scalability_sweep(
             )
             instance = generate_instance(config, platform)
             for method in methods:
-                jobs.append(
-                    {
-                        "method": method,
-                        "instance": instance,
-                        "time_limit_ms": time_limit_ms,
-                        "seed": seed,
-                        "coefficients": coefficients,
-                    }
+                o = run_method(
+                    method, instance, time_limit_ms=time_limit_ms, seed=seed,
+                    coefficients=coefficients,
                 )
-                meta.append((n, method, rep))
-    outcomes = run_jobs(jobs)
-    return [
-        SweepCell(
-            n=n,
-            method=method,
-            rep=rep,
-            status=o.status,
-            elapsed_ms=o.elapsed_ms,
-            objective=o.objective,
-            bound=o.bound,
-        )
-        for (n, method, rep), o in zip(meta, outcomes)
-    ]
+                cells.append(
+                    SweepCell(n, method, rep, o.status, o.elapsed_ms, o.objective, o.bound)
+                )
+    return cells
 
 
 def write_sweep_csv(cells: Sequence[SweepCell], path_or_file: Union[str, IO[str]]) -> None:

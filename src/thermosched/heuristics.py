@@ -30,7 +30,7 @@ from .power import (
     RegressionCoefficients,
     _lr_energy,
     _sm_accumulate,
-    schedule_power,  # noqa: F401  (re-exported: callers look it up in this module)
+    schedule_power,  # noqa: F401  (unused here; bench/tracer.py wraps this name)
 )
 
 _GENE_MAX = 1.0 - 1e-12  # genes live in [0, 1)
@@ -377,8 +377,10 @@ def run_ga(
     model = PowerModel(model)
     if model is PowerModel.LR_UB:
         raise ValueError("the genetic search uses the SM or LR model")
-    if model is PowerModel.LR and coefficients is None:
-        raise ValueError("the LR fitness model requires regression coefficients")
+    if model is PowerModel.LR:
+        if coefficients is None:
+            raise ValueError("the LR fitness model requires regression coefficients")
+        coefficients.check_covers(instance.platform)
     if config.time_limit_ms is None and config.max_generations is None:
         raise ValueError("set time_limit_ms or max_generations (or both)")
     if not 0.0 <= config.crossover_rate <= 1.0 or not 0.0 <= config.mutation_rate <= 1.0:

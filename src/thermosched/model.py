@@ -101,6 +101,11 @@ class TaskCharacteristics:
 
 @dataclass(frozen=True)
 class Task:
+    """per_cluster holds one entry per platform cluster, in cluster id order.
+
+    Solvers read it by cluster position and refuse any other order.
+    """
+
     id: int
     name: str
     per_cluster: tuple[TaskCharacteristics, ...]
@@ -240,13 +245,12 @@ def structural_violations(instance: Instance) -> list[str]:
     if len(set(task_ids)) != len(task_ids):
         v.append("task ids must be unique")
 
-    cluster_ids = sorted(ids)
     for t in instance.tasks:
-        seen = sorted(tc.cluster_id for tc in t.per_cluster)
-        if seen != cluster_ids:
+        seen = [tc.cluster_id for tc in t.per_cluster]
+        if seen != ids:
             v.append(
-                f"task {t.id}: per_cluster must cover every platform cluster "
-                f"exactly once, got cluster ids {seen}"
+                f"task {t.id}: per_cluster must list every platform cluster once, "
+                f"in cluster id order, got cluster ids {seen}"
             )
             continue
         for tc in t.per_cluster:

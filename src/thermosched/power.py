@@ -64,8 +64,23 @@ class RegressionCoefficients:
     betas: tuple[tuple[float, ...], ...]
     r_squared: float | None = None
 
+    def __post_init__(self):
+        for k, beta in enumerate(self.betas, start=1):
+            if len(beta) != FEATURE_DIM:
+                raise ValueError(
+                    f"cluster {k}: expected beta of dimension {FEATURE_DIM}, got {len(beta)}"
+                )
+
     def beta(self, cluster_id: int) -> tuple[float, ...]:
         return self.betas[cluster_id - 1]
+
+    def check_covers(self, platform: Platform) -> None:
+        """Raise ValueError unless there is one beta per platform cluster."""
+        if len(self.betas) != len(platform.clusters):
+            raise ValueError(
+                f"coefficients give {len(self.betas)} beta vector(s) for a platform "
+                f"of {len(platform.clusters)} cluster(s)"
+            )
 
 
 @dataclass(frozen=True)
@@ -165,11 +180,6 @@ def _lr_energy(tc: TaskCharacteristics, beta: Sequence[float]) -> tuple[float, f
     time, so schedule-level LR power is idle power plus the sum of these
     terms over all tasks divided by the major frame.
     """
-    if len(beta) != FEATURE_DIM:
-        raise ValueError(
-            f"cluster {tc.cluster_id}: expected beta of dimension {FEATURE_DIM}, "
-            f"got {len(beta)}"
-        )
     return (
         beta[0] * tc.activity_coef * tc.exec_time_ms,
         beta[1] * tc.offset_coef * tc.exec_time_ms,
@@ -253,11 +263,6 @@ def lr_interval_power(
     offset = 0.0
     for ci, cluster in enumerate(platform.clusters):
         beta = coefficients.beta(cluster.id)
-        if len(beta) != FEATURE_DIM:
-            raise ValueError(
-                f"cluster {cluster.id}: expected beta of dimension {FEATURE_DIM}, "
-                f"got {len(beta)}"
-            )
         for tid in interval.active[ci]:
             if tid is IDLE:
                 continue
@@ -283,8 +288,10 @@ def schedule_power(
     on an infeasible assignment.
     """
     model = PowerModel(model)
-    if model in (PowerModel.LR, PowerModel.LR_UB) and coefficients is None:
-        raise ValueError(f"model {model.value} requires regression coefficients")
+    if model in (PowerModel.LR, PowerModel.LR_UB):
+        if coefficients is None:
+            raise ValueError(f"model {model.value} requires regression coefficients")
+        coefficients.check_covers(instance.platform)
 
     h = instance.major_frame_ms
     plat = instance.platform
@@ -428,7 +435,13 @@ def coefficients_from_dict(doc: dict) -> RegressionCoefficients:
         if not isinstance(cd, dict) or "cluster_id" not in cd or "beta" not in cd:
             raise ParseError(f"{where}: needs 'cluster_id' and 'beta'")
         by_id[int(cd["cluster_id"])] = tuple(float(x) for x in cd["beta"])
-    betas = tuple(by_id[k] for k in sorted(by_id))
+    ids = sorted(by_id)
+    if ids != list(range(1, len(entries) + 1)):  # a duplicate id leaves a gap
+        raise ParseError(
+            f"coefficients document: cluster ids must be unique and contiguous from 1, "
+            f"got {ids} for {len(entries)} entries"
+        )
+    betas = tuple(by_id[k] for k in ids)
     r2 = doc.get("r_squared")
     return RegressionCoefficients(
         betas=betas, r_squared=float(r2) if r2 is not None else None

@@ -8,16 +8,12 @@ compare all call it. Sweep and compare supply no window lengths, so the
 check leaves the fixed-window flow out of them. Runners look up ``solve``,
 ``run_ga``, ``greedy``, ``build_network`` and ``min_cost_assignment`` in
 this module when called, so replacing such a name here reaches every method
-that uses it. Jobs are picklable ``run_method`` keyword dicts, so
-independent runs can fan out over processes; THERMOSCHED_THREADS caps that
-parallelism.
+that uses it. Every run happens in the calling process, one at a time.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -125,16 +121,6 @@ def check_methods(methods: Sequence[str], coefficients=None, window_lengths=None
             raise ValueError(f"method {name} needs fixed window lengths")
 
 
-def max_workers() -> int:
-    """Parallelism cap from THERMOSCHED_THREADS; defaults to 1."""
-    raw = os.environ.get("THERMOSCHED_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
 def run_method(
     method: str,
     instance: Instance,
@@ -152,15 +138,3 @@ def run_method(
         window_lengths=window_lengths, ga_config=ga_config,
     )
 
-
-def _run_job(job: dict) -> MethodOutcome:
-    return run_method(**job)
-
-
-def run_jobs(jobs: Sequence[dict], n_workers: int | None = None) -> list[MethodOutcome]:
-    """Run independent jobs, possibly across processes, preserving order."""
-    workers = max_workers() if n_workers is None else max(1, n_workers)
-    if workers == 1 or len(jobs) <= 1:
-        return [_run_job(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_job, jobs))

@@ -43,6 +43,28 @@ def infeasible_instance():
     return ts.Instance(plat, tasks, 1000, 3)
 
 
+# Well-formed coefficient documents that do not fit the two-cluster platform.
+MISMATCHED_COEFFICIENTS = {
+    "cluster-1-only": '{"clusters": [{"cluster_id": 1, "beta": [1.2, 0.3]}]}',
+    "cluster-ids-1-3": (
+        '{"clusters": [{"cluster_id": 1, "beta": [1.2, 0.3]},'
+        ' {"cluster_id": 3, "beta": [1.0, 0.5]}]}'
+    ),
+    "short-beta": (
+        '{"clusters": [{"cluster_id": 1, "beta": [1.0]},'
+        ' {"cluster_id": 2, "beta": [1.0, 0.5]}]}'
+    ),
+}
+# Each command reads the coefficients: argv from (instance path, assignment path).
+COEFFICIENT_COMMANDS = {
+    "qp-lr-ub": lambda inst, asg: ["solve", inst, "--method", "qp-lr-ub"],
+    "bb-lr": lambda inst, asg: [
+        "solve", inst, "--method", "bb-lr", "--seed", "1", "--max-generations", "2",
+    ],
+    "evaluate-lr-ub": lambda inst, asg: ["evaluate", inst, asg, "--model", "lr-ub"],
+}
+
+
 @pytest.fixture
 def example_files(tmp_path):
     instance = helpers.worked_example()
@@ -131,18 +153,27 @@ class TestSolve:
         assert result["status"] == "infeasible"
 
     @pytest.mark.parametrize(
-        "document",
-        ["[]", '{"clusters": 5}', '{"clusters": [{"cluster_id": 1, "beta": 5}]}'],
-        ids=["list", "scalar-clusters", "scalar-beta"],
+        "document, command",
+        [
+            pytest.param("[]", "qp-lr-ub", id="list"),
+            pytest.param('{"clusters": 5}', "qp-lr-ub", id="scalar-clusters"),
+            pytest.param(
+                '{"clusters": [{"cluster_id": 1, "beta": 5}]}', "qp-lr-ub", id="scalar-beta"
+            ),
+        ] + [
+            pytest.param(document, command, id=f"{name}-{command}")
+            for name, document in MISMATCHED_COEFFICIENTS.items()
+            for command in COEFFICIENT_COMMANDS
+        ],
     )
-    def test_malformed_coefficients_are_an_error(self, tmp_path, capsys, example_files, document):
-        inst_path, _ = example_files
+    def test_malformed_coefficients_are_an_error(
+        self, tmp_path, capsys, example_files, document, command
+    ):
+        inst_path, asg_path = example_files
         coeff_path = tmp_path / "c.json"
         coeff_path.write_text(document)
-        code = main([
-            "solve", inst_path, "--method", "qp-lr-ub", "--coefficients", str(coeff_path),
-            "-o", str(tmp_path / "x.json"),
-        ])
+        argv = COEFFICIENT_COMMANDS[command](inst_path, asg_path)
+        code = main(argv + ["--coefficients", str(coeff_path), "-o", str(tmp_path / "x.json")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err

@@ -97,6 +97,18 @@ class TestSolveBasics:
         with pytest.raises(ValueError):
             ts.solve(instance, ObjectiveSpec(ObjectiveKind.LR_UB_POWER))
 
+    @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda k: k.value)
+    def test_rejects_per_cluster_out_of_order(self, kind):
+        # The searches read per_cluster by cluster position, so any other
+        # order would give wrong optima and false infeasibility.
+        instance = helpers.small_random_instance(5)
+        reversed_tasks = tuple(
+            dataclasses.replace(t, per_cluster=t.per_cluster[::-1]) for t in instance.tasks
+        )
+        instance = dataclasses.replace(instance, tasks=reversed_tasks)
+        with pytest.raises(ValueError, match="cluster id order"):
+            ts.solve(instance, spec(kind))
+
     def test_rejects_sub_millisecond_time_limit(self):
         instance = helpers.small_random_instance(1)
         with pytest.raises(ValueError, match="time_limit_ms"):

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 import helpers
@@ -5,8 +9,9 @@ import thermosched.runners as runners
 from thermosched.heuristics import GaConfig, greedy
 from thermosched.model import check_feasible
 from thermosched.presets import builtin_coefficients
-from thermosched.runners import METHOD_NAMES, METHODS, max_workers, run_jobs, run_method
+from thermosched.runners import METHOD_NAMES, METHODS, run_method
 
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 EXACT_METHODS = ("ilp-sm", "qp-lr-ub", "idle-min", "idle-max")
 # The name each method must call in `runners`; a tracer that replaces
 # these names there sees every solver call.
@@ -85,27 +90,17 @@ def test_method_table_entry(method, monkeypatch):
     assert check_feasible(instance, outcome.assignment).feasible
 
 
-class TestWorkers:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("THERMOSCHED_THREADS", raising=False)
-        assert max_workers() == 1
 
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("THERMOSCHED_THREADS", "4")
-        assert max_workers() == 4
-        monkeypatch.setenv("THERMOSCHED_THREADS", "bogus")
-        assert max_workers() == 1
-        monkeypatch.setenv("THERMOSCHED_THREADS", "-2")
-        assert max_workers() == 1
-
-    def test_parallel_matches_sequential(self):
-        instance = helpers.small_random_instance(5)
-        jobs = [
-            {"method": m, "instance": instance, "time_limit_ms": 30000}
-            for m in ("ilp-sm", "idle-min", "idle-max", "heur")
-        ]
-        seq = run_jobs(jobs, n_workers=1)
-        par = run_jobs(jobs, n_workers=2)
-        assert [(o.method, o.status, o.objective) for o in seq] == [
-            (o.method, o.status, o.objective) for o in par
-        ]
+def test_tracer_targets_exist(monkeypatch):
+    # The benchmark tracer wraps package names by (module, attribute); a
+    # renamed or deleted name makes every traced benchmark run fail.
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look it up
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{module.__name__}.{attr}"
+        for module, attr, *_ in tracer.Tracer()._targets()
+        if not hasattr(module, attr)
+    ]
+    assert missing == []
