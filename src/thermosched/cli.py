@@ -6,14 +6,15 @@ timestamps, input and output paths) next to its primary output, so a run
 can be replayed byte-identically for the deterministic commands.
 
 Exit codes: 0 for optimal or feasible outcomes, 2 for proven infeasibility,
-3 for no verdict (a timeout, or a genetic search that found no schedule),
-64 for usage errors.
+3 for no verdict (a timeout, a genetic search that found no schedule, or a
+greedy run whose feasibility oracle ran out of time), 64 for usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import os
 import secrets
 import sys
@@ -344,6 +345,7 @@ def _cmd_compare(args) -> _Run:
     return EXIT_OK, seed, [args.instance], [args.output]
 
 
+@functools.cache  # built once per process; each parse_args starts from a fresh namespace
 def _build_parser() -> _Parser:
     parser = _Parser(prog="thermosched", description=__doc__)
     parser.add_argument("--version", action="version", version=f"thermosched {__version__}")
@@ -422,9 +424,8 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         started_at = _now()
         code, seed, inputs, outputs = args.func(args)
         if args.output:

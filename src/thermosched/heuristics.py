@@ -29,7 +29,7 @@ from .power import (
     PowerModel,
     RegressionCoefficients,
     _lr_energy,
-    _sm_accumulate,
+    _window_accumulate,
     schedule_power,  # noqa: F401  (unused here; bench/tracer.py wraps this name)
 )
 
@@ -314,7 +314,7 @@ class _PopulationFitness:
         by_window: dict[int, list] = {}
         for i in self.by_id:
             by_window.setdefault(placed[i], []).append(self.chars[i][cluster[i]])
-        activity, offset = _sm_accumulate(
+        activity, offset = _window_accumulate(
             ((lengths[j - 1], tcs) for j, tcs in by_window.items()), self.h
         )
         return self.idle + activity + offset
@@ -475,7 +475,9 @@ def greedy(
     non-decreasing expected energy, and a fix is committed only when the
     feasibility oracle confirms the remaining tasks can still be placed.
     Returns the assignment of the last oracle call, which covers all tasks,
-    or None when no complete fixing exists.
+    or None when the oracle proved that a task fits on no cluster. Raises
+    TimeoutError when no cluster of a task was confirmed and an oracle call
+    for it ran out of time instead of proving it infeasible.
     """
 
     def energy(task, cid):
@@ -491,7 +493,7 @@ def greedy(
     last: Assignment | None = None
     feas = ObjectiveSpec(ObjectiveKind.FEASIBILITY_ONLY)
     for task in order:
-        placed = False
+        proven = True  # every failed trial of this task proved infeasible
         for cid in sorted(cluster_ids, key=lambda c: (energy(task, c), c)):
             trial = dict(fixed)
             trial[task.id] = cid
@@ -502,8 +504,10 @@ def greedy(
             if result.status is SearchStatus.OPTIMAL:
                 fixed[task.id] = cid
                 last = result.assignment
-                placed = True
                 break
-        if not placed:
+            proven = proven and result.status is SearchStatus.INFEASIBLE
+        else:  # no cluster confirmed
+            if not proven:
+                raise TimeoutError(f"the feasibility oracle ran out of time on task {task.id}")
             return None
     return last

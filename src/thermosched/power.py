@@ -17,6 +17,10 @@ Three predictors are implemented:
 
 Schedule-level power averages the above-idle contributions over the major
 frame; frame time not covered by any window contributes idle power only.
+
+One validity rule holds for every model: schedule_power evaluates only an
+assignment that check_feasible accepts and otherwise raises ValueError
+naming the violations. The single-window predictors check their window.
 """
 
 from __future__ import annotations
@@ -114,6 +118,66 @@ class PowerEstimate:
         )
 
 
+def _window_accumulate(
+    windows: Iterable[tuple[int, Sequence[TaskCharacteristics]]],
+    h: int,
+    coefficients: RegressionCoefficients | None = None,
+) -> tuple[float, float]:
+    """Frame-weighted (activity, offset) above idle over (length, tasks) windows.
+
+    SM without coefficients, LR-UB with them. Nothing is checked: windows
+    must be non-empty and valid. They are summed in the order given; both
+    schedule_power and the genetic search order them by first appearance
+    in task-id order, so their SM values agree bit for bit.
+    """
+    activity = 0.0
+    offset = 0.0
+    for length, window_tasks in windows:
+        a = 0.0
+        if coefficients is None:
+            b = -math.inf
+            for tc in window_tasks:
+                a += tc.activity_coef * (tc.exec_time_ms / length)
+                if tc.offset_coef > b:
+                    b = tc.offset_coef
+        else:
+            b = 0.0
+            for tc in window_tasks:
+                beta = coefficients.beta(tc.cluster_id)
+                a += tc.activity_coef * beta[0]
+                b += tc.offset_coef * beta[1]
+        w = length / h
+        activity += w * a
+        offset += w * b
+    return activity, offset
+
+
+def _window_power(
+    platform: Platform,
+    window_tasks: Sequence[TaskCharacteristics],
+    window_length_ms: int,
+    coefficients: RegressionCoefficients | None = None,
+) -> PowerEstimate:
+    """One window's SM (no coefficients) or LR-UB power; the one window check.
+
+    A non-empty window needs a positive length no shorter than its longest task.
+    """
+    if not window_tasks:
+        return PowerEstimate.compose(platform.idle_power_watts, 0.0, 0.0)
+    if window_length_ms < 1:
+        raise ValueError("a non-empty window must have positive length")
+    longest = max(tc.exec_time_ms for tc in window_tasks)
+    if longest > window_length_ms:
+        raise ValueError(
+            f"window of {window_length_ms} ms is shorter than a contained "
+            f"task of {longest} ms"
+        )
+    activity, offset = _window_accumulate(
+        [(window_length_ms, window_tasks)], window_length_ms, coefficients
+    )
+    return PowerEstimate.compose(platform.idle_power_watts, activity, offset)
+
+
 def sm_window_power(
     platform: Platform,
     window_tasks: Sequence[TaskCharacteristics],
@@ -124,53 +188,7 @@ def sm_window_power(
     The window must be at least as long as each contained task. An empty
     window predicts exactly the idle power (the max term is defined as 0).
     """
-    if not window_tasks:
-        return PowerEstimate.compose(platform.idle_power_watts, 0.0, 0.0)
-    activity, offset = _sm_window_terms(window_tasks, window_length_ms)
-    return PowerEstimate.compose(platform.idle_power_watts, activity, offset)
-
-
-def _sm_window_terms(
-    window_tasks: Sequence[TaskCharacteristics], window_length_ms: int
-) -> tuple[float, float]:
-    """SM (activity, offset) terms of one non-empty window, summed in the given order."""
-    if window_length_ms < 1:
-        raise ValueError("a non-empty window must have positive length")
-    activity = 0.0
-    longest = 0
-    offset = -math.inf
-    for tc in window_tasks:
-        e = tc.exec_time_ms
-        activity += tc.activity_coef * (e / window_length_ms)
-        if e > longest:
-            longest = e
-        if tc.offset_coef > offset:
-            offset = tc.offset_coef
-    if longest > window_length_ms:
-        raise ValueError(
-            f"window of {window_length_ms} ms is shorter than a contained "
-            f"task of {longest} ms"
-        )
-    return activity, offset
-
-
-def _sm_accumulate(
-    windows: Iterable[tuple[int, Sequence[TaskCharacteristics]]], h: int
-) -> tuple[float, float]:
-    """Frame-weighted SM (activity, offset) above idle over (length, tasks) windows.
-
-    Windows are summed in the order given. schedule_power and the genetic
-    search both pass them by first appearance in task-id order, which makes
-    their values agree bit for bit.
-    """
-    activity = 0.0
-    offset = 0.0
-    for length, window_tasks in windows:
-        a, b = _sm_window_terms(window_tasks, length)
-        w = length / h
-        activity += w * a
-        offset += w * b
-    return activity, offset
+    return _window_power(platform, window_tasks, window_length_ms)
 
 
 def _lr_energy(tc: TaskCharacteristics, beta: Sequence[float]) -> tuple[float, float]:
@@ -197,22 +215,7 @@ def lr_ub_window_power(
     Given the window membership the value is independent of execution times;
     the length argument is only validated against the precondition.
     """
-    if window_tasks:
-        if window_length_ms < 1:
-            raise ValueError("a non-empty window must have positive length")
-        longest = max(tc.exec_time_ms for tc in window_tasks)
-        if longest > window_length_ms:
-            raise ValueError(
-                f"window of {window_length_ms} ms is shorter than a contained "
-                f"task of {longest} ms"
-            )
-    activity = 0.0
-    offset = 0.0
-    for tc in window_tasks:
-        beta = coefficients.beta(tc.cluster_id)
-        activity += tc.activity_coef * beta[0]
-        offset += tc.offset_coef * beta[1]
-    return PowerEstimate.compose(platform.idle_power_watts, activity, offset)
+    return _window_power(platform, window_tasks, window_length_ms, coefficients)
 
 
 def decompose_intervals(
@@ -280,29 +283,29 @@ def schedule_power(
 ) -> PowerEstimate:
     """Average power of a whole schedule under the selected model.
 
-    Window (SM, LR-UB) contributions above idle are weighted by their
-    lengths and divided by the major frame length, so frame time not covered
-    by any window contributes idle power only. LR uses its per-task closed
-    form, which equals the length-weighted sum over processing-idling
-    intervals (decompose_intervals, lr_interval_power); it raises ValueError
-    on an infeasible assignment.
+    Raises ValueError naming the violations when check_feasible rejects the
+    assignment, whatever the model. Window (SM, LR-UB) contributions above
+    idle are weighted by their lengths and divided by the major frame
+    length, so frame time not covered by any window contributes idle power
+    only. LR uses its per-task closed form, which equals the length-weighted
+    sum over processing-idling intervals (decompose_intervals,
+    lr_interval_power).
     """
     model = PowerModel(model)
-    if model in (PowerModel.LR, PowerModel.LR_UB):
+    if model is not PowerModel.SM:
         if coefficients is None:
             raise ValueError(f"model {model.value} requires regression coefficients")
         coefficients.check_covers(instance.platform)
+    verdict = check_feasible(instance, assignment)
+    if not verdict:
+        raise ValueError(
+            f"cannot evaluate {model.value.upper()} power of an infeasible assignment: "
+            + "; ".join(verdict.violations)
+        )
 
     h = instance.major_frame_ms
-    plat = instance.platform
-
+    idle = instance.platform.idle_power_watts
     if model is PowerModel.LR:
-        verdict = check_feasible(instance, assignment)
-        if not verdict:
-            raise ValueError(
-                "cannot evaluate LR power of an infeasible assignment: "
-                + "; ".join(verdict.violations)
-            )
         activity = 0.0
         offset = 0.0
         for p in assignment.placements:
@@ -310,27 +313,18 @@ def schedule_power(
             a, b = _lr_energy(tc, coefficients.beta(p.cluster))
             activity += a
             offset += b
-        return PowerEstimate.compose(plat.idle_power_watts, activity / h, offset / h)
+        return PowerEstimate.compose(idle, activity / h, offset / h)
 
     by_window: dict[int, list[TaskCharacteristics]] = {}
     for p in assignment.placements:
         tc = instance.task_by_id(p.task_id).on(p.cluster)
         by_window.setdefault(p.window, []).append(tc)
-    if model is PowerModel.SM:
-        activity, offset = _sm_accumulate(
-            ((assignment.window_lengths_ms[j - 1], tcs) for j, tcs in by_window.items()), h
-        )
-        return PowerEstimate.compose(plat.idle_power_watts, activity, offset)
-
-    activity = 0.0
-    offset = 0.0
-    for j, tcs in by_window.items():
-        length = assignment.window_lengths_ms[j - 1]
-        est = lr_ub_window_power(plat, coefficients, tcs, length)
-        w = length / h
-        activity += w * est.activity_watts
-        offset += w * est.offset_watts
-    return PowerEstimate.compose(plat.idle_power_watts, activity, offset)
+    activity, offset = _window_accumulate(
+        ((assignment.window_lengths_ms[j - 1], tcs) for j, tcs in by_window.items()),
+        h,
+        coefficients if model is PowerModel.LR_UB else None,
+    )
+    return PowerEstimate.compose(idle, activity, offset)
 
 
 def power_to_temperature(platform: Platform, power_watts: float) -> float:

@@ -66,9 +66,12 @@ def _genetic(model: PowerModel):
 
 def _greedy(method, instance, *, time_limit_ms, **_):
     t0 = time.perf_counter()
-    assignment = greedy(instance, feasibility_time_limit_ms=time_limit_ms)
+    try:
+        assignment = greedy(instance, feasibility_time_limit_ms=time_limit_ms)
+        status = "feasible" if assignment is not None else "infeasible"
+    except TimeoutError:  # an oracle call ran out of time: no verdict
+        assignment, status = None, "unknown"
     elapsed = (time.perf_counter() - t0) * 1000.0
-    status = "feasible" if assignment is not None else "infeasible"
     return MethodOutcome(method, status, assignment, None, None, elapsed)
 
 

@@ -102,6 +102,14 @@ class TestGenerate:
         assert main(args + ["-o", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_calls_share_no_parsed_state(self, tmp_path):
+        args = ["generate", "--kernels", "mixed", "--seed", "1"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(args + ["--n", "7", "-o", str(a)]) == EXIT_OK
+        assert main(args + ["-o", str(b)]) == EXIT_OK
+        assert json.loads((tmp_path / "b.manifest.json").read_text())["flags"]["n"] == 20
+        assert len(ts.load_instance(str(b)).tasks) == 20
+
     def test_manifest_replay_reproduces_output(self, tmp_path):
         out = tmp_path / "inst.json"
         main(["generate", "--n", "8", "--kernels", "cpu", "--seed", "11", "-o", str(out)])
@@ -151,6 +159,20 @@ class TestSolve:
         assert code == EXIT_INFEASIBLE
         result = json.loads((tmp_path / "x.result.json").read_text())
         assert result["status"] == "infeasible"
+
+    def test_heur_oracle_timeout_reports_unknown(self, tmp_path):
+        # heur finds a schedule without a limit, but the oracle needs about
+        # 87k nodes to rule out the first task's cheapest cluster
+        inst = tmp_path / "i.json"
+        main([
+            "generate", "--n", "30", "--kappa", "5.0", "--kernels", "mixed",
+            "--platform", "imx8-mek", "--seed", "3", "-o", str(inst),
+        ])
+        out = tmp_path / "x.json"
+        code = main(["solve", str(inst), "--method", "heur", "--time-limit", "1", "-o", str(out)])
+        assert code == EXIT_UNKNOWN_TIMEOUT
+        assert json.loads((tmp_path / "x.result.json").read_text())["status"] == "unknown"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "document, command",
@@ -289,6 +311,18 @@ def test_output_path_that_is_a_directory_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def crowded_files(tmp_path):
+    """The seven-task layout with every task in window 1, over capacity."""
+    instance, assignment = helpers.seven_task_layout()
+    crowded = ts.Assignment.from_placements(
+        instance, [(p.task_id, 1, p.cluster) for p in assignment.placements]
+    )
+    inst_path, asg_path = str(tmp_path / "i.json"), str(tmp_path / "a.json")
+    ts.save_instance(instance, inst_path)
+    ts.save_assignment(crowded, asg_path)
+    return inst_path, asg_path
+
+
 class TestEvaluate:
     def test_sm_worked_example(self, capsys, example_files):
         inst_path, asg_path = example_files
@@ -322,6 +356,19 @@ class TestEvaluate:
         report = json.loads(capsys.readouterr().out)
         assert abs(report["watts"] - result["objective_value"]) < 1e-9
 
+    @pytest.mark.parametrize("model", ["sm", "lr", "lr-ub"])
+    def test_infeasible_assignment_is_an_error(self, tmp_path, capsys, model):
+        inst_path, asg_path = crowded_files(tmp_path)
+        code = main([
+            "evaluate", inst_path, asg_path, "--model", model,
+            "--coefficients", "imx8-mek", "-o", str(tmp_path / "rep.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot evaluate {model.upper()} power of an infeasible")
+        assert "tasks exceed 4 cores" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "i.json"]
+
 
 class TestFit:
     def test_noise_free_fit(self, tmp_path):
@@ -342,6 +389,15 @@ class TestFit:
 
 
 class TestExportGantt:
+    def test_infeasible_assignment_is_an_error(self, tmp_path, capsys):
+        inst_path, asg_path = crowded_files(tmp_path)
+        code = main(["export-gantt", inst_path, asg_path, "-o", str(tmp_path / "g.svg")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot derive a core schedule from an infeasible")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "i.json"]
+
     def test_seven_bars_three_boundaries(self, tmp_path):
         instance, assignment = helpers.seven_task_layout()
         inst_path, asg_path = tmp_path / "i.json", tmp_path / "a.json"

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 import helpers
 import thermosched as ts
-from thermosched.exact import ObjectiveKind, ObjectiveSpec, SearchStatus
+from thermosched import heuristics
+from thermosched.exact import ObjectiveKind, ObjectiveSpec, SearchResult, SearchStatus
 from thermosched.generator import GeneratorConfig, generate_instance
 from thermosched.heuristics import _GENE_MAX, _PopulationFitness
 from thermosched.power import PowerModel
+from thermosched.runners import run_method
 
 PINNED_TRACES = Path(__file__).parent / "data" / "ga_pinned_traces.json"
 
@@ -395,3 +397,14 @@ class TestGreedy:
                 assert assignment is not None
                 assert ts.check_feasible(instance, assignment).feasible
         assert seen_infeasible > 0
+
+    def test_oracle_timeout_is_not_infeasibility(self, monkeypatch):
+        def timed_out(*args, **kwargs):
+            return SearchResult(SearchStatus.UNKNOWN_TIMEOUT, None, None, None, 1024, 1.0)
+
+        monkeypatch.setattr(heuristics, "solve", timed_out)
+        instance, _ = helpers.seven_task_layout()
+        with pytest.raises(TimeoutError):
+            ts.greedy(instance, feasibility_time_limit_ms=1)
+        outcome = run_method("heur", instance, time_limit_ms=1)
+        assert (outcome.status, outcome.assignment) == ("unknown", None)

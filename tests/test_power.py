@@ -185,14 +185,26 @@ class TestSchedulePower:
                 checked += 1
         assert checked > 50
 
-    def test_lr_rejects_infeasible_assignment(self, mek_coefficients):
+    @pytest.mark.parametrize("case", ["over-capacity", "frame-overflow", "short-window"])
+    @pytest.mark.parametrize("model", ["sm", "lr", "lr-ub"])
+    def test_rejects_infeasible_assignment(self, mek_coefficients, model, case):
         instance, assignment = helpers.seven_task_layout()
-        # all seven tasks in window 1 overflow the 4 + 2 cores
-        crowded = ts.Assignment.from_placements(
-            instance, [(p.task_id, 1, p.cluster) for p in assignment.placements]
-        )
-        with pytest.raises(ValueError, match="infeasible"):
-            ts.schedule_power(instance, crowded, "lr", mek_coefficients)
+        if case == "over-capacity":
+            # all seven tasks in window 1 overflow the 4 + 2 cores
+            assignment = ts.Assignment.from_placements(
+                instance, [(p.task_id, 1, p.cluster) for p in assignment.placements]
+            )
+            violation = "tasks exceed 4 cores"
+        elif case == "frame-overflow":
+            # the windows sum to 545 ms
+            instance = ts.Instance(instance.platform, instance.tasks, 544, instance.max_windows)
+            violation = "exceeding the major frame"
+        else:
+            lengths = (149,) + assignment.window_lengths_ms[1:]
+            assignment = ts.Assignment(assignment.placements, lengths)
+            violation = "window 1 is shorter than task 2"
+        with pytest.raises(ValueError, match=f"infeasible assignment: .*{violation}"):
+            ts.schedule_power(instance, assignment, model, mek_coefficients)
 
     def test_sm_aggregation_identity(self):
         rng = random.Random(5)
