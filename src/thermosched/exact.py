@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .model import Assignment, Instance, Placement, assignment_to_dict, structural_violations
+from .model import Assignment, Instance, Placement, assignment_to_dict, require_usable
 from .power import PowerModel, RegressionCoefficients, schedule_power
 
 _EPS = 1e-12
@@ -114,9 +114,7 @@ NodeRecorder = Callable[[tuple[tuple[int, int, int], ...], float], None]
 def _check_inputs(
     instance: Instance, objective: ObjectiveSpec, partial: PartialFix | None
 ) -> dict[int, int]:
-    violations = structural_violations(instance)
-    if violations:
-        raise ValueError("instance is not usable: " + "; ".join(violations))
+    require_usable(instance)
     if objective.kind is ObjectiveKind.LR_UB_POWER:
         if objective.coefficients is None:
             raise ValueError("the LR upper-bound objective requires regression coefficients")
@@ -566,7 +564,7 @@ def _cluster_search(
     )
     best_map, seed, best = _seed_incumbent(
         instance, fix, objective,
-        lambda asg: sum(
+        lambda asg: sign and sum(  # feasibility's value is 0 without a sum
             sign * instance.task_by_id(p.task_id).on(p.cluster).exec_time_ms
             for p in asg.placements
         ),

@@ -7,9 +7,11 @@ when the task fits the window, and a sink absorbing everything through
 capacity-q_k arcs. Integer capacities make the optimal flow integral, so a
 unit of flow on a task arc decodes directly into a placement.
 
-The flow itself is computed by successive shortest paths with potentials;
-the layered shape of the network gives exact initial potentials in one
-forward relaxation pass.
+The flow itself is computed by successive shortest paths with potentials.
+Each phase runs Dijkstra from every unplaced task at once and stops when
+the sink is settled; the path found places the task it starts from and may
+move tasks placed earlier. A task starts at minus its cheapest arc cost, so
+reduced costs are nonnegative from the first phase on.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Assignment, Instance, Placement
+from .model import Assignment, Instance, Placement, require_usable
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,13 @@ def build_network(
 ) -> FlowNetwork:
     """Build the flow network for the given fixed window lengths.
 
-    Lengths must be nonnegative, at most one per available window, and sum
-    to at most the major frame. Tasks that fit no (window, cluster) at all
-    are reported in unplaceable_tasks; the network is still built and the
-    solver will prove infeasibility.
+    The instance must be free of structural violations. Lengths must be
+    nonnegative, at most one per available window, and sum to at most the
+    major frame. Tasks that fit no (window, cluster) at all are reported in
+    unplaceable_tasks; the network is still built and the solver will prove
+    infeasibility.
     """
+    require_usable(instance)
     lengths = tuple(int(l) for l in window_lengths)
     if not lengths:
         raise ValueError("at least one window length is required")
@@ -147,91 +151,81 @@ def min_cost_assignment(network: FlowNetwork) -> FlowResult:
     if n == 0:
         return FlowResult(True, Assignment.from_placements(instance, []), 0.0, ())
 
-    n_nodes = len(network.node_labels) + 1  # plus a super source
-    source = n_nodes - 1
+    n_nodes = len(network.node_labels)
     sink = network.sink
 
-    heads: list[int] = []
-    caps: list[int] = []
-    costs: list[float] = []
+    # Residual graph: network arc i is edge 2i, and edge 2i + 1 its reverse.
+    arcs = network.arcs
+    heads = [v for a in arcs for v in (a.head, a.tail)]
+    caps = [c for a in arcs for c in (a.capacity, 0)]
+    costs = [c for a in arcs for c in (a.cost, -a.cost)]
     adj: list[list[int]] = [[] for _ in range(n_nodes)]
-
-    def add_edge(u: int, v: int, cap: int, cost: float) -> int:
-        idx = len(heads)
-        heads.append(v)
-        caps.append(cap)
-        costs.append(cost)
-        adj[u].append(idx)
-        heads.append(u)
-        caps.append(0)
-        costs.append(-cost)
-        adj[v].append(idx + 1)
-        return idx
-
-    arc_edge = [add_edge(a.tail, a.head, a.capacity, a.cost) for a in network.arcs]
-    for ti in range(n):
-        add_edge(source, ti, 1, 0.0)
+    for e in range(0, len(heads), 2):
+        adj[heads[e + 1]].append(e)
+        adj[heads[e]].append(e + 1)
+    # A task starts at minus its cheapest arc cost and every other node at 0,
+    # which makes every reduced cost, cost + pot[tail] - pot[head], nonnegative.
+    pot = [0.0] * n_nodes
+    for t in range(n):
+        pot[t] = -min((costs[e] for e in adj[t]), default=0.0)
 
     INF = math.inf
-    # Exact initial potentials: the residual graph starts as a layered DAG
-    # (source, tasks, window-cluster nodes, sink), so one relaxation sweep
-    # in edge-construction order after the source edges settles all
-    # distances even with negative costs.
-    pot = [INF] * n_nodes
-    pot[source] = 0.0
-    for ti in range(n):
-        pot[ti] = 0.0
-    for ei, arc in zip(arc_edge, network.arcs):
-        if pot[arc.tail] + costs[ei] < pot[arc.head]:
-            pot[arc.head] = pot[arc.tail] + costs[ei]
-
-    flow_pushed = 0
     dist = [INF] * n_nodes
     parent_edge = [-1] * n_nodes
-    for _ in range(n):
-        for v in range(n_nodes):
-            dist[v] = INF
-            parent_edge[v] = -1
-        dist[source] = 0.0
-        heap = [(0.0, source)]
+    roots = list(range(n))  # tasks not yet placed: each one has excess 1
+    while roots:
+        # Dijkstra from every unplaced task at distance 0 until the sink is
+        # settled. Entries are (d, -v), so on a tie the sink, the last node,
+        # is popped first. Nothing enters an unplaced task, so its parent
+        # edge stays -1.
+        heap = [(0.0, -r) for r in roots]
+        heapq.heapify(heap)
+        reached = list(roots)
+        for r in roots:
+            dist[r] = 0.0
         while heap:
             d, u = heapq.heappop(heap)
+            u = -u
             if d > dist[u]:
                 continue
+            if u == sink:
+                break
+            pu = pot[u]
             for ei in adj[u]:
                 if caps[ei] <= 0:
                     continue
                 v = heads[ei]
-                if pot[v] == INF:
-                    continue  # provably never on a source-sink path
-                reduced = costs[ei] + pot[u] - pot[v]
+                reduced = costs[ei] + pu - pot[v]
                 if reduced < 0.0:
                     reduced = 0.0  # floating-point noise; exact value is >= 0
                 nd = d + reduced
                 if nd < dist[v]:
+                    if dist[v] == INF:
+                        reached.append(v)
                     dist[v] = nd
                     parent_edge[v] = ei
-                    heapq.heappush(heap, (nd, v))
-        if dist[sink] == INF:
-            break
-        # Capping at the sink distance keeps reduced costs nonnegative even
-        # for nodes this round did not reach.
-        d_sink = dist[sink]
-        for v in range(n_nodes):
-            if pot[v] < INF:
-                pot[v] += dist[v] if dist[v] < d_sink else d_sink
+                    heapq.heappush(heap, (nd, -v))
+        else:
+            break  # the sink is out of reach: the tasks left cannot be placed
         v = sink
-        while v != source:
+        while parent_edge[v] >= 0:
             ei = parent_edge[v]
             caps[ei] -= 1
             caps[ei ^ 1] += 1
             v = heads[ei ^ 1]
-        flow_pushed += 1
+        roots.remove(v)  # the root the path starts from is the task placed
+        # pot += min(dist, d_sink) for every node, less the constant d_sink,
+        # which no reduced cost sees. Only nodes settled before the sink are
+        # closer than d_sink, so the other nodes keep their potential.
+        d_sink = dist[sink]
+        for u in reached:
+            if dist[u] < d_sink:
+                pot[u] += dist[u] - d_sink
+            dist[u] = INF
+            parent_edge[u] = -1
 
-    arc_flows = tuple(
-        network.arcs[i].capacity - caps[arc_edge[i]] for i in range(len(network.arcs))
-    )
-    if flow_pushed < n:
+    arc_flows = tuple(a.capacity - caps[2 * i] for i, a in enumerate(arcs))
+    if roots:
         return FlowResult(False, None, None, arc_flows)
 
     chosen = [

@@ -267,6 +267,13 @@ def structural_violations(instance: Instance) -> list[str]:
     return v
 
 
+def require_usable(instance: Instance) -> None:
+    """Raise ValueError naming the structural violations, if there are any."""
+    violations = structural_violations(instance)
+    if violations:
+        raise ValueError("instance is not usable: " + "; ".join(violations))
+
+
 def validate_instance(instance: Instance) -> list[str]:
     """Check all type invariants and return human-readable violations.
 

@@ -304,6 +304,33 @@ def test_document_field_of_wrong_type_is_an_error(tmp_path, capsys, example_file
     assert "Traceback" not in err
 
 
+# One field of a generated instance broken: each breakage edits its tasks.
+BROKEN_TASKS = {
+    "exec-time-zero": lambda tasks: tasks[0]["per_cluster"][0].update(exec_time_ms=0),
+    "exec-time-negative": lambda tasks: tasks[0]["per_cluster"][0].update(exec_time_ms=-50),
+    "duplicate-task-id": lambda tasks: tasks[1].update(id=tasks[0]["id"]),
+}
+
+
+@pytest.mark.parametrize("breakage", sorted(BROKEN_TASKS))
+def test_flow_fixed_refuses_a_broken_instance(tmp_path, capsys, breakage):
+    inst_path = tmp_path / "inst.json"
+    main(["generate", "--n", "6", "--kernels", "mixed", "--seed", "1", "-o", str(inst_path)])
+    heur = tmp_path / "heur.json"
+    assert main(["solve", str(inst_path), "--method", "heur", "-o", str(heur)]) == EXIT_OK
+    lengths = ",".join(str(l) for l in ts.load_assignment(str(heur)).window_lengths_ms)
+    doc = json.loads(inst_path.read_text())
+    BROKEN_TASKS[breakage](doc["tasks"])
+    inst_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main([
+        "solve", str(inst_path), "--method", "flow-fixed", "--window-lengths", lengths,
+        "-o", str(tmp_path / "flow.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: instance is not usable: ")
+
+
 def test_output_path_that_is_a_directory_is_an_error(tmp_path, capsys):
     code = main(["generate", "--n", "5", "--kernels", "mixed", "--seed", "1", "-o", str(tmp_path)])
     assert code == 1

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 
+import networkx
 import pytest
 
 import helpers
@@ -136,6 +137,51 @@ class TestMinCostAssignment:
                 assert result.total_cost == pytest.approx(expected, abs=1e-9)
                 assert ts.check_feasible(instance, result.assignment).feasible
 
+    def test_matches_exhaustive_minimum_on_witness_lengths(self):
+        # lengths a feasibility witness achieves, so the costs get compared
+        feasible = 0
+        for seed in range(20):
+            instance = helpers.small_random_instance(seed)
+            witness = ts.solve(instance, ts.ObjectiveSpec(ts.ObjectiveKind.FEASIBILITY_ONLY))
+            if witness.assignment is None:
+                continue
+            lengths = witness.assignment.window_lengths_ms
+            result = min_cost_assignment(build_network(instance, lengths))
+            assert result.feasible
+            expected = helpers.flow_oracle_min_cost(instance, lengths)
+            assert result.total_cost == pytest.approx(expected, abs=1e-9)
+            assert ts.check_feasible(instance, result.assignment).feasible
+            feasible += 1
+        assert feasible >= 15
+
+    def test_rerouted_tasks_are_priced_by_updated_potentials(self):
+        # Three clusters of two cores; (exec time, energy cost) per cluster.
+        # A solver that keeps the starting potentials finds 54 here.
+        plat = ts.Platform(
+            clusters=tuple(
+                ts.Cluster(id=k, core_count=2, label=f"c{k}", frequency_mhz=1000)
+                for k in (1, 2, 3)
+            ),
+            idle_power_watts=0.0,
+        )
+        table = [
+            [(5, 19), (5, 10), (9, 16)], [(1, 14), (6, 0), (3, 15)],
+            [(5, 16), (5, 7), (5, 19)], [(2, 20), (6, 11), (9, 11)],
+            [(7, 19), (9, 15), (1, 3)], [(7, 2), (1, 16), (8, 0)],
+            [(10, 11), (2, 8), (7, 0)],
+        ]
+        tasks = tuple(
+            ts.Task(i + 1, f"t{i}", tuple(
+                ts.TaskCharacteristics(k + 1, e, 0.1, 0.1, energy_cost=c)
+                for k, (e, c) in enumerate(row)
+            ))
+            for i, row in enumerate(table)
+        )
+        instance = ts.Instance(plat, tasks, 10, 2)
+        result = min_cost_assignment(build_network(instance, [3, 7]))
+        assert helpers.flow_oracle_min_cost(instance, (3, 7)) == 51
+        assert result.total_cost == pytest.approx(51)
+
     def test_infeasible_iff_no_placement_exists(self):
         # exhaustive cross-check of the infeasibility verdict at n <= 6
         rng = random.Random(5)
@@ -193,3 +239,60 @@ class TestMinCostAssignment:
         elapsed = time.perf_counter() - start
         assert result.feasible
         assert elapsed < 1.0
+
+
+def networkx_min_cost(network):
+    """Minimum cost by networkx's network simplex, or None when infeasible.
+
+    Costs are whole hundredths, which the simplex gets as integers: it is
+    not guaranteed to terminate on float weights.
+    """
+    graph = networkx.DiGraph()
+    for v, balance in enumerate(network.balances):
+        graph.add_node(v, demand=-balance)
+    for a in network.arcs:
+        weight = round(a.cost * 100)
+        assert weight == pytest.approx(a.cost * 100, abs=1e-6)
+        graph.add_edge(a.tail, a.head, capacity=a.capacity, weight=weight)
+    try:
+        return networkx.network_simplex(graph)[0] / 100
+    except networkx.NetworkXUnfeasible:
+        return None
+
+
+class TestContendedAgainstNetworkx:
+    """Witness lengths leave little slack, so tasks compete for the cheaper
+    cluster and later augmenting paths move tasks placed earlier."""
+
+    @pytest.mark.parametrize("n", [20, 30, 45, 60])
+    @pytest.mark.parametrize("kappa", [1.0, 3.5])
+    def test_cost_matches_network_simplex(self, n, kappa, mixed_pool, mek_platform):
+        from thermosched.generator import GeneratorConfig, generate_instance
+
+        inst = generate_instance(
+            GeneratorConfig(kernel_pool=mixed_pool, n_tasks=n, rng_seed=n, tightness_kappa=kappa),
+            mek_platform,
+        )
+        for q in (n // 6 + 1, n // 3):
+            instance = helpers.with_windows(inst, q)
+            witness = ts.solve(instance, ts.ObjectiveSpec(ts.ObjectiveKind.FEASIBILITY_ONLY))
+            assert witness.status is ts.SearchStatus.OPTIMAL
+            net = build_network(instance, witness.assignment.window_lengths_ms)
+            result = min_cost_assignment(net)
+            assert result.feasible
+            assert result.total_cost == pytest.approx(networkx_min_cost(net), abs=1e-7)
+            assert ts.check_feasible(instance, result.assignment).feasible
+
+    def test_shortened_longest_window_is_infeasible(self, mixed_pool, mek_platform):
+        from thermosched.generator import GeneratorConfig, generate_instance
+
+        inst = generate_instance(
+            GeneratorConfig(kernel_pool=mixed_pool, n_tasks=30, rng_seed=30), mek_platform
+        )
+        instance = helpers.with_windows(inst, 10)
+        witness = ts.solve(instance, ts.ObjectiveSpec(ts.ObjectiveKind.FEASIBILITY_ONLY))
+        lengths = list(witness.assignment.window_lengths_ms)
+        lengths[lengths.index(max(lengths))] -= 1
+        net = build_network(instance, lengths)
+        assert networkx_min_cost(net) is None
+        assert not min_cost_assignment(net).feasible
