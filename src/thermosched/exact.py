@@ -167,25 +167,27 @@ def _grouped_assignment(
 
     Windows are filled by the aligned grouping described in the module
     docstring; ties between equal execution times break on ascending task
-    id for determinism.
+    id for determinism. The grouping's lengths are the assignment's tight
+    window lengths, so the placements are built only for a grouping that
+    fits.
     """
-    per_cluster: dict[int, list[tuple[int, int]]] = {
-        c.id: [] for c in instance.platform.clusters
-    }
+    clusters = instance.platform.clusters
+    per_cluster: list[list[tuple[int, int]]] = [[] for _ in clusters]
     for tid, cid in cluster_of.items():
-        e = instance.task_by_id(tid).on(cid).exec_time_ms
-        per_cluster[cid].append((-e, tid))
-    placements = []
-    lists = []
-    for c in instance.platform.clusters:
-        entries = sorted(per_cluster[c.id])
-        lists.append([neg_e for neg_e, _ in entries])
-        for rank, (_, tid) in enumerate(entries):
-            placements.append(Placement(tid, rank // c.core_count + 1, c.id))
-    lengths = _grouped_lengths(instance, lists)
+        e = instance.task_by_id(tid).per_cluster[cid - 1].exec_time_ms
+        per_cluster[cid - 1].append((-e, tid))
+    for entries in per_cluster:
+        entries.sort()
+    lengths = _grouped_lengths(instance, [[neg_e for neg_e, _ in es] for es in per_cluster])
     if lengths is None or sum(lengths) > instance.major_frame_ms:
         return None
-    return Assignment.from_placements(instance, placements)
+    placed = sorted(  # (task id, window, cluster id) by task id, as from_placements orders
+        (tid, rank // c.core_count + 1, c.id)
+        for c, entries in zip(clusters, per_cluster)
+        for rank, (_, tid) in enumerate(entries)
+    )
+    lengths += [0] * (instance.max_windows - len(lengths))
+    return Assignment(tuple(Placement(*p) for p in placed), tuple(lengths))
 
 
 def _heuristic_cluster_maps(
@@ -203,7 +205,8 @@ def _heuristic_cluster_maps(
             if t.id in fix:
                 out[t.id] = fix[t.id]
             else:
-                out[t.id] = min(clusters, key=lambda c: (score(t.on(c.id)), c.id)).id
+                # per_cluster is in cluster id order: ties go to the lower id
+                out[t.id] = min(t.per_cluster, key=score).cluster_id
         return out
 
     if kind is ObjectiveKind.IDLE_MIN:
@@ -232,7 +235,7 @@ def _heuristic_cluster_maps(
         best_cid, best_total = None, None
         for cid in candidates:
             ci = cid - 1
-            e = t.on(cid).exec_time_ms
+            e = t.per_cluster[ci].exec_time_ms
             insort(lists[ci], -e)
             lengths = _grouped_lengths(instance, lists)
             total = math.inf if lengths is None else sum(lengths)
@@ -240,7 +243,7 @@ def _heuristic_cluster_maps(
             if best_total is None or total < best_total:
                 best_cid, best_total = cid, total
         balanced[t.id] = best_cid
-        insort(lists[best_cid - 1], -t.on(best_cid).exec_time_ms)
+        insort(lists[best_cid - 1], -t.per_cluster[best_cid - 1].exec_time_ms)
     yield balanced
 
 
@@ -548,7 +551,7 @@ def _cluster_search(
     lists: list[list[int]] = [[] for _ in range(m)]  # negated times, ascending
     base = 0
     for tid, cid in fix.items():
-        e = instance.task_by_id(tid).on(cid).exec_time_ms
+        e = instance.task_by_id(tid).per_cluster[cid - 1].exec_time_ms
         insort(lists[cid - 1], -e)
         base += sign * e
     start_lengths = _grouped_lengths(instance, lists)
@@ -559,13 +562,13 @@ def _cluster_search(
     # settled here, since a seed that meets the root bound prunes every child
     # of the root.
     free = [t for t in instance.tasks if t.id not in fix]
-    root_bound = base + sum(
+    root_bound = base + (sign and sum(  # feasibility's bound is 0 without a sum
         min(sign * tc.exec_time_ms for tc in t.per_cluster) for t in free
-    )
+    ))
     best_map, seed, best = _seed_incumbent(
         instance, fix, objective,
         lambda asg: sign and sum(  # feasibility's value is 0 without a sum
-            sign * instance.task_by_id(p.task_id).on(p.cluster).exec_time_ms
+            sign * instance.task_by_id(p.task_id).per_cluster[p.cluster - 1].exec_time_ms
             for p in asg.placements
         ),
         root_bound,

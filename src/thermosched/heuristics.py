@@ -24,7 +24,15 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from .exact import ObjectiveKind, ObjectiveSpec, PartialFix, SearchStatus, solve
-from .model import Assignment, Instance, ParseError, Placement, _load_json, _write_csv
+from .model import (
+    Assignment,
+    Instance,
+    ParseError,
+    Placement,
+    _load_json,
+    _write_csv,
+    require_usable,
+)
 from .power import (
     PowerModel,
     RegressionCoefficients,
@@ -367,13 +375,15 @@ def run_ga(
     for bit, LR through the same closed form). An Assignment is built only
     when a genome improves on the best so far.
 
-    Selection is by uniform ranking: the worst elite_discard_fraction of
-    each generation is discarded and parents are drawn uniformly from the
-    survivors. Reconstruction failures rank after every finite fitness. On
-    stalling the population restarts from fresh random genomes; the best
-    assignment ever seen is returned, or a result without an assignment
-    when no genome ever reconstructed.
+    The instance must be free of structural violations (ValueError
+    otherwise). Selection is by uniform ranking: the worst
+    elite_discard_fraction of each generation is discarded and parents are
+    drawn uniformly from the survivors. Reconstruction failures rank after
+    every finite fitness. On stalling the population restarts from fresh
+    random genomes; the best assignment ever seen is returned, or a result
+    without an assignment when no genome ever reconstructed.
     """
+    require_usable(instance)
     model = PowerModel(model)
     if model is PowerModel.LR_UB:
         raise ValueError("the genetic search uses the SM or LR model")

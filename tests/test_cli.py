@@ -331,6 +331,23 @@ def test_flow_fixed_refuses_a_broken_instance(tmp_path, capsys, breakage):
     assert capsys.readouterr().err.startswith("error: instance is not usable: ")
 
 
+@pytest.mark.parametrize("method", ["bb-sm", "bb-lr"])
+@pytest.mark.parametrize("breakage", sorted(BROKEN_TASKS))
+def test_ga_refuses_a_broken_instance(tmp_path, capsys, method, breakage):
+    inst_path = tmp_path / "inst.json"
+    main(["generate", "--n", "6", "--kernels", "mixed", "--seed", "1", "-o", str(inst_path)])
+    doc = json.loads(inst_path.read_text())
+    BROKEN_TASKS[breakage](doc["tasks"])
+    inst_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main([
+        "solve", str(inst_path), "--method", method, "--coefficients", "imx8-mek",
+        "--time-limit", "1000", "-o", str(tmp_path / "ga.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: instance is not usable: ")
+
+
 def test_output_path_that_is_a_directory_is_an_error(tmp_path, capsys):
     code = main(["generate", "--n", "5", "--kernels", "mixed", "--seed", "1", "-o", str(tmp_path)])
     assert code == 1

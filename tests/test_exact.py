@@ -52,6 +52,20 @@ class TestSolveBasics:
         assert ts.check_feasible(instance, result.assignment).feasible
         assert result.objective_value == 0.0
 
+    def test_seed_ties_go_to_the_lower_cluster_id(self):
+        # Equal times on both clusters: the first seed map puts every task
+        # on cluster 1, where all three fit, so the witness does too.
+        tasks = tuple(
+            ts.Task(i, f"t{i}", (
+                ts.TaskCharacteristics(1, 50, 0.2, 0.3),
+                ts.TaskCharacteristics(2, 50, 0.2, 0.3),
+            ))
+            for i in (1, 2, 3)
+        )
+        instance = ts.Instance(helpers.MEK, tasks, 1000, 2)
+        result = ts.solve(instance, ObjectiveSpec(ObjectiveKind.FEASIBILITY_ONLY))
+        assert [p.cluster for p in result.assignment.placements] == [1, 1, 1]
+
     def test_idle_min_picks_longest_feasible_times(self):
         instance = single_core_pair_instance()
         result = ts.solve(instance, spec(ObjectiveKind.IDLE_MIN))
@@ -349,6 +363,20 @@ class TestPartialFix:
         )
         if result.status is SearchStatus.OPTIMAL:
             assert all(p.cluster == 1 for p in result.assignment.placements)
+
+    def test_full_fix_returns_the_aligned_grouping(self):
+        # The assignment is built straight from the grouping's lengths; it
+        # must equal the independent rebuild, tight window lengths included.
+        rng = random.Random(31)
+        feas = ObjectiveSpec(ObjectiveKind.FEASIBILITY_ONLY)
+        fits = set()
+        for seed in range(40):
+            instance = helpers.small_random_instance(seed, n_hi=16, q_max=6)
+            full = helpers.random_cluster_map(instance, rng)
+            expected = helpers.grouped_assignment(instance, full)
+            assert ts.solve(instance, feas, PartialFix.of(full)).assignment == expected, seed
+            fits.add(expected is not None)
+        assert fits == {True, False}
 
     def test_feasibility_monotone_under_subsets(self):
         rng = random.Random(17)
