@@ -114,11 +114,10 @@ def build_network(
         admissible = 0
         for c in clusters:
             tc = t.on(c.id)
+            exec_ms, cost = tc.exec_time_ms, tc.effective_energy_cost
             for j in range(1, n_windows + 1):
-                if tc.exec_time_ms <= lengths[j - 1]:
-                    arcs.append(
-                        FlowArc(ti, wc_index[(j, c.id)], 1, tc.effective_energy_cost)
-                    )
+                if exec_ms <= lengths[j - 1]:
+                    arcs.append(FlowArc(ti, wc_index[(j, c.id)], 1, cost))
                     placements.append((t.id, j, c.id))
                     admissible += 1
         if admissible == 0:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -136,6 +137,11 @@ class Instance:
             return self._task_map[task_id]
         except KeyError:
             raise KeyError(f"no task with id {task_id}") from None
+
+    @functools.cached_property
+    def _structural_violations(self) -> tuple[str, ...]:
+        # computed on first use and kept, like _task_map: the instance is immutable
+        return tuple(structural_violations(self))
 
 
 @dataclass(frozen=True)
@@ -269,7 +275,7 @@ def structural_violations(instance: Instance) -> list[str]:
 
 def require_usable(instance: Instance) -> None:
     """Raise ValueError naming the structural violations, if there are any."""
-    violations = structural_violations(instance)
+    violations = instance._structural_violations
     if violations:
         raise ValueError("instance is not usable: " + "; ".join(violations))
 
@@ -444,20 +450,20 @@ def total_idle_time(instance: Instance, assignment: Assignment) -> int:
 # grow without breaking older files.
 
 
-def _require(obj: dict, key: str, where: str):
+def _require(obj: dict, key: str, where: str, *where_args):
+    """obj[key]; a ParseError naming the location where % where_args if it is missing."""
     if key not in obj:
-        raise ParseError(f"{where}: missing field '{key}'")
+        raise ParseError(f"{where % where_args}: missing field '{key}'")
     return obj[key]
 
 
 def _platform_from_dict(doc: dict) -> Platform:
     clusters = []
     for pos, cd in enumerate(_require(doc, "clusters", "platform")):
-        where = f"platform.clusters[{pos}]"
         clusters.append(
             Cluster(
-                id=int(_require(cd, "id", where)),
-                core_count=int(_require(cd, "core_count", where)),
+                id=int(_require(cd, "id", "platform.clusters[%d]", pos)),
+                core_count=int(_require(cd, "core_count", "platform.clusters[%d]", pos)),
                 label=str(cd.get("label", "")),
                 frequency_mhz=int(cd.get("frequency_mhz", 1)),
             )
@@ -480,24 +486,28 @@ def instance_from_dict(doc: dict) -> Instance:
     platform = _platform_from_dict(_require(doc, "platform", "instance"))
     tasks = []
     for pos, td in enumerate(_require(doc, "tasks", "instance")):
-        where = f"tasks[{pos}]"
         entries = []
-        for cpos, cd in enumerate(_require(td, "per_cluster", where)):
-            cwhere = f"{where}.per_cluster[{cpos}]"
+        for cpos, cd in enumerate(_require(td, "per_cluster", "tasks[%d]", pos)):
+            # .get first, so an entry that is not an object fails with AttributeError
             energy = cd.get("energy_cost")
-            entries.append(
-                TaskCharacteristics(
-                    cluster_id=int(_require(cd, "cluster_id", cwhere)),
-                    exec_time_ms=int(_require(cd, "exec_time_ms", cwhere)),
-                    activity_coef=float(_require(cd, "activity_coef", cwhere)),
-                    offset_coef=float(_require(cd, "offset_coef", cwhere)),
-                    energy_cost=float(energy) if energy is not None else None,
+            try:
+                entries.append(
+                    TaskCharacteristics(
+                        int(cd["cluster_id"]),
+                        int(cd["exec_time_ms"]),
+                        float(cd["activity_coef"]),
+                        float(cd["offset_coef"]),
+                        float(energy) if energy is not None else None,
+                    )
                 )
-            )
+            except KeyError as exc:
+                raise ParseError(
+                    f"tasks[{pos}].per_cluster[{cpos}]: missing field '{exc.args[0]}'"
+                ) from None
         entries.sort(key=lambda tc: tc.cluster_id)
         tasks.append(
             Task(
-                id=int(_require(td, "id", where)),
+                id=int(_require(td, "id", "tasks[%d]", pos)),
                 name=str(td.get("name", "")),
                 per_cluster=tuple(entries),
             )
@@ -584,11 +594,72 @@ def _load_json(
         raise ParseError(f"{what} document has a field of the wrong type: {exc}") from exc
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# None, bools, int and float subclasses, NaN and the infinities, and a
+# TypeError for any value json cannot serialize
+_encode_scalar = json.JSONEncoder().encode
+_INF = float("inf")
+
+
+def _json_key(key) -> str:
+    """A dict key that is not a str, as json's encoder converts it before quoting it."""
+    if isinstance(key, (int, float)) or key is None:
+        return _encode_scalar(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _append_json(value, newline: str, parts: list[str]) -> None:
+    """Append value's JSON text; newline is a line break plus value's own indent."""
+    kind = type(value)
+    if kind is str:
+        parts.append(_encode_str(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is float and -_INF < value < _INF:
+        parts.append(float.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            text = key if isinstance(key, str) else _json_key(key)
+            parts.append(sep + _encode_str(text) + ": ")
+            sep = "," + inner
+            _append_json(item, inner, parts)
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            sep = "," + inner
+            _append_json(item, inner, parts)
+        parts.append(newline + "]")
+    else:
+        parts.append(_encode_scalar(value))
+
+
 def _write_json(doc: dict, path_or_file: Union[str, IO[str]]) -> None:
-    """Write a document as indented JSON with sorted keys and a final newline."""
+    """Write a document as indented JSON with sorted keys and a final newline.
+
+    The text is json.dumps(doc, indent=2, sort_keys=True) plus "\n", byte for
+    byte. json.dump is not used because json's C encoder does not indent, so
+    with indent=2 every token goes through its pure-Python encoder and its
+    own write call. Here scalars go through json's own functions and the
+    document is joined into one string before the file is opened, so a
+    value json cannot serialize raises TypeError and leaves the file as it was.
+    """
+    parts: list[str] = []
+    _append_json(doc, "\n", parts)
+    parts.append("\n")
+    text = "".join(parts)
     with _opened(path_or_file, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)
 
 
 def _read_csv(
@@ -641,14 +712,14 @@ def save_instance(instance: Instance, path_or_file: Union[str, IO[str]]) -> None
 def assignment_from_dict(doc: dict) -> Assignment:
     placements = []
     for pos, pd in enumerate(_require(doc, "placements", "assignment")):
-        where = f"placements[{pos}]"
-        placements.append(
-            Placement(
-                task_id=int(_require(pd, "task_id", where)),
-                window=int(_require(pd, "window", where)),
-                cluster=int(_require(pd, "cluster", where)),
+        # through _require, so a list or string entry reads as a missing field
+        task_id = int(_require(pd, "task_id", "placements[%d]", pos))
+        try:
+            placements.append(
+                Placement(task_id, int(pd["window"]), int(pd["cluster"]))
             )
-        )
+        except KeyError as exc:
+            raise ParseError(f"placements[{pos}]: missing field '{exc.args[0]}'") from None
     lengths = tuple(int(x) for x in _require(doc, "window_lengths_ms", "assignment"))
     placements.sort(key=lambda p: p.task_id)
     return Assignment(placements=tuple(placements), window_lengths_ms=lengths)

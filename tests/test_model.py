@@ -1,11 +1,16 @@
 import io
 import json
+import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import thermosched as ts
+import thermosched.cli as cli
 
 
 def make_instance(max_windows=3, frame=600):
@@ -233,11 +238,38 @@ class TestInstanceIO:
         ts.save_instance(instance, str(path))
         assert ts.load_instance(str(path)) == instance
 
-    def test_missing_field_named(self):
-        doc = ts.model.instance_to_dict(helpers.worked_example())
-        del doc["major_frame_ms"]
-        with pytest.raises(ts.ParseError, match="major_frame_ms"):
-            ts.model.instance_from_dict(doc)
+    @pytest.mark.parametrize(
+        "kind, breakage, message",
+        [
+            ("instance", lambda d: d.pop("major_frame_ms"),
+             "instance: missing field 'major_frame_ms'"),
+            ("instance", lambda d: d["tasks"][1]["per_cluster"][0].pop("exec_time_ms"),
+             "tasks[1].per_cluster[0]: missing field 'exec_time_ms'"),
+            ("assignment", lambda d: d["placements"][2].pop("window"),
+             "placements[2]: missing field 'window'"),
+            ("instance", lambda d: d["tasks"][1]["per_cluster"].__setitem__(0, [1, 450]),
+             "instance document has a field of the wrong type: "
+             "'list' object has no attribute 'get'"),
+            ("instance", lambda d: d["tasks"][1]["per_cluster"].__setitem__(0, "cluster_id"),
+             "instance document has a field of the wrong type: "
+             "'str' object has no attribute 'get'"),
+            ("instance", lambda d: d["tasks"][1]["per_cluster"].__setitem__(0, 3),
+             "instance document has a field of the wrong type: "
+             "'int' object has no attribute 'get'"),
+        ],
+        ids=["major_frame_ms", "per_cluster-field", "placement-field",
+             "per_cluster-list", "per_cluster-string", "per_cluster-number"],
+    )
+    def test_missing_field_named(self, kind, breakage, message):
+        instance = helpers.worked_example()
+        if kind == "instance":
+            doc, load = ts.model.instance_to_dict(instance), ts.load_instance
+        else:
+            asg = helpers.worked_example_assignment(instance)
+            doc, load = ts.model.assignment_to_dict(asg), ts.load_assignment
+        breakage(doc)
+        with pytest.raises(ts.ParseError, match=f"^{re.escape(message)}$"):
+            load(io.StringIO(json.dumps(doc)))
 
     def test_unknown_fields_ignored(self):
         doc = ts.model.instance_to_dict(helpers.worked_example())
@@ -265,6 +297,98 @@ class TestInstanceIO:
         ts.save_instance(instance, buf)
         buf.seek(0)
         assert ts.load_instance(buf) == instance
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not JSON"
+
+
+def stdlib_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def written_text(doc) -> str:
+    buf = io.StringIO()
+    ts.model._write_json(doc, buf)
+    return buf.getvalue()
+
+
+JSON_TEXT = st.text() | st.sampled_from(['', '"', "\\", "\x00\x1f\n\t\x7f", "é", "\u2028", "😀"])
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.integers().map(_Int)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf])
+    | st.floats().map(_Float)
+    | JSON_TEXT
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(JSON_TEXT, children, max_size=4)
+        | st.dictionaries(st.integers() | st.floats() | st.booleans(), children, max_size=3)
+    ),
+    max_leaves=25,
+)
+
+
+class TestWriteJson:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_DOCS)
+    def test_matches_the_stdlib(self, doc):
+        assert written_text(doc) == stdlib_text(doc)
+
+    def test_empty_and_nested_containers(self):
+        doc = {"a": {}, "b": [], "c": (), "d": [{}, [[]], {"e": ({"f": None},)}]}
+        assert written_text(doc) == stdlib_text(doc)
+
+    def test_every_document_kind_matches_the_stdlib(self, tmp_path, monkeypatch, capsys):
+        written = []
+        real = ts.model._write_json
+
+        def spy(doc, path_or_file):
+            real(doc, path_or_file)
+            written.append((doc, path_or_file))
+
+        for module in (ts.model, cli, ts.power):
+            monkeypatch.setattr(module, "_write_json", spy)
+        inst, heur = str(tmp_path / "inst.json"), str(tmp_path / "heur.json")
+        report, coeff = str(tmp_path / "report.json"), str(tmp_path / "coeff.json")
+        assert cli.main(["generate", "--n", "6", "--kernels", "mixed", "--seed", "1", "-o", inst]) == 0
+        assert cli.main(["solve", inst, "--method", "heur", "-o", heur]) == 0
+        evaluate = ["evaluate", inst, heur, "--model", "lr", "--coefficients", "imx8-mek"]
+        assert cli.main(evaluate + ["-o", report]) == 0
+        ts.save_coefficients(ts.builtin_coefficients("imx8-mek"), coeff)
+        capsys.readouterr()
+        assert cli.main(evaluate) == 0  # the report goes to standard output
+        stdout_report, _ = written.pop()
+        assert capsys.readouterr().out == stdlib_text(stdout_report)
+        paths = [path for _, path in written]
+        assert sorted(paths) == sorted([
+            inst, str(tmp_path / "inst.manifest.json"),
+            heur, str(tmp_path / "heur.result.json"), str(tmp_path / "heur.manifest.json"),
+            report, str(tmp_path / "report.manifest.json"), coeff,
+        ])
+        for doc, path in written:
+            with open(path, encoding="utf-8") as f:
+                assert f.read() == stdlib_text(doc), path
+
+    def test_unserializable_value_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"kept": true}\n')
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            ts.model._write_json({"a": 1, "b": object()}, str(path))
+        assert path.read_text() == '{"kept": true}\n'
 
 
 class TestCharacteristicsCsv:

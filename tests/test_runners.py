@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import helpers
+import thermosched.model as model
 import thermosched.runners as runners
 from thermosched.heuristics import GaConfig, greedy
 from thermosched.model import check_feasible
@@ -32,6 +33,20 @@ class TestRunMethod:
         instance = helpers.small_random_instance(0)
         with pytest.raises(ValueError, match="unknown method"):
             run_method("simplex", instance)
+
+    def test_heur_checks_each_instance_once(self, monkeypatch):
+        instance = helpers.small_random_instance(3, n=12)
+        checked = []
+        real = model.structural_violations
+
+        def spy(inst):
+            checked.append(inst)
+            return real(inst)
+
+        monkeypatch.setattr(model, "structural_violations", spy)
+        outcome = run_method("heur", instance)
+        assert outcome.assignment is not None
+        assert len(checked) == 1 and checked[0] is instance
 
     def test_exact_outcome_shape(self):
         instance = helpers.small_random_instance(1)
