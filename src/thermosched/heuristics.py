@@ -8,6 +8,10 @@ windows, bumping tasks whose preferred slot is full to the next window);
 genomes that cannot be repaired are discarded by ranking them worst.
 Populations are scored as a whole from per-(task, cluster) tables built
 once per run; decode and reconstruct share that decode and repair code.
+Each distinct genome is scored once across two consecutive generations,
+and a genome whose preferred slots all have free cores skips the repair
+sweeps. Children are built in array passes from the same random draws, in
+the same order, as a child-by-child crossover and mutation loop.
 
 The greedy heuristic fixes one task at a time, most energy-hungry first, to
 the cheapest cluster that still leaves the rest of the instance completable,
@@ -61,12 +65,13 @@ class GaConfig:
     each gene with probability 1/n and perturbs it by a signed sum of
     inverse powers of two scaled by bga_mutation_range (each of
     bga_precision_bits terms participating with probability 1/bits).
-    A restart with a fresh random population happens after
-    stall_generations generations without improvement. max_generations
-    bounds the total generation count across restarts; runs limited only by
-    wall-clock time are seed-deterministic in their evolution but may be cut
-    at different generations, so reproducibility tests should set
-    max_generations.
+    crossover_rate, mutation_rate and elite_discard_fraction lie in [0, 1]
+    and bga_precision_bits in 1..53; run_ga raises ValueError otherwise. A
+    restart with a fresh random population happens after stall_generations
+    generations without improvement. max_generations bounds the total
+    generation count across restarts; runs limited only by wall-clock time
+    are seed-deterministic in their evolution but may be cut at different
+    generations, so reproducibility tests should set max_generations.
     """
 
     crossover_rate: float = 0.8
@@ -261,11 +266,16 @@ class _PopulationFitness:
     """SM or LR fitness of whole GA populations for one instance.
 
     Per-(task, cluster) execution times, characteristics and LR energies
-    are looked up once per run. A genome is decoded with the rest of its
-    population, repaired by _repair and scored without building an
-    Assignment: SM through the window accumulation schedule_power uses, LR
-    through its per-task closed form. Genomes that do not repair, or whose
-    windows overflow the major frame, score inf.
+    are looked up once per run. Each distinct genome is scored once: a
+    call looks rows up by their bytes among the genomes of this call and of
+    the previous one, and keeps only those two generations. The new rows
+    are decoded together. A row where no (window, cluster) slot holds more
+    tasks than the cluster has cores places every task in its preferred
+    window, so only the other rows go through _repair. Window lengths and
+    the frame check are array passes; SM is scored through the window
+    accumulation schedule_power uses, LR through its per-task closed form
+    summed in task-id order. Genomes that do not repair, or whose windows
+    overflow the major frame, score inf.
     """
 
     def __init__(
@@ -282,50 +292,74 @@ class _PopulationFitness:
         self.cores = [c.core_count for c in clusters]
         self.task_ids = [t.id for t in instance.tasks]
         # schedule_power visits placements, hence windows, in task-id order
-        self.by_id = sorted(range(len(self.task_ids)), key=self.task_ids.__getitem__)
-        self.chars = [[t.on(c.id) for c in clusters] for t in instance.tasks]
-        self.exec_ms = [[tc.exec_time_ms for tc in row] for row in self.chars]
-        self.lr = None
+        self.by_id = np.argsort(self.task_ids, kind="stable")
+        chars = [[t.on(c.id) for c in clusters] for t in instance.tasks]
+        self.chars_by_id = [chars[i] for i in self.by_id]
+        self.exec_ms = np.array([[tc.exec_time_ms for tc in row] for row in chars])
+        self.lr_by_id = None
         if model is PowerModel.LR:
-            self.lr = [
+            self.lr_by_id = np.array([
                 [_lr_energy(tc, coefficients.beta(c.id)) for tc, c in zip(row, clusters)]
-                for row in self.chars
-            ]
+                for row in self.chars_by_id
+            ])
+        self._previous: dict[bytes, float] = {}
 
     def __call__(self, population: np.ndarray) -> np.ndarray:
-        ci, _, window, order = _decode_population(population, self.m, self.q, self.task_ids)
-        fitness = np.full(len(population), math.inf)
-        for r, (cluster, wins, row_order) in enumerate(
-            zip(ci.tolist(), window.tolist(), order.tolist())
-        ):
-            placed = _repair(row_order, cluster, wins, self.task_ids, self.cores, self.q)
-            if placed is not None:
-                fitness[r] = self._score(placed, cluster)
-        return fitness
+        keys = [row.tobytes() for row in population]
+        previous = self._previous
+        current: dict[bytes, float | None] = {}
+        new_rows = []
+        for r, key in enumerate(keys):
+            if key not in current:
+                current[key] = value = previous.get(key)
+                if value is None:
+                    new_rows.append(r)
+        if new_rows:
+            scores = self._score(population[new_rows])
+            for r, value in zip(new_rows, scores.tolist()):
+                current[keys[r]] = value
+        self._previous = current
+        return np.array([current[key] for key in keys])
 
-    def _score(self, placed: list[int], cluster: list[int]) -> float:
-        lengths = [0] * self.q
-        for i, (j, c) in enumerate(zip(placed, cluster)):
-            e = self.exec_ms[i][c]
-            if e > lengths[j - 1]:
-                lengths[j - 1] = e
-        if sum(lengths) > self.h:
-            return math.inf
-        if self.lr is not None:
-            activity = 0.0
-            offset = 0.0
-            for i in self.by_id:
-                a, b = self.lr[i][cluster[i]]
-                activity += a
-                offset += b
-            return self.idle + activity / self.h + offset / self.h
-        by_window: dict[int, list] = {}
-        for i in self.by_id:
-            by_window.setdefault(placed[i], []).append(self.chars[i][cluster[i]])
-        activity, offset = _window_accumulate(
-            ((lengths[j - 1], tcs) for j, tcs in by_window.items()), self.h
-        )
-        return self.idle + activity + offset
+    def _score(self, population: np.ndarray) -> np.ndarray:
+        m, q = self.m, self.q
+        ci, _, window, order = _decode_population(population, m, q, self.task_ids)
+        rows = np.arange(len(population))[:, None]
+        load = np.bincount((ci + (rows * q + window - 1) * m).ravel(), minlength=rows.size * q * m)
+        placed = window  # rows that _repair changes are overwritten below
+        repaired = np.ones(rows.size, dtype=bool)
+        for r in np.flatnonzero((load.reshape(-1, q, m) > self.cores).any(axis=(1, 2))).tolist():
+            row = _repair(
+                order[r].tolist(), ci[r].tolist(), window[r].tolist(),
+                self.task_ids, self.cores, q,
+            )
+            if row is None:
+                repaired[r] = False
+            else:
+                placed[r] = row
+        execs = self.exec_ms[np.arange(ci.shape[1]), ci]
+        lengths = np.zeros((rows.size, q), dtype=execs.dtype)
+        np.maximum.at(lengths, (rows, placed - 1), execs)
+        fits = repaired & (lengths.sum(axis=1) <= self.h)
+        ci = ci[fits][:, self.by_id]
+        fitness = np.full(rows.size, math.inf)
+        if self.lr_by_id is not None:
+            # accumulate adds along each row in order, as a running sum would
+            energy = self.lr_by_id[np.arange(ci.shape[1]), ci]
+            activity, offset = np.add.accumulate(energy, axis=1)[:, -1].T
+            fitness[fits] = self.idle + activity / self.h + offset / self.h
+            return fitness
+        for r, wins, cl, lens in zip(
+            np.flatnonzero(fits).tolist(),
+            placed[fits][:, self.by_id].tolist(),
+            ci.tolist(),
+            lengths[fits].tolist(),
+        ):
+            activity, offset = _window_accumulate(
+                wins, list(map(list.__getitem__, self.chars_by_id, cl)), lens, self.h
+            )
+            fitness[r] = self.idle + activity + offset
+        return fitness
 
 
 def write_fitness_trace_csv(
@@ -338,26 +372,55 @@ def write_fitness_trace_csv(
     )
 
 
-def _two_point_crossover(rng: np.random.Generator, p1: np.ndarray, p2: np.ndarray):
-    n = len(p1)
-    a, b = sorted(rng.integers(0, n + 1, size=2))
-    child = p1.copy()
-    child[a:b] = p2[a:b]
-    return child
+def _build_children(
+    rng: np.random.Generator,
+    parents_a: np.ndarray,
+    parents_b: np.ndarray,
+    config: GaConfig,
+) -> np.ndarray:
+    """Two-point crossover, then BGA mutation, of each row's parent pair.
 
-
-def _bga_mutate(
-    rng: np.random.Generator, vec: np.ndarray, mut_range: float, bits: int
-) -> None:
-    n = len(vec)
-    powers = 2.0 ** -np.arange(bits)
-    picked = np.flatnonzero(rng.random(n) < 1.0 / n)
-    for idx in picked:
-        alpha = rng.random(bits) < 1.0 / bits
-        delta = mut_range * float(powers[alpha].sum())
-        if rng.random() < 0.5:
-            delta = -delta
-        vec[idx] = min(max(vec[idx] + delta, 0.0), _GENE_MAX)
+    The draws per child, in order: rng.random() against crossover_rate and,
+    if it crosses, the two cut points; rng.random() against mutation_rate
+    and, if it mutates, one draw per gene to pick genes with probability
+    1/n and, per picked gene, bga_precision_bits draws for its terms and
+    one for its sign. No draw depends on a gene value, so all draws come
+    first and the children are then built in array passes: the child takes
+    parent b's genes between the cut points and parent a's elsewhere, and
+    each picked gene gets its delta added and is clipped to [0, 1). A delta
+    is a sum of distinct powers 2**-k with k < bits <= 53, exact in any
+    summation order.
+    """
+    size, n = parents_a.shape
+    bits = config.bga_precision_bits
+    random, integers = rng.random, rng.integers
+    cuts = [(0, 0)] * size
+    rows: list[int] = []
+    genes: list[np.ndarray] = []
+    draws: list[np.ndarray] = []
+    for i in range(size):
+        if random() < config.crossover_rate:
+            # two scalar calls draw what integers(0, n + 1, size=2) draws, faster
+            a, b = integers(0, n + 1), integers(0, n + 1)
+            cuts[i] = (a, b) if a <= b else (b, a)
+        if random() < config.mutation_rate:
+            picked = np.flatnonzero(random(n) < 1.0 / n)
+            if picked.size:
+                rows += [i] * picked.size
+                genes.append(picked)
+                draws.append(random(picked.size * (bits + 1)))
+    lo, hi = np.array(cuts).T
+    span = np.arange(n)
+    children = np.where(
+        (lo[:, None] <= span) & (span < hi[:, None]), parents_b, parents_a
+    )
+    if rows:
+        cols = np.concatenate(genes)
+        u = np.concatenate(draws).reshape(-1, bits + 1)
+        delta = config.bga_mutation_range * ((u[:, :bits] < 1.0 / bits) @ 2.0 ** -np.arange(bits))
+        delta = np.where(u[:, bits] < 0.5, -delta, delta)
+        children[rows, cols] = np.clip(children[rows, cols] + delta, 0.0, _GENE_MAX)
+    return children
 
 
 def run_ga(
@@ -368,12 +431,16 @@ def run_ga(
 ) -> GaResult:
     """Evolve allocations against the SM or LR power model.
 
-    Each generation is scored as a whole: the population is decoded in one
-    array pass, every genome is repaired as reconstruct would repair it,
-    and its power is computed from per-(task, cluster) tables built once
+    Each generation is scored as a whole by _PopulationFitness: a genome
+    already scored in this or the previous generation reuses its value,
+    the others are decoded in one array pass, only genomes with an
+    overfull preferred slot go through the repair sweeps of reconstruct,
+    and the power is computed from per-(task, cluster) tables built once
     per run, equal to schedule_power of the repaired assignment (SM bit
     for bit, LR through the same closed form). An Assignment is built only
-    when a genome improves on the best so far.
+    when a genome improves on the best so far. Children come from
+    _build_children, which draws from the generator exactly as a
+    child-by-child loop would, so a seed gives the same evolution.
 
     The instance must be free of structural violations (ValueError
     otherwise). Selection is by uniform ranking: the worst
@@ -395,6 +462,10 @@ def run_ga(
         raise ValueError("set time_limit_ms or max_generations (or both)")
     if not 0.0 <= config.crossover_rate <= 1.0 or not 0.0 <= config.mutation_rate <= 1.0:
         raise ValueError("rates must lie in [0, 1]")
+    if not 0.0 <= config.elite_discard_fraction <= 1.0:
+        raise ValueError("elite_discard_fraction must lie in [0, 1]")
+    if not 1 <= config.bga_precision_bits <= 53:
+        raise ValueError("bga_precision_bits must lie in 1..53")
 
     n = len(instance.tasks)
     pop_size = config.population_size if config.population_size is not None else 50 * n
@@ -450,18 +521,7 @@ def run_ga(
             survivors = population[order[:keep]]
             parents_a = survivors[rng.integers(0, keep, size=pop_size)]
             parents_b = survivors[rng.integers(0, keep, size=pop_size)]
-            children = np.empty_like(population)
-            for i in range(pop_size):
-                if rng.random() < config.crossover_rate:
-                    children[i] = _two_point_crossover(rng, parents_a[i], parents_b[i])
-                else:
-                    children[i] = parents_a[i]
-                if rng.random() < config.mutation_rate:
-                    _bga_mutate(
-                        rng, children[i], config.bga_mutation_range,
-                        config.bga_precision_bits,
-                    )
-            population = children
+            population = _build_children(rng, parents_a, parents_b, config)
         restart += 1
 
     elapsed = (time.perf_counter() - t_start) * 1000.0

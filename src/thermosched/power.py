@@ -119,36 +119,42 @@ class PowerEstimate:
 
 
 def _window_accumulate(
-    windows: Iterable[tuple[int, Sequence[TaskCharacteristics]]],
+    windows: Sequence[int],
+    tasks: Sequence[TaskCharacteristics],
+    lengths: Sequence[int],
     h: int,
     coefficients: RegressionCoefficients | None = None,
 ) -> tuple[float, float]:
-    """Frame-weighted (activity, offset) above idle over (length, tasks) windows.
+    """Frame-weighted (activity, offset) above idle in one pass over the tasks.
 
-    SM without coefficients, LR-UB with them. Nothing is checked: windows
-    must be non-empty and valid. They are summed in the order given; both
-    schedule_power and the genetic search order them by first appearance
-    in task-id order, so their SM values agree bit for bit.
+    windows[i] is the 1-based window of the task whose characteristics on
+    its cluster are tasks[i], and lengths[j - 1] is the length of window j.
+    SM without coefficients, LR-UB with them. Nothing is checked: lengths
+    must be positive and valid. Each window sums its tasks' terms in the
+    order given, and the windows are then summed in order of first
+    appearance; schedule_power and the genetic search both pass tasks in
+    task-id order, so their SM values agree bit for bit.
     """
+    q = len(lengths)
+    act = [0.0] * (q + 1)
+    if coefficients is None:
+        off = [-math.inf] * (q + 1)
+        for j, tc in zip(windows, tasks):
+            act[j] += tc.activity_coef * (tc.exec_time_ms / lengths[j - 1])
+            if tc.offset_coef > off[j]:
+                off[j] = tc.offset_coef
+    else:
+        off = [0.0] * (q + 1)
+        for j, tc in zip(windows, tasks):
+            beta = coefficients.beta(tc.cluster_id)
+            act[j] += tc.activity_coef * beta[0]
+            off[j] += tc.offset_coef * beta[1]
     activity = 0.0
     offset = 0.0
-    for length, window_tasks in windows:
-        a = 0.0
-        if coefficients is None:
-            b = -math.inf
-            for tc in window_tasks:
-                a += tc.activity_coef * (tc.exec_time_ms / length)
-                if tc.offset_coef > b:
-                    b = tc.offset_coef
-        else:
-            b = 0.0
-            for tc in window_tasks:
-                beta = coefficients.beta(tc.cluster_id)
-                a += tc.activity_coef * beta[0]
-                b += tc.offset_coef * beta[1]
-        w = length / h
-        activity += w * a
-        offset += w * b
+    for j in dict.fromkeys(windows):
+        w = lengths[j - 1] / h
+        activity += w * act[j]
+        offset += w * off[j]
     return activity, offset
 
 
@@ -173,7 +179,8 @@ def _window_power(
             f"task of {longest} ms"
         )
     activity, offset = _window_accumulate(
-        [(window_length_ms, window_tasks)], window_length_ms, coefficients
+        [1] * len(window_tasks), window_tasks, (window_length_ms,), window_length_ms,
+        coefficients,
     )
     return PowerEstimate.compose(platform.idle_power_watts, activity, offset)
 
@@ -315,12 +322,11 @@ def schedule_power(
             offset += b
         return PowerEstimate.compose(idle, activity / h, offset / h)
 
-    by_window: dict[int, list[TaskCharacteristics]] = {}
-    for p in assignment.placements:
-        tc = instance.task_by_id(p.task_id).on(p.cluster)
-        by_window.setdefault(p.window, []).append(tc)
+    placements = assignment.placements
     activity, offset = _window_accumulate(
-        ((assignment.window_lengths_ms[j - 1], tcs) for j, tcs in by_window.items()),
+        [p.window for p in placements],
+        [instance.task_by_id(p.task_id).on(p.cluster) for p in placements],
+        assignment.window_lengths_ms,
         h,
         coefficients if model is PowerModel.LR_UB else None,
     )

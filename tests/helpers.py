@@ -7,6 +7,8 @@ import math
 import random
 from functools import lru_cache
 
+import numpy as np
+
 import thermosched as ts
 from thermosched.generator import GeneratorConfig, generate_instance
 from thermosched.presets import builtin_coefficients, builtin_kernel_pool, builtin_platform
@@ -182,6 +184,44 @@ def reference_reconstruct(genome, instance: ts.Instance) -> ts.Assignment | None
     if assignment.total_window_length_ms > instance.major_frame_ms:
         return None
     return assignment
+
+
+def _two_point_crossover(rng, p1, p2):
+    n = len(p1)
+    a, b = sorted(rng.integers(0, n + 1, size=2))
+    child = p1.copy()
+    child[a:b] = p2[a:b]
+    return child
+
+
+def _bga_mutate(rng, vec, mut_range, bits):
+    n = len(vec)
+    powers = 2.0 ** -np.arange(bits)
+    picked = np.flatnonzero(rng.random(n) < 1.0 / n)
+    for idx in picked:
+        alpha = rng.random(bits) < 1.0 / bits
+        delta = mut_range * float(powers[alpha].sum())
+        if rng.random() < 0.5:
+            delta = -delta
+        vec[idx] = min(max(vec[idx] + delta, 0.0), 1.0 - 1e-12)
+
+
+def reference_children(rng, parents_a, parents_b, config: ts.GaConfig):
+    """The GA's children built one at a time: two-point crossover, then BGA mutation.
+
+    Each child draws, in order, its crossover coin and cut points, then its
+    mutation coin, gene picks and per-gene term picks and sign; this is the
+    random stream the GA's array builder must reproduce.
+    """
+    children = np.empty_like(parents_a)
+    for i in range(len(parents_a)):
+        if rng.random() < config.crossover_rate:
+            children[i] = _two_point_crossover(rng, parents_a[i], parents_b[i])
+        else:
+            children[i] = parents_a[i]
+        if rng.random() < config.mutation_rate:
+            _bga_mutate(rng, children[i], config.bga_mutation_range, config.bga_precision_bits)
+    return children
 
 
 def lr_interval_oracle(

@@ -219,6 +219,31 @@ class TestSolve:
         assert err.startswith("error: GA config: ") and "Traceback" not in err
         assert not (tmp_path / "x.result.json").exists()
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ('{"elite_discard_fraction": -0.5}', "elite_discard_fraction must lie in [0, 1]"),
+            ('{"bga_precision_bits": 0, "mutation_rate": 1.0}', "bga_precision_bits must lie in 1..53"),
+        ],
+        ids=["negative-discard-fraction", "zero-precision-bits"],
+    )
+    def test_ga_config_field_out_of_range_is_an_error(self, tmp_path, capsys, document, message):
+        inst_path = tmp_path / "inst.json"
+        main([
+            "generate", "--n", "10", "--kappa", "1.0", "--kernels", "mixed", "--seed", "3",
+            "-o", str(inst_path),
+        ])
+        config_path = tmp_path / "ga.json"
+        config_path.write_text(document)
+        code = main([
+            "solve", str(inst_path), "--method", "bb-sm", "--max-generations", "5",
+            "--ga-config", str(config_path), "-o", str(tmp_path / "x.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not (tmp_path / "x.result.json").exists()
+
     def test_bb_sm_seed_determinism(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         main(["generate", "--n", "6", "--kernels", "mixed", "--seed", "5", "-o", str(inst_path)])

@@ -13,7 +13,7 @@ import thermosched as ts
 from thermosched import heuristics
 from thermosched.exact import ObjectiveKind, ObjectiveSpec, SearchResult, SearchStatus
 from thermosched.generator import GeneratorConfig, generate_instance
-from thermosched.heuristics import _GENE_MAX, _PopulationFitness
+from thermosched.heuristics import _GENE_MAX, _build_children, _PopulationFitness
 from thermosched.power import PowerModel
 from thermosched.runners import run_method
 
@@ -312,6 +312,101 @@ class TestPopulationFitness:
                 assert abs(value - oracle) <= 1e-12
                 scored += 1
         assert scored > 100
+
+
+def slot_gene(c, j, m, q, jitter=0.5):
+    """A gene preferring 0-based cluster c and 1-based window j; jitter in (0, 1)."""
+    return (c + (j - 1 + jitter) / q) / m
+
+
+def overflows(genome, instance):
+    """Whether some (window, cluster) slot is preferred by more tasks than it has cores."""
+    load = {}
+    for g in helpers.reference_decode(genome, instance):
+        load[g.window, g.cluster] = load.get((g.window, g.cluster), 0) + 1
+    cores = {c.id: c.core_count for c in instance.platform.clusters}
+    return any(count > cores[c] for (_, c), count in load.items())
+
+
+def fast_path_population(instance, rng, size):
+    """Random rows, rows packed into one slot, rows spread within capacity, and copies."""
+    n = len(instance.tasks)
+    m = len(instance.platform.clusters)
+    q = instance.max_windows
+    capacity = [
+        (c, j) for j in range(1, q + 1)
+        for c, cl in enumerate(instance.platform.clusters) for _ in range(cl.core_count)
+    ]
+    rows = []
+    for r in range(size):
+        kind = r % 4
+        if kind == 0:
+            rows.append(rng.random(n))
+        elif kind == 1:  # every task prefers one slot of the smallest cluster
+            c = min(range(m), key=lambda k: instance.platform.clusters[k].core_count)
+            j = int(rng.integers(1, q + 1))
+            rows.append([slot_gene(c, j, m, q, rng.uniform(0.05, 0.95)) for _ in range(n)])
+        elif kind == 2:  # a distinct core per task
+            picks = rng.permutation(len(capacity))[:n]
+            rows.append([
+                slot_gene(*capacity[k], m, q, rng.uniform(0.05, 0.95)) for k in picks
+            ])
+        else:
+            rows.append(rows[int(rng.integers(0, len(rows)))])
+    return np.array(rows)
+
+
+class TestPopulationFitnessFastPaths:
+    """Memo hits, rows that skip repair and rows that repair all score as the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(["sm", "lr"]))
+    def test_matches_reference_across_generations(self, seed, model):
+        rng = np.random.default_rng(seed)
+        instance = helpers.small_random_instance(seed, q_max=5, kappa_lo=0.8, kappa_hi=3.0)
+        coefficients = helpers.MEK_COEFF if model == "lr" else None
+        fitness_of = _PopulationFitness(instance, PowerModel(model), coefficients)
+        first = fast_path_population(instance, rng, 24)
+        second = np.concatenate([first[::3], fast_path_population(instance, rng, 16)])
+        kinds = set()
+        for population in (first, second, first):
+            fitness = fitness_of(population)
+            for genome, value in zip(population, fitness):
+                kinds.add(overflows(genome, instance))
+                assignment = helpers.reference_reconstruct(genome, instance)
+                if assignment is None:
+                    assert value == math.inf
+                    continue
+                want = ts.schedule_power(instance, assignment, model, coefficients).watts
+                if model == "sm":
+                    assert value == want
+                else:
+                    assert abs(value - want) <= 1e-12
+            # the memo keeps the genomes of the last call only between calls
+            assert set(fitness_of._previous) == {row.tobytes() for row in population}
+        assert kinds == {True, False}
+
+
+class TestBuildChildren:
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    @pytest.mark.parametrize("crossover_rate", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("mutation_rate", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("bits", [1, 16, 53])
+    def test_matches_per_child_loop(self, n, crossover_rate, mutation_rate, bits):
+        for seed in range(4):
+            config = ts.GaConfig(
+                crossover_rate=crossover_rate, mutation_rate=mutation_rate,
+                bga_precision_bits=bits, bga_mutation_range=(0.1, 0.9)[seed % 2],
+            )
+            parents = np.random.default_rng(seed).random((2, 40, n))
+            parents[:, ::5] = _GENE_MAX  # rows of genes at the clip limits
+            parents[:, 1::5] = 0.0
+            rng = np.random.default_rng(100 + seed)
+            oracle = np.random.default_rng(100 + seed)
+            children = _build_children(rng, parents[0], parents[1], config)
+            want = helpers.reference_children(oracle, parents[0], parents[1], config)
+            assert children.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 def pinned_cases():
