@@ -61,9 +61,7 @@ from .model import (
     read_characteristics_csv,
     save_assignment,
     save_instance,
-    structural_violations,
     total_idle_time,
-    validate_instance,
 )
 from .power import (
     FitSample,

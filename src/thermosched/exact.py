@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .model import Assignment, Instance, Placement, assignment_to_dict, require_usable
+from .model import Assignment, Instance, Placement, assignment_to_dict
 from .power import PowerModel, RegressionCoefficients, schedule_power
 
 _EPS = 1e-12
@@ -114,7 +114,6 @@ NodeRecorder = Callable[[tuple[tuple[int, int, int], ...], float], None]
 def _check_inputs(
     instance: Instance, objective: ObjectiveSpec, partial: PartialFix | None
 ) -> dict[int, int]:
-    require_usable(instance)
     if objective.kind is ObjectiveKind.LR_UB_POWER:
         if objective.coefficients is None:
             raise ValueError("the LR upper-bound objective requires regression coefficients")
@@ -122,11 +121,11 @@ def _check_inputs(
     fix: dict[int, int] = {}
     if partial is not None:
         task_ids = {t.id for t in instance.tasks}
-        cluster_ids = {c.id for c in instance.platform.clusters}
+        m = len(instance.platform.clusters)
         for tid, cid in partial.fixed_clusters:
             if tid not in task_ids:
                 raise ValueError(f"partial fix references unknown task {tid}")
-            if cid not in cluster_ids:
+            if not 1 <= cid <= m:
                 raise ValueError(f"partial fix references unknown cluster {cid}")
             fix[tid] = cid
     return fix

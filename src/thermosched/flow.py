@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Assignment, Instance, Placement, require_usable
+from .model import Assignment, Instance, Placement
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,11 @@ def build_network(
 ) -> FlowNetwork:
     """Build the flow network for the given fixed window lengths.
 
-    The instance must be free of structural violations. Lengths must be
-    nonnegative, at most one per available window, and sum to at most the
-    major frame. Tasks that fit no (window, cluster) at all are reported in
-    unplaceable_tasks; the network is still built and the solver will prove
-    infeasibility.
+    Lengths must be nonnegative, at most one per available window, and sum
+    to at most the major frame. Tasks that fit no (window, cluster) at all
+    are reported in unplaceable_tasks; the network is still built and the
+    solver will prove infeasibility.
     """
-    require_usable(instance)
     lengths = tuple(int(l) for l in window_lengths)
     if not lengths:
         raise ValueError("at least one window length is required")

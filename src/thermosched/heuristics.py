@@ -35,7 +35,6 @@ from .model import (
     Placement,
     _load_json,
     _write_csv,
-    require_usable,
 )
 from .power import (
     PowerModel,
@@ -442,15 +441,13 @@ def run_ga(
     _build_children, which draws from the generator exactly as a
     child-by-child loop would, so a seed gives the same evolution.
 
-    The instance must be free of structural violations (ValueError
-    otherwise). Selection is by uniform ranking: the worst
-    elite_discard_fraction of each generation is discarded and parents are
-    drawn uniformly from the survivors. Reconstruction failures rank after
-    every finite fitness. On stalling the population restarts from fresh
-    random genomes; the best assignment ever seen is returned, or a result
-    without an assignment when no genome ever reconstructed.
+    Selection is by uniform ranking: the worst elite_discard_fraction of
+    each generation is discarded and parents are drawn uniformly from the
+    survivors. Reconstruction failures rank after every finite fitness. On
+    stalling the population restarts from fresh random genomes; the best
+    assignment ever seen is returned, or a result without an assignment
+    when no genome ever reconstructed.
     """
-    require_usable(instance)
     model = PowerModel(model)
     if model is PowerModel.LR_UB:
         raise ValueError("the genetic search uses the SM or LR model")

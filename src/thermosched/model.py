@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import json
-import math
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
@@ -49,7 +47,10 @@ class Platform:
 
     The thermal parameters (thermal_b, thermal_g, ambient_celsius) convert
     average power to steady-state temperature; they must be given together
-    or not at all.
+    or not at all. Building a platform checks it: cluster ids 1..m in order,
+    at least one core and a positive frequency per cluster, nonnegative idle
+    power and positive thermal_b and thermal_g. Any breach raises
+    ValueError("platform is not usable: ...").
     """
 
     clusters: tuple[Cluster, ...]
@@ -58,17 +59,16 @@ class Platform:
     thermal_g: float | None = None
     ambient_celsius: float | None = None
 
+    def __post_init__(self):
+        _refuse("platform", _platform_violations(self))
+
     @property
     def total_cores(self) -> int:
         return sum(c.core_count for c in self.clusters)
 
     @property
     def has_thermal_parameters(self) -> bool:
-        return (
-            self.thermal_b is not None
-            and self.thermal_g is not None
-            and self.ambient_celsius is not None
-        )
+        return self.thermal_b is not None  # the three are given together or not at all
 
     def cluster_by_id(self, cluster_id: int) -> Cluster:
         for c in self.clusters:
@@ -104,7 +104,7 @@ class TaskCharacteristics:
 class Task:
     """per_cluster holds one entry per platform cluster, in cluster id order.
 
-    Solvers read it by cluster position and refuse any other order.
+    Solvers read it by cluster position; an Instance refuses any other order.
     """
 
     id: int
@@ -121,7 +121,17 @@ class Task:
 
 @dataclass(frozen=True)
 class Instance:
-    """A full problem input: platform, tasks, frame length and window budget."""
+    """A full problem input: platform, tasks, frame length and window budget.
+
+    Building an instance checks it: a positive frame and window budget,
+    unique task ids, every task's per_cluster in platform cluster order,
+    execution times of at least 1 ms and no negative energy_cost. Any
+    breach raises ValueError("instance is not usable: ..."), so every
+    Instance a solver or command receives is usable. A window budget
+    outside ceil(n / total cores)..n or a frame shorter than every task is
+    accepted: the solvers prove such an instance infeasible or leave the
+    spare windows empty.
+    """
 
     platform: Platform
     tasks: tuple[Task, ...]
@@ -131,17 +141,13 @@ class Instance:
     def __post_init__(self):
         # id lookup cache; not a field, so equality and hashing ignore it
         object.__setattr__(self, "_task_map", {t.id: t for t in self.tasks})
+        _refuse("instance", _instance_violations(self))
 
     def task_by_id(self, task_id: int) -> Task:
         try:
             return self._task_map[task_id]
         except KeyError:
             raise KeyError(f"no task with id {task_id}") from None
-
-    @functools.cached_property
-    def _structural_violations(self) -> tuple[str, ...]:
-        # computed on first use and kept, like _task_map: the instance is immutable
-        return tuple(structural_violations(self))
 
 
 @dataclass(frozen=True)
@@ -183,12 +189,6 @@ class Assignment:
         lengths = derive_window_lengths(instance, normalized)
         return cls(placements=normalized, window_lengths_ms=lengths)
 
-    def placement_of(self, task_id: int) -> Placement:
-        for p in self.placements:
-            if p.task_id == task_id:
-                return p
-        raise KeyError(f"no placement for task {task_id}")
-
     @property
     def total_window_length_ms(self) -> int:
         return sum(self.window_lengths_ms)
@@ -219,38 +219,45 @@ class Feasibility:
         return self.feasible
 
 
-def structural_violations(instance: Instance) -> list[str]:
-    """Violations that make an instance unusable for any computation.
+def _refuse(what: str, violations: list[str]) -> None:
+    if violations:
+        raise ValueError(f"{what} is not usable: " + "; ".join(violations))
 
-    Solvers refuse instances with structural violations; the extra checks
-    of validate_instance merely flag modeling oddities (window budget out
-    of the useful range, frame too short for any task) that a solver can
-    still prove infeasible.
-    """
-    v: list[str] = []
-    plat = instance.platform
 
+def _platform_violations(plat: Platform) -> list[str]:
     if not plat.clusters:
-        v.append("platform has no clusters")
-        return v
-
+        return ["platform has no clusters"]
     ids = [c.id for c in plat.clusters]
     if ids != list(range(1, len(ids) + 1)):
-        v.append(f"cluster ids must be unique and contiguous from 1, got {ids}")
-        return v
+        return [f"cluster ids must be unique and contiguous from 1, got {ids}"]
+    v: list[str] = []
     for c in plat.clusters:
         if c.core_count < 1:
             v.append(f"cluster {c.id}: core_count must be >= 1, got {c.core_count}")
+        if c.frequency_mhz < 1:
+            v.append(f"cluster {c.id}: frequency_mhz must be >= 1, got {c.frequency_mhz}")
+    if plat.idle_power_watts < 0:
+        v.append(f"idle_power_watts must be nonnegative, got {plat.idle_power_watts}")
+    thermal = (plat.thermal_b, plat.thermal_g, plat.ambient_celsius)
+    if thermal.count(None) not in (0, 3):
+        v.append("thermal_b, thermal_g and ambient_celsius must be given together")
+    if plat.thermal_b is not None and plat.thermal_b <= 0:
+        v.append(f"thermal_b must be positive, got {plat.thermal_b}")
+    if plat.thermal_g is not None and plat.thermal_g <= 0:
+        v.append(f"thermal_g must be positive, got {plat.thermal_g}")
+    return v
 
+
+def _instance_violations(instance: Instance) -> list[str]:
+    v: list[str] = []
     if instance.major_frame_ms < 1:
         v.append("major_frame_ms must be a positive integer")
     if instance.max_windows < 1:
         v.append("max_windows must be a positive integer")
-
-    task_ids = [t.id for t in instance.tasks]
-    if len(set(task_ids)) != len(task_ids):
+    if len(instance._task_map) != len(instance.tasks):
         v.append("task ids must be unique")
 
+    ids = [c.id for c in instance.platform.clusters]
     for t in instance.tasks:
         seen = [tc.cluster_id for tc in t.per_cluster]
         if seen != ids:
@@ -270,61 +277,6 @@ def structural_violations(instance: Instance) -> list[str]:
                     f"task {t.id}: energy_cost on cluster {tc.cluster_id} "
                     "must be nonnegative"
                 )
-    return v
-
-
-def require_usable(instance: Instance) -> None:
-    """Raise ValueError naming the structural violations, if there are any."""
-    violations = instance._structural_violations
-    if violations:
-        raise ValueError("instance is not usable: " + "; ".join(violations))
-
-
-def validate_instance(instance: Instance) -> list[str]:
-    """Check all type invariants and return human-readable violations.
-
-    An empty list means the instance is well formed. Violations are data,
-    not failures; nothing is raised here.
-    """
-    v = structural_violations(instance)
-    plat = instance.platform
-    if not plat.clusters:
-        return v
-
-    for c in plat.clusters:
-        if c.frequency_mhz < 1:
-            v.append(f"cluster {c.id}: frequency_mhz must be positive")
-    if plat.idle_power_watts < 0:
-        v.append("idle_power_watts must be nonnegative")
-
-    thermal = (plat.thermal_b, plat.thermal_g, plat.ambient_celsius)
-    if any(x is not None for x in thermal) and not plat.has_thermal_parameters:
-        v.append("thermal_b, thermal_g and ambient_celsius must be given together")
-    if plat.thermal_b is not None and plat.thermal_b <= 0:
-        v.append("thermal_b must be positive")
-    if plat.thermal_g is not None and plat.thermal_g <= 0:
-        v.append("thermal_g must be positive")
-
-    n = len(instance.tasks)
-    total_cores = plat.total_cores
-    lower = math.ceil(n / total_cores) if total_cores else 0
-    if not (lower <= instance.max_windows <= max(n, 0)):
-        v.append(
-            f"max_windows must satisfy ceil(n / total cores) <= q <= n, "
-            f"i.e. {lower} <= q <= {n}, got {instance.max_windows}"
-        )
-
-    structurally_ok_tasks = all(
-        sorted(tc.cluster_id for tc in t.per_cluster) == sorted(c.id for c in plat.clusters)
-        for t in instance.tasks
-    )
-    if instance.tasks and structurally_ok_tasks:
-        shortest = min(min(tc.exec_time_ms for tc in t.per_cluster) for t in instance.tasks)
-        if instance.major_frame_ms < shortest:
-            v.append(
-                f"major_frame_ms {instance.major_frame_ms} is shorter than the "
-                f"smallest execution time {shortest}; no task can be scheduled"
-            )
     return v
 
 

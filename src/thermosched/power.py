@@ -340,17 +340,8 @@ def power_to_temperature(platform: Platform, power_watts: float) -> float:
     carries no thermal parameters.
     """
     if not platform.has_thermal_parameters:
-        missing = [
-            name
-            for name, val in (
-                ("thermal_b", platform.thermal_b),
-                ("thermal_g", platform.thermal_g),
-                ("ambient_celsius", platform.ambient_celsius),
-            )
-            if val is None
-        ]
         raise ValueError(
-            "platform has no thermal parameters; missing: " + ", ".join(missing)
+            "platform has no thermal parameters (thermal_b, thermal_g, ambient_celsius)"
         )
     b = platform.thermal_b
     g = platform.thermal_g

@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import pathlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 import thermosched as ts
@@ -85,7 +90,7 @@ class TestGenerate:
         ])
         assert code == EXIT_OK
         instance = ts.load_instance(str(out))
-        assert ts.validate_instance(instance) == []
+        assert math.ceil(10 / instance.platform.total_cores) <= instance.max_windows <= 10
         manifest = json.loads((tmp_path / "inst.manifest.json").read_text())
         assert manifest["command"] == "generate"
         assert manifest["rng_seed"] == 7
@@ -371,6 +376,174 @@ def test_ga_refuses_a_broken_instance(tmp_path, capsys, method, breakage):
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: instance is not usable: ")
+
+
+# A generated n=6 instance on an imx8-mek platform that carries thermal
+# parameters, and the fields the refusal property mutates in it.
+THERMAL_PLATFORM = {
+    "clusters": [
+        {"id": 1, "core_count": 4, "label": "A53", "frequency_mhz": 1200},
+        {"id": 2, "core_count": 2, "label": "A72", "frequency_mhz": 1600},
+    ],
+    "idle_power_watts": 5.5,
+    "thermal_b": 0.5,
+    "thermal_g": 0.4,
+    "ambient_celsius": 25.0,
+}
+N_TASKS, N_CLUSTERS = 6, 2
+MUTABLE_FIELDS = (
+    [("platform", key) for key in ("idle_power_watts", "thermal_b", "thermal_g", "ambient_celsius")]
+    + [
+        ("platform", "clusters", c, key)
+        for c in range(N_CLUSTERS)
+        for key in ("id", "core_count", "frequency_mhz")
+    ]
+    + [("tasks", t, "id") for t in range(N_TASKS)]
+    + [
+        ("tasks", t, "per_cluster", c, key)
+        for t in range(N_TASKS)
+        for c in range(N_CLUSTERS)
+        for key in ("cluster_id", "exec_time_ms", "activity_coef", "offset_coef", "energy_cost")
+    ]
+    + [("major_frame_ms",), ("max_windows",)]
+)
+MUTATION_VALUES = (-10, -1, 0, 0.5, 1, 2, 3, 7, 1000, None)
+# Per mutable field: the object that refuses a bad value, and whether a
+# value (not null) is bad, given the field's path and the unmutated document.
+# The loader truncates integer fields with int().
+REFUSAL_RULES = {
+    "idle_power_watts": ("platform", lambda v, *_: v < 0),
+    "thermal_b": ("platform", lambda v, *_: v <= 0),
+    "thermal_g": ("platform", lambda v, *_: v <= 0),
+    "ambient_celsius": ("platform", lambda *_: False),
+    "cluster id": ("platform", lambda v, field, _: int(v) != field[2] + 1),
+    "core_count": ("platform", lambda v, *_: int(v) < 1),
+    "frequency_mhz": ("platform", lambda v, *_: int(v) < 1),
+    "task id": (
+        "instance",
+        lambda v, field, doc: int(v) in [
+            t["id"] for pos, t in enumerate(doc["tasks"]) if pos != field[1]
+        ],
+    ),
+    "cluster_id": ("instance", lambda v, field, _: int(v) != field[3] + 1),
+    "exec_time_ms": ("instance", lambda v, *_: int(v) < 1),
+    "activity_coef": ("instance", lambda *_: False),
+    "offset_coef": ("instance", lambda *_: False),
+    "energy_cost": ("instance", lambda v, *_: v < 0),
+    "major_frame_ms": ("instance", lambda v, *_: int(v) < 1),
+    "max_windows": ("instance", lambda v, *_: int(v) < 1),
+}
+
+
+def expected_refusal(doc, field, value):
+    """The start of the error every command must print, or None for a usable instance.
+
+    doc is the unmutated document. null reads as absent for the optional
+    fields (the thermal ones must then all be absent) and is a type error
+    for the others.
+    """
+    key = field[-1]
+    if key == "id":
+        key = "cluster id" if field[0] == "platform" else "task id"
+    if value is None:
+        if key == "energy_cost":
+            return None
+        if key in ("thermal_b", "thermal_g", "ambient_celsius"):
+            return "platform is not usable: "
+        return "instance document has a field of the wrong type"
+    owner, breaks = REFUSAL_RULES[key]
+    return f"{owner} is not usable: " if breaks(value, field, doc) else None
+
+
+@pytest.fixture(scope="module")
+def refusal_base(tmp_path_factory):
+    """(instance document, heur assignment path, heur window lengths)."""
+    root = tmp_path_factory.mktemp("refusal-base")
+    platform = root / "platform.json"
+    platform.write_text(json.dumps(THERMAL_PLATFORM))
+    inst, heur = root / "inst.json", root / "heur.json"
+    assert main([
+        "generate", "--n", str(N_TASKS), "--kappa", "3.5", "--kernels", "mixed",
+        "--platform", str(platform), "--seed", "3", "-o", str(inst),
+    ]) == EXIT_OK
+    assert main(["solve", str(inst), "--method", "heur", "-o", str(heur)]) == EXIT_OK
+    lengths = ",".join(str(l) for l in ts.load_assignment(str(heur)).window_lengths_ms)
+    return json.loads(inst.read_text()), str(heur), lengths
+
+
+def refusal_commands(inst, heur, lengths, out):
+    """(argv, path of the assignment the command writes or reads, or None)."""
+    solve = ["solve", inst, "--time-limit", "100", "--seed", "1", "--max-generations", "2",
+             "--coefficients", "imx8-mek"]
+    commands = [
+        (solve + ["--method", method, "-o", f"{out}/{method}.json"], f"{out}/{method}.json")
+        for method in ("ilp-sm", "qp-lr-ub", "bb-sm", "bb-lr", "heur", "idle-min", "idle-max")
+    ]
+    commands.append((
+        solve + ["--method", "flow-fixed", "--window-lengths", lengths, "-o", f"{out}/flow.json"],
+        f"{out}/flow.json",
+    ))
+    for model in ("sm", "lr", "lr-ub"):
+        commands.append((
+            ["evaluate", inst, heur, "--model", model, "--coefficients", "imx8-mek",
+             "-o", f"{out}/{model}.json"],
+            heur,
+        ))
+    commands.append(
+        (["evaluate", inst, heur, "--temperature", "-o", f"{out}/temperature.json"], heur)
+    )
+    commands.append((["export-gantt", inst, heur, "-o", f"{out}/gantt.svg"], heur))
+    commands.append((
+        ["compare", inst, "--time-limit", "50", "--seed", "1", "--coefficients", "imx8-mek",
+         "-o", f"{out}/compare.csv"],
+        None,
+    ))
+    return commands
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(field=st.sampled_from(MUTABLE_FIELDS), value=st.sampled_from(MUTATION_VALUES))
+@example(field=("tasks", 0, "per_cluster", 0, "exec_time_ms"), value=0)
+@example(field=("platform", "idle_power_watts"), value=-10)
+@example(field=("platform", "thermal_b"), value=0)
+@example(field=("tasks", 0, "per_cluster", 0, "exec_time_ms"), value=-50)
+@example(field=("tasks", 1, "id"), value=1)
+def test_every_command_refuses_or_stays_feasible(tmp_path_factory, refusal_base, field, value):
+    """One field of a valid instance mutated: each command refuses it or stays sound.
+
+    A refused instance makes every command exit 1 with the refusal. A
+    usable one may still make a command exit 1 with "error: ", for a
+    mismatch with the assignment or the window lengths; otherwise the
+    command exits 0, 2 or 3 and any assignment it writes or evaluates
+    passes check_feasible against the mutated instance.
+    """
+    base, heur, lengths = refusal_base
+    doc = json.loads(json.dumps(base))
+    *parents, key = field
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    refusal = expected_refusal(base, field, value)
+    out = tmp_path_factory.mktemp("refusal")
+    inst = out / "inst.json"
+    inst.write_text(json.dumps(doc))
+    instance = ts.load_instance(str(inst)) if refusal is None else None
+
+    for argv, assignment in refusal_commands(str(inst), heur, lengths, out):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        err = err.getvalue()
+        if refusal is not None:
+            assert code == 1 and err.startswith("error: " + refusal), (argv, code, err)
+        elif code == 1:
+            assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+        else:
+            assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_UNKNOWN_TIMEOUT), (argv, code, err)
+            if assignment is not None and pathlib.Path(assignment).exists():
+                asg = ts.load_assignment(assignment)
+                assert ts.check_feasible(instance, asg), (argv, asg)
 
 
 def test_output_path_that_is_a_directory_is_an_error(tmp_path, capsys):

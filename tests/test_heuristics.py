@@ -157,8 +157,9 @@ class TestReconstruct:
         genes = ts.decode(genome, instance)
         assignment = ts.reconstruct(genome, instance)
         assert assignment is not None
+        placed = {p.task_id: p for p in assignment.placements}
         for task, gene in zip(instance.tasks, genes):
-            p = assignment.placement_of(task.id)
+            p = placed[task.id]
             assert (p.window, p.cluster) == (gene.window, gene.cluster)
 
     def test_overflow_moves_to_next_window(self):

@@ -21,17 +21,61 @@ def make_instance(max_windows=3, frame=600):
     )
 
 
+def _cluster(core_count=4, frequency_mhz=1200, id=1):
+    return ts.Cluster(id=id, core_count=core_count, label="c", frequency_mhz=frequency_mhz)
+
+
+# Each platform a constructor refuses, and a phrase of its message.
+BROKEN_PLATFORMS = {
+    "no-clusters": (dict(clusters=()), "no clusters"),
+    "ids-from-2": (dict(clusters=(_cluster(id=2),)), "contiguous from 1"),
+    "ids-out-of-order": (dict(clusters=(_cluster(id=2), _cluster(id=1))), "contiguous from 1"),
+    "zero-cores": (dict(clusters=(_cluster(core_count=0),)), "core_count must be >= 1"),
+    "zero-frequency": (dict(clusters=(_cluster(frequency_mhz=0),)), "frequency_mhz must be >= 1"),
+    "negative-idle": (dict(idle_power_watts=-10.0), "idle_power_watts must be nonnegative"),
+    "thermal-b-only": (dict(thermal_b=0.5), "must be given together"),
+    "thermal-b-zero": (
+        dict(thermal_b=0.0, thermal_g=0.4, ambient_celsius=25.0), "thermal_b must be positive"
+    ),
+    "thermal-g-negative": (
+        dict(thermal_b=0.5, thermal_g=-0.4, ambient_celsius=25.0), "thermal_g must be positive"
+    ),
+}
+
+# Each instance a constructor refuses: (frame, window budget, tasks), message phrase.
+_TASK = ts.Task(1, "t", (ts.TaskCharacteristics(1, 10, 0.2, 0.2),))
+BROKEN_INSTANCES = {
+    "zero-frame": ((0, 1, (_TASK,)), "major_frame_ms must be a positive integer"),
+    "zero-windows": ((100, 0, (_TASK,)), "max_windows must be a positive integer"),
+    "duplicate-ids": ((100, 2, (_TASK, _TASK)), "task ids must be unique"),
+    "missing-cluster": (
+        (100, 1, (ts.Task(1, "t", ()),)), "task 1: per_cluster must list every platform cluster"
+    ),
+    "negative-energy": (
+        (100, 1, (ts.Task(1, "t", (ts.TaskCharacteristics(1, 10, 0.2, 0.2, -1.0),)),)),
+        "task 1: energy_cost on cluster 1 must be nonnegative",
+    ),
+}
+
+
 class TestValidateInstance:
+    """Platforms and instances are checked once, when they are built."""
+
     def test_well_formed(self):
         instance = helpers.worked_example()
-        assert ts.validate_instance(instance) == []
+        n, q = len(instance.tasks), instance.max_windows
+        assert math.ceil(n / instance.platform.total_cores) <= q <= n
 
-    def test_window_bound_named(self):
+    def test_window_budget_above_n_still_solves(self):
+        # more windows than tasks is accepted; the spare windows stay empty
         instance, _ = helpers.seven_task_layout()
-        too_many = helpers.with_windows(instance, len(instance.tasks) + 1)
-        violations = ts.validate_instance(too_many)
-        assert len(violations) == 1
-        assert "max_windows" in violations[0]
+        n = len(instance.tasks)
+        sm = ts.ObjectiveSpec(ts.ObjectiveKind.SM_POWER)
+        spare = ts.solve(helpers.with_windows(instance, n + 1), sm)
+        exact = ts.solve(helpers.with_windows(instance, n), sm)
+        assert spare.status is ts.SearchStatus.OPTIMAL
+        assert spare.objective_value == pytest.approx(exact.objective_value, abs=1e-12)
+        assert spare.assignment.window_lengths_ms[n] == 0
 
     def test_zero_exec_time_names_task_and_cluster(self):
         instance = helpers.worked_example()
@@ -39,21 +83,37 @@ class TestValidateInstance:
             ts.TaskCharacteristics(1, 0, 0.2, 0.2),
             ts.TaskCharacteristics(2, 10, 0.2, 0.2),
         ))
-        bad = ts.Instance(instance.platform, (bad_task,) + instance.tasks[1:], 700, 1)
-        violations = ts.validate_instance(bad)
-        assert any("task 1" in v and "cluster 1" in v for v in violations)
+        with pytest.raises(
+            ValueError,
+            match=r"^instance is not usable: task 1: exec_time_ms on cluster 1 must be >= 1",
+        ):
+            ts.Instance(instance.platform, (bad_task,) + instance.tasks[1:], 700, 1)
 
     def test_thermal_parameters_all_or_none(self):
-        plat = ts.Platform(
-            clusters=helpers.MEK.clusters, idle_power_watts=5.5, thermal_b=0.5
-        )
-        instance = ts.Instance(plat, helpers.worked_example().tasks, 700, 1)
-        assert any("thermal" in v for v in ts.validate_instance(instance))
+        with pytest.raises(ValueError, match=r"^platform is not usable: .*given together"):
+            ts.Platform(clusters=helpers.MEK.clusters, idle_power_watts=5.5, thermal_b=0.5)
 
     def test_frame_shorter_than_every_task(self):
+        # accepted when built, then proven infeasible
         instance = helpers.worked_example()
         tiny = ts.Instance(instance.platform, instance.tasks, 100, 1)
-        assert any("major_frame_ms" in v or "major frame" in v for v in ts.validate_instance(tiny))
+        assert all(tc.exec_time_ms > 100 for t in tiny.tasks for tc in t.per_cluster)
+        for kind in ts.ObjectiveKind:
+            result = ts.solve(tiny, ts.ObjectiveSpec(kind, helpers.MEK_COEFF))
+            assert result.status is ts.SearchStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_PLATFORMS))
+    def test_platform_refuses(self, case):
+        fields, phrase = BROKEN_PLATFORMS[case]
+        with pytest.raises(ValueError, match=r"^platform is not usable: .*" + re.escape(phrase)):
+            ts.Platform(**(dict(clusters=(_cluster(),), idle_power_watts=1.0) | fields))
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_INSTANCES))
+    def test_instance_refuses(self, case):
+        (frame, q, tasks), phrase = BROKEN_INSTANCES[case]
+        platform = ts.Platform(clusters=(_cluster(),), idle_power_watts=1.0)
+        with pytest.raises(ValueError, match=r"^instance is not usable: .*" + re.escape(phrase)):
+            ts.Instance(platform, tasks, frame, q)
 
 
 class TestCheckFeasible:

@@ -34,19 +34,24 @@ class TestRunMethod:
         with pytest.raises(ValueError, match="unknown method"):
             run_method("simplex", instance)
 
-    def test_heur_checks_each_instance_once(self, monkeypatch):
-        instance = helpers.small_random_instance(3, n=12)
+    def test_heur_checks_each_instance_once(self, monkeypatch, tmp_path):
+        # the check runs once, when load_instance builds the instance; the
+        # method adds none
+        path = str(tmp_path / "inst.json")
+        model.save_instance(helpers.small_random_instance(3, n=12), path)
         checked = []
-        real = model.structural_violations
+        real = model._instance_violations
 
         def spy(inst):
             checked.append(inst)
             return real(inst)
 
-        monkeypatch.setattr(model, "structural_violations", spy)
+        monkeypatch.setattr(model, "_instance_violations", spy)
+        instance = model.load_instance(path)
+        assert len(checked) == 1 and checked[0] is instance
         outcome = run_method("heur", instance)
         assert outcome.assignment is not None
-        assert len(checked) == 1 and checked[0] is instance
+        assert len(checked) == 1
 
     def test_exact_outcome_shape(self):
         instance = helpers.small_random_instance(1)
