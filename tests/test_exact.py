@@ -111,16 +111,17 @@ class TestSolveBasics:
         with pytest.raises(ValueError):
             ts.solve(instance, ObjectiveSpec(ObjectiveKind.LR_UB_POWER))
 
-    def test_rejects_per_cluster_out_of_order(self):
+    @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda k: k.value)
+    def test_rejects_per_cluster_out_of_order(self, kind):
         # The searches read per_cluster by cluster position, so any other
-        # order would give wrong optima and false infeasibility; no solver
-        # ever sees one, because the instance refuses it when it is built.
+        # order would give wrong optima and false infeasibility; no solve of
+        # any kind ever sees one, because the instance refuses it when built.
         instance = helpers.small_random_instance(5)
         reversed_tasks = tuple(
             dataclasses.replace(t, per_cluster=t.per_cluster[::-1]) for t in instance.tasks
         )
         with pytest.raises(ValueError, match="instance is not usable: .*cluster id order"):
-            dataclasses.replace(instance, tasks=reversed_tasks)
+            ts.solve(dataclasses.replace(instance, tasks=reversed_tasks), spec(kind))
 
     def test_rejects_sub_millisecond_time_limit(self):
         instance = helpers.small_random_instance(1)
