@@ -41,5 +41,5 @@ by_cluster = {}
 for p in result.assignment.placements:
     by_cluster[p.cluster] = by_cluster.get(p.cluster, 0) + 1
 for cid, count in sorted(by_cluster.items()):
-    label = platform.cluster_by_id(cid).label
+    label = platform.clusters[cid - 1].label
     print(f"  cluster {cid} ({label}): {count} tasks")

@@ -172,9 +172,9 @@ def _grouped_assignment(
     """
     clusters = instance.platform.clusters
     per_cluster: list[list[tuple[int, int]]] = [[] for _ in clusters]
-    for tid, cid in cluster_of.items():
-        e = instance.task_by_id(tid).per_cluster[cid - 1].exec_time_ms
-        per_cluster[cid - 1].append((-e, tid))
+    for t in instance.tasks:
+        cid = cluster_of[t.id]
+        per_cluster[cid - 1].append((-t.per_cluster[cid - 1].exec_time_ms, t.id))
     for entries in per_cluster:
         entries.sort()
     lengths = _grouped_lengths(instance, [[neg_e for neg_e, _ in es] for es in per_cluster])
@@ -549,10 +549,12 @@ def _cluster_search(
 
     lists: list[list[int]] = [[] for _ in range(m)]  # negated times, ascending
     base = 0
-    for tid, cid in fix.items():
-        e = instance.task_by_id(tid).per_cluster[cid - 1].exec_time_ms
-        insort(lists[cid - 1], -e)
-        base += sign * e
+    for t in instance.tasks:
+        cid = fix.get(t.id)
+        if cid is not None:
+            e = t.per_cluster[cid - 1].exec_time_ms
+            insort(lists[cid - 1], -e)
+            base += sign * e
     start_lengths = _grouped_lengths(instance, lists)
     if start_lengths is None or sum(start_lengths) > h:
         return _finish(t_start, None, None, None, 1, False)

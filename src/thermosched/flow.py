@@ -90,15 +90,12 @@ def build_network(
 
     clusters = instance.platform.clusters
     tasks = instance.tasks
-    n = len(tasks)
+    n, m = len(tasks), len(clusters)
     n_windows = len(lengths)
 
+    # the (window j, cluster k) node is n + (j - 1) * m + (k - 1)
     labels = [f"task:{t.id}" for t in tasks]
-    wc_index: dict[tuple[int, int], int] = {}
-    for j in range(1, n_windows + 1):
-        for c in clusters:
-            wc_index[(j, c.id)] = len(labels)
-            labels.append(f"wc:{j}:{c.id}")
+    labels += [f"wc:{j}:{c.id}" for j in range(1, n_windows + 1) for c in clusters]
     sink = len(labels)
     labels.append("sink")
 
@@ -110,19 +107,18 @@ def build_network(
     unplaceable = []
     for ti, t in enumerate(tasks):
         admissible = 0
-        for c in clusters:
-            tc = t.on(c.id)
+        for ci, tc in enumerate(t.per_cluster):
             exec_ms, cost = tc.exec_time_ms, tc.effective_energy_cost
             for j in range(1, n_windows + 1):
                 if exec_ms <= lengths[j - 1]:
-                    arcs.append(FlowArc(ti, wc_index[(j, c.id)], 1, cost))
-                    placements.append((t.id, j, c.id))
+                    arcs.append(FlowArc(ti, n + (j - 1) * m + ci, 1, cost))
+                    placements.append((t.id, j, ci + 1))
                     admissible += 1
         if admissible == 0:
             unplaceable.append(t.id)
     for j in range(1, n_windows + 1):
-        for c in clusters:
-            arcs.append(FlowArc(wc_index[(j, c.id)], sink, c.core_count, 0.0))
+        for ci, c in enumerate(clusters):
+            arcs.append(FlowArc(n + (j - 1) * m + ci, sink, c.core_count, 0.0))
             placements.append(None)
 
     return FlowNetwork(

@@ -85,8 +85,7 @@ def render_gantt_svg(instance: Instance, assignment: Assignment) -> str:
             for r, tid in enumerate(slots):
                 if tid is None:
                     continue
-                task = instance.task_by_id(tid)
-                e = task.on(c.id).exec_time_ms
+                e = instance.task_by_id(tid).per_cluster[ci].exec_time_ms
                 x = _MARGIN_LEFT + window_start[j - 1] * scale
                 y = _MARGIN_TOP + row_of[(c.id, r)] * _ROW_HEIGHT + _BAR_PAD
                 w = e * scale

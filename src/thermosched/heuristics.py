@@ -27,7 +27,9 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .exact import ObjectiveKind, ObjectiveSpec, PartialFix, SearchStatus, solve
+from .exact import (
+    ObjectiveKind, ObjectiveSpec, PartialFix, SearchStatus, _grouped_assignment, solve,
+)
 from .model import (
     Assignment,
     Instance,
@@ -292,7 +294,7 @@ class _PopulationFitness:
         self.task_ids = [t.id for t in instance.tasks]
         # schedule_power visits placements, hence windows, in task-id order
         self.by_id = np.argsort(self.task_ids, kind="stable")
-        chars = [[t.on(c.id) for c in clusters] for t in instance.tasks]
+        chars = [t.per_cluster for t in instance.tasks]
         self.chars_by_id = [chars[i] for i in self.by_id]
         self.exec_ms = np.array([[tc.exec_time_ms for tc in row] for row in chars])
         self.lr_by_id = None
@@ -355,7 +357,7 @@ class _PopulationFitness:
             lengths[fits].tolist(),
         ):
             activity, offset = _window_accumulate(
-                wins, list(map(list.__getitem__, self.chars_by_id, cl)), lens, self.h
+                wins, list(map(tuple.__getitem__, self.chars_by_id, cl)), lens, self.h
             )
             fitness[r] = self.idle + activity + offset
         return fitness
@@ -541,14 +543,15 @@ def greedy(
     (activity_coef * exec_time_ms); for each task the clusters are tried by
     non-decreasing expected energy, and a fix is committed only when the
     feasibility oracle confirms the remaining tasks can still be placed.
-    Returns the assignment of the last oracle call, which covers all tasks,
-    or None when the oracle proved that a task fits on no cluster. Raises
-    TimeoutError when no cluster of a task was confirmed and an oracle call
-    for it ran out of time instead of proving it infeasible.
+    Returns the aligned grouping of the fixed clusters, which is the witness
+    of the final oracle call (every task fixed), or None when the oracle
+    proved that a task fits on no cluster. Raises TimeoutError when no
+    cluster of a task was confirmed and an oracle call for it ran out of
+    time instead of proving it infeasible.
     """
 
     def energy(task, cid):
-        tc = task.on(cid)
+        tc = task.per_cluster[cid - 1]
         return tc.activity_coef * tc.exec_time_ms
 
     cluster_ids = [c.id for c in instance.platform.clusters]
@@ -557,7 +560,6 @@ def greedy(
         key=lambda t: (-max(energy(t, cid) for cid in cluster_ids), t.id),
     )
     fixed: dict[int, int] = {}
-    last: Assignment | None = None
     feas = ObjectiveSpec(ObjectiveKind.FEASIBILITY_ONLY)
     for task in order:
         proven = True  # every failed trial of this task proved infeasible
@@ -570,11 +572,10 @@ def greedy(
             )
             if result.status is SearchStatus.OPTIMAL:
                 fixed[task.id] = cid
-                last = result.assignment
                 break
             proven = proven and result.status is SearchStatus.INFEASIBLE
         else:  # no cluster confirmed
             if not proven:
                 raise TimeoutError(f"the feasibility oracle ran out of time on task {task.id}")
             return None
-    return last
+    return _grouped_assignment(instance, fixed)

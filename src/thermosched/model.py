@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
@@ -49,8 +50,8 @@ class Platform:
     average power to steady-state temperature; they must be given together
     or not at all. Building a platform checks it: cluster ids 1..m in order,
     at least one core and a positive frequency per cluster, nonnegative idle
-    power and positive thermal_b and thermal_g. Any breach raises
-    ValueError("platform is not usable: ...").
+    power, positive thermal_b and thermal_g, and every number finite. Any
+    breach raises ValueError("platform is not usable: ...").
     """
 
     clusters: tuple[Cluster, ...]
@@ -69,12 +70,6 @@ class Platform:
     @property
     def has_thermal_parameters(self) -> bool:
         return self.thermal_b is not None  # the three are given together or not at all
-
-    def cluster_by_id(self, cluster_id: int) -> Cluster:
-        for c in self.clusters:
-            if c.id == cluster_id:
-                return c
-        raise KeyError(f"no cluster with id {cluster_id}")
 
 
 @dataclass(frozen=True)
@@ -112,10 +107,9 @@ class Task:
     per_cluster: tuple[TaskCharacteristics, ...]
 
     def on(self, cluster_id: int) -> TaskCharacteristics:
-        """Characteristics of this task on the given cluster."""
-        for tc in self.per_cluster:
-            if tc.cluster_id == cluster_id:
-                return tc
+        """Characteristics of this task on the given cluster: entry cluster_id - 1."""
+        if 1 <= cluster_id <= len(self.per_cluster):
+            return self.per_cluster[cluster_id - 1]
         raise KeyError(f"task {self.id} has no data for cluster {cluster_id}")
 
 
@@ -125,12 +119,12 @@ class Instance:
 
     Building an instance checks it: a positive frame and window budget,
     unique task ids, every task's per_cluster in platform cluster order,
-    execution times of at least 1 ms and no negative energy_cost. Any
-    breach raises ValueError("instance is not usable: ..."), so every
-    Instance a solver or command receives is usable. A window budget
-    outside ceil(n / total cores)..n or a frame shorter than every task is
-    accepted: the solvers prove such an instance infeasible or leave the
-    spare windows empty.
+    execution times of at least 1 ms, finite coefficients and a finite,
+    nonnegative energy_cost. Any breach raises ValueError("instance is not
+    usable: ..."), so every Instance a solver or command receives is usable.
+    A window budget outside ceil(n / total cores)..n or a frame shorter than
+    every task is accepted: the solvers prove such an instance infeasible or
+    leave the spare windows empty.
     """
 
     platform: Platform
@@ -236,15 +230,17 @@ def _platform_violations(plat: Platform) -> list[str]:
             v.append(f"cluster {c.id}: core_count must be >= 1, got {c.core_count}")
         if c.frequency_mhz < 1:
             v.append(f"cluster {c.id}: frequency_mhz must be >= 1, got {c.frequency_mhz}")
-    if plat.idle_power_watts < 0:
-        v.append(f"idle_power_watts must be nonnegative, got {plat.idle_power_watts}")
+    # a range test with math.inf refuses NaN too, which fails every comparison
+    if not 0 <= plat.idle_power_watts < math.inf:
+        v.append(f"idle_power_watts must be nonnegative and finite, got {plat.idle_power_watts}")
     thermal = (plat.thermal_b, plat.thermal_g, plat.ambient_celsius)
     if thermal.count(None) not in (0, 3):
         v.append("thermal_b, thermal_g and ambient_celsius must be given together")
-    if plat.thermal_b is not None and plat.thermal_b <= 0:
-        v.append(f"thermal_b must be positive, got {plat.thermal_b}")
-    if plat.thermal_g is not None and plat.thermal_g <= 0:
-        v.append(f"thermal_g must be positive, got {plat.thermal_g}")
+    for name, value in zip(("thermal_b", "thermal_g"), thermal):
+        if value is not None and not 0 < value < math.inf:
+            v.append(f"{name} must be positive and finite, got {value}")
+    if plat.ambient_celsius is not None and not math.isfinite(plat.ambient_celsius):
+        v.append(f"ambient_celsius must be finite, got {plat.ambient_celsius}")
     return v
 
 
@@ -272,10 +268,15 @@ def _instance_violations(instance: Instance) -> list[str]:
                     f"task {t.id}: exec_time_ms on cluster {tc.cluster_id} "
                     f"must be >= 1, got {tc.exec_time_ms}"
                 )
-            if tc.energy_cost is not None and tc.energy_cost < 0:
+            if not (math.isfinite(tc.activity_coef) and math.isfinite(tc.offset_coef)):
+                v.append(
+                    f"task {t.id}: activity_coef and offset_coef on cluster "
+                    f"{tc.cluster_id} must be finite"
+                )
+            if tc.energy_cost is not None and not 0 <= tc.energy_cost < math.inf:
                 v.append(
                     f"task {t.id}: energy_cost on cluster {tc.cluster_id} "
-                    "must be nonnegative"
+                    "must be nonnegative and finite"
                 )
     return v
 
@@ -319,6 +320,7 @@ def check_feasible(instance: Instance, assignment: Assignment) -> Feasibility:
             f"got {len(assignment.window_lengths_ms)}"
         )
 
+    clusters = instance.platform.clusters
     violations: list[str] = []
     counts: dict[tuple[int, int], int] = {}
     for p in assignment.placements:
@@ -327,9 +329,7 @@ def check_feasible(instance: Instance, assignment: Assignment) -> Feasibility:
                 f"task {p.task_id}: window {p.window} outside 1..{q}"
             )
             continue
-        try:
-            cluster = instance.platform.cluster_by_id(p.cluster)
-        except KeyError:
+        if not 1 <= p.cluster <= len(clusters):
             violations.append(f"task {p.task_id}: unknown cluster {p.cluster}")
             continue
         counts[(p.window, p.cluster)] = counts.get((p.window, p.cluster), 0) + 1
@@ -340,7 +340,7 @@ def check_feasible(instance: Instance, assignment: Assignment) -> Feasibility:
                 f"({assignment.window_lengths_ms[p.window - 1]} < {e} ms)"
             )
     for (j, k), cnt in sorted(counts.items()):
-        cap = instance.platform.cluster_by_id(k).core_count
+        cap = clusters[k - 1].core_count
         if cnt > cap:
             violations.append(
                 f"window {j}, cluster {k}: {cnt} tasks exceed {cap} cores"
@@ -367,19 +367,15 @@ def derive_core_schedule(instance: Instance, assignment: Assignment) -> CoreSche
             "cannot derive a core schedule from an infeasible assignment: "
             + "; ".join(verdict.violations)
         )
-    windows = []
-    for j in range(1, instance.max_windows + 1):
-        per_cluster = []
-        for c in instance.platform.clusters:
-            members = sorted(
-                p.task_id
-                for p in assignment.placements
-                if p.window == j and p.cluster == c.id
-            )
-            slots = tuple(members) + (IDLE,) * (c.core_count - len(members))
-            per_cluster.append(slots)
-        windows.append(tuple(per_cluster))
-    return CoreSchedule(slots=tuple(windows))
+    clusters = instance.platform.clusters
+    members = [[[] for _ in clusters] for _ in range(instance.max_windows)]
+    for p in sorted(assignment.placements, key=lambda p: p.task_id):
+        members[p.window - 1][p.cluster - 1].append(p.task_id)
+    slots = tuple(
+        tuple(tuple(ids) + (IDLE,) * (c.core_count - len(ids)) for ids, c in zip(row, clusters))
+        for row in members
+    )
+    return CoreSchedule(slots=slots)
 
 
 def total_idle_time(instance: Instance, assignment: Assignment) -> int:
@@ -530,8 +526,9 @@ def _load_json(
     """Parse a JSON object with from_dict; raises ParseError on malformed input.
 
     A field of the wrong shape or type, such as a number where a list or an
-    object belongs, makes from_dict raise TypeError or AttributeError, which
-    is reported as a ParseError too.
+    object belongs, makes from_dict raise TypeError or AttributeError, and
+    an infinite number where an integer belongs (JSON's 1e400 reads as
+    inf) makes int() raise OverflowError; each is reported as a ParseError.
     """
     with _opened(path_or_file, "r") as f:
         try:
@@ -542,7 +539,7 @@ def _load_json(
         raise ParseError(f"{what} document must be a JSON object")
     try:
         return from_dict(doc)
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, OverflowError) as exc:
         raise ParseError(f"{what} document has a field of the wrong type: {exc}") from exc
 
 

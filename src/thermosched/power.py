@@ -74,6 +74,8 @@ class RegressionCoefficients:
                 raise ValueError(
                     f"cluster {k}: expected beta of dimension {FEATURE_DIM}, got {len(beta)}"
                 )
+            if not all(math.isfinite(b) for b in beta):
+                raise ValueError(f"cluster {k}: beta must be finite, got {beta}")
 
     def beta(self, cluster_id: int) -> tuple[float, ...]:
         return self.betas[cluster_id - 1]

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import pathlib
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -178,6 +179,26 @@ class TestSolve:
         assert code == EXIT_UNKNOWN_TIMEOUT
         assert json.loads((tmp_path / "x.result.json").read_text())["status"] == "unknown"
         assert not out.exists()
+
+    def test_heur_on_a_task_free_instance(self, tmp_path):
+        inst, out = tmp_path / "i.json", tmp_path / "x.json"
+        ts.save_instance(ts.Instance(helpers.MEK, (), 100, 3), str(inst))
+        assert main(["solve", str(inst), "--method", "heur", "-o", str(out)]) == EXIT_OK
+        assert json.loads((tmp_path / "x.result.json").read_text())["status"] == "feasible"
+        assert ts.load_assignment(str(out)) == ts.Assignment((), (0, 0, 0))
+
+    def test_integer_too_large_for_a_float_is_a_parse_error(self, tmp_path, capsys):
+        # json reads 1e400 as inf, which int() cannot convert
+        inst = tmp_path / "i.json"
+        ts.save_instance(helpers.worked_example(), str(inst))
+        text, count = re.subn(r'"exec_time_ms": \d+', '"exec_time_ms": 1e400', inst.read_text(), 1)
+        assert count == 1
+        inst.write_text(text)
+        code = main(["solve", str(inst), "--method", "heur", "-o", str(tmp_path / "x.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: instance document has a field of the wrong type: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "document, command",
@@ -410,12 +431,12 @@ MUTABLE_FIELDS = (
 MUTATION_VALUES = (-10, -1, 0, 0.5, 1, 2, 3, 7, 1000, None)
 # Per mutable field: the object that refuses a bad value, and whether a
 # value (not null) is bad, given the field's path and the unmutated document.
-# The loader truncates integer fields with int().
+# The loader truncates integer fields with int(); float fields must be finite.
 REFUSAL_RULES = {
-    "idle_power_watts": ("platform", lambda v, *_: v < 0),
-    "thermal_b": ("platform", lambda v, *_: v <= 0),
-    "thermal_g": ("platform", lambda v, *_: v <= 0),
-    "ambient_celsius": ("platform", lambda *_: False),
+    "idle_power_watts": ("platform", lambda v, *_: not 0 <= v < math.inf),
+    "thermal_b": ("platform", lambda v, *_: not 0 < v < math.inf),
+    "thermal_g": ("platform", lambda v, *_: not 0 < v < math.inf),
+    "ambient_celsius": ("platform", lambda v, *_: not math.isfinite(v)),
     "cluster id": ("platform", lambda v, field, _: int(v) != field[2] + 1),
     "core_count": ("platform", lambda v, *_: int(v) < 1),
     "frequency_mhz": ("platform", lambda v, *_: int(v) < 1),
@@ -427,9 +448,9 @@ REFUSAL_RULES = {
     ),
     "cluster_id": ("instance", lambda v, field, _: int(v) != field[3] + 1),
     "exec_time_ms": ("instance", lambda v, *_: int(v) < 1),
-    "activity_coef": ("instance", lambda *_: False),
-    "offset_coef": ("instance", lambda *_: False),
-    "energy_cost": ("instance", lambda v, *_: v < 0),
+    "activity_coef": ("instance", lambda v, *_: not math.isfinite(v)),
+    "offset_coef": ("instance", lambda v, *_: not math.isfinite(v)),
+    "energy_cost": ("instance", lambda v, *_: not 0 <= v < math.inf),
     "major_frame_ms": ("instance", lambda v, *_: int(v) < 1),
     "max_windows": ("instance", lambda v, *_: int(v) < 1),
 }
@@ -452,7 +473,11 @@ def expected_refusal(doc, field, value):
             return "platform is not usable: "
         return "instance document has a field of the wrong type"
     owner, breaks = REFUSAL_RULES[key]
-    return f"{owner} is not usable: " if breaks(value, field, doc) else None
+    try:
+        broken = breaks(value, field, doc)
+    except OverflowError:  # int() of an infinity, as in the loader
+        return "instance document has a field of the wrong type"
+    return f"{owner} is not usable: " if broken else None
 
 
 @pytest.fixture(scope="module")
@@ -508,6 +533,11 @@ def refusal_commands(inst, heur, lengths, out):
 @example(field=("platform", "thermal_b"), value=0)
 @example(field=("tasks", 0, "per_cluster", 0, "exec_time_ms"), value=-50)
 @example(field=("tasks", 1, "id"), value=1)
+@example(field=("platform", "idle_power_watts"), value=math.nan)
+@example(field=("tasks", 0, "per_cluster", 0, "activity_coef"), value=math.nan)
+@example(field=("tasks", 0, "per_cluster", 0, "offset_coef"), value=math.inf)
+@example(field=("tasks", 0, "per_cluster", 0, "energy_cost"), value=math.nan)
+@example(field=("tasks", 0, "per_cluster", 0, "exec_time_ms"), value=math.inf)
 def test_every_command_refuses_or_stays_feasible(tmp_path_factory, refusal_base, field, value):
     """One field of a valid instance mutated: each command refuses it or stays sound.
 
@@ -597,6 +627,18 @@ class TestEvaluate:
         main(["evaluate", str(inst_path), str(out), "--model", "sm"])
         report = json.loads(capsys.readouterr().out)
         assert abs(report["watts"] - result["objective_value"]) < 1e-9
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_cluster_outside_1_to_m_is_an_error(self, tmp_path, capsys, example_files, k):
+        inst_path, asg_path = example_files
+        doc = json.loads(pathlib.Path(asg_path).read_text())
+        doc["placements"][0]["cluster"] = k
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["evaluate", inst_path, str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot evaluate SM power of an infeasible assignment: ")
+        assert f"unknown cluster {k}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("model", ["sm", "lr", "lr-ub"])
     def test_infeasible_assignment_is_an_error(self, tmp_path, capsys, model):

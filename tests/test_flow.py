@@ -76,6 +76,30 @@ class TestBuildNetwork:
             ]
             assert len(arcs_to_c2) == q
 
+    def test_arcs_end_at_their_window_cluster_node(self):
+        # three clusters and three windows, so a misnumbered node shows
+        plat = ts.Platform(
+            clusters=tuple(ts.Cluster(id=k, core_count=k, label=f"c{k}") for k in (1, 2, 3)),
+            idle_power_watts=0.0,
+        )
+        tasks = tuple(
+            ts.Task(i, f"t{i}", tuple(
+                ts.TaskCharacteristics(k, 5 * k + i, 0.1, 0.1) for k in (1, 2, 3)
+            ))
+            for i in range(1, 5)
+        )
+        net = build_network(ts.Instance(plat, tasks, 60, 3), [20, 15, 10])
+        reached = set()
+        for arc, p in zip(net.arcs, net.arc_placements):
+            if p is None:
+                assert net.node_labels[arc.tail].startswith("wc:") and arc.head == net.sink
+                continue
+            tid, j, k = p
+            assert net.node_labels[arc.tail] == f"task:{tid}"
+            assert net.node_labels[arc.head] == f"wc:{j}:{k}"
+            reached.add((j, k))
+        assert reached == {(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)}
+
     def test_budget_precondition(self):
         instance = two_task_instance()
         with pytest.raises(ValueError):
@@ -211,7 +235,7 @@ class TestMinCostAssignment:
             for j, cid in combo:
                 counts[(j, cid)] = counts.get((j, cid), 0) + 1
             if all(
-                counts[(j, cid)] <= instance.platform.cluster_by_id(cid).core_count
+                counts[(j, cid)] <= clusters[cid - 1].core_count
                 for j, cid in counts
             ):
                 return True

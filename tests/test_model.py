@@ -40,6 +40,24 @@ BROKEN_PLATFORMS = {
     "thermal-g-negative": (
         dict(thermal_b=0.5, thermal_g=-0.4, ambient_celsius=25.0), "thermal_g must be positive"
     ),
+    "nan-idle": (
+        dict(idle_power_watts=math.nan), "idle_power_watts must be nonnegative and finite"
+    ),
+    "minus-inf-idle": (
+        dict(idle_power_watts=-math.inf), "idle_power_watts must be nonnegative and finite"
+    ),
+    "thermal-b-inf": (
+        dict(thermal_b=math.inf, thermal_g=0.4, ambient_celsius=25.0),
+        "thermal_b must be positive and finite",
+    ),
+    "thermal-g-nan": (
+        dict(thermal_b=0.5, thermal_g=math.nan, ambient_celsius=25.0),
+        "thermal_g must be positive and finite",
+    ),
+    "ambient-nan": (
+        dict(thermal_b=0.5, thermal_g=0.4, ambient_celsius=math.nan),
+        "ambient_celsius must be finite",
+    ),
 }
 
 # Each instance a constructor refuses: (frame, window budget, tasks), message phrase.
@@ -54,6 +72,18 @@ BROKEN_INSTANCES = {
     "negative-energy": (
         (100, 1, (ts.Task(1, "t", (ts.TaskCharacteristics(1, 10, 0.2, 0.2, -1.0),)),)),
         "task 1: energy_cost on cluster 1 must be nonnegative",
+    ),
+    "nan-activity": (
+        (100, 1, (ts.Task(1, "t", (ts.TaskCharacteristics(1, 10, math.nan, 0.2),)),)),
+        "task 1: activity_coef and offset_coef on cluster 1 must be finite",
+    ),
+    "inf-offset": (
+        (100, 1, (ts.Task(1, "t", (ts.TaskCharacteristics(1, 10, 0.2, math.inf),)),)),
+        "task 1: activity_coef and offset_coef on cluster 1 must be finite",
+    ),
+    "nan-energy": (
+        (100, 1, (ts.Task(1, "t", (ts.TaskCharacteristics(1, 10, 0.2, 0.2, math.nan),)),)),
+        "task 1: energy_cost on cluster 1 must be nonnegative and finite",
     ),
 }
 
@@ -116,11 +146,38 @@ class TestValidateInstance:
             ts.Instance(platform, tasks, frame, q)
 
 
+class TestTaskOn:
+    def test_reads_entry_k_minus_1(self, seven_tasks):
+        instance, _ = seven_tasks
+        for t in instance.tasks:
+            for k in range(1, len(instance.platform.clusters) + 1):
+                assert t.on(k) is t.per_cluster[k - 1] and t.on(k).cluster_id == k
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_cluster_outside_1_to_m_is_a_key_error(self, seven_tasks, k):
+        instance, _ = seven_tasks
+        assert len(instance.platform.clusters) == 2
+        with pytest.raises(KeyError, match=f"has no data for cluster {k}"):
+            instance.tasks[0].on(k)
+
+
 class TestCheckFeasible:
     def test_seven_task_layout_is_feasible(self, seven_tasks):
         instance, assignment = seven_tasks
         verdict = ts.check_feasible(instance, assignment)
         assert verdict.feasible and verdict.violations == ()
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_cluster_outside_1_to_m_is_unknown(self, seven_tasks, k):
+        # cluster 0 must not read as per_cluster[-1], the last cluster
+        instance, assignment = seven_tasks
+        first = assignment.placements[0]
+        placements = (ts.Placement(first.task_id, first.window, k),) + assignment.placements[1:]
+        verdict = ts.check_feasible(
+            instance, ts.Assignment(placements, assignment.window_lengths_ms)
+        )
+        assert not verdict
+        assert verdict.violations == (f"task {first.task_id}: unknown cluster {k}",)
 
     def test_capacity_violation(self):
         # five tasks forced into one window on the 4-core cluster

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -311,6 +312,13 @@ def synthetic_samples(platform, betas, count, noise_sigma, rng):
             watts += rng.gauss(0.0, noise_sigma)
         samples.append(FitSample(1000, watts, tuple(feats)))
     return samples
+
+
+class TestRegressionCoefficients:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_beta(self, bad):
+        with pytest.raises(ValueError, match=r"^cluster 2: beta must be finite"):
+            ts.RegressionCoefficients(betas=((1.205, 0.270), (0.969, bad)))
 
 
 class TestFitRegression:

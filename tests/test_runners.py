@@ -71,6 +71,15 @@ class TestRunMethod:
         with pytest.raises(ValueError, match="window lengths"):
             run_method("flow-fixed", instance)
 
+    def test_heur_on_a_task_free_instance(self):
+        # nothing to fix: the empty assignment is feasible, as ilp-sm proves
+        instance = model.Instance(helpers.MEK, (), 100, 3)
+        outcome = run_method("heur", instance)
+        assert outcome.status == "feasible"
+        assert outcome.assignment == model.Assignment((), (0, 0, 0))
+        assert check_feasible(instance, outcome.assignment)
+        assert run_method("ilp-sm", instance).status == "optimal"
+
     def test_heuristic_statuses(self):
         instance = helpers.small_random_instance(4)
         outcome = run_method("heur", instance)
