@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .model import Assignment, Instance, Placement, assignment_to_dict
+from .model import Assignment, Instance, Placement
 from .power import PowerModel, RegressionCoefficients, schedule_power
 
 _EPS = 1e-12
@@ -90,18 +90,6 @@ class SearchResult:
     lower_bound: float | None
     nodes_explored: int
     elapsed_ms: float
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "objective_value": self.objective_value,
-            "lower_bound": self.lower_bound,
-            "nodes_explored": self.nodes_explored,
-            "elapsed_ms": self.elapsed_ms,
-            "assignment": (
-                assignment_to_dict(self.assignment) if self.assignment else None
-            ),
-        }
 
 
 NodeRecorder = Callable[[tuple[tuple[int, int, int], ...], float], None]
@@ -166,27 +154,27 @@ def _grouped_assignment(
 
     Windows are filled by the aligned grouping described in the module
     docstring; ties between equal execution times break on ascending task
-    id for determinism. The grouping's lengths are the assignment's tight
-    window lengths, so the placements are built only for a grouping that
-    fits.
+    index, which is ascending task id, for determinism. The grouping's
+    lengths are the assignment's tight window lengths, so the placements
+    are built only for a grouping that fits.
     """
+    tasks = instance.tasks
     clusters = instance.platform.clusters
     per_cluster: list[list[tuple[int, int]]] = [[] for _ in clusters]
-    for t in instance.tasks:
+    for i, t in enumerate(tasks):
         cid = cluster_of[t.id]
-        per_cluster[cid - 1].append((-t.per_cluster[cid - 1].exec_time_ms, t.id))
+        per_cluster[cid - 1].append((-t.per_cluster[cid - 1].exec_time_ms, i))
     for entries in per_cluster:
         entries.sort()
     lengths = _grouped_lengths(instance, [[neg_e for neg_e, _ in es] for es in per_cluster])
     if lengths is None or sum(lengths) > instance.major_frame_ms:
         return None
-    placed = sorted(  # (task id, window, cluster id) by task id, as from_placements orders
-        (tid, rank // c.core_count + 1, c.id)
-        for c, entries in zip(clusters, per_cluster)
-        for rank, (_, tid) in enumerate(entries)
-    )
+    placed = [None] * len(tasks)  # by task index, which is task-id order
+    for c, entries in zip(clusters, per_cluster):
+        for rank, (_, i) in enumerate(entries):
+            placed[i] = Placement(tasks[i].id, rank // c.core_count + 1, c.id)
     lengths += [0] * (instance.max_windows - len(lengths))
-    return Assignment(tuple(Placement(*p) for p in placed), tuple(lengths))
+    return Assignment(tuple(placed), tuple(lengths))
 
 
 def _heuristic_cluster_maps(
@@ -430,7 +418,7 @@ def _window_search(
         if depth == n:
             value = p_idle + (true + sum_ae) / h
             if value < best_value:
-                best_placements = tuple(Placement(t, j, k) for (t, j, k) in trail)
+                best_placements = tuple(trail)
                 best_value = value
             return
 
@@ -569,8 +557,8 @@ def _cluster_search(
     best_map, seed, best = _seed_incumbent(
         instance, fix, objective,
         lambda asg: sign and sum(  # feasibility's value is 0 without a sum
-            sign * instance.task_by_id(p.task_id).per_cluster[p.cluster - 1].exec_time_ms
-            for p in asg.placements
+            sign * t.per_cluster[p.cluster - 1].exec_time_ms
+            for t, p in zip(instance.tasks, asg.placements)
         ),
         root_bound,
     )
@@ -865,7 +853,7 @@ def brute_force_optimum(
     def result(status, placements=None, value=None):
         elapsed = (time.perf_counter() - t_start) * 1000.0
         assignment = (
-            Assignment.from_placements(instance, [Placement(*p) for p in placements])
+            Assignment.from_placements(instance, placements)
             if placements is not None
             else None
         )

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Assignment, Instance, Placement
+from .model import Assignment, Instance
 
 
 @dataclass(frozen=True)
@@ -226,11 +226,9 @@ def min_cost_assignment(network: FlowNetwork) -> FlowResult:
         for i in range(len(network.arcs))
         if network.arc_placements[i] is not None and arc_flows[i] == 1
     ]
-    assignment = Assignment.from_placements(
-        instance, [Placement(*p) for p in chosen]
-    )
+    assignment = Assignment.from_placements(instance, chosen)
     total = sum(
-        instance.task_by_id(p.task_id).on(p.cluster).effective_energy_cost
-        for p in assignment.placements
+        t.per_cluster[p.cluster - 1].effective_energy_cost
+        for t, p in zip(instance.tasks, assignment.placements)
     )
     return FlowResult(True, assignment, total, arc_flows)

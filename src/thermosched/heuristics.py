@@ -30,14 +30,7 @@ import numpy as np
 from .exact import (
     ObjectiveKind, ObjectiveSpec, PartialFix, SearchStatus, _grouped_assignment, solve,
 )
-from .model import (
-    Assignment,
-    Instance,
-    ParseError,
-    Placement,
-    _load_json,
-    _write_csv,
-)
+from .model import Assignment, Instance, ParseError, _load_json, _write_csv
 from .power import (
     PowerModel,
     RegressionCoefficients,
@@ -135,22 +128,22 @@ class GaResult:
 
 
 def _decode_population(
-    genomes: np.ndarray, m: int, q: int, task_ids: Sequence[int]
+    genomes: np.ndarray, m: int, q: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decode a (population, n) gene array in one pass.
 
     Returns the 0-based preferred cluster index, the preference, the
     1-based preferred window and, per genome, the task indices by ascending
-    (preference, task id). The window is monotone in the preference, so
-    that order also groups the tasks by preferred window. The float
-    operations are those of the scalar formula in decode, element by
-    element, so the values are bit-identical to it.
+    (preference, task index); task index order is task-id order. The window
+    is monotone in the preference, so that order also groups the tasks by
+    preferred window. The float operations are those of the scalar formula
+    in decode, element by element, so the values are bit-identical to it.
     """
     ci = np.minimum((genomes * m).astype(np.int64), m - 1)
     pref = (genomes - ci / m) * q * m
     pref = np.minimum(np.maximum(pref, 0.0), math.nextafter(float(q), 0.0))
     window = np.minimum(pref.astype(np.int64), q - 1) + 1
-    order = np.lexsort((np.broadcast_to(np.asarray(task_ids), pref.shape), pref))
+    order = np.argsort(pref, axis=1, kind="stable")
     return ci, pref, window, order
 
 
@@ -166,10 +159,7 @@ def _decode_genome(genome: Sequence[float], instance: Instance) -> tuple[list, l
     if outside.size:
         raise ValueError(f"gene {genes[outside[0]]} outside [0, 1)")
     decoded = _decode_population(
-        genes[None, :],
-        len(instance.platform.clusters),
-        instance.max_windows,
-        [t.id for t in instance.tasks],
+        genes[None, :], len(instance.platform.clusters), instance.max_windows
     )
     return tuple(a[0].tolist() for a in decoded)
 
@@ -193,18 +183,17 @@ def _repair(
     order: Sequence[int],
     cluster: Sequence[int],
     window: Sequence[int],
-    task_ids: Sequence[int],
     cores: Sequence[int],
     q: int,
 ) -> list[int] | None:
     """The repair sweeps of reconstruct; 1-based window per task, or None.
 
-    order lists the task indices by ascending (preference, task id), as
+    order lists the task indices by ascending (preference, task index), as
     _decode_population returns it, so each window's own tasks form one run
     of it. A task bumped out of a window re-enters the next one with
     preference zero, ahead of that window's own tasks (whose preferences
-    are at least 1 from window 2 on) and ordered by task id among the
-    bumped. Costs O(n log n + q) per genome.
+    are at least 1 from window 2 on) and ordered by task index, which is
+    task-id order, among the bumped. Costs O(n log n + q) per genome.
     """
     m = len(cores)
     n = len(order)
@@ -215,8 +204,7 @@ def _repair(
     for sweep in range(2 * q):
         j = sweep % q + 1
         todo = carry
-        if len(todo) > 1:
-            todo.sort(key=task_ids.__getitem__)
+        todo.sort()
         carry = []
         if sweep < q:
             end = k
@@ -249,14 +237,12 @@ def reconstruct(genome: Sequence[float], instance: Instance) -> Assignment | Non
     derived window lengths exceed the major frame.
     """
     cluster, _, window, order = _decode_genome(genome, instance)
-    task_ids = [t.id for t in instance.tasks]
     cores = [c.core_count for c in instance.platform.clusters]
-    placed = _repair(order, cluster, window, task_ids, cores, instance.max_windows)
+    placed = _repair(order, cluster, window, cores, instance.max_windows)
     if placed is None:
         return None
     assignment = Assignment.from_placements(
-        instance,
-        [Placement(tid, w, c + 1) for tid, w, c in zip(task_ids, placed, cluster)],
+        instance, [(t.id, w, c + 1) for t, w, c in zip(instance.tasks, placed, cluster)]
     )
     if assignment.total_window_length_ms > instance.major_frame_ms:
         return None
@@ -275,8 +261,9 @@ class _PopulationFitness:
     window, so only the other rows go through _repair. Window lengths and
     the frame check are array passes; SM is scored through the window
     accumulation schedule_power uses, LR through its per-task closed form
-    summed in task-id order. Genomes that do not repair, or whose windows
-    overflow the major frame, score inf.
+    summed in task order, which is task-id order as in schedule_power.
+    Genomes that do not repair, or whose windows overflow the major frame,
+    score inf.
     """
 
     def __init__(
@@ -291,17 +278,14 @@ class _PopulationFitness:
         self.h = instance.major_frame_ms
         self.idle = instance.platform.idle_power_watts
         self.cores = [c.core_count for c in clusters]
-        self.task_ids = [t.id for t in instance.tasks]
-        # schedule_power visits placements, hence windows, in task-id order
-        self.by_id = np.argsort(self.task_ids, kind="stable")
-        chars = [t.per_cluster for t in instance.tasks]
-        self.chars_by_id = [chars[i] for i in self.by_id]
-        self.exec_ms = np.array([[tc.exec_time_ms for tc in row] for row in chars])
-        self.lr_by_id = None
+        # rows in task order: the task-id order schedule_power visits placements in
+        self.chars = [t.per_cluster for t in instance.tasks]
+        self.exec_ms = np.array([[tc.exec_time_ms for tc in row] for row in self.chars])
+        self.lr = None
         if model is PowerModel.LR:
-            self.lr_by_id = np.array([
+            self.lr = np.array([
                 [_lr_energy(tc, coefficients.beta(c.id)) for tc, c in zip(row, clusters)]
-                for row in self.chars_by_id
+                for row in self.chars
             ])
         self._previous: dict[bytes, float] = {}
 
@@ -324,16 +308,13 @@ class _PopulationFitness:
 
     def _score(self, population: np.ndarray) -> np.ndarray:
         m, q = self.m, self.q
-        ci, _, window, order = _decode_population(population, m, q, self.task_ids)
+        ci, _, window, order = _decode_population(population, m, q)
         rows = np.arange(len(population))[:, None]
         load = np.bincount((ci + (rows * q + window - 1) * m).ravel(), minlength=rows.size * q * m)
         placed = window  # rows that _repair changes are overwritten below
         repaired = np.ones(rows.size, dtype=bool)
         for r in np.flatnonzero((load.reshape(-1, q, m) > self.cores).any(axis=(1, 2))).tolist():
-            row = _repair(
-                order[r].tolist(), ci[r].tolist(), window[r].tolist(),
-                self.task_ids, self.cores, q,
-            )
+            row = _repair(order[r].tolist(), ci[r].tolist(), window[r].tolist(), self.cores, q)
             if row is None:
                 repaired[r] = False
             else:
@@ -342,22 +323,22 @@ class _PopulationFitness:
         lengths = np.zeros((rows.size, q), dtype=execs.dtype)
         np.maximum.at(lengths, (rows, placed - 1), execs)
         fits = repaired & (lengths.sum(axis=1) <= self.h)
-        ci = ci[fits][:, self.by_id]
+        ci = ci[fits]
         fitness = np.full(rows.size, math.inf)
-        if self.lr_by_id is not None:
+        if self.lr is not None:
             # accumulate adds along each row in order, as a running sum would
-            energy = self.lr_by_id[np.arange(ci.shape[1]), ci]
+            energy = self.lr[np.arange(ci.shape[1]), ci]
             activity, offset = np.add.accumulate(energy, axis=1)[:, -1].T
             fitness[fits] = self.idle + activity / self.h + offset / self.h
             return fitness
         for r, wins, cl, lens in zip(
             np.flatnonzero(fits).tolist(),
-            placed[fits][:, self.by_id].tolist(),
+            placed[fits].tolist(),
             ci.tolist(),
             lengths[fits].tolist(),
         ):
             activity, offset = _window_accumulate(
-                wins, list(map(tuple.__getitem__, self.chars_by_id, cl)), lens, self.h
+                wins, list(map(tuple.__getitem__, self.chars, cl)), lens, self.h
             )
             fitness[r] = self.idle + activity + offset
         return fitness

@@ -18,6 +18,7 @@ import contextlib
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
@@ -26,6 +27,10 @@ _T = TypeVar("_T")
 
 class ParseError(ValueError):
     """Raised when an instance, assignment or CSV document is malformed."""
+
+
+class Unusable(ValueError):
+    """Raised when a value is built with fields that break its rules."""
 
 
 #: Core-slot marker for a slot with no task.
@@ -118,10 +123,11 @@ class Instance:
     """A full problem input: platform, tasks, frame length and window budget.
 
     Building an instance checks it: a positive frame and window budget,
-    unique task ids, every task's per_cluster in platform cluster order,
-    execution times of at least 1 ms, finite coefficients and a finite,
-    nonnegative energy_cost. Any breach raises ValueError("instance is not
-    usable: ..."), so every Instance a solver or command receives is usable.
+    tasks in strictly ascending id order (unique ids), every task's
+    per_cluster in platform cluster order, execution times of at least
+    1 ms, finite coefficients and a finite, nonnegative energy_cost. Any
+    breach raises ValueError("instance is not usable: ..."), so every
+    Instance a solver or command receives is usable.
     A window budget outside ceil(n / total cores)..n or a frame shorter than
     every task is accepted: the solvers prove such an instance infeasible or
     leave the spare windows empty.
@@ -157,12 +163,20 @@ class Placement:
 class Assignment:
     """A complete solution: one placement per task plus derived window lengths.
 
-    window_lengths_ms always has max_windows entries; windows without tasks
-    have length 0.
+    Placements are in strictly ascending task id order, so once the task
+    ids match an instance's, placement i belongs to instance.tasks[i];
+    building an assignment in any other order raises ValueError
+    ("assignment is not usable: ..."). window_lengths_ms always has
+    max_windows entries; windows without tasks have length 0.
     """
 
     placements: tuple[Placement, ...]
     window_lengths_ms: tuple[int, ...]
+
+    def __post_init__(self):
+        ids = [p.task_id for p in self.placements]
+        if any(map(operator.ge, ids, ids[1:])):
+            _refuse("assignment", [f"task ids must be strictly ascending, got {ids}"])
 
     @classmethod
     def from_placements(
@@ -172,7 +186,8 @@ class Assignment:
     ) -> "Assignment":
         """Build an assignment with tight derived window lengths.
 
-        Accepts Placement objects or (task_id, window, cluster) triples.
+        Accepts Placement objects or (task_id, window, cluster) triples, in
+        any order; they are sorted by task id.
         """
         normalized = tuple(
             sorted(
@@ -215,7 +230,7 @@ class Feasibility:
 
 def _refuse(what: str, violations: list[str]) -> None:
     if violations:
-        raise ValueError(f"{what} is not usable: " + "; ".join(violations))
+        raise Unusable(f"{what} is not usable: " + "; ".join(violations))
 
 
 def _platform_violations(plat: Platform) -> list[str]:
@@ -252,6 +267,8 @@ def _instance_violations(instance: Instance) -> list[str]:
         v.append("max_windows must be a positive integer")
     if len(instance._task_map) != len(instance.tasks):
         v.append("task ids must be unique")
+    elif list(instance._task_map) != sorted(instance._task_map):
+        v.append(f"tasks must be in ascending id order, got ids {list(instance._task_map)}")
 
     ids = [c.id for c in instance.platform.clusters]
     for t in instance.tasks:
@@ -304,10 +321,12 @@ def check_feasible(instance: Instance, assignment: Assignment) -> Feasibility:
     Checks complete assignment, per-window cluster capacity, window-length
     dominance over every contained task, and the frame budget. A mismatch
     between the assignment's task set and the instance's task set is an
-    input error and raises ValueError instead of producing a verdict.
+    input error and raises ValueError instead of producing a verdict. Both
+    list their tasks in ascending id order, so the sets match when the id
+    lists are equal, and placement i then belongs to instance.tasks[i].
     """
-    inst_ids = sorted(t.id for t in instance.tasks)
-    asg_ids = sorted(p.task_id for p in assignment.placements)
+    inst_ids = [t.id for t in instance.tasks]
+    asg_ids = [p.task_id for p in assignment.placements]
     if inst_ids != asg_ids:
         raise ValueError(
             "assignment task set does not match instance task set "
@@ -323,7 +342,7 @@ def check_feasible(instance: Instance, assignment: Assignment) -> Feasibility:
     clusters = instance.platform.clusters
     violations: list[str] = []
     counts: dict[tuple[int, int], int] = {}
-    for p in assignment.placements:
+    for t, p in zip(instance.tasks, assignment.placements):
         if not 1 <= p.window <= q:
             violations.append(
                 f"task {p.task_id}: window {p.window} outside 1..{q}"
@@ -333,7 +352,7 @@ def check_feasible(instance: Instance, assignment: Assignment) -> Feasibility:
             violations.append(f"task {p.task_id}: unknown cluster {p.cluster}")
             continue
         counts[(p.window, p.cluster)] = counts.get((p.window, p.cluster), 0) + 1
-        e = instance.task_by_id(p.task_id).on(p.cluster).exec_time_ms
+        e = t.per_cluster[p.cluster - 1].exec_time_ms
         if e > assignment.window_lengths_ms[p.window - 1]:
             violations.append(
                 f"window {p.window} is shorter than task {p.task_id} "
@@ -357,9 +376,9 @@ def check_feasible(instance: Instance, assignment: Assignment) -> Feasibility:
 def derive_core_schedule(instance: Instance, assignment: Assignment) -> CoreSchedule:
     """Assign each placed task to one core slot of its (window, cluster).
 
-    Tasks sharing a (window, cluster) occupy slots in ascending task id,
-    which makes the schedule deterministic. Raises ValueError when the
-    assignment is infeasible.
+    Tasks sharing a (window, cluster) occupy slots in ascending task id, the
+    order of the placements, which makes the schedule deterministic. Raises
+    ValueError when the assignment is infeasible.
     """
     verdict = check_feasible(instance, assignment)
     if not verdict:
@@ -369,7 +388,7 @@ def derive_core_schedule(instance: Instance, assignment: Assignment) -> CoreSche
         )
     clusters = instance.platform.clusters
     members = [[[] for _ in clusters] for _ in range(instance.max_windows)]
-    for p in sorted(assignment.placements, key=lambda p: p.task_id):
+    for p in assignment.placements:
         members[p.window - 1][p.cluster - 1].append(p.task_id)
     slots = tuple(
         tuple(tuple(ids) + (IDLE,) * (c.core_count - len(ids)) for ids, c in zip(row, clusters))
@@ -431,6 +450,7 @@ def _platform_from_dict(doc: dict) -> Platform:
 
 
 def instance_from_dict(doc: dict) -> Instance:
+    """The instance a document describes; its tasks and their entries are sorted by id."""
     platform = _platform_from_dict(_require(doc, "platform", "instance"))
     tasks = []
     for pos, td in enumerate(_require(doc, "tasks", "instance")):
@@ -460,6 +480,7 @@ def instance_from_dict(doc: dict) -> Instance:
                 per_cluster=tuple(entries),
             )
         )
+    tasks.sort(key=lambda t: t.id)
     return Instance(
         platform=platform,
         tasks=tuple(tasks),
@@ -526,9 +547,11 @@ def _load_json(
     """Parse a JSON object with from_dict; raises ParseError on malformed input.
 
     A field of the wrong shape or type, such as a number where a list or an
-    object belongs, makes from_dict raise TypeError or AttributeError, and
-    an infinite number where an integer belongs (JSON's 1e400 reads as
-    inf) makes int() raise OverflowError; each is reported as a ParseError.
+    object belongs, makes from_dict raise TypeError or AttributeError; a
+    value int() or float() cannot convert, such as "abc" or NaN where an
+    integer belongs, makes it raise ValueError, and an infinite one (JSON's
+    1e400 reads as inf) OverflowError. Each is reported as a ParseError; a
+    ParseError or an Unusable refusal of a built value passes through.
     """
     with _opened(path_or_file, "r") as f:
         try:
@@ -539,7 +562,9 @@ def _load_json(
         raise ParseError(f"{what} document must be a JSON object")
     try:
         return from_dict(doc)
-    except (TypeError, AttributeError, OverflowError) as exc:
+    except (ParseError, Unusable):
+        raise
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ParseError(f"{what} document has a field of the wrong type: {exc}") from exc
 
 

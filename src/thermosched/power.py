@@ -39,6 +39,7 @@ from .model import (
     ParseError,
     Platform,
     TaskCharacteristics,
+    Unusable,
     _load_json,
     _read_csv,
     _write_csv,
@@ -71,11 +72,11 @@ class RegressionCoefficients:
     def __post_init__(self):
         for k, beta in enumerate(self.betas, start=1):
             if len(beta) != FEATURE_DIM:
-                raise ValueError(
+                raise Unusable(
                     f"cluster {k}: expected beta of dimension {FEATURE_DIM}, got {len(beta)}"
                 )
             if not all(math.isfinite(b) for b in beta):
-                raise ValueError(f"cluster {k}: beta must be finite, got {beta}")
+                raise Unusable(f"cluster {k}: beta must be finite, got {beta}")
 
     def beta(self, cluster_id: int) -> tuple[float, ...]:
         return self.betas[cluster_id - 1]
@@ -134,8 +135,9 @@ def _window_accumulate(
     SM without coefficients, LR-UB with them. Nothing is checked: lengths
     must be positive and valid. Each window sums its tasks' terms in the
     order given, and the windows are then summed in order of first
-    appearance; schedule_power and the genetic search both pass tasks in
-    task-id order, so their SM values agree bit for bit.
+    appearance; schedule_power and the genetic search both pass the tasks
+    in instance order, which is task-id order, so their SM values agree bit
+    for bit.
     """
     q = len(lengths)
     act = [0.0] * (q + 1)
@@ -244,9 +246,9 @@ def decompose_intervals(
     slots = schedule.window(window)
 
     end_time: dict[int, int] = {}
-    for p in assignment.placements:
+    for t, p in zip(instance.tasks, assignment.placements):
         if p.window == window:
-            end_time[p.task_id] = instance.task_by_id(p.task_id).on(p.cluster).exec_time_ms
+            end_time[p.task_id] = t.per_cluster[p.cluster - 1].exec_time_ms
 
     boundaries = sorted(set(end_time.values()) | {length})
     intervals = []
@@ -317,8 +319,8 @@ def schedule_power(
     if model is PowerModel.LR:
         activity = 0.0
         offset = 0.0
-        for p in assignment.placements:
-            tc = instance.task_by_id(p.task_id).on(p.cluster)
+        for t, p in zip(instance.tasks, assignment.placements):
+            tc = t.per_cluster[p.cluster - 1]
             a, b = _lr_energy(tc, coefficients.beta(p.cluster))
             activity += a
             offset += b
@@ -327,7 +329,7 @@ def schedule_power(
     placements = assignment.placements
     activity, offset = _window_accumulate(
         [p.window for p in placements],
-        [instance.task_by_id(p.task_id).on(p.cluster) for p in placements],
+        [t.per_cluster[p.cluster - 1] for t, p in zip(instance.tasks, placements)],
         assignment.window_lengths_ms,
         h,
         coefficients if model is PowerModel.LR_UB else None,

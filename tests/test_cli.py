@@ -201,6 +201,47 @@ class TestSolve:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "value, message",
+        [
+            pytest.param("NaN", "cannot convert float NaN to integer", id="nan"),
+            pytest.param('"abc"', "invalid literal for int()", id="string"),
+        ],
+    )
+    def test_integer_field_int_cannot_read_is_a_parse_error(
+        self, tmp_path, capsys, value, message
+    ):
+        inst = tmp_path / "i.json"
+        main(["generate", "--n", "6", "--kappa", "3.5", "--seed", "3", "--kernels", "mixed",
+              "-o", str(inst)])
+        text, count = re.subn(
+            r'"exec_time_ms": \d+', f'"exec_time_ms": {value}', inst.read_text(), 1
+        )
+        assert count == 1
+        inst.write_text(text)
+        capsys.readouterr()
+        code = main(["solve", str(inst), "--method", "heur", "-o", str(tmp_path / "x.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: instance document has a field of the wrong type: " + message)
+        assert "Traceback" not in err
+
+    def test_task_order_in_the_document_does_not_matter(self, tmp_path):
+        inst, rev = tmp_path / "i.json", tmp_path / "r.json"
+        main(["generate", "--n", "12", "--kappa", "1.0", "--seed", "3", "--kernels", "mixed",
+              "-o", str(inst)])
+        doc = json.loads(inst.read_text())
+        doc["tasks"].reverse()
+        rev.write_text(json.dumps(doc))
+        assert ts.load_instance(str(rev)) == ts.load_instance(str(inst))
+        for name, path in (("a", inst), ("b", rev)):
+            assert main([
+                "solve", str(path), "--method", "bb-sm", "--seed", "1",
+                "--max-generations", "30", "-o", str(tmp_path / f"{name}.json"),
+            ]) == EXIT_OK
+        for suffix in (".json", ".trace.csv"):
+            assert (tmp_path / f"a{suffix}").read_text() == (tmp_path / f"b{suffix}").read_text()
+
+    @pytest.mark.parametrize(
         "document, command",
         [
             pytest.param("[]", "qp-lr-ub", id="list"),

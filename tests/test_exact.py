@@ -141,16 +141,6 @@ class TestSolveBasics:
         assert limited.lower_bound <= full.objective_value + 1e-9
         assert limited.objective_value >= full.objective_value - 1e-9
 
-    def test_result_document(self):
-        instance = helpers.small_random_instance(3)
-        result = ts.solve(instance, spec(ObjectiveKind.SM_POWER))
-        doc = result.to_dict()
-        assert doc["status"] == result.status.value
-        assert set(doc) == {
-            "status", "objective_value", "lower_bound",
-            "nodes_explored", "elapsed_ms", "assignment",
-        }
-
 
 class TestBruteForce:
     def test_single_placement(self):

@@ -66,6 +66,10 @@ BROKEN_INSTANCES = {
     "zero-frame": ((0, 1, (_TASK,)), "major_frame_ms must be a positive integer"),
     "zero-windows": ((100, 0, (_TASK,)), "max_windows must be a positive integer"),
     "duplicate-ids": ((100, 2, (_TASK, _TASK)), "task ids must be unique"),
+    "ids-out-of-order": (
+        (100, 2, (ts.Task(2, "t", _TASK.per_cluster), _TASK)),
+        "tasks must be in ascending id order, got ids [2, 1]",
+    ),
     "missing-cluster": (
         (100, 1, (ts.Task(1, "t", ()),)), "task 1: per_cluster must list every platform cluster"
     ),
@@ -219,6 +223,17 @@ class TestCheckFeasible:
         with pytest.raises(ValueError):
             ts.check_feasible(instance, ts.Assignment(assignment.placements[:-1], assignment.window_lengths_ms))
 
+    @pytest.mark.parametrize("change", ["missing", "extra", "renamed"])
+    def test_missing_extra_or_renamed_task_is_input_error(self, seven_tasks, change):
+        instance, assignment = seven_tasks
+        placements = {
+            "missing": assignment.placements[1:],
+            "extra": assignment.placements + (ts.Placement(8, 1, 1),),
+            "renamed": assignment.placements[:-1] + (ts.Placement(9, 3, 1),),
+        }[change]
+        with pytest.raises(ValueError, match="assignment task set does not match instance task set"):
+            ts.check_feasible(instance, ts.Assignment(placements, assignment.window_lengths_ms))
+
     def test_window_permutation_invariance(self, seven_tasks):
         instance, assignment = seven_tasks
         rng = random.Random(7)
@@ -230,6 +245,33 @@ class TestCheckFeasible:
             ]
             permuted = ts.Assignment.from_placements(instance, placements)
             assert ts.check_feasible(instance, permuted).feasible
+
+
+class TestAssignmentOrder:
+    """An Assignment lists its placements in strictly ascending task id order."""
+
+    @pytest.mark.parametrize(
+        "ids", [(2, 1), (1, 1), (1, 3, 2)], ids=["reversed", "repeated", "swapped"]
+    )
+    def test_refuses_other_orders(self, ids):
+        placements = tuple(ts.Placement(i, 1, 1) for i in ids)
+        with pytest.raises(ValueError, match=r"^assignment is not usable: task ids must be strictly"):
+            ts.Assignment(placements, (10,))
+
+    def test_from_placements_and_loader_sort(self, seven_tasks):
+        instance, assignment = seven_tasks
+        shuffled = list(reversed(assignment.placements))
+        assert ts.Assignment.from_placements(instance, shuffled) == assignment
+        doc = ts.model.assignment_to_dict(assignment)
+        doc["placements"].reverse()
+        assert ts.load_assignment(io.StringIO(json.dumps(doc))) == assignment
+
+    def test_loader_refuses_a_repeated_task(self, seven_tasks):
+        _, assignment = seven_tasks
+        doc = ts.model.assignment_to_dict(assignment)
+        doc["placements"].append(doc["placements"][0])
+        with pytest.raises(ValueError, match=r"^assignment is not usable: "):
+            ts.load_assignment(io.StringIO(json.dumps(doc)))
 
 
 class TestWindowLengths:

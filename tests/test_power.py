@@ -1,3 +1,4 @@
+import io
 import math
 import random
 
@@ -370,3 +371,17 @@ class TestCoefficientsIO:
     def test_missing_clusters_field(self):
         with pytest.raises(ts.ParseError, match="clusters"):
             ts.power.coefficients_from_dict({"r_squared": 1.0})
+
+    def test_beta_float_cannot_read_is_a_parse_error(self):
+        doc = '{"clusters": [{"cluster_id": 1, "beta": ["abc", 1]}]}'
+        with pytest.raises(
+            ts.ParseError, match=r"^coefficients document has a field of the wrong type: "
+        ):
+            ts.load_coefficients(io.StringIO(doc))
+
+    def test_non_finite_beta_keeps_its_refusal(self):
+        # a refusal of the built value is not relabelled as a parse error
+        doc = '{"clusters": [{"cluster_id": 1, "beta": [NaN, 1]}]}'
+        with pytest.raises(ValueError, match=r"^cluster 1: beta must be finite") as info:
+            ts.load_coefficients(io.StringIO(doc))
+        assert not isinstance(info.value, ts.ParseError)
