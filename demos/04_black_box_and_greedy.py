@@ -22,7 +22,7 @@ instance = ts.Instance(platform, base.tasks, base.major_frame_ms, max_windows=4)
 exact = ts.solve(instance, ts.ObjectiveSpec(ts.ObjectiveKind.SM_POWER))
 print(f"exact sum-max optimum: {exact.objective_value:.4f} W")
 
-ga = ts.run_ga(instance, "sm", ts.GaConfig(time_limit_ms=4000, rng_seed=1))
+ga = ts.run_ga(instance, "sm", ts.GaConfig(rng_seed=1), time_limit_ms=4000)
 gap = 100 * (ga.fitness - exact.objective_value) / exact.objective_value
 print(f"genetic search:        {ga.fitness:.4f} W "
       f"({gap:.2f}% above optimum, {ga.generations} generations, "

@@ -205,9 +205,7 @@ def _cmd_solve(args) -> _Run:
     coefficients = _resolve_coefficients(args.coefficients)
     ga_config = None
     if randomized:
-        overrides = dict(
-            time_limit_ms=args.time_limit, rng_seed=seed, max_generations=args.max_generations
-        )
+        overrides = dict(rng_seed=seed, max_generations=args.max_generations)
         ga_config = (
             load_ga_config(args.ga_config, **overrides) if args.ga_config else GaConfig(**overrides)
         )
@@ -366,7 +364,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve an instance with one method")
     p.add_argument("instance")
     p.add_argument("--method", required=True, help=", ".join(METHOD_NAMES))
-    p.add_argument("--time-limit", type=float, default=300000.0, help="milliseconds")
+    p.add_argument("--time-limit", type=float, default=300000.0, help="milliseconds per run")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--coefficients", default=None, help="coefficients JSON or preset name")
     p.add_argument("--window-lengths", default=None, help="l1,l2,... for flow-fixed")
@@ -394,7 +392,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sizes", required=True, help="comma-separated task counts")
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--methods", required=True)
-    p.add_argument("--time-limit", type=float, default=300000.0)
+    p.add_argument("--time-limit", type=float, default=300000.0, help="milliseconds per run")
     p.add_argument("--kernels", required=True)
     p.add_argument("--platform", default="imx8-mek")
     p.add_argument("--kappa", type=float, default=3.5)
@@ -414,7 +412,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--methods", default="ilp-sm,qp-lr-ub,bb-sm,bb-lr,heur,idle-min,idle-max")
     p.add_argument("--model", default="sm", choices=[m.value for m in PowerModel])
     p.add_argument("--coefficients", default=None)
-    p.add_argument("--time-limit", type=float, default=300000.0)
+    p.add_argument("--time-limit", type=float, default=300000.0, help="milliseconds per run")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_compare)

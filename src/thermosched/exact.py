@@ -41,7 +41,15 @@ from .model import Assignment, Instance, Placement
 from .power import PowerModel, RegressionCoefficients, schedule_power
 
 _EPS = 1e-12
-_TIME_CHECK_MASK = 0x3FF  # check the clock every 1024 nodes
+
+
+def deadline_after(time_limit_ms: float | None) -> float:
+    """The time.perf_counter() reading that ends a run; inf for no limit (None)."""
+    if time_limit_ms is None:
+        return math.inf
+    if not time_limit_ms > 0:  # NaN as well
+        raise ValueError(f"time_limit_ms must be positive, got {time_limit_ms}")
+    return time.perf_counter() + time_limit_ms / 1000.0
 
 
 class ObjectiveKind(str, Enum):
@@ -290,11 +298,10 @@ def _window_search(
     instance: Instance,
     objective: ObjectiveSpec,
     fix: Mapping[int, int],
-    time_limit_ms: float | None,
+    deadline: float,
     node_recorder: NodeRecorder | None,
 ) -> SearchResult:
     t_start = time.perf_counter()
-    deadline = None if time_limit_ms is None else t_start + time_limit_ms / 1000.0
     plat = instance.platform
     m = len(plat.clusters)
     q = instance.max_windows
@@ -408,10 +415,8 @@ def _window_search(
     def rec(depth: int, used: int, suml: int, sum_ae: float, true: float, safe: float):
         nonlocal nodes, aborted, best_placements, best_value
         nodes += 1
-        if deadline is not None and (nodes & _TIME_CHECK_MASK) == 0:
-            if time.perf_counter() > deadline:
-                aborted = True
-        if aborted:
+        if time.perf_counter() > deadline:
+            aborted = True
             return
         if node_recorder is not None:
             node_recorder(tuple(trail), p_idle + (safe + tail[depth] + sum_ae) / h)
@@ -517,10 +522,9 @@ def _cluster_search(
     instance: Instance,
     objective: ObjectiveSpec,
     fix: Mapping[int, int],
-    time_limit_ms: float | None,
+    deadline: float,
 ) -> SearchResult:
     t_start = time.perf_counter()
-    deadline = None if time_limit_ms is None else t_start + time_limit_ms / 1000.0
     plat = instance.platform
     m = len(plat.clusters)
     q = instance.max_windows
@@ -610,10 +614,8 @@ def _cluster_search(
     def rec(depth: int, acc: int, suml: int):
         nonlocal nodes, aborted
         nodes += 1
-        if deadline is not None and (nodes & _TIME_CHECK_MASK) == 0:
-            if time.perf_counter() > deadline:
-                aborted = True
-        if aborted:
+        if time.perf_counter() > deadline:
+            aborted = True
             return
         if depth == n_free:
             if acc < incumbent[1]:
@@ -679,6 +681,9 @@ def solve(
     SM power the root bound charges window offsets as well as activity
     energy; for LR-UB power it charges the star energy alone.
 
+    time_limit_ms (None: no limit, else positive) bounds the whole call;
+    the search reads the clock at every node it enters.
+
     nodes_explored counts the nodes the search entered, the root included.
     A child rejected before it is entered, by the capacity, grouping, frame
     or bound checks, is not counted.
@@ -687,12 +692,11 @@ def solve(
     search with the placed prefix and the node's bound; it exists for bound
     auditing and is ignored by the cluster-space searches.
     """
-    if time_limit_ms is not None and time_limit_ms < 1:
-        raise ValueError("time_limit_ms must be at least 1")
+    deadline = deadline_after(time_limit_ms)
     fix = _check_inputs(instance, objective, partial)
     if objective.kind in (ObjectiveKind.SM_POWER, ObjectiveKind.LR_UB_POWER):
-        return _window_search(instance, objective, fix, time_limit_ms, node_recorder)
-    return _cluster_search(instance, objective, fix, time_limit_ms)
+        return _window_search(instance, objective, fix, deadline, node_recorder)
+    return _cluster_search(instance, objective, fix, deadline)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from .exact import (
-    ObjectiveKind, ObjectiveSpec, PartialFix, SearchStatus, _grouped_assignment, solve,
+    ObjectiveKind, ObjectiveSpec, PartialFix, SearchStatus, _grouped_assignment, deadline_after,
+    solve,
 )
 from .model import Assignment, Instance, ParseError, _load_json, _write_csv
 from .power import (
@@ -63,16 +64,16 @@ class GaConfig:
     and bga_precision_bits in 1..53; run_ga raises ValueError otherwise. A
     restart with a fresh random population happens after stall_generations
     generations without improvement. max_generations bounds the total
-    generation count across restarts; runs limited only by wall-clock time
-    are seed-deterministic in their evolution but may be cut at different
-    generations, so reproducibility tests should set max_generations.
+    generation count across restarts; the time limit is run_ga's argument.
+    Runs limited only by wall-clock time are seed-deterministic in their
+    evolution but may be cut at different generations, so reproducibility
+    tests should set max_generations.
     """
 
     crossover_rate: float = 0.8
     mutation_rate: float = 0.2
     population_size: int | None = None
     elite_discard_fraction: float = 0.10
-    time_limit_ms: float | None = None
     rng_seed: int = 0
     bga_mutation_range: float = 0.1
     bga_precision_bits: int = 16
@@ -410,8 +411,13 @@ def run_ga(
     model: Union[PowerModel, str],
     config: GaConfig,
     coefficients: RegressionCoefficients | None = None,
+    time_limit_ms: float | None = None,
 ) -> GaResult:
     """Evolve allocations against the SM or LR power model.
+
+    The run stops after config.max_generations generations or after the
+    first generation that ends past time_limit_ms (counted from the call),
+    whichever comes first; at least one must be set.
 
     Each generation is scored as a whole by _PopulationFitness: a genome
     already scored in this or the previous generation reuses its value,
@@ -431,6 +437,7 @@ def run_ga(
     assignment ever seen is returned, or a result without an assignment
     when no genome ever reconstructed.
     """
+    deadline = deadline_after(time_limit_ms)
     model = PowerModel(model)
     if model is PowerModel.LR_UB:
         raise ValueError("the genetic search uses the SM or LR model")
@@ -438,8 +445,8 @@ def run_ga(
         if coefficients is None:
             raise ValueError("the LR fitness model requires regression coefficients")
         coefficients.check_covers(instance.platform)
-    if config.time_limit_ms is None and config.max_generations is None:
-        raise ValueError("set time_limit_ms or max_generations (or both)")
+    if time_limit_ms is None and config.max_generations is None:
+        raise ValueError("the genetic search needs a time limit or max_generations (or both)")
     if not 0.0 <= config.crossover_rate <= 1.0 or not 0.0 <= config.mutation_rate <= 1.0:
         raise ValueError("rates must lie in [0, 1]")
     if not 0.0 <= config.elite_discard_fraction <= 1.0:
@@ -455,9 +462,6 @@ def run_ga(
 
     rng = np.random.default_rng(config.rng_seed)
     t_start = time.perf_counter()
-    deadline = (
-        None if config.time_limit_ms is None else t_start + config.time_limit_ms / 1000.0
-    )
 
     fitness_of = _PopulationFitness(instance, model, coefficients)
 
@@ -488,10 +492,9 @@ def run_ga(
             total_generations += 1
             generation += 1
 
-            if config.max_generations is not None and total_generations >= config.max_generations:
-                stop = True
-            if deadline is not None and time.perf_counter() >= deadline:
-                stop = True
+            stop = time.perf_counter() >= deadline or (
+                config.max_generations is not None and total_generations >= config.max_generations
+            )
             if stop:
                 break
             if stall >= config.stall_generations:
@@ -515,9 +518,7 @@ def run_ga(
     )
 
 
-def greedy(
-    instance: Instance, feasibility_time_limit_ms: float | None = None
-) -> Assignment | None:
+def greedy(instance: Instance, time_limit_ms: float | None = None) -> Assignment | None:
     """Fix tasks to clusters one by one, cheapest energy first.
 
     Tasks are processed by non-increasing max-over-clusters expected energy
@@ -526,10 +527,12 @@ def greedy(
     feasibility oracle confirms the remaining tasks can still be placed.
     Returns the aligned grouping of the fixed clusters, which is the witness
     of the final oracle call (every task fixed), or None when the oracle
-    proved that a task fits on no cluster. Raises TimeoutError when no
-    cluster of a task was confirmed and an oracle call for it ran out of
-    time instead of proving it infeasible.
+    proved that a task fits on no cluster.
+
+    time_limit_ms (None: no limit) bounds the whole run, and each oracle
+    call gets the time left. Raises TimeoutError once it is spent.
     """
+    deadline = deadline_after(time_limit_ms)
 
     def energy(task, cid):
         tc = task.per_cluster[cid - 1]
@@ -543,20 +546,18 @@ def greedy(
     fixed: dict[int, int] = {}
     feas = ObjectiveSpec(ObjectiveKind.FEASIBILITY_ONLY)
     for task in order:
-        proven = True  # every failed trial of this task proved infeasible
         for cid in sorted(cluster_ids, key=lambda c: (energy(task, c), c)):
             trial = dict(fixed)
             trial[task.id] = cid
-            result = solve(
-                instance, feas, PartialFix.of(trial),
-                time_limit_ms=feasibility_time_limit_ms,
-            )
-            if result.status is SearchStatus.OPTIMAL:
+            left_ms = (deadline - time.perf_counter()) * 1000.0
+            status = None  # no time left for this trial
+            if left_ms > 0:
+                status = solve(instance, feas, PartialFix.of(trial), time_limit_ms=left_ms).status
+            if status is SearchStatus.OPTIMAL:
                 fixed[task.id] = cid
                 break
-            proven = proven and result.status is SearchStatus.INFEASIBLE
-        else:  # no cluster confirmed
-            if not proven:
-                raise TimeoutError(f"the feasibility oracle ran out of time on task {task.id}")
+            if status is not SearchStatus.INFEASIBLE:
+                raise TimeoutError(f"the time limit ran out on task {task.id}")
+        else:  # the oracle proved that no cluster fits
             return None
     return _grouped_assignment(instance, fixed)

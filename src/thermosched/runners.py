@@ -8,7 +8,8 @@ compare all call it. Sweep and compare supply no window lengths, so the
 check leaves the fixed-window flow out of them. Runners look up ``solve``,
 ``run_ga``, ``greedy``, ``build_network`` and ``min_cost_assignment`` in
 this module when called, so replacing such a name here reaches every method
-that uses it. Every run happens in the calling process, one at a time.
+that uses it. Every run happens in the calling process, one at a time,
+and a time limit bounds the whole run, whatever the method.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class MethodOutcome:
     assignment: Assignment | None
     objective: float | None
     bound: float | None
-    elapsed_ms: float
+    elapsed_ms: float = 0.0  # wall time of the whole run, set by run_method
     trace: tuple | None = None  # GA fitness trace; None for other methods
     nodes: int | None = None  # search nodes explored; None for non-exact methods
 
@@ -41,7 +42,7 @@ def _exact(kind: ObjectiveKind):
         result = solve(instance, ObjectiveSpec(kind, coefficients), time_limit_ms=time_limit_ms)
         return MethodOutcome(
             method, result.status.value, result.assignment, result.objective_value,
-            result.lower_bound, result.elapsed_ms, nodes=result.nodes_explored,
+            result.lower_bound, nodes=result.nodes_explored,
         )
 
     return run
@@ -50,38 +51,29 @@ def _exact(kind: ObjectiveKind):
 def _genetic(model: PowerModel):
     def run(method, instance, *, time_limit_ms, seed, coefficients, ga_config, **_):
         if ga_config is None:
-            if time_limit_ms is None:
-                raise ValueError(f"method {method} needs a time limit")
-            ga_config = GaConfig(time_limit_ms=time_limit_ms, rng_seed=seed)
-        result = run_ga(instance, model, ga_config, coefficients)
+            ga_config = GaConfig(rng_seed=seed)
+        result = run_ga(instance, model, ga_config, coefficients, time_limit_ms)
         # a search that found nothing proves nothing: no verdict
         status, objective = ("feasible", result.fitness) if result.feasible else ("unknown", None)
-        return MethodOutcome(
-            method, status, result.assignment, objective, None, result.elapsed_ms,
-            trace=result.trace,
-        )
+        return MethodOutcome(method, status, result.assignment, objective, None, trace=result.trace)
 
     return run
 
 
 def _greedy(method, instance, *, time_limit_ms, **_):
-    t0 = time.perf_counter()
     try:
-        assignment = greedy(instance, feasibility_time_limit_ms=time_limit_ms)
+        assignment = greedy(instance, time_limit_ms=time_limit_ms)
         status = "feasible" if assignment is not None else "infeasible"
-    except TimeoutError:  # an oracle call ran out of time: no verdict
+    except TimeoutError:  # the time limit ran out: no verdict
         assignment, status = None, "unknown"
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return MethodOutcome(method, status, assignment, None, None, elapsed)
+    return MethodOutcome(method, status, assignment, None, None)
 
 
 def _flow(method, instance, *, window_lengths, **_):
-    t0 = time.perf_counter()
     result = min_cost_assignment(build_network(instance, window_lengths))
-    elapsed = (time.perf_counter() - t0) * 1000.0
     status = "optimal" if result.feasible else "infeasible"
     cost = result.total_cost
-    return MethodOutcome(method, status, result.assignment, cost, cost, elapsed)
+    return MethodOutcome(method, status, result.assignment, cost, cost)
 
 
 @dataclass(frozen=True)
@@ -134,10 +126,13 @@ def run_method(
     window_lengths: Sequence[int] | None = None,
     ga_config: GaConfig | None = None,
 ) -> MethodOutcome:
-    """Run one method on one instance and normalize the outcome."""
+    """Run one method on one instance, time the whole run and normalize the outcome."""
     check_methods([method], coefficients, window_lengths)
-    return METHODS[method].run(
+    t0 = time.perf_counter()
+    outcome = METHODS[method].run(
         method, instance, time_limit_ms=time_limit_ms, seed=seed, coefficients=coefficients,
         window_lengths=window_lengths, ga_config=ga_config,
     )
+    outcome.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return outcome
 

@@ -228,7 +228,7 @@ def test_criterion_07_ga_quality():
     gaps = []
     for i, (instance, optimum) in enumerate(instances):
         result = ts.run_ga(
-            instance, "sm", ts.GaConfig(time_limit_ms=10000, rng_seed=i)
+            instance, "sm", ts.GaConfig(rng_seed=i), time_limit_ms=10000
         )
         gap = math.inf
         if result.feasible:

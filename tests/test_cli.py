@@ -180,6 +180,20 @@ class TestSolve:
         assert json.loads((tmp_path / "x.result.json").read_text())["status"] == "unknown"
         assert not out.exists()
 
+    @pytest.mark.parametrize("limit", ["0", "-5", "nan"])
+    @pytest.mark.parametrize("method", ["ilp-sm", "idle-max", "heur", "bb-sm"])
+    def test_time_limit_that_is_not_positive_is_an_error(
+        self, tmp_path, capsys, example_files, method, limit
+    ):
+        inst_path, _ = example_files
+        code = main([
+            "solve", inst_path, "--method", method, "--time-limit", limit,
+            "--max-generations", "2", "-o", str(tmp_path / "x.json"),
+        ])
+        assert code == 1
+        assert "time_limit_ms must be positive" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.result.json")) == []
+
     def test_heur_on_a_task_free_instance(self, tmp_path):
         inst, out = tmp_path / "i.json", tmp_path / "x.json"
         ts.save_instance(ts.Instance(helpers.MEK, (), 100, 3), str(inst))

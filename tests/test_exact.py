@@ -128,9 +128,17 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="time_limit_ms"):
             ts.solve(instance, spec(ObjectiveKind.SM_POWER), time_limit_ms=0)
 
+    @pytest.mark.parametrize("kind", [ObjectiveKind.SM_POWER, ObjectiveKind.IDLE_MIN])
+    def test_accepts_a_sub_millisecond_time_limit(self, kind):
+        # the clock is read at every node, so any positive limit can be met
+        instance = helpers.small_random_instance(28, n=12, q_max=6)
+        result = ts.solve(instance, spec(kind), time_limit_ms=0.5)
+        assert result.elapsed_ms < 0.5 + 25.0
+        assert result.status in (SearchStatus.OPTIMAL, SearchStatus.FEASIBLE_TIMEOUT)
+
     def test_timeout_keeps_valid_bound(self):
         # The search needs 14772 nodes, so a 1 ms limit trips at a clock check
-        # (every 1024 nodes) well before it completes.
+        # (one per node) well before it completes.
         instance = helpers.small_random_instance(28, n=12, q_max=6)
         sm = spec(ObjectiveKind.SM_POWER)
         limited = ts.solve(instance, sm, time_limit_ms=1)

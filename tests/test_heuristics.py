@@ -206,9 +206,9 @@ class TestRunGa:
 
     def test_seed_determinism(self):
         instance = helpers.small_random_instance(31, n=6, q_max=3)
-        config = ts.GaConfig(max_generations=6, rng_seed=42, time_limit_ms=60000)
-        a = ts.run_ga(instance, "sm", config)
-        b = ts.run_ga(instance, "sm", config)
+        config = ts.GaConfig(max_generations=6, rng_seed=42)
+        a = ts.run_ga(instance, "sm", config, time_limit_ms=60000)
+        b = ts.run_ga(instance, "sm", config, time_limit_ms=60000)
         assert a.fitness == b.fitness
         assert a.assignment == b.assignment
         assert a.trace == b.trace
@@ -501,6 +501,6 @@ class TestGreedy:
         monkeypatch.setattr(heuristics, "solve", timed_out)
         instance, _ = helpers.seven_task_layout()
         with pytest.raises(TimeoutError):
-            ts.greedy(instance, feasibility_time_limit_ms=1)
+            ts.greedy(instance, time_limit_ms=1)
         outcome = run_method("heur", instance, time_limit_ms=1)
         assert (outcome.status, outcome.assignment) == ("unknown", None)

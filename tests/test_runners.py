@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import helpers
 import thermosched.model as model
 import thermosched.runners as runners
+from thermosched.generator import GeneratorConfig, generate_instance, sweep_seed
 from thermosched.heuristics import GaConfig, greedy
 from thermosched.model import check_feasible
 from thermosched.presets import builtin_coefficients
@@ -85,6 +87,39 @@ class TestRunMethod:
         outcome = run_method("heur", instance)
         assert outcome.status in ("feasible", "infeasible")
         assert outcome.objective is None
+
+
+# The README promises that every run returns within its limit plus this.
+# Measured overruns are at most 3.5 ms; the rest leaves room for a loaded host.
+LIMIT_SLACK_MS = 25.0
+
+
+@pytest.mark.parametrize(
+    "method, n, kappa, seed, limit_ms, ga_config",
+    [
+        # without a limit heur needs about 0.4 s (n=30) and 1.2-1.5 s (n=60)
+        ("heur", 30, 5.0, 3, 10, None),
+        ("heur", 60, 5.0, 2, 100, None),
+        # one generation takes about 1 ms
+        ("bb-sm", 20, 1.0, 5, 100, GaConfig(population_size=50, max_generations=1000)),
+        ("ilp-sm", 24, 3.5, sweep_seed(0, 24, 0), 50, None),
+    ],
+)
+def test_run_ends_within_its_time_limit(method, n, kappa, seed, limit_ms, ga_config):
+    config = GeneratorConfig(
+        kernel_pool=helpers.MIXED_POOL, n_tasks=n, rng_seed=seed, tightness_kappa=kappa
+    )
+    instance = generate_instance(config, helpers.MEK)
+    t0 = time.perf_counter()
+    outcome = run_method(method, instance, time_limit_ms=limit_ms, ga_config=ga_config)
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    assert limit_ms <= outcome.elapsed_ms <= wall_ms <= limit_ms + LIMIT_SLACK_MS
+    if method == "heur":  # a spent budget is no verdict
+        assert (outcome.status, outcome.assignment) == ("unknown", None)
+    elif method == "bb-sm":
+        assert outcome.status == "feasible" and len(outcome.trace) < 1000
+    else:
+        assert outcome.status == "feasible_timeout"
 
 
 def _counting(calls, name, fn):
