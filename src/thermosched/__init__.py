@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .exact import (
     ObjectiveKind,
     ObjectiveSpec,
-    PartialFix,
     SearchResult,
     SearchStatus,
     brute_force_optimum,

@@ -280,6 +280,8 @@ def _cmd_sweep(args) -> _Run:
     sizes = _parse_int_list(args.sizes, "--sizes")
     if not sizes:
         raise _UsageError("--sizes needs at least one size")
+    if args.reps < 1:
+        raise _UsageError("--reps must be at least 1")
     methods = _parse_methods(args)
     platform = _resolve_platform(args.platform)
     pool = _resolve_kernels(args.kernels)

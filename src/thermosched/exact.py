@@ -30,6 +30,7 @@ testing oracle; it shares no search code with solve().
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from bisect import bisect_right, insort
@@ -72,17 +73,6 @@ class ObjectiveSpec:
     coefficients: RegressionCoefficients | None = None
 
 
-@dataclass(frozen=True)
-class PartialFix:
-    """Per-task cluster fixes; windows stay free."""
-
-    fixed_clusters: tuple[tuple[int, int], ...] = ()
-
-    @classmethod
-    def of(cls, mapping: Mapping[int, int]) -> "PartialFix":
-        return cls(tuple(sorted(mapping.items())))
-
-
 class SearchStatus(str, Enum):
     OPTIMAL = "optimal"
     FEASIBLE_TIMEOUT = "feasible_timeout"
@@ -97,7 +87,6 @@ class SearchResult:
     objective_value: float | None
     lower_bound: float | None
     nodes_explored: int
-    elapsed_ms: float
 
 
 NodeRecorder = Callable[[tuple[tuple[int, int, int], ...], float], None]
@@ -108,22 +97,25 @@ NodeRecorder = Callable[[tuple[tuple[int, int, int], ...], float], None]
 
 
 def _check_inputs(
-    instance: Instance, objective: ObjectiveSpec, partial: PartialFix | None
+    instance: Instance, objective: ObjectiveSpec, fixed_clusters: Mapping[int, int] | None
 ) -> dict[int, int]:
+    """The fixes as a new {task id: cluster id} dict, once the inputs are checked.
+
+    Raises ValueError when the LR-UB objective lacks coefficients that cover
+    the platform, or a fix names a task or cluster the instance lacks.
+    """
     if objective.kind is ObjectiveKind.LR_UB_POWER:
         if objective.coefficients is None:
             raise ValueError("the LR upper-bound objective requires regression coefficients")
         objective.coefficients.check_covers(instance.platform)
-    fix: dict[int, int] = {}
-    if partial is not None:
-        task_ids = {t.id for t in instance.tasks}
-        m = len(instance.platform.clusters)
-        for tid, cid in partial.fixed_clusters:
-            if tid not in task_ids:
-                raise ValueError(f"partial fix references unknown task {tid}")
-            if not 1 <= cid <= m:
-                raise ValueError(f"partial fix references unknown cluster {cid}")
-            fix[tid] = cid
+    fix = dict(fixed_clusters or {})
+    task_ids = {t.id for t in instance.tasks}
+    m = len(instance.platform.clusters)
+    for tid, cid in fix.items():
+        if tid not in task_ids:
+            raise ValueError(f"partial fix references unknown task {tid}")
+        if not 1 <= cid <= m:
+            raise ValueError(f"partial fix references unknown cluster {cid}")
     return fix
 
 
@@ -268,7 +260,6 @@ def _seed_incumbent(
 
 
 def _finish(
-    t_start: float,
     assignment: Assignment | None,
     value: float | None,
     timeout_bound: float | None,
@@ -280,14 +271,13 @@ def _finish(
     A completed search proves its incumbent optimal, or infeasibility when it
     has none; a search cut by its deadline reports timeout_bound.
     """
-    elapsed = (time.perf_counter() - t_start) * 1000.0
     if assignment is None:
         status = SearchStatus.UNKNOWN_TIMEOUT if aborted else SearchStatus.INFEASIBLE
         bound = timeout_bound if aborted else None
-        return SearchResult(status, None, None, bound, nodes, elapsed)
+        return SearchResult(status, None, None, bound, nodes)
     status = SearchStatus.FEASIBLE_TIMEOUT if aborted else SearchStatus.OPTIMAL
     bound = timeout_bound if aborted else value
-    return SearchResult(status, assignment, value, bound, nodes, elapsed)
+    return SearchResult(status, assignment, value, bound, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +291,6 @@ def _window_search(
     deadline: float,
     node_recorder: NodeRecorder | None,
 ) -> SearchResult:
-    t_start = time.perf_counter()
     plat = instance.platform
     m = len(plat.clusters)
     q = instance.max_windows
@@ -511,7 +500,7 @@ def _window_search(
         None if best_placements is None
         else Assignment.from_placements(instance, best_placements)
     )
-    return _finish(t_start, assignment, best_value, root_bound, nodes, aborted)
+    return _finish(assignment, best_value, root_bound, nodes, aborted)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +513,6 @@ def _cluster_search(
     fix: Mapping[int, int],
     deadline: float,
 ) -> SearchResult:
-    t_start = time.perf_counter()
     plat = instance.platform
     m = len(plat.clusters)
     q = instance.max_windows
@@ -549,7 +537,7 @@ def _cluster_search(
             base += sign * e
     start_lengths = _grouped_lengths(instance, lists)
     if start_lengths is None or sum(start_lengths) > h:
-        return _finish(t_start, None, None, None, 1, False)
+        return _finish(None, None, None, 1, False)
 
     # Seed before building the branching tables: most feasibility calls are
     # settled here, since a seed that meets the root bound prunes every child
@@ -568,7 +556,7 @@ def _cluster_search(
     )
     timeout_bound = None if feasibility else to_value(root_bound)
     if seed is not None and best <= root_bound:
-        return _finish(t_start, seed, to_value(best), timeout_bound, 1, False)
+        return _finish(seed, to_value(best), timeout_bound, 1, False)
 
     # Feasibility branches on the hardest-to-place tasks first and tries the
     # clusters by time per core; idle time branches on the tasks whose choice
@@ -660,20 +648,21 @@ def _cluster_search(
     if incumbent[0] is not None:
         assignment = _grouped_assignment(instance, incumbent[0])
         value = to_value(incumbent[1])
-    return _finish(t_start, assignment, value, timeout_bound, nodes, aborted)
+    return _finish(assignment, value, timeout_bound, nodes, aborted)
 
 
 def solve(
     instance: Instance,
     objective: ObjectiveSpec,
-    partial: PartialFix | None = None,
+    fixed_clusters: Mapping[int, int] | None = None,
     time_limit_ms: float | None = None,
     node_recorder: NodeRecorder | None = None,
 ) -> SearchResult:
     """Exact search for the best assignment under the given objective.
 
     Enforces per-window cluster capacity, window-length dominance, the frame
-    budget and any cluster fixes from the partial. Feasibility-only stops at
+    budget and fixed_clusters, a {task id: cluster id} mapping whose tasks
+    keep their cluster while their windows stay free. Feasibility-only stops at
     the first feasible assignment. The returned lower_bound is proven: it
     equals the objective at optimality and falls back to the root bound on
     timeout (for idle-time maximization it is an upper bound, reported in
@@ -693,7 +682,7 @@ def solve(
     auditing and is ignored by the cluster-space searches.
     """
     deadline = deadline_after(time_limit_ms)
-    fix = _check_inputs(instance, objective, partial)
+    fix = _check_inputs(instance, objective, fixed_clusters)
     if objective.kind in (ObjectiveKind.SM_POWER, ObjectiveKind.LR_UB_POWER):
         return _window_search(instance, objective, fix, deadline, node_recorder)
     return _cluster_search(instance, objective, fix, deadline)
@@ -704,9 +693,9 @@ def solve(
 
 _BRUTE_MAX_TASKS = 10
 _BRUTE_MAX_WINDOWS = 5
-_brute_cache: dict = {}
 
 
+@functools.lru_cache(maxsize=128)
 def _brute_table(
     instance: Instance,
     fixed: tuple[tuple[int, int], ...],
@@ -825,45 +814,34 @@ def _brute_table(
 def brute_force_optimum(
     instance: Instance,
     objective: ObjectiveSpec,
-    partial: PartialFix | None = None,
+    fixed_clusters: Mapping[int, int] | None = None,
 ) -> SearchResult:
     """Exhaustively enumerate all placements and return the exact optimum.
 
-    Guarded to small instances (at most 10 tasks and 5 windows). Windows are
-    enumerated in canonical first-use order, which fully removes the window
-    interchange symmetry. Results are cached per (instance, partial,
-    coefficients), so asking for several objectives on the same instance
-    costs one enumeration.
+    Guarded to small instances (at most 10 tasks and 5 windows).
+    fixed_clusters is a {task id: cluster id} mapping, checked as solve
+    checks it. Windows are enumerated in canonical first-use order, which
+    fully removes the window interchange symmetry. The enumeration of the
+    last 128 distinct (instance, fixes, coefficients) keys is cached, so
+    asking for several objectives on the same instance costs one.
     """
-    t_start = time.perf_counter()
     n = len(instance.tasks)
     if n > _BRUTE_MAX_TASKS or instance.max_windows > _BRUTE_MAX_WINDOWS:
         raise ValueError(
             f"brute force is guarded to n <= {_BRUTE_MAX_TASKS} and "
             f"q <= {_BRUTE_MAX_WINDOWS}; got n={n}, q={instance.max_windows}"
         )
-    fix = _check_inputs(instance, objective, partial)
-    fixed = tuple(sorted(fix.items()))
+    fixed = tuple(sorted(_check_inputs(instance, objective, fixed_clusters).items()))
     betas = objective.coefficients.betas if objective.coefficients else None
-
-    key = (instance, fixed, betas)
-    table = _brute_cache.get(key)
-    if table is None:
-        table = _brute_table(instance, fixed, betas)
-        if len(_brute_cache) > 128:
-            _brute_cache.clear()
-        _brute_cache[key] = table
+    table = _brute_table(instance, fixed, betas)
 
     def result(status, placements=None, value=None):
-        elapsed = (time.perf_counter() - t_start) * 1000.0
         assignment = (
             Assignment.from_placements(instance, placements)
             if placements is not None
             else None
         )
-        return SearchResult(
-            status, assignment, value, value, table["leaves"], elapsed
-        )
+        return SearchResult(status, assignment, value, value, table["leaves"])
 
     if table["feasible"] is None:
         return result(SearchStatus.INFEASIBLE)

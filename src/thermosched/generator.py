@@ -147,6 +147,8 @@ def generate_instance(config: GeneratorConfig, platform: Platform) -> Instance:
         raise ValueError("big_exec_min_ms must be positive")
     if config.tightness_kappa <= 0:
         raise ValueError("tightness_kappa must be positive")
+    if config.n_tasks < 1:
+        raise ValueError("n_tasks must be at least 1")
     platform_ids = sorted(c.id for c in platform.clusters)
     pool_ids = sorted(kc.cluster_id for kc in config.kernel_pool[0].per_cluster)
     if platform_ids != pool_ids:

@@ -28,8 +28,7 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from .exact import (
-    ObjectiveKind, ObjectiveSpec, PartialFix, SearchStatus, _grouped_assignment, deadline_after,
-    solve,
+    ObjectiveKind, ObjectiveSpec, SearchStatus, _grouped_assignment, deadline_after, solve,
 )
 from .model import Assignment, Instance, ParseError, _load_json, _write_csv
 from .power import (
@@ -56,15 +55,17 @@ class DecodedGene:
 class GaConfig:
     """Knobs of the genetic algorithm.
 
-    population_size defaults to 50 per task when left unset. Mutation picks
+    population_size defaults to 50 per task when left unset, and when set
+    is at least 2. Mutation picks
     each gene with probability 1/n and perturbs it by a signed sum of
     inverse powers of two scaled by bga_mutation_range (each of
     bga_precision_bits terms participating with probability 1/bits).
     crossover_rate, mutation_rate and elite_discard_fraction lie in [0, 1]
-    and bga_precision_bits in 1..53; run_ga raises ValueError otherwise. A
-    restart with a fresh random population happens after stall_generations
-    generations without improvement. max_generations bounds the total
-    generation count across restarts; the time limit is run_ga's argument.
+    and bga_precision_bits in 1..53. A restart with a fresh random
+    population happens after stall_generations (at least 1) generations
+    without improvement. max_generations (unset, or at least 1) bounds the
+    total generation count across restarts; the time limit is run_ga's
+    argument. run_ga raises ValueError for a value outside these ranges.
     Runs limited only by wall-clock time are seed-deterministic in their
     evolution but may be cut at different generations, so reproducibility
     tests should set max_generations.
@@ -116,12 +117,18 @@ class TracePoint:
 
 @dataclass
 class GaResult:
+    """The best assignment a genetic search saw and how the search went.
+
+    fitness is that assignment's power, inf when no genome reconstructed
+    (assignment None). trace holds each generation's best fitness since
+    the last restart; generations counts them across restarts.
+    """
+
     assignment: Assignment | None
     fitness: float
     trace: tuple[TracePoint, ...]
     generations: int
     restarts: int
-    elapsed_ms: float
 
     @property
     def feasible(self) -> bool:
@@ -417,7 +424,9 @@ def run_ga(
 
     The run stops after config.max_generations generations or after the
     first generation that ends past time_limit_ms (counted from the call),
-    whichever comes first; at least one must be set.
+    whichever comes first; at least one must be set. An instance without
+    tasks has one schedule, the empty one at idle power, which is returned
+    without evolving anything.
 
     Each generation is scored as a whole by _PopulationFitness: a genome
     already scored in this or the previous generation reuses its value,
@@ -453,16 +462,21 @@ def run_ga(
         raise ValueError("elite_discard_fraction must lie in [0, 1]")
     if not 1 <= config.bga_precision_bits <= 53:
         raise ValueError("bga_precision_bits must lie in 1..53")
+    if config.max_generations is not None and config.max_generations < 1:
+        raise ValueError("max_generations must be at least 1")
+    if config.stall_generations < 1:
+        raise ValueError("stall_generations must be at least 1")
+    if config.population_size is not None and config.population_size < 2:
+        raise ValueError("population_size must be at least 2")
 
     n = len(instance.tasks)
-    pop_size = config.population_size if config.population_size is not None else 50 * n
-    if pop_size < 2:
-        raise ValueError("population_size must be at least 2")
+    if n == 0:
+        empty = reconstruct([], instance)
+        return GaResult(empty, instance.platform.idle_power_watts, (), 0, 0)
+    pop_size = config.population_size or 50 * n
     keep = max(2, pop_size - int(pop_size * config.elite_discard_fraction))
 
     rng = np.random.default_rng(config.rng_seed)
-    t_start = time.perf_counter()
-
     fitness_of = _PopulationFitness(instance, model, coefficients)
 
     best_fitness = math.inf
@@ -507,14 +521,12 @@ def run_ga(
             population = _build_children(rng, parents_a, parents_b, config)
         restart += 1
 
-    elapsed = (time.perf_counter() - t_start) * 1000.0
     return GaResult(
         assignment=best_assignment,
         fitness=best_fitness,
         trace=tuple(trace),
         generations=total_generations,
         restarts=restart,
-        elapsed_ms=elapsed,
     )
 
 
@@ -552,7 +564,7 @@ def greedy(instance: Instance, time_limit_ms: float | None = None) -> Assignment
             left_ms = (deadline - time.perf_counter()) * 1000.0
             status = None  # no time left for this trial
             if left_ms > 0:
-                status = solve(instance, feas, PartialFix.of(trial), time_limit_ms=left_ms).status
+                status = solve(instance, feas, trial, time_limit_ms=left_ms).status
             if status is SearchStatus.OPTIMAL:
                 fixed[task.id] = cid
                 break

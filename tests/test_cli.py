@@ -101,6 +101,22 @@ class TestGenerate:
         code = main(["generate", "--n", "5", "-o", str(tmp_path / "x.json")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--n", "0"],
+            ["generate", "--n", "-3"],
+            ["sweep", "--sizes", "0", "--methods", "heur"],
+            ["sweep", "--sizes", "-4", "--methods", "heur"],
+        ],
+        ids=["generate-n-zero", "generate-n-negative", "sweep-size-zero", "sweep-size-negative"],
+    )
+    def test_size_below_one_is_an_error(self, tmp_path, capsys, argv):
+        code = main(argv + ["--kernels", "mixed", "--seed", "1", "-o", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: n_tasks must be at least 1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_same_seed_same_bytes(self, tmp_path):
         args = ["generate", "--n", "12", "--kernels", "mixed", "--seed", "3"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -301,14 +317,25 @@ class TestSolve:
         assert not (tmp_path / "x.result.json").exists()
 
     @pytest.mark.parametrize(
-        "document, message",
+        "document, generations, message",
         [
-            ('{"elite_discard_fraction": -0.5}', "elite_discard_fraction must lie in [0, 1]"),
-            ('{"bga_precision_bits": 0, "mutation_rate": 1.0}', "bga_precision_bits must lie in 1..53"),
+            ('{"elite_discard_fraction": -0.5}', "5", "elite_discard_fraction must lie in [0, 1]"),
+            ('{"bga_precision_bits": 0, "mutation_rate": 1.0}', "5", "bga_precision_bits must lie in 1..53"),
+            ('{"max_generations": 0}', None, "max_generations must be at least 1"),
+            ("{}", "0", "max_generations must be at least 1"),
+            ("{}", "-5", "max_generations must be at least 1"),
+            ('{"stall_generations": 0}', "5", "stall_generations must be at least 1"),
+            ('{"population_size": 1}', "5", "population_size must be at least 2"),
         ],
-        ids=["negative-discard-fraction", "zero-precision-bits"],
+        ids=[
+            "negative-discard-fraction", "zero-precision-bits", "zero-max-generations",
+            "zero-max-generations-flag", "negative-max-generations-flag",
+            "zero-stall-generations", "one-genome-population",
+        ],
     )
-    def test_ga_config_field_out_of_range_is_an_error(self, tmp_path, capsys, document, message):
+    def test_ga_config_field_out_of_range_is_an_error(
+        self, tmp_path, capsys, document, generations, message
+    ):
         inst_path = tmp_path / "inst.json"
         main([
             "generate", "--n", "10", "--kappa", "1.0", "--kernels", "mixed", "--seed", "3",
@@ -316,8 +343,9 @@ class TestSolve:
         ])
         config_path = tmp_path / "ga.json"
         config_path.write_text(document)
+        flag = [] if generations is None else ["--max-generations", generations]
         code = main([
-            "solve", str(inst_path), "--method", "bb-sm", "--max-generations", "5",
+            "solve", str(inst_path), "--method", "bb-sm", *flag,
             "--ga-config", str(config_path), "-o", str(tmp_path / "x.json"),
         ])
         assert code == 1
@@ -950,6 +978,15 @@ _EMPTY_LISTS = {
         "sweep", "--sizes", "", "--methods", "heur", "--kernels", "mixed", "--seed", "0",
     ],
     "compare-methods-empty": lambda i: ["compare", i, "--methods", ""],
+    # no repetition leaves the sweep without a cell, like an empty --sizes
+    "sweep-reps-zero": lambda i: [
+        "sweep", "--sizes", "4", "--reps", "0", "--methods", "heur", "--kernels", "mixed",
+        "--seed", "0",
+    ],
+    "sweep-reps-negative": lambda i: [
+        "sweep", "--sizes", "4", "--reps", "-1", "--methods", "heur", "--kernels", "mixed",
+        "--seed", "0",
+    ],
 }
 
 

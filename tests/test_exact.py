@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 import helpers
 import thermosched as ts
-from thermosched.exact import ObjectiveKind, ObjectiveSpec, PartialFix, SearchStatus
+from thermosched.exact import ObjectiveKind, ObjectiveSpec, SearchStatus
 from thermosched.generator import GeneratorConfig, generate_instance, sweep_seed
 from thermosched.power import RegressionCoefficients
 
@@ -102,9 +103,9 @@ class TestSolveBasics:
     def test_invalid_partial_fix(self):
         instance = helpers.small_random_instance(1)
         with pytest.raises(ValueError):
-            ts.solve(instance, spec(ObjectiveKind.SM_POWER), PartialFix.of({999: 1}))
+            ts.solve(instance, spec(ObjectiveKind.SM_POWER), {999: 1})
         with pytest.raises(ValueError):
-            ts.solve(instance, spec(ObjectiveKind.SM_POWER), PartialFix.of({1: 99}))
+            ts.solve(instance, spec(ObjectiveKind.SM_POWER), {1: 99})
 
     def test_lr_ub_requires_coefficients(self):
         instance = helpers.small_random_instance(1)
@@ -132,8 +133,9 @@ class TestSolveBasics:
     def test_accepts_a_sub_millisecond_time_limit(self, kind):
         # the clock is read at every node, so any positive limit can be met
         instance = helpers.small_random_instance(28, n=12, q_max=6)
+        t0 = time.perf_counter()
         result = ts.solve(instance, spec(kind), time_limit_ms=0.5)
-        assert result.elapsed_ms < 0.5 + 25.0
+        assert (time.perf_counter() - t0) * 1000.0 < 0.5 + 25.0
         assert result.status in (SearchStatus.OPTIMAL, SearchStatus.FEASIBLE_TIMEOUT)
 
     def test_timeout_keeps_valid_bound(self):
@@ -207,9 +209,8 @@ class TestOracleAgreement:
             instance = helpers.small_random_instance(seed)
             full = helpers.random_cluster_map(instance, rng)
             fix = dict(rng.sample(sorted(full.items()), rng.randint(0, len(full))))
-            partial = PartialFix.of(fix)
-            exact = ts.solve(instance, feas, partial)
-            oracle = ts.brute_force_optimum(instance, feas, partial)
+            exact = ts.solve(instance, feas, fix)
+            oracle = ts.brute_force_optimum(instance, feas, fix)
             assert exact.status == oracle.status, (seed, fix)
             statuses.add(exact.status)
             if exact.status is SearchStatus.OPTIMAL:
@@ -305,9 +306,9 @@ class TestBoundValidity:
         root_bounds = []
         finish = ts.exact._finish
 
-        def spy(t_start, assignment, value, timeout_bound, nodes, aborted):
+        def spy(assignment, value, timeout_bound, nodes, aborted):
             root_bounds.append(timeout_bound)
-            return finish(t_start, assignment, value, timeout_bound, nodes, aborted)
+            return finish(assignment, value, timeout_bound, nodes, aborted)
 
         monkeypatch.setattr(ts.exact, "_finish", spy)
         sm = spec(ObjectiveKind.SM_POWER)
@@ -323,7 +324,7 @@ class TestBoundValidity:
             elif variant == "partial-fix":
                 full = helpers.random_cluster_map(instance, rng)
                 fix = rng.sample(sorted(full.items()), rng.randint(1, len(full)))
-                partial = PartialFix.of(dict(fix))
+                partial = dict(fix)
             oracle = ts.brute_force_optimum(instance, sm, partial)
             if oracle.status is not SearchStatus.OPTIMAL:
                 continue
@@ -357,7 +358,7 @@ class TestPartialFix:
         instance = helpers.small_random_instance(21)
         fix = {t.id: 1 for t in instance.tasks}
         result = ts.solve(
-            instance, ObjectiveSpec(ObjectiveKind.FEASIBILITY_ONLY), PartialFix.of(fix)
+            instance, ObjectiveSpec(ObjectiveKind.FEASIBILITY_ONLY), fix
         )
         if result.status is SearchStatus.OPTIMAL:
             assert all(p.cluster == 1 for p in result.assignment.placements)
@@ -372,7 +373,7 @@ class TestPartialFix:
             instance = helpers.small_random_instance(seed, n_hi=16, q_max=6)
             full = helpers.random_cluster_map(instance, rng)
             expected = helpers.grouped_assignment(instance, full)
-            assert ts.solve(instance, feas, PartialFix.of(full)).assignment == expected, seed
+            assert ts.solve(instance, feas, full).assignment == expected, seed
             fits.add(expected is not None)
         assert fits == {True, False}
 
@@ -382,12 +383,12 @@ class TestPartialFix:
         for seed in range(10):
             instance = helpers.small_random_instance(seed, n_hi=6)
             fix = helpers.random_cluster_map(instance, rng)
-            if ts.solve(instance, feas, PartialFix.of(fix)).status is not SearchStatus.OPTIMAL:
+            if ts.solve(instance, feas, fix).status is not SearchStatus.OPTIMAL:
                 continue
             items = list(fix.items())
             for _ in range(3):
                 subset = dict(rng.sample(items, rng.randint(0, len(items))))
-                sub = ts.solve(instance, feas, PartialFix.of(subset))
+                sub = ts.solve(instance, feas, subset)
                 assert sub.status is SearchStatus.OPTIMAL
 
 
@@ -417,7 +418,7 @@ def test_solve_matches_pinned_search(case):
     accumulators that were restored by subtraction.
     """
     instance = pinned_instance(case)
-    partial = PartialFix.of(dict(case["fix"])) if case["fix"] else None
+    partial = dict(case["fix"]) if case["fix"] else None
     for kind in ObjectiveKind:
         expected = case["results"][kind.value]
         result = ts.solve(instance, spec(kind), partial)

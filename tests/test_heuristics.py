@@ -496,7 +496,7 @@ class TestGreedy:
 
     def test_oracle_timeout_is_not_infeasibility(self, monkeypatch):
         def timed_out(*args, **kwargs):
-            return SearchResult(SearchStatus.UNKNOWN_TIMEOUT, None, None, None, 1024, 1.0)
+            return SearchResult(SearchStatus.UNKNOWN_TIMEOUT, None, None, None, 1024)
 
         monkeypatch.setattr(heuristics, "solve", timed_out)
         instance, _ = helpers.seven_task_layout()

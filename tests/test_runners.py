@@ -73,14 +73,25 @@ class TestRunMethod:
         with pytest.raises(ValueError, match="window lengths"):
             run_method("flow-fixed", instance)
 
-    def test_heur_on_a_task_free_instance(self):
-        # nothing to fix: the empty assignment is feasible, as ilp-sm proves
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_on_a_task_free_instance(self, method):
+        # the empty assignment is the only one: the exact methods and the
+        # flow prove it optimal, heur and the GA find it
         instance = model.Instance(helpers.MEK, (), 100, 3)
-        outcome = run_method("heur", instance)
-        assert outcome.status == "feasible"
-        assert outcome.assignment == model.Assignment((), (0, 0, 0))
-        assert check_feasible(instance, outcome.assignment)
-        assert run_method("ilp-sm", instance).status == "optimal"
+        expected = "optimal" if method in EXACT_METHODS + ("flow-fixed",) else "feasible"
+        configs = [None]  # the default GA population, 50 per task, is empty
+        if METHODS[method].randomized:
+            configs.append(GaConfig(population_size=4, max_generations=3))
+        for ga_config in configs:
+            outcome = run_method(
+                method, instance, time_limit_ms=1000, ga_config=ga_config,
+                coefficients=builtin_coefficients("imx8-mek"), window_lengths=(1, 1, 1),
+            )
+            assert outcome.status == expected, ga_config
+            assert outcome.assignment == model.Assignment((), (0, 0, 0))
+            assert check_feasible(instance, outcome.assignment)
+            if METHODS[method].randomized:
+                assert outcome.objective == instance.platform.idle_power_watts
 
     def test_heuristic_statuses(self):
         instance = helpers.small_random_instance(4)
