@@ -10,6 +10,7 @@ tight the generated schedules are.
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 from dataclasses import dataclass
@@ -145,8 +146,8 @@ def generate_instance(config: GeneratorConfig, platform: Platform) -> Instance:
         raise ValueError("big_exec_min_ms must not exceed big_exec_max_ms")
     if config.big_exec_min_ms < 1:
         raise ValueError("big_exec_min_ms must be positive")
-    if config.tightness_kappa <= 0:
-        raise ValueError("tightness_kappa must be positive")
+    if not 0 < config.tightness_kappa < math.inf:
+        raise ValueError("tightness_kappa must be positive and finite")
     if config.n_tasks < 1:
         raise ValueError("n_tasks must be at least 1")
     platform_ids = sorted(c.id for c in platform.clusters)
@@ -229,9 +230,10 @@ def scalability_sweep(
     Timeouts are recorded in the status column, never raised. Cells run one
     at a time in this process, in (n, rep, method) order. A cell depends
     only on sweep_seed(base_seed, n, rep), so sweeps over disjoint sizes give
-    the same rows as one sweep over all of them.
+    the same rows as one sweep over all of them. All instances are generated
+    before the first cell runs, so a bad size is refused before any work.
     """
-    cells = []
+    runs = []
     for n in sizes:
         for rep in range(repetitions):
             seed = sweep_seed(base_seed, n, rep)
@@ -241,15 +243,15 @@ def scalability_sweep(
                 rng_seed=seed,
                 tightness_kappa=tightness_kappa,
             )
-            instance = generate_instance(config, platform)
-            for method in methods:
-                o = run_method(
-                    method, instance, time_limit_ms=time_limit_ms, seed=seed,
-                    coefficients=coefficients,
-                )
-                cells.append(
-                    SweepCell(n, method, rep, o.status, o.elapsed_ms, o.objective, o.bound)
-                )
+            runs.append((n, rep, seed, generate_instance(config, platform)))
+    cells = []
+    for n, rep, seed, instance in runs:
+        for method in methods:
+            o = run_method(
+                method, instance, time_limit_ms=time_limit_ms, seed=seed,
+                coefficients=coefficients,
+            )
+            cells.append(SweepCell(n, method, rep, o.status, o.elapsed_ms, o.objective, o.bound))
     return cells
 
 

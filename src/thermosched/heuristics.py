@@ -35,7 +35,6 @@ from .power import (
     PowerModel,
     RegressionCoefficients,
     _lr_energy,
-    _window_accumulate,
     schedule_power,  # noqa: F401  (unused here; bench/tracer.py wraps this name)
 )
 
@@ -260,18 +259,19 @@ def reconstruct(genome: Sequence[float], instance: Instance) -> Assignment | Non
 class _PopulationFitness:
     """SM or LR fitness of whole GA populations for one instance.
 
-    Per-(task, cluster) execution times, characteristics and LR energies
-    are looked up once per run. Each distinct genome is scored once: a
-    call looks rows up by their bytes among the genomes of this call and of
-    the previous one, and keeps only those two generations. The new rows
-    are decoded together. A row where no (window, cluster) slot holds more
-    tasks than the cluster has cores places every task in its preferred
-    window, so only the other rows go through _repair. Window lengths and
-    the frame check are array passes; SM is scored through the window
-    accumulation schedule_power uses, LR through its per-task closed form
-    summed in task order, which is task-id order as in schedule_power.
-    Genomes that do not repair, or whose windows overflow the major frame,
-    score inf.
+    Per-(task, cluster) execution times and energies are tabled once per
+    run, and for SM the offset coefficients too. Each distinct genome is
+    scored once: a call looks rows up by their bytes among the genomes of
+    this call and of the previous one, and keeps only those two
+    generations. The new rows are decoded together. A row where no
+    (window, cluster) slot holds more tasks than the cluster has cores
+    places every task in its preferred window, so only the other rows go
+    through _repair. The rest is array passes over all rows: window
+    lengths, the frame check, and schedule_power's closed form with its
+    additions in the same order (tasks in task-id order, SM's window
+    offset terms in window order), so SM fitness equals schedule_power bit
+    for bit. Genomes that do not repair, or whose windows overflow the
+    major frame, score inf.
     """
 
     def __init__(
@@ -286,15 +286,20 @@ class _PopulationFitness:
         self.h = instance.major_frame_ms
         self.idle = instance.platform.idle_power_watts
         self.cores = [c.core_count for c in clusters]
-        # rows in task order: the task-id order schedule_power visits placements in
-        self.chars = [t.per_cluster for t in instance.tasks]
-        self.exec_ms = np.array([[tc.exec_time_ms for tc in row] for row in self.chars])
-        self.lr = None
+
+        def table(term):
+            # rows in task order: the task-id order schedule_power visits placements in
+            return np.array([[term(tc) for tc in t.per_cluster] for t in instance.tasks])
+
+        self.exec_ms = table(lambda tc: tc.exec_time_ms)
+        # (activity, offset) energies; SM's offset energy depends on the windows
         if model is PowerModel.LR:
-            self.lr = np.array([
-                [_lr_energy(tc, coefficients.beta(c.id)) for tc, c in zip(row, clusters)]
-                for row in self.chars
-            ])
+            beta = coefficients.beta
+            self.energy = table(lambda tc: _lr_energy(tc, beta(tc.cluster_id), tc.exec_time_ms))
+            self.offset = None
+        else:
+            self.energy = table(lambda tc: (tc.activity_coef * tc.exec_time_ms, 0.0))
+            self.offset = table(lambda tc: tc.offset_coef)
         self._previous: dict[bytes, float] = {}
 
     def __call__(self, population: np.ndarray) -> np.ndarray:
@@ -327,28 +332,21 @@ class _PopulationFitness:
                 repaired[r] = False
             else:
                 placed[r] = row
-        execs = self.exec_ms[np.arange(ci.shape[1]), ci]
+        tasks = np.arange(ci.shape[1])
+        execs = self.exec_ms[tasks, ci]
         lengths = np.zeros((rows.size, q), dtype=execs.dtype)
         np.maximum.at(lengths, (rows, placed - 1), execs)
         fits = repaired & (lengths.sum(axis=1) <= self.h)
-        ci = ci[fits]
+        # accumulate adds along each row in order, as a running sum would
+        activity, offset = np.add.accumulate(self.energy[tasks, ci], axis=1)[:, -1].T
+        if self.offset is not None:  # SM: each used window's length times its largest offset
+            peak = np.full((rows.size, q), -math.inf)
+            np.maximum.at(peak, (rows, placed - 1), self.offset[tasks, ci])
+            # mask empty windows before weighting: their peak is -inf and their length 0
+            terms = np.where(peak > -math.inf, peak, 0.0) * lengths
+            offset = np.add.accumulate(terms, axis=1)[:, -1]
         fitness = np.full(rows.size, math.inf)
-        if self.lr is not None:
-            # accumulate adds along each row in order, as a running sum would
-            energy = self.lr[np.arange(ci.shape[1]), ci]
-            activity, offset = np.add.accumulate(energy, axis=1)[:, -1].T
-            fitness[fits] = self.idle + activity / self.h + offset / self.h
-            return fitness
-        for r, wins, cl, lens in zip(
-            np.flatnonzero(fits).tolist(),
-            placed[fits].tolist(),
-            ci.tolist(),
-            lengths[fits].tolist(),
-        ):
-            activity, offset = _window_accumulate(
-                wins, list(map(tuple.__getitem__, self.chars, cl)), lens, self.h
-            )
-            fitness[r] = self.idle + activity + offset
+        fitness[fits] = (self.idle + activity / self.h + offset / self.h)[fits]
         return fitness
 
 

@@ -1,22 +1,25 @@
 """Average-power predictors for windowed multi-core schedules.
 
-Three predictors are implemented:
+Schedule-level power is idle power plus the above-idle energy divided by
+the major frame h, so frame time not covered by any window contributes
+idle power only. Every task t starts at its window's start, so each of the
+three predictors is a closed form over the tasks, with activity a_t,
+offset b_t and execution time e_t on the task's cluster k and l_w the
+length of its window w:
 
 * sum-max (SM): window power is the sum of per-task activity terms weighted
   by core occupancy, plus the largest offset coefficient in the window, plus
-  idle power.
+  idle power: idle + (sum_t a_t e_t + sum_w l_w max_{t in w} b_t) / h.
 * linear regression (LR): a window is cut into processing-idling intervals
   (no task starts or ends strictly inside an interval); interval power is a
   per-cluster dot product of regression coefficients with the summed task
-  feature vectors. Every task starts at its window start and is active in
-  intervals summing to its execution time, so schedule-level LR reduces to
-  a per-task closed form; the interval view remains for fitting.
+  feature vectors: idle + sum_t (beta_k0 a_t + beta_k1 b_t) e_t / h. The
+  interval view (decompose_intervals, lr_interval_power) is the definition
+  that this closed form is checked against.
 * LR upper bound (LR-UB): LR under the assumption that every task occupies
-  its window completely, which over-approximates LR whenever the per-task
-  coefficient combination is nonnegative.
-
-Schedule-level power averages the above-idle contributions over the major
-frame; frame time not covered by any window contributes idle power only.
+  its window completely, idle + sum_t (beta_k0 a_t + beta_k1 b_t) l_w / h,
+  which over-approximates LR whenever the per-task coefficient combination
+  is nonnegative.
 
 One validity rule holds for every model: schedule_power evaluates only an
 assignment that check_feasible accepts and otherwise raises ValueError
@@ -121,47 +124,6 @@ class PowerEstimate:
         )
 
 
-def _window_accumulate(
-    windows: Sequence[int],
-    tasks: Sequence[TaskCharacteristics],
-    lengths: Sequence[int],
-    h: int,
-    coefficients: RegressionCoefficients | None = None,
-) -> tuple[float, float]:
-    """Frame-weighted (activity, offset) above idle in one pass over the tasks.
-
-    windows[i] is the 1-based window of the task whose characteristics on
-    its cluster are tasks[i], and lengths[j - 1] is the length of window j.
-    SM without coefficients, LR-UB with them. Nothing is checked: lengths
-    must be positive and valid. Each window sums its tasks' terms in the
-    order given, and the windows are then summed in order of first
-    appearance; schedule_power and the genetic search both pass the tasks
-    in instance order, which is task-id order, so their SM values agree bit
-    for bit.
-    """
-    q = len(lengths)
-    act = [0.0] * (q + 1)
-    if coefficients is None:
-        off = [-math.inf] * (q + 1)
-        for j, tc in zip(windows, tasks):
-            act[j] += tc.activity_coef * (tc.exec_time_ms / lengths[j - 1])
-            if tc.offset_coef > off[j]:
-                off[j] = tc.offset_coef
-    else:
-        off = [0.0] * (q + 1)
-        for j, tc in zip(windows, tasks):
-            beta = coefficients.beta(tc.cluster_id)
-            act[j] += tc.activity_coef * beta[0]
-            off[j] += tc.offset_coef * beta[1]
-    activity = 0.0
-    offset = 0.0
-    for j in dict.fromkeys(windows):
-        w = lengths[j - 1] / h
-        activity += w * act[j]
-        offset += w * off[j]
-    return activity, offset
-
-
 def _window_power(
     platform: Platform,
     window_tasks: Sequence[TaskCharacteristics],
@@ -170,8 +132,11 @@ def _window_power(
 ) -> PowerEstimate:
     """One window's SM (no coefficients) or LR-UB power; the one window check.
 
-    A non-empty window needs a positive length no shorter than its longest task.
+    A non-empty window needs a positive length no shorter than its longest
+    task, and coefficients need one beta per platform cluster.
     """
+    if coefficients is not None:
+        coefficients.check_covers(platform)
     if not window_tasks:
         return PowerEstimate.compose(platform.idle_power_watts, 0.0, 0.0)
     if window_length_ms < 1:
@@ -182,10 +147,17 @@ def _window_power(
             f"window of {window_length_ms} ms is shorter than a contained "
             f"task of {longest} ms"
         )
-    activity, offset = _window_accumulate(
-        [1] * len(window_tasks), window_tasks, (window_length_ms,), window_length_ms,
-        coefficients,
-    )
+    activity = offset = 0.0
+    if coefficients is None:
+        for tc in window_tasks:
+            activity += tc.activity_coef * tc.exec_time_ms
+        activity /= window_length_ms
+        offset = max(tc.offset_coef for tc in window_tasks)
+    else:
+        for tc in window_tasks:
+            beta = coefficients.beta(tc.cluster_id)
+            activity += beta[0] * tc.activity_coef
+            offset += beta[1] * tc.offset_coef
     return PowerEstimate.compose(platform.idle_power_watts, activity, offset)
 
 
@@ -202,16 +174,17 @@ def sm_window_power(
     return _window_power(platform, window_tasks, window_length_ms)
 
 
-def _lr_energy(tc: TaskCharacteristics, beta: Sequence[float]) -> tuple[float, float]:
-    """LR (activity, offset) energy of one task on its cluster, in W*ms per frame.
+def _lr_energy(
+    tc: TaskCharacteristics, beta: Sequence[float], duration_ms: int
+) -> tuple[float, float]:
+    """(activity, offset) energy in W*ms of one task on its cluster over duration_ms.
 
-    A task contributes its beta-weighted features for exactly its execution
-    time, so schedule-level LR power is idle power plus the sum of these
-    terms over all tasks divided by the major frame.
+    LR charges a task its beta-weighted features for its execution time,
+    LR-UB for the length of its window.
     """
     return (
-        beta[0] * tc.activity_coef * tc.exec_time_ms,
-        beta[1] * tc.offset_coef * tc.exec_time_ms,
+        beta[0] * tc.activity_coef * duration_ms,
+        beta[1] * tc.offset_coef * duration_ms,
     )
 
 
@@ -295,12 +268,10 @@ def schedule_power(
     """Average power of a whole schedule under the selected model.
 
     Raises ValueError naming the violations when check_feasible rejects the
-    assignment, whatever the model. Window (SM, LR-UB) contributions above
-    idle are weighted by their lengths and divided by the major frame
-    length, so frame time not covered by any window contributes idle power
-    only. LR uses its per-task closed form, which equals the length-weighted
-    sum over processing-idling intervals (decompose_intervals,
-    lr_interval_power).
+    assignment, whatever the model. Each model is evaluated through its
+    closed form (see the module docstring) in one pass over the tasks in
+    task-id order; SM then adds the used windows' offset terms in window
+    order. A window without tasks adds nothing, whatever its length.
     """
     model = PowerModel(model)
     if model is not PowerModel.SM:
@@ -315,26 +286,24 @@ def schedule_power(
         )
 
     h = instance.major_frame_ms
-    idle = instance.platform.idle_power_watts
-    if model is PowerModel.LR:
-        activity = 0.0
-        offset = 0.0
-        for t, p in zip(instance.tasks, assignment.placements):
-            tc = t.per_cluster[p.cluster - 1]
-            a, b = _lr_energy(tc, coefficients.beta(p.cluster))
+    lengths = assignment.window_lengths_ms
+    sm, ub = model is PowerModel.SM, model is PowerModel.LR_UB  # looked up once, not per task
+    activity = offset = 0.0
+    peak: dict[int, float] = {}  # SM: largest offset per used window
+    for t, p in zip(instance.tasks, assignment.placements):
+        tc = t.per_cluster[p.cluster - 1]
+        if sm:
+            activity += tc.activity_coef * tc.exec_time_ms
+            if tc.offset_coef > peak.get(p.window, -math.inf):
+                peak[p.window] = tc.offset_coef
+        else:
+            duration = lengths[p.window - 1] if ub else tc.exec_time_ms
+            a, b = _lr_energy(tc, coefficients.beta(p.cluster), duration)
             activity += a
             offset += b
-        return PowerEstimate.compose(idle, activity / h, offset / h)
-
-    placements = assignment.placements
-    activity, offset = _window_accumulate(
-        [p.window for p in placements],
-        [t.per_cluster[p.cluster - 1] for t, p in zip(instance.tasks, placements)],
-        assignment.window_lengths_ms,
-        h,
-        coefficients if model is PowerModel.LR_UB else None,
-    )
-    return PowerEstimate.compose(idle, activity, offset)
+    for j in sorted(peak):
+        offset += lengths[j - 1] * peak[j]
+    return PowerEstimate.compose(instance.platform.idle_power_watts, activity / h, offset / h)
 
 
 def power_to_temperature(platform: Platform, power_watts: float) -> float:

@@ -3,6 +3,7 @@ instance factories and independent oracles (kept free of solver internals)."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from functools import lru_cache
@@ -78,6 +79,18 @@ def with_windows(instance: ts.Instance, q: int) -> ts.Instance:
         major_frame_ms=instance.major_frame_ms,
         max_windows=q,
     )
+
+
+def with_negated_odd_offsets(instance: ts.Instance) -> ts.Instance:
+    """The instance with the offset coefficients of odd task ids negated."""
+    tasks = tuple(
+        ts.Task(t.id, t.name, tuple(
+            dataclasses.replace(tc, offset_coef=-tc.offset_coef) if t.id % 2 else tc
+            for tc in t.per_cluster
+        ))
+        for t in instance.tasks
+    )
+    return dataclasses.replace(instance, tasks=tasks)
 
 
 def small_random_instance(

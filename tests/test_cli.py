@@ -117,6 +117,19 @@ class TestGenerate:
         assert capsys.readouterr().err == "error: n_tasks must be at least 1\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kappa", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_kappa_must_be_positive_and_finite(self, tmp_path, capsys, command, kappa):
+        argv = [command, f"--kappa={kappa}", "--kernels", "mixed", "--seed", "1"]
+        if command == "generate":
+            argv += ["--n", "3"]
+        else:
+            argv += ["--sizes", "3", "--methods", "heur"]
+        code = main(argv + ["-o", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: tightness_kappa must be positive and finite\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_same_seed_same_bytes(self, tmp_path):
         args = ["generate", "--n", "12", "--kernels", "mixed", "--seed", "3"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"

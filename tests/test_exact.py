@@ -237,18 +237,6 @@ class TestOracleAgreement:
             )
 
 
-def with_negated_odd_offsets(instance):
-    """The instance with the offset coefficients of odd task ids negated."""
-    tasks = tuple(
-        ts.Task(t.id, t.name, tuple(
-            dataclasses.replace(tc, offset_coef=-tc.offset_coef) if t.id % 2 else tc
-            for tc in t.per_cluster
-        ))
-        for t in instance.tasks
-    )
-    return dataclasses.replace(instance, tasks=tasks)
-
-
 # Cluster 1's offset rate is negative, so some tasks have a negative LR-UB
 # rate and the searches' h-scaled safe terms come into play.
 SIGNED_COEFF = RegressionCoefficients(betas=((1.205, -0.9), (0.969, 0.456)))
@@ -282,7 +270,7 @@ class TestBoundValidity:
     def test_sm_node_bounds_admissible_with_negative_offsets(self):
         self.audit(
             ObjectiveKind.SM_POWER, None, helpers.best_sm_completion,
-            with_negated_odd_offsets,
+            helpers.with_negated_odd_offsets,
         )
 
     @pytest.mark.parametrize("coefficients", [helpers.MEK_COEFF, SIGNED_COEFF],
@@ -320,7 +308,7 @@ class TestBoundValidity:
             instance = helpers.small_random_instance(seed)
             partial = None
             if variant == "negated-odd-offsets":
-                instance = with_negated_odd_offsets(instance)
+                instance = helpers.with_negated_odd_offsets(instance)
             elif variant == "partial-fix":
                 full = helpers.random_cluster_map(instance, rng)
                 fix = rng.sample(sorted(full.items()), rng.randint(1, len(full)))

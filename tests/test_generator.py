@@ -188,3 +188,16 @@ class TestSweep:
         assert rows([5]) == rows([5])
         # a cell depends only on its seed, so disjoint sizes may run apart
         assert rows([5], [6]) == rows([5, 6])
+
+    @pytest.mark.parametrize("sizes", [[5, 0], [5, -2]])
+    def test_bad_size_is_refused_before_the_first_cell(self, mixed_pool, monkeypatch, sizes):
+        calls = []
+        monkeypatch.setattr(
+            ts.generator, "run_method", lambda *args, **kwargs: calls.append(args)
+        )
+        with pytest.raises(ValueError, match="^n_tasks must be at least 1$"):
+            scalability_sweep(
+                sizes=sizes, repetitions=2, methods=["heur"], time_limit_ms=10000,
+                platform=helpers.MEK, kernel_pool=mixed_pool,
+            )
+        assert calls == []

@@ -361,10 +361,12 @@ class TestPopulationFitnessFastPaths:
     """Memo hits, rows that skip repair and rows that repair all score as the reference."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10_000), st.sampled_from(["sm", "lr"]))
-    def test_matches_reference_across_generations(self, seed, model):
+    @given(st.integers(0, 10_000), st.sampled_from(["sm", "lr"]), st.booleans())
+    def test_matches_reference_across_generations(self, seed, model, negated):
         rng = np.random.default_rng(seed)
         instance = helpers.small_random_instance(seed, q_max=5, kappa_lo=0.8, kappa_hi=3.0)
+        if negated:  # windows whose largest offset is negative
+            instance = helpers.with_negated_odd_offsets(instance)
         coefficients = helpers.MEK_COEFF if model == "lr" else None
         fitness_of = _PopulationFitness(instance, PowerModel(model), coefficients)
         first = fast_path_population(instance, rng, 24)

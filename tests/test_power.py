@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import random
@@ -220,6 +221,48 @@ class TestSchedulePower:
                 checked += 1
         assert checked >= 100
 
+    @staticmethod
+    def window_by_window(instance, assignment, model, coefficients):
+        """idle + sum_w (l_w / h) * (window power - idle), from the one-window predictors."""
+        plat = instance.platform
+        above_idle = 0.0
+        for j, length in enumerate(assignment.window_lengths_ms, start=1):
+            tcs = [
+                instance.task_by_id(p.task_id).on(p.cluster)
+                for p in assignment.placements if p.window == j
+            ]
+            if model == "sm":
+                est = ts.sm_window_power(plat, tcs, length)
+            else:
+                est = ts.lr_ub_window_power(plat, coefficients, tcs, length)
+            above_idle += length / instance.major_frame_ms * (est.watts - plat.idle_power_watts)
+        return plat.idle_power_watts + above_idle
+
+    @pytest.mark.parametrize("negated", [False, True], ids=["plain", "negated-odd-offsets"])
+    @pytest.mark.parametrize("model", ["sm", "lr-ub"])
+    def test_closed_forms_match_window_by_window(self, mek_coefficients, model, negated):
+        transform = helpers.with_negated_odd_offsets if negated else (lambda instance: instance)
+        rng = random.Random(23)
+        cases = []
+        for seed in range(10):
+            instance = transform(helpers.small_random_instance(seed, n_hi=10, q_max=5))
+            sampled = helpers.random_feasible_assignments(instance, rng, 10, 2000)
+            cases += [(instance, assignment) for assignment in sampled]
+        # slack: window 3 holds no task but has 50 ms, and window 2 runs 5 ms past its tasks
+        instance, layout = helpers.seven_task_layout()
+        instance = transform(helpers.with_windows(instance, 4))
+        placements = [
+            dataclasses.replace(p, window=4) if p.window == 3 else p for p in layout.placements
+        ]
+        slack = ts.Assignment(tuple(placements), (150, 255, 50, 145))
+        assert ts.check_feasible(instance, slack)
+        cases.append((instance, slack))
+        assert len(cases) > 80
+        for instance, assignment in cases:
+            got = ts.schedule_power(instance, assignment, model, mek_coefficients).watts
+            want = self.window_by_window(instance, assignment, model, mek_coefficients)
+            assert abs(got - want) <= 1e-12
+
     def test_lr_ub_dominates_lr(self, mek_coefficients):
         rng = random.Random(6)
         checked = 0
@@ -253,6 +296,16 @@ class TestLrUbWindowPower:
         tc = ts.TaskCharacteristics(1, 10, a, b)
         est = ts.lr_ub_window_power(plat, mek_coefficients, [tc], 10)
         assert est.watts == pytest.approx(6.5)
+
+    @pytest.mark.parametrize("betas", [
+        ((1.205, 0.270),),
+        ((1.205, 0.270), (0.969, 0.456), (1.0, 1.0)),
+    ], ids=["one-beta", "three-betas"])
+    def test_coefficients_must_cover_the_platform(self, mek_platform, betas):
+        coefficients = ts.RegressionCoefficients(betas=betas)
+        tc = ts.TaskCharacteristics(2, 10, 0.4, 0.6)
+        with pytest.raises(ValueError, match=r"^coefficients give \d beta vector"):
+            ts.lr_ub_window_power(mek_platform, coefficients, [tc], 10)
 
     def test_independent_of_exec_time(self, mek_coefficients, mek_platform):
         short = ts.TaskCharacteristics(1, 10, 0.4, 0.6)
