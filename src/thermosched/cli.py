@@ -329,18 +329,7 @@ def _cmd_compare(args) -> _Run:
         rows.append((method, outcome.status, predicted, outcome.objective, outcome.elapsed_ms))
     rows.sort(key=lambda r: (r[2] is None, r[2] if r[2] is not None else 0.0, r[0]))
     _write_csv(
-        args.output,
-        ["method", "status", "predicted_power_watts", "objective", "elapsed_ms"],
-        (
-            [
-                method,
-                status,
-                "" if predicted is None else repr(predicted),
-                "" if objective is None else repr(objective),
-                repr(elapsed),
-            ]
-            for method, status, predicted, objective, elapsed in rows
-        ),
+        args.output, ["method", "status", "predicted_power_watts", "objective", "elapsed_ms"], rows
     )
     return EXIT_OK, seed, [args.instance], [args.output]
 

@@ -40,11 +40,21 @@ KERNEL_POOL_HEADER = [
 
 @dataclass(frozen=True)
 class KernelClusterData:
+    """A kernel's data on one cluster: ips and frequency_mhz positive, every number finite."""
+
     cluster_id: int
     activity_coef: float
     offset_coef: float
     ips: float
     frequency_mhz: int
+
+    def __post_init__(self):
+        if not 0 < self.ips < math.inf:  # refuses NaN too, which fails every comparison
+            raise ValueError(f"ips must be positive and finite, got {self.ips}")
+        if self.frequency_mhz < 1:
+            raise ValueError(f"frequency_mhz must be positive, got {self.frequency_mhz}")
+        if not (math.isfinite(self.activity_coef) and math.isfinite(self.offset_coef)):
+            raise ValueError("activity_coef and offset_coef must be finite")
 
 
 @dataclass(frozen=True)
@@ -259,16 +269,5 @@ def write_sweep_csv(cells: Sequence[SweepCell], path_or_file: Union[str, IO[str]
     _write_csv(
         path_or_file,
         ["n", "method", "rep", "status", "elapsed_ms", "objective", "bound"],
-        (
-            [
-                c.n,
-                c.method,
-                c.rep,
-                c.status,
-                repr(c.elapsed_ms),
-                "" if c.objective is None else repr(c.objective),
-                "" if c.bound is None else repr(c.bound),
-            ]
-            for c in cells
-        ),
+        ([c.n, c.method, c.rep, c.status, c.elapsed_ms, c.objective, c.bound] for c in cells),
     )

@@ -59,12 +59,13 @@ class GaConfig:
     each gene with probability 1/n and perturbs it by a signed sum of
     inverse powers of two scaled by bga_mutation_range (each of
     bga_precision_bits terms participating with probability 1/bits).
-    crossover_rate, mutation_rate and elite_discard_fraction lie in [0, 1]
-    and bga_precision_bits in 1..53. A restart with a fresh random
-    population happens after stall_generations (at least 1) generations
-    without improvement. max_generations (unset, or at least 1) bounds the
-    total generation count across restarts; the time limit is run_ga's
-    argument. run_ga raises ValueError for a value outside these ranges.
+    crossover_rate, mutation_rate and elite_discard_fraction lie in [0, 1],
+    bga_mutation_range is finite and bga_precision_bits in 1..53. A restart
+    with a fresh random population happens after stall_generations (at
+    least 1) generations without improvement. max_generations (unset, or
+    at least 1) bounds the total generation count across restarts; the
+    time limit is run_ga's argument. run_ga raises ValueError for a value
+    outside these ranges.
     Runs limited only by wall-clock time are seed-deterministic in their
     evolution but may be cut at different generations, so reproducibility
     tests should set max_generations.
@@ -356,7 +357,7 @@ def write_fitness_trace_csv(
     _write_csv(
         path_or_file,
         ["generation", "restart", "best_fitness"],
-        ([p.generation, p.restart, repr(p.best_fitness)] for p in trace),
+        ([p.generation, p.restart, p.best_fitness] for p in trace),
     )
 
 
@@ -460,6 +461,8 @@ def run_ga(
         raise ValueError("elite_discard_fraction must lie in [0, 1]")
     if not 1 <= config.bga_precision_bits <= 53:
         raise ValueError("bga_precision_bits must lie in 1..53")
+    if not math.isfinite(config.bga_mutation_range):
+        raise ValueError("bga_mutation_range must be finite")
     if config.max_generations is not None and config.max_generations < 1:
         raise ValueError("max_generations must be at least 1")
     if config.stall_generations < 1:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 _T = TypeVar("_T")
@@ -489,48 +490,6 @@ def instance_from_dict(doc: dict) -> Instance:
     )
 
 
-def instance_to_dict(instance: Instance) -> dict:
-    plat = instance.platform
-    pdoc: dict = {
-        "idle_power_watts": plat.idle_power_watts,
-        "clusters": [
-            {
-                "id": c.id,
-                "core_count": c.core_count,
-                "label": c.label,
-                "frequency_mhz": c.frequency_mhz,
-            }
-            for c in plat.clusters
-        ],
-    }
-    if plat.thermal_b is not None:
-        pdoc["thermal_b"] = plat.thermal_b
-    if plat.thermal_g is not None:
-        pdoc["thermal_g"] = plat.thermal_g
-    if plat.ambient_celsius is not None:
-        pdoc["ambient_celsius"] = plat.ambient_celsius
-    tasks = []
-    for t in instance.tasks:
-        entries = []
-        for tc in t.per_cluster:
-            entry = {
-                "cluster_id": tc.cluster_id,
-                "exec_time_ms": tc.exec_time_ms,
-                "activity_coef": tc.activity_coef,
-                "offset_coef": tc.offset_coef,
-            }
-            if tc.energy_cost is not None:
-                entry["energy_cost"] = tc.energy_cost
-            entries.append(entry)
-        tasks.append({"id": t.id, "name": t.name, "per_cluster": entries})
-    return {
-        "platform": pdoc,
-        "tasks": tasks,
-        "major_frame_ms": instance.major_frame_ms,
-        "max_windows": instance.max_windows,
-    }
-
-
 @contextlib.contextmanager
 def _opened(path_or_file: Union[str, IO[str]], mode: str) -> Iterator[IO[str]]:
     """The caller's open file as it is, or the named file opened here and closed on exit."""
@@ -582,6 +541,12 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
+@functools.cache
+def _field_names(kind: type) -> tuple[str, ...]:
+    """A dataclass's field names in sorted order, the order its document lists them."""
+    return tuple(sorted(f.name for f in fields(kind)))
+
+
 def _append_json(value, newline: str, parts: list[str]) -> None:
     """Append value's JSON text; newline is a line break plus value's own indent."""
     kind = type(value)
@@ -591,18 +556,6 @@ def _append_json(value, newline: str, parts: list[str]) -> None:
         parts.append(int.__repr__(value))
     elif kind is float and -_INF < value < _INF:
         parts.append(float.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            text = key if isinstance(key, str) else _json_key(key)
-            parts.append(sep + _encode_str(text) + ": ")
-            sep = "," + inner
-            _append_json(item, inner, parts)
-        parts.append(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             parts.append("[]")
@@ -614,22 +567,37 @@ def _append_json(value, newline: str, parts: list[str]) -> None:
             sep = "," + inner
             _append_json(item, inner, parts)
         parts.append(newline + "]")
+    elif isinstance(value, dict) or hasattr(kind, "__dataclass_fields__"):
+        if isinstance(value, dict):
+            members = sorted(value.items())
+        else:  # a dataclass: its fields that are not None
+            members = [(k, v) for k in _field_names(kind) if (v := getattr(value, k)) is not None]
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in members:
+            text = key if isinstance(key, str) else _json_key(key)
+            parts.append(sep + _encode_str(text) + ": ")
+            sep = "," + inner
+            _append_json(item, inner, parts)
+        parts.append(newline + "}" if members else "{}")
     else:
         parts.append(_encode_scalar(value))
 
 
-def _write_json(doc: dict, path_or_file: Union[str, IO[str]]) -> None:
+def _write_json(value, path_or_file: Union[str, IO[str]]) -> None:
     """Write a document as indented JSON with sorted keys and a final newline.
 
-    The text is json.dumps(doc, indent=2, sort_keys=True) plus "\n", byte for
-    byte. json.dump is not used because json's C encoder does not indent, so
-    with indent=2 every token goes through its pure-Python encoder and its
-    own write call. Here scalars go through json's own functions and the
-    document is joined into one string before the file is opened, so a
-    value json cannot serialize raises TypeError and leaves the file as it was.
+    The text is json.dumps(doc, indent=2, sort_keys=True) plus "\n", byte
+    for byte, where doc is value with each dataclass in it replaced by a
+    dict of its fields that are not None, keyed by field name. json.dump is
+    not used because json's C encoder does not indent, so with indent=2
+    every token goes through its pure-Python encoder and its own write call.
+    Here scalars go through json's own functions and the document is joined
+    into one string before the file is opened, so a value json cannot
+    serialize raises TypeError and leaves the file as it was.
     """
     parts: list[str] = []
-    _append_json(doc, "\n", parts)
+    _append_json(value, "\n", parts)
     parts.append("\n")
     text = "".join(parts)
     with _opened(path_or_file, "w") as f:
@@ -680,7 +648,7 @@ def load_instance(path_or_file: Union[str, IO[str]]) -> Instance:
 
 
 def save_instance(instance: Instance, path_or_file: Union[str, IO[str]]) -> None:
-    _write_json(instance_to_dict(instance), path_or_file)
+    _write_json(instance, path_or_file)
 
 
 def assignment_from_dict(doc: dict) -> Assignment:
@@ -699,22 +667,12 @@ def assignment_from_dict(doc: dict) -> Assignment:
     return Assignment(placements=tuple(placements), window_lengths_ms=lengths)
 
 
-def assignment_to_dict(assignment: Assignment) -> dict:
-    return {
-        "placements": [
-            {"task_id": p.task_id, "window": p.window, "cluster": p.cluster}
-            for p in assignment.placements
-        ],
-        "window_lengths_ms": list(assignment.window_lengths_ms),
-    }
-
-
 def load_assignment(path_or_file: Union[str, IO[str]]) -> Assignment:
     return _load_json(path_or_file, "assignment", assignment_from_dict)
 
 
 def save_assignment(assignment: Assignment, path_or_file: Union[str, IO[str]]) -> None:
-    _write_json(assignment_to_dict(assignment), path_or_file)
+    _write_json(assignment, path_or_file)
 
 
 CHARACTERISTICS_HEADER = ["kernel", "cluster_id", "exec_time_ms", "activity_coef", "offset_coef"]

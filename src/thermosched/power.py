@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
@@ -444,18 +445,21 @@ def _fit_sample_header(n_clusters: int) -> list[str]:
 def read_fit_samples_csv(
     path_or_file: Union[str, IO[str]], n_clusters: int
 ) -> list[FitSample]:
-    """Read fitting samples: per-cluster summed features plus measured power."""
+    """Read fitting samples: per-cluster summed features plus measured power, all finite."""
+    header = _fit_sample_header(n_clusters)
 
     def parse(row: list[str]) -> FitSample:
+        numbers = [float(x) for x in row[1:]]
+        for column, x in zip(header[1:], numbers):
+            if not math.isfinite(x):
+                raise ValueError(f"{column} must be finite, got {x}")
         return FitSample(
             interval_length_ms=int(row[0]),
-            measured_power_watts=float(row[1]),
-            features=tuple(
-                (float(row[2 + 2 * k]), float(row[3 + 2 * k])) for k in range(n_clusters)
-            ),
+            measured_power_watts=numbers[0],
+            features=tuple(zip(numbers[1::2], numbers[2::2])),
         )
 
-    return _read_csv(path_or_file, _fit_sample_header(n_clusters), "fitting-sample", parse)
+    return _read_csv(path_or_file, header, "fitting-sample", parse)
 
 
 def write_fit_samples_csv(
@@ -467,9 +471,5 @@ def write_fit_samples_csv(
     _write_csv(
         path_or_file,
         _fit_sample_header(len(samples[0].features)),
-        (
-            [s.interval_length_ms, repr(s.measured_power_watts)]
-            + [repr(x) for feat in s.features for x in (feat[0], feat[1])]
-            for s in samples
-        ),
+        ([s.interval_length_ms, s.measured_power_watts, *chain(*s.features)] for s in samples),
     )

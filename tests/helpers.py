@@ -43,6 +43,20 @@ def worked_example() -> ts.Instance:
     return ts.Instance(platform=MEK, tasks=tasks, major_frame_ms=700, max_windows=1)
 
 
+def with_every_option(instance: ts.Instance) -> ts.Instance:
+    """The instance with the thermal parameters and every energy_cost set."""
+    platform = dataclasses.replace(
+        instance.platform, thermal_b=0.5, thermal_g=0.4, ambient_celsius=25.0
+    )
+    tasks = tuple(
+        dataclasses.replace(t, per_cluster=tuple(
+            dataclasses.replace(tc, energy_cost=0.1 * tc.exec_time_ms) for tc in t.per_cluster
+        ))
+        for t in instance.tasks
+    )
+    return dataclasses.replace(instance, platform=platform, tasks=tasks)
+
+
 def worked_example_assignment(instance: ts.Instance) -> ts.Assignment:
     return ts.Assignment.from_placements(instance, [(1, 1, 1), (2, 1, 1), (3, 1, 2)])
 

@@ -20,6 +20,7 @@ from thermosched.cli import (
     _STATUS_EXIT,
     main,
 )
+from thermosched.presets import kernel_pool_text
 
 
 def test_exit_code_contract():
@@ -129,6 +130,36 @@ class TestGenerate:
         assert code == 1
         assert capsys.readouterr().err == "error: tightness_kappa must be positive and finite\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("ips", "0", "ips must be positive and finite, got 0.0"),
+            ("ips", "-5", "ips must be positive and finite, got -5.0"),
+            ("ips", "nan", "ips must be positive and finite, got nan"),
+            ("ips", "inf", "ips must be positive and finite, got inf"),
+            ("frequency_mhz", "0", "frequency_mhz must be positive, got 0"),
+            ("frequency_mhz", "-5", "frequency_mhz must be positive, got -5"),
+            ("activity_coef", "nan", "activity_coef and offset_coef must be finite"),
+            ("offset_coef", "-inf", "activity_coef and offset_coef must be finite"),
+        ],
+        ids=["ips-zero", "ips-negative", "ips-nan", "ips-inf", "frequency-zero",
+             "frequency-negative", "activity-nan", "offset-inf"],
+    )
+    def test_kernel_pool_number_out_of_range_names_the_line(
+        self, tmp_path, capsys, column, value, message
+    ):
+        rows = list(csv.reader(io.StringIO(kernel_pool_text("mixed"))))
+        for row in rows[1:]:
+            if row[1] == "1":
+                row[rows[0].index(column)] = value
+        pool = tmp_path / "pool.csv"
+        pool.write_text("".join(",".join(row) + "\n" for row in rows))
+        out = tmp_path / "inst.json"
+        code = main(["generate", "--n", "5", "--kernels", str(pool), "--seed", "1", "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["pool.csv"]
 
     def test_same_seed_same_bytes(self, tmp_path):
         args = ["generate", "--n", "12", "--kernels", "mixed", "--seed", "3"]
@@ -339,11 +370,16 @@ class TestSolve:
             ("{}", "-5", "max_generations must be at least 1"),
             ('{"stall_generations": 0}', "5", "stall_generations must be at least 1"),
             ('{"population_size": 1}', "5", "population_size must be at least 2"),
+            ('{"bga_mutation_range": NaN, "mutation_rate": 1.0}', "5",
+             "bga_mutation_range must be finite"),
+            ('{"bga_mutation_range": Infinity, "mutation_rate": 1.0}', "5",
+             "bga_mutation_range must be finite"),
         ],
         ids=[
             "negative-discard-fraction", "zero-precision-bits", "zero-max-generations",
             "zero-max-generations-flag", "negative-max-generations-flag",
-            "zero-stall-generations", "one-genome-population",
+            "zero-stall-generations", "one-genome-population", "nan-mutation-range",
+            "infinite-mutation-range",
         ],
     )
     def test_ga_config_field_out_of_range_is_an_error(
@@ -766,6 +802,31 @@ class TestFit:
         fit = ts.load_coefficients(str(out))
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
         assert fit.betas[0][0] == pytest.approx(1.205, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("measured_power_watts", "nan"), ("measured_power_watts", "inf"),
+         ("sum_a_k1", "nan"), ("sum_b_k2", "-inf")],
+    )
+    def test_sample_that_is_not_finite_names_the_line(self, tmp_path, capsys, column, value):
+        import random
+        from test_power import synthetic_samples
+
+        samples = synthetic_samples(
+            helpers.MEK, ((1.205, 0.270), (0.969, 0.456)), 10, 0.0, random.Random(0)
+        )
+        samples_path = tmp_path / "samples.csv"
+        ts.write_fit_samples_csv(samples, str(samples_path))
+        rows = list(csv.reader(io.StringIO(samples_path.read_text())))
+        rows[3][rows[0].index(column)] = value
+        samples_path.write_text("".join(",".join(row) + "\n" for row in rows))
+        out = tmp_path / "coeff.json"
+        code = main(["fit", str(samples_path), "--platform", "imx8-mek", "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: line 4: {column} must be finite, got {float(value)}\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["samples.csv"]
 
 
 class TestExportGantt:

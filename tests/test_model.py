@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -262,13 +263,13 @@ class TestAssignmentOrder:
         instance, assignment = seven_tasks
         shuffled = list(reversed(assignment.placements))
         assert ts.Assignment.from_placements(instance, shuffled) == assignment
-        doc = ts.model.assignment_to_dict(assignment)
+        doc = json.loads(written_text(assignment))
         doc["placements"].reverse()
         assert ts.load_assignment(io.StringIO(json.dumps(doc))) == assignment
 
     def test_loader_refuses_a_repeated_task(self, seven_tasks):
         _, assignment = seven_tasks
-        doc = ts.model.assignment_to_dict(assignment)
+        doc = json.loads(written_text(assignment))
         doc["placements"].append(doc["placements"][0])
         with pytest.raises(ValueError, match=r"^assignment is not usable: "):
             ts.load_assignment(io.StringIO(json.dumps(doc)))
@@ -422,16 +423,16 @@ class TestInstanceIO:
     def test_missing_field_named(self, kind, breakage, message):
         instance = helpers.worked_example()
         if kind == "instance":
-            doc, load = ts.model.instance_to_dict(instance), ts.load_instance
+            doc, load = json.loads(written_text(instance)), ts.load_instance
         else:
             asg = helpers.worked_example_assignment(instance)
-            doc, load = ts.model.assignment_to_dict(asg), ts.load_assignment
+            doc, load = json.loads(written_text(asg)), ts.load_assignment
         breakage(doc)
         with pytest.raises(ts.ParseError, match=f"^{re.escape(message)}$"):
             load(io.StringIO(json.dumps(doc)))
 
     def test_unknown_fields_ignored(self):
-        doc = ts.model.instance_to_dict(helpers.worked_example())
+        doc = json.loads(written_text(helpers.worked_example()))
         doc["comment"] = "extra"
         doc["platform"]["vendor"] = "acme"
         doc["tasks"][0]["priority"] = 3
@@ -457,6 +458,11 @@ class TestInstanceIO:
         buf.seek(0)
         assert ts.load_instance(buf) == instance
 
+    def test_every_optional_field_round_trips(self):
+        """A field the writer emits but the reader drops would come back unset."""
+        instance = helpers.with_every_option(helpers.worked_example())
+        assert ts.load_instance(io.StringIO(written_text(instance))) == instance
+
 
 class _Int(int):
     pass
@@ -469,6 +475,25 @@ class _Float(float):
 
 def stdlib_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def plain(value):
+    """value as json.dumps takes it: a dataclass as a dict of its fields that
+    are not None, tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        return {name: plain(item) for name, item in fields.items() if item is not None}
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
+@dataclasses.dataclass
+class _Optional:
+    b: int | None = None
+    a: str | None = None
 
 
 def written_text(doc) -> str:
@@ -511,6 +536,14 @@ class TestWriteJson:
         doc = {"a": {}, "b": [], "c": (), "d": [{}, [[]], {"e": ({"f": None},)}]}
         assert written_text(doc) == stdlib_text(doc)
 
+    def test_dataclass_without_set_fields_is_an_empty_object(self):
+        assert written_text(_Optional()) == "{}\n"
+        assert written_text([_Optional(), {"x": _Optional()}]) == stdlib_text([{}, {"x": {}}])
+
+    def test_dataclass_is_the_object_of_its_set_fields(self):
+        for value in (_Optional(b=2), _Optional(a="z", b=0), (_Optional(a=""),)):
+            assert written_text(value) == stdlib_text(plain(value))
+
     def test_every_document_kind_matches_the_stdlib(self, tmp_path, monkeypatch, capsys):
         written = []
         real = ts.model._write_json
@@ -540,7 +573,7 @@ class TestWriteJson:
         ])
         for doc, path in written:
             with open(path, encoding="utf-8") as f:
-                assert f.read() == stdlib_text(doc), path
+                assert f.read() == stdlib_text(plain(doc)), path
 
     def test_unserializable_value_leaves_the_file_as_it_was(self, tmp_path):
         path = tmp_path / "doc.json"
