@@ -44,7 +44,6 @@ from .heuristics import (
 from .model import (
     Assignment,
     Cluster,
-    CoreSchedule,
     Feasibility,
     Instance,
     ParseError,
@@ -57,7 +56,6 @@ from .model import (
     derive_window_lengths,
     load_assignment,
     load_instance,
-    read_characteristics_csv,
     save_assignment,
     save_instance,
     total_idle_time,

@@ -415,6 +415,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise _UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         started_at = _now()
         code, seed, inputs, outputs = args.func(args)
         if args.output:

@@ -36,30 +36,32 @@ class FlowArc:
 class FlowNetwork:
     """Flow formulation of one fixed-window instance.
 
-    Node order: tasks first (in task order), then (window, cluster) nodes
-    (window-major), then the sink. arc_placements holds the decoded
-    (task_id, window, cluster) for task arcs and None for sink arcs.
+    Node order: the n tasks first (in task order, each supplying one unit),
+    then the (window, cluster) nodes (window-major), then the sink, which
+    absorbs n units. arc_placements holds the decoded (task_id, window,
+    cluster) for task arcs and None for sink arcs.
     """
 
     instance: Instance
     window_lengths: tuple[int, ...]
-    node_labels: tuple[str, ...]
-    balances: tuple[int, ...]
     arcs: tuple[FlowArc, ...]
     arc_placements: tuple[tuple[int, int, int] | None, ...]
-    unplaceable_tasks: tuple[int, ...]
 
     @property
     def sink(self) -> int:
-        return len(self.node_labels) - 1
+        return len(self.instance.tasks) + len(self.window_lengths) * len(
+            self.instance.platform.clusters
+        )
 
 
 @dataclass
 class FlowResult:
-    feasible: bool
     assignment: Assignment | None
     total_cost: float | None
-    arc_flows: tuple[int, ...]  # parallel to network.arcs
+
+    @property
+    def feasible(self) -> bool:
+        return self.assignment is not None
 
 
 def build_network(
@@ -68,9 +70,8 @@ def build_network(
     """Build the flow network for the given fixed window lengths.
 
     Lengths must be nonnegative, at most one per available window, and sum
-    to at most the major frame. Tasks that fit no (window, cluster) at all
-    are reported in unplaceable_tasks; the network is still built and the
-    solver will prove infeasibility.
+    to at most the major frame. A task that fits no (window, cluster) gets
+    no arc; the network is still built and the solver proves infeasibility.
     """
     lengths = tuple(int(l) for l in window_lengths)
     if not lengths:
@@ -94,28 +95,16 @@ def build_network(
     n_windows = len(lengths)
 
     # the (window j, cluster k) node is n + (j - 1) * m + (k - 1)
-    labels = [f"task:{t.id}" for t in tasks]
-    labels += [f"wc:{j}:{c.id}" for j in range(1, n_windows + 1) for c in clusters]
-    sink = len(labels)
-    labels.append("sink")
-
-    balances = [1] * n + [0] * (len(labels) - n)
-    balances[sink] = -n
-
+    sink = n + n_windows * m
     arcs: list[FlowArc] = []
     placements: list[tuple[int, int, int] | None] = []
-    unplaceable = []
     for ti, t in enumerate(tasks):
-        admissible = 0
         for ci, tc in enumerate(t.per_cluster):
             exec_ms, cost = tc.exec_time_ms, tc.effective_energy_cost
             for j in range(1, n_windows + 1):
                 if exec_ms <= lengths[j - 1]:
                     arcs.append(FlowArc(ti, n + (j - 1) * m + ci, 1, cost))
                     placements.append((t.id, j, ci + 1))
-                    admissible += 1
-        if admissible == 0:
-            unplaceable.append(t.id)
     for j in range(1, n_windows + 1):
         for ci, c in enumerate(clusters):
             arcs.append(FlowArc(n + (j - 1) * m + ci, sink, c.core_count, 0.0))
@@ -124,11 +113,8 @@ def build_network(
     return FlowNetwork(
         instance=instance,
         window_lengths=lengths,
-        node_labels=tuple(labels),
-        balances=tuple(balances),
         arcs=tuple(arcs),
         arc_placements=tuple(placements),
-        unplaceable_tasks=tuple(unplaceable),
     )
 
 
@@ -142,10 +128,10 @@ def min_cost_assignment(network: FlowNetwork) -> FlowResult:
     instance = network.instance
     n = len(instance.tasks)
     if n == 0:
-        return FlowResult(True, Assignment.from_placements(instance, []), 0.0, ())
+        return FlowResult(Assignment.from_placements(instance, []), 0.0)
 
-    n_nodes = len(network.node_labels)
     sink = network.sink
+    n_nodes = sink + 1
 
     # Residual graph: network arc i is edge 2i, and edge 2i + 1 its reverse.
     arcs = network.arcs
@@ -217,18 +203,18 @@ def min_cost_assignment(network: FlowNetwork) -> FlowResult:
             dist[u] = INF
             parent_edge[u] = -1
 
-    arc_flows = tuple(a.capacity - caps[2 * i] for i, a in enumerate(arcs))
     if roots:
-        return FlowResult(False, None, None, arc_flows)
+        return FlowResult(None, None)
 
+    # a task arc carries its unit of flow exactly when its capacity is spent
     chosen = [
-        network.arc_placements[i]
-        for i in range(len(network.arcs))
-        if network.arc_placements[i] is not None and arc_flows[i] == 1
+        placement
+        for placement, cap in zip(network.arc_placements, caps[::2])
+        if placement is not None and cap == 0
     ]
     assignment = Assignment.from_placements(instance, chosen)
     total = sum(
         t.per_cluster[p.cluster - 1].effective_energy_cost
         for t, p in zip(instance.tasks, assignment.placements)
     )
-    return FlowResult(True, assignment, total, arc_flows)
+    return FlowResult(assignment, total)

@@ -81,8 +81,7 @@ def render_gantt_svg(instance: Instance, assignment: Assignment) -> str:
 
     for j in range(1, instance.max_windows + 1):
         for ci, c in enumerate(instance.platform.clusters):
-            slots = schedule.window(j)[ci]
-            for r, tid in enumerate(slots):
+            for r, tid in enumerate(schedule[j - 1][ci]):
                 if tid is None:
                     continue
                 e = instance.task_by_id(tid).per_cluster[ci].exec_time_ms

@@ -64,8 +64,8 @@ class GaConfig:
     with a fresh random population happens after stall_generations (at
     least 1) generations without improvement. max_generations (unset, or
     at least 1) bounds the total generation count across restarts; the
-    time limit is run_ga's argument. run_ga raises ValueError for a value
-    outside these ranges.
+    time limit is run_ga's argument. rng_seed is non-negative. run_ga
+    raises ValueError for a value outside these ranges.
     Runs limited only by wall-clock time are seed-deterministic in their
     evolution but may be cut at different generations, so reproducibility
     tests should set max_generations.
@@ -469,6 +469,8 @@ def run_ga(
         raise ValueError("stall_generations must be at least 1")
     if config.population_size is not None and config.population_size < 2:
         raise ValueError("population_size must be at least 2")
+    if config.rng_seed < 0:
+        raise ValueError(f"rng_seed must be non-negative, got {config.rng_seed}")
 
     n = len(instance.tasks)
     if n == 0:

@@ -205,28 +205,17 @@ class Assignment:
 
 
 @dataclass(frozen=True)
-class CoreSchedule:
-    """Per (window, cluster) core slots holding task ids, IDLE for free slots.
-
-    slots[j-1][ci] is a tuple of length core_count for window j and the
-    cluster at position ci in the platform's cluster list.
-    """
-
-    slots: tuple[tuple[tuple[int | None, ...], ...], ...]
-
-    def window(self, window_index: int) -> tuple[tuple[int | None, ...], ...]:
-        return self.slots[window_index - 1]
-
-
-@dataclass(frozen=True)
 class Feasibility:
-    """Feasibility verdict together with the violated constraints."""
+    """Feasibility verdict: the violated constraints, none when feasible."""
 
-    feasible: bool
     violations: tuple[str, ...] = ()
 
+    @property
+    def feasible(self) -> bool:
+        return not self.violations
+
     def __bool__(self) -> bool:
-        return self.feasible
+        return not self.violations
 
 
 def _refuse(what: str, violations: list[str]) -> None:
@@ -371,15 +360,19 @@ def check_feasible(instance: Instance, assignment: Assignment) -> Feasibility:
             f"window lengths sum to {total} ms, exceeding the major frame "
             f"of {instance.major_frame_ms} ms"
         )
-    return Feasibility(feasible=not violations, violations=tuple(violations))
+    return Feasibility(tuple(violations))
 
 
-def derive_core_schedule(instance: Instance, assignment: Assignment) -> CoreSchedule:
+def derive_core_schedule(
+    instance: Instance, assignment: Assignment
+) -> tuple[tuple[tuple[int | None, ...], ...], ...]:
     """Assign each placed task to one core slot of its (window, cluster).
 
-    Tasks sharing a (window, cluster) occupy slots in ascending task id, the
-    order of the placements, which makes the schedule deterministic. Raises
-    ValueError when the assignment is infeasible.
+    The result is indexed [window - 1][cluster position][slot] and holds a
+    task id, or IDLE for a free slot, per core of the cluster. Tasks sharing
+    a (window, cluster) occupy slots in ascending task id, the order of the
+    placements, which makes the schedule deterministic. Raises ValueError
+    when the assignment is infeasible.
     """
     verdict = check_feasible(instance, assignment)
     if not verdict:
@@ -391,11 +384,10 @@ def derive_core_schedule(instance: Instance, assignment: Assignment) -> CoreSche
     members = [[[] for _ in clusters] for _ in range(instance.max_windows)]
     for p in assignment.placements:
         members[p.window - 1][p.cluster - 1].append(p.task_id)
-    slots = tuple(
+    return tuple(
         tuple(tuple(ids) + (IDLE,) * (c.core_count - len(ids)) for ids, c in zip(row, clusters))
         for row in members
     )
-    return CoreSchedule(slots=slots)
 
 
 def total_idle_time(instance: Instance, assignment: Assignment) -> int:
@@ -673,29 +665,3 @@ def load_assignment(path_or_file: Union[str, IO[str]]) -> Assignment:
 
 def save_assignment(assignment: Assignment, path_or_file: Union[str, IO[str]]) -> None:
     _write_json(assignment, path_or_file)
-
-
-CHARACTERISTICS_HEADER = ["kernel", "cluster_id", "exec_time_ms", "activity_coef", "offset_coef"]
-
-
-def read_characteristics_csv(
-    path_or_file: Union[str, IO[str]],
-) -> dict[str, dict[int, TaskCharacteristics]]:
-    """Read a per-(kernel, cluster) characteristics table.
-
-    Returns {kernel name: {cluster_id: TaskCharacteristics}}.
-    """
-
-    def parse(row: list[str]) -> tuple[str, TaskCharacteristics]:
-        kernel, cluster_id, exec_time, activity, offset = row
-        return kernel.strip(), TaskCharacteristics(
-            cluster_id=int(cluster_id),
-            exec_time_ms=int(exec_time),
-            activity_coef=float(activity),
-            offset_coef=float(offset),
-        )
-
-    table: dict[str, dict[int, TaskCharacteristics]] = {}
-    for kernel, tc in _read_csv(path_or_file, CHARACTERISTICS_HEADER, "characteristics", parse):
-        table.setdefault(kernel, {})[tc.cluster_id] = tc
-    return table

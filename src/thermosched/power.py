@@ -110,19 +110,13 @@ class ProcessingInterval:
 class PowerEstimate:
     """A power prediction in watts with its idle/activity/offset decomposition."""
 
-    watts: float
     idle_watts: float
     activity_watts: float
     offset_watts: float
 
-    @classmethod
-    def compose(cls, idle: float, activity: float, offset: float) -> "PowerEstimate":
-        return cls(
-            watts=idle + activity + offset,
-            idle_watts=idle,
-            activity_watts=activity,
-            offset_watts=offset,
-        )
+    @property
+    def watts(self) -> float:
+        return self.idle_watts + self.activity_watts + self.offset_watts
 
 
 def _window_power(
@@ -139,7 +133,7 @@ def _window_power(
     if coefficients is not None:
         coefficients.check_covers(platform)
     if not window_tasks:
-        return PowerEstimate.compose(platform.idle_power_watts, 0.0, 0.0)
+        return PowerEstimate(platform.idle_power_watts, 0.0, 0.0)
     if window_length_ms < 1:
         raise ValueError("a non-empty window must have positive length")
     longest = max(tc.exec_time_ms for tc in window_tasks)
@@ -159,7 +153,7 @@ def _window_power(
             beta = coefficients.beta(tc.cluster_id)
             activity += beta[0] * tc.activity_coef
             offset += beta[1] * tc.offset_coef
-    return PowerEstimate.compose(platform.idle_power_watts, activity, offset)
+    return PowerEstimate(platform.idle_power_watts, activity, offset)
 
 
 def sm_window_power(
@@ -213,11 +207,10 @@ def decompose_intervals(
     The interval lengths sum to the window length; an empty window yields
     no intervals.
     """
-    schedule = derive_core_schedule(instance, assignment)
+    slots = derive_core_schedule(instance, assignment)[window - 1]
     length = assignment.window_lengths_ms[window - 1]
     if length == 0:
         return []
-    slots = schedule.window(window)
 
     end_time: dict[int, int] = {}
     for t, p in zip(instance.tasks, assignment.placements):
@@ -257,7 +250,7 @@ def lr_interval_power(
             tc = instance.task_by_id(tid).on(cluster.id)
             activity += beta[0] * tc.activity_coef
             offset += beta[1] * tc.offset_coef
-    return PowerEstimate.compose(platform.idle_power_watts, activity, offset)
+    return PowerEstimate(platform.idle_power_watts, activity, offset)
 
 
 def schedule_power(
@@ -304,7 +297,7 @@ def schedule_power(
             offset += b
     for j in sorted(peak):
         offset += lengths[j - 1] * peak[j]
-    return PowerEstimate.compose(instance.platform.idle_power_watts, activity / h, offset / h)
+    return PowerEstimate(instance.platform.idle_power_watts, activity / h, offset / h)
 
 
 def power_to_temperature(platform: Platform, power_watts: float) -> float:
@@ -445,16 +438,19 @@ def _fit_sample_header(n_clusters: int) -> list[str]:
 def read_fit_samples_csv(
     path_or_file: Union[str, IO[str]], n_clusters: int
 ) -> list[FitSample]:
-    """Read fitting samples: per-cluster summed features plus measured power, all finite."""
+    """Read fitting samples: intervals of at least 1 ms, finite power and features."""
     header = _fit_sample_header(n_clusters)
 
     def parse(row: list[str]) -> FitSample:
+        length = int(row[0])
+        if length < 1:
+            raise ValueError(f"interval_length_ms must be >= 1, got {length}")
         numbers = [float(x) for x in row[1:]]
         for column, x in zip(header[1:], numbers):
             if not math.isfinite(x):
                 raise ValueError(f"{column} must be finite, got {x}")
         return FitSample(
-            interval_length_ms=int(row[0]),
+            interval_length_ms=length,
             measured_power_watts=numbers[0],
             features=tuple(zip(numbers[1::2], numbers[2::2])),
         )
@@ -468,8 +464,14 @@ def write_fit_samples_csv(
     samples = list(samples)
     if not samples:
         raise ValueError("cannot write an empty sample set")
+    m = len(samples[0].features)
+    for pos, s in enumerate(samples):
+        if len(s.features) != m:
+            raise ValueError(
+                f"sample {pos} has {len(s.features)} cluster(s), sample 0 has {m}"
+            )
     _write_csv(
         path_or_file,
-        _fit_sample_header(len(samples[0].features)),
+        _fit_sample_header(m),
         ([s.interval_length_ms, s.measured_power_watts, *chain(*s.features)] for s in samples),
     )

@@ -828,6 +828,27 @@ class TestFit:
         )
         assert [p.name for p in tmp_path.iterdir()] == ["samples.csv"]
 
+    @pytest.mark.parametrize("row, value", [(1, "0"), (3, "-5")])
+    def test_interval_shorter_than_1_ms_names_the_line(self, tmp_path, capsys, row, value):
+        import random
+        from test_power import synthetic_samples
+
+        samples = synthetic_samples(
+            helpers.MEK, ((1.205, 0.270), (0.969, 0.456)), 10, 0.0, random.Random(0)
+        )
+        samples_path = tmp_path / "samples.csv"
+        ts.write_fit_samples_csv(samples, str(samples_path))
+        rows = list(csv.reader(io.StringIO(samples_path.read_text())))
+        rows[row][0] = value
+        samples_path.write_text("".join(",".join(cells) + "\n" for cells in rows))
+        out = tmp_path / "coeff.json"
+        code = main(["fit", str(samples_path), "--platform", "imx8-mek", "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: line {row + 1}: interval_length_ms must be >= 1, got {value}\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["samples.csv"]
+
 
 class TestExportGantt:
     def test_infeasible_assignment_is_an_error(self, tmp_path, capsys):
@@ -1068,4 +1089,32 @@ _EMPTY_LISTS = {
 def test_empty_list_is_a_usage_error(tmp_path, example_files, case):
     argv = _EMPTY_LISTS[case](example_files[0]) + ["-o", str(tmp_path / "out")]
     assert main(argv) == EXIT_USAGE
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["asg.json", "inst.json"]
+
+
+_NEGATIVE_SEED = {
+    "generate": lambda i: ["generate", "--n", "4", "--kernels", "mixed"],
+    "solve": lambda i: ["solve", i, "--method", "bb-sm"],
+    "sweep": lambda i: [
+        "sweep", "--sizes", "4", "--reps", "1", "--methods", "ilp-sm,bb-sm", "--kernels", "mixed",
+    ],
+    "compare": lambda i: ["compare", i, "--methods", "ilp-sm,qp-lr-ub,bb-sm", "--coefficients",
+                          "imx8-mek"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NEGATIVE_SEED))
+def test_negative_seed_is_a_usage_error_before_any_work(
+    tmp_path, example_files, monkeypatch, capsys, case
+):
+    calls = []
+    spy = lambda *args, **kwargs: calls.append(args)  # noqa: E731
+    monkeypatch.setattr(ts.cli, "run_method", spy)
+    monkeypatch.setattr(ts.generator, "run_method", spy)
+    argv = _NEGATIVE_SEED[case](example_files[0]) + ["--seed", "-1", "-o", str(tmp_path / "out")]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "usage error: --seed must be a non-negative integer, got -1\n"
+    )
+    assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["asg.json", "inst.json"]

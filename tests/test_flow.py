@@ -33,12 +33,12 @@ class TestBuildNetwork:
         instance = two_task_instance()
         net = build_network(instance, [10])
         # 2 tasks + 2 wc nodes + sink
-        assert len(net.node_labels) == 5
+        assert net.sink == 4
         task_arcs = [a for a, p in zip(net.arcs, net.arc_placements) if p is not None]
         sink_arcs = [a for a, p in zip(net.arcs, net.arc_placements) if p is None]
         assert len(task_arcs) == 4 and len(sink_arcs) == 2
-        assert sum(net.balances) == 0
-        assert net.balances[net.sink] == -2
+        assert {a.tail for a in task_arcs} == {0, 1}
+        assert {a.head for a in sink_arcs} == {net.sink}
         assert all(a.capacity == 1 for a in task_arcs)
         assert {a.capacity for a in sink_arcs} == {1}
 
@@ -46,7 +46,7 @@ class TestBuildNetwork:
         instance = two_task_instance()
         net = build_network(instance, [9])
         assert len([p for p in net.arc_placements if p is not None]) == 0
-        assert set(net.unplaceable_tasks) == {1, 2}
+        assert not min_cost_assignment(net).feasible
 
     def test_unit_little_times_reach_every_window(self):
         # shape of the hardness reduction: e on cluster 2 is always 1,
@@ -89,14 +89,17 @@ class TestBuildNetwork:
             for i in range(1, 5)
         )
         net = build_network(ts.Instance(plat, tasks, 60, 3), [20, 15, 10])
+        n, m = 4, 3
+        assert net.sink == n + 3 * m
+        wc_nodes = range(n, net.sink)
         reached = set()
         for arc, p in zip(net.arcs, net.arc_placements):
             if p is None:
-                assert net.node_labels[arc.tail].startswith("wc:") and arc.head == net.sink
+                assert arc.tail in wc_nodes and arc.head == net.sink
                 continue
             tid, j, k = p
-            assert net.node_labels[arc.tail] == f"task:{tid}"
-            assert net.node_labels[arc.head] == f"wc:{j}:{k}"
+            assert arc.tail == tid - 1
+            assert arc.head == n + (j - 1) * m + (k - 1)
             reached.add((j, k))
         assert reached == {(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)}
 
@@ -143,9 +146,11 @@ class TestMinCostAssignment:
             lengths = helpers.random_fixed_lengths(instance, rng)
             net = build_network(instance, lengths)
             result = min_cost_assignment(net)
-            for flow, placement in zip(result.arc_flows, net.arc_placements):
-                if placement is not None:
-                    assert flow in (0, 1)
+            if result.feasible:
+                # one whole unit per task, on one of the task's arcs
+                chosen = {(p.task_id, p.window, p.cluster) for p in result.assignment.placements}
+                assert len(chosen) == len(instance.tasks)
+                assert chosen <= set(net.arc_placements)
 
     def test_matches_exhaustive_minimum(self):
         rng = random.Random(4)
@@ -272,8 +277,10 @@ def networkx_min_cost(network):
     not guaranteed to terminate on float weights.
     """
     graph = networkx.DiGraph()
-    for v, balance in enumerate(network.balances):
-        graph.add_node(v, demand=-balance)
+    n = len(network.instance.tasks)
+    # every task supplies one unit and the sink absorbs all n
+    for v in range(network.sink + 1):
+        graph.add_node(v, demand=-1 if v < n else n if v == network.sink else 0)
     for a in network.arcs:
         weight = round(a.cost * 100)
         assert weight == pytest.approx(a.cost * 100, abs=1e-6)

@@ -63,6 +63,10 @@ class TestLoadKernelPool:
         )
         with pytest.raises(ts.ParseError, match="^line 3: expected 6 columns$"):
             load_kernel_pool(io.StringIO(text))
+        # a blank row is skipped but still counted in the line number
+        blank = text.replace(f"{row}\n", f"\n{row}\n")
+        with pytest.raises(ts.ParseError, match="^line 4: expected 6 columns$"):
+            load_kernel_pool(io.StringIO(blank))
 
     def test_known_speedup(self, mixed_pool):
         a2time = next(k for k in mixed_pool if k.name == "a2time-4K")

@@ -225,6 +225,11 @@ class TestRunGa:
         for fits in by_restart.values():
             assert all(b <= a + 1e-12 for a, b in zip(fits, fits[1:]))
 
+    def test_negative_seed_is_refused(self):
+        instance = helpers.small_random_instance(33, n=4)
+        with pytest.raises(ValueError, match="^rng_seed must be non-negative, got -5$"):
+            ts.run_ga(instance, "sm", ts.GaConfig(max_generations=2, rng_seed=-5))
+
     def test_lr_model_needs_coefficients(self):
         instance = helpers.small_random_instance(33, n=4)
         with pytest.raises(ValueError):

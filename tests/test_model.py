@@ -329,7 +329,7 @@ class TestCoreSchedule:
         seen = []
         idle = 0
         for j in range(1, instance.max_windows + 1):
-            for cluster_slots in schedule.window(j):
+            for cluster_slots in schedule[j - 1]:
                 for tid in cluster_slots:
                     if tid is None:
                         idle += 1
@@ -351,7 +351,7 @@ class TestCoreSchedule:
         )
         instance6 = ts.Instance(instance.platform, tuple(t for t in instance.tasks if t.id != 5), 600, 1)
         schedule = ts.derive_core_schedule(instance6, assignment)
-        assert schedule.window(1)[1] == (3, 7)
+        assert schedule[0][1] == (3, 7)
 
 
 class TestTotalIdleTime:
@@ -581,32 +581,3 @@ class TestWriteJson:
         with pytest.raises(TypeError, match="not JSON serializable"):
             ts.model._write_json({"a": 1, "b": object()}, str(path))
         assert path.read_text() == '{"kept": true}\n'
-
-
-class TestCharacteristicsCsv:
-    def test_round_trip_shape(self):
-        text = (
-            "kernel,cluster_id,exec_time_ms,activity_coef,offset_coef\n"
-            "a2time-4K,1,450,0.25,0.25\n"
-            "a2time-4K,2,161,0.52,0.37\n"
-        )
-        table = ts.read_characteristics_csv(io.StringIO(text))
-        assert table["a2time-4K"][1].activity_coef == 0.25
-        assert table["a2time-4K"][2].exec_time_ms == 161
-
-    def test_bad_header(self):
-        with pytest.raises(ts.ParseError):
-            ts.read_characteristics_csv(io.StringIO("kernel,exec_time_ms\nx,1\n"))
-
-    @pytest.mark.parametrize(
-        "row", ["a,1,450,0.25,0.25,extra", "a,1,450,0.25"], ids=["extra-column", "short-row"]
-    )
-    def test_row_must_have_the_header_columns(self, row):
-        text = (
-            "kernel,cluster_id,exec_time_ms,activity_coef,offset_coef\n"
-            "a,2,161,0.52,0.37\n"
-            "\n"
-            f"{row}\n"
-        )
-        with pytest.raises(ts.ParseError, match="^line 4: expected 5 columns$"):
-            ts.read_characteristics_csv(io.StringIO(text))

@@ -414,6 +414,17 @@ class TestFitRegression:
         back = ts.read_fit_samples_csv(str(path), 2)
         assert back == samples
 
+    def test_samples_with_another_cluster_count_are_not_written(self, tmp_path):
+        samples = [
+            ts.FitSample(1000, 6.0, ((1.0, 2.0), (3.0, 4.0))),
+            ts.FitSample(1000, 6.0, ((1.0, 2.0), (3.0, 4.0))),
+            ts.FitSample(1000, 6.0, ((1.0, 2.0),)),
+        ]
+        path = tmp_path / "samples.csv"
+        with pytest.raises(ValueError, match="^sample 2 has 1 cluster\\(s\\), sample 0 has 2$"):
+            ts.write_fit_samples_csv(samples, str(path))
+        assert not path.exists()
+
 
 class TestCoefficientsIO:
     def test_round_trip(self, tmp_path, mek_coefficients):
