@@ -9,10 +9,14 @@ The power objectives are searched by depth-first branch and bound over
 symmetry breaking (a task may only open the lowest-indexed empty window).
 Each candidate placement is bounded from its change to the window terms
 before it is applied, so a pruned candidate never touches the search state;
-only the survivors are applied, searched below and undone. The SM root
-bound, which a timeout reports, also charges window offsets: it groups the
-tasks' cheapest offset surcharges C = total cores to a window, the argument
-that makes the aligned grouping below optimal.
+only the survivors are applied, searched below and undone, cheapest first by
+their change to the objective. Under LR-UB, where every task of a window
+pays the window's whole length, a placement's window growth is priced as
+well, at the mean cheapest rate of the tasks, so that the search does not
+open windows first and spend the frame early. The SM root bound, which a
+timeout reports, also charges window offsets: it groups the tasks' cheapest
+offset surcharges C = total cores to a window, the argument that makes the
+aligned grouping below optimal.
 The other kinds branch over cluster choices only: once every task has a
 cluster, the cheapest window partition is obtained by sorting each cluster's
 tasks by decreasing execution time, cutting them into core-count sized
@@ -348,6 +352,12 @@ def _window_search(
     else:
         incr = [min(act_e[p][ci] for ci in allowed[p]) for p in range(n)]
         neg_b = [min(0.0, min(coef[p][ci] for ci in allowed[p]) * h) for p in range(n)]
+    # The child order prices window growth at lam per ms (see the sort):
+    # for LR-UB the mean over tasks of the cheapest allowed rate, floored at
+    # 0; for SM 0, which leaves its order the plain objective change.
+    lam = 0.0
+    if is_lrub and n:
+        lam = max(0.0, sum(min(coef[p][ci] for ci in allowed[p]) for p in range(n)) / n)
     suffix = [0.0] * (n + 1)
     suffix_neg = [0.0] * (n + 1)
     for p in range(n - 1, -1, -1):
@@ -461,15 +471,22 @@ def _window_search(
                 bound = p_idle + (child_safe + tail1 + child_ae) / h
                 if bound >= best_value - _EPS:
                     continue
-                options.append(
-                    (ae + dtrue, ci, j, bound, newl, news, true + dtrue, child_safe, child_ae)
-                )
+                options.append((
+                    ae + dtrue + lam * grow, ci, j, bound, newl, news, true + dtrue,
+                    child_safe, child_ae,
+                ))
         options.sort()
 
-        # Visit in order of increasing objective change. The incumbent only
-        # improves, so an option bounded out above stays out; the rest are
-        # bounded again against the incumbent as it stands now, and only one
-        # that survives is applied. Undo assigns the saved values back.
+        # Visit in order of increasing objective change plus lam per ms of
+        # window growth. Under LR-UB every task of a window pays the window's
+        # whole length, so joining a window costs wl*c >= e*c and opening a
+        # new one always looks cheapest: unpriced, the search spends the
+        # frame early and backtracks far before it finds the optimum. Growth
+        # uses up frame time that the tasks still to come pay for at about
+        # lam per ms. The incumbent only improves, so an option bounded out
+        # above stays out; the rest are bounded again against the incumbent
+        # as it stands now, and only one that survives is applied. Undo
+        # assigns the saved values back.
         for _, ci, j, bound, newl, news, child_true, child_safe, child_ae in options:
             if bound >= best_value - _EPS:
                 continue

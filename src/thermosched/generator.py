@@ -26,7 +26,7 @@ from .model import (
     _write_csv,
 )
 from .power import RegressionCoefficients
-from .runners import run_method
+from .runners import check_methods, run_method
 
 KERNEL_POOL_HEADER = [
     "kernel",
@@ -240,9 +240,13 @@ def scalability_sweep(
     Timeouts are recorded in the status column, never raised. Cells run one
     at a time in this process, in (n, rep, method) order. A cell depends
     only on sweep_seed(base_seed, n, rep), so sweeps over disjoint sizes give
-    the same rows as one sweep over all of them. All instances are generated
-    before the first cell runs, so a bad size is refused before any work.
+    the same rows as one sweep over all of them. The methods, their inputs
+    and base_seed (non-negative) are checked, and all instances generated,
+    before the first cell runs, so bad input is refused before any work.
     """
+    check_methods(methods, coefficients)
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be non-negative, got {base_seed}")
     runs = []
     for n in sizes:
         for rep in range(repetitions):

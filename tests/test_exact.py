@@ -219,6 +219,33 @@ class TestOracleAgreement:
                 assert all(placed[tid] == cid for tid, cid in fix.items()), seed
         assert statuses == {SearchStatus.OPTIMAL, SearchStatus.INFEASIBLE}
 
+    @pytest.mark.parametrize("signed", [False, True], ids=["mek", "signed"])
+    def test_lr_ub_with_fixes_matches_brute_force(self, signed):
+        # The LR-UB child order prices window growth at the mean cheapest
+        # allowed rate, which the random partial fixes change. It is positive
+        # on all 25 cases under MEK; under SIGNED_COEFF it is clamped to 0 on
+        # 12 of them.
+        lr_ub = ObjectiveSpec(
+            ObjectiveKind.LR_UB_POWER, SIGNED_COEFF if signed else helpers.MEK_COEFF
+        )
+        rng = random.Random(41)
+        statuses = set()
+        for seed in range(25):
+            instance = helpers.small_random_instance(seed)
+            full = helpers.random_cluster_map(instance, rng)
+            fix = dict(rng.sample(sorted(full.items()), rng.randint(0, len(full))))
+            exact = ts.solve(instance, lr_ub, fix)
+            oracle = ts.brute_force_optimum(instance, lr_ub, fix)
+            assert exact.status == oracle.status, (seed, fix)
+            statuses.add(exact.status)
+            if exact.status is SearchStatus.OPTIMAL:
+                assert exact.objective_value == pytest.approx(
+                    oracle.objective_value, abs=1e-9
+                ), (seed, fix)
+                placed = {p.task_id: p.cluster for p in exact.assignment.placements}
+                assert all(placed[tid] == cid for tid, cid in fix.items()), seed
+        assert SearchStatus.OPTIMAL in statuses
+
     def test_window_symmetry_invariance(self):
         rng = random.Random(9)
         for seed in range(6):
@@ -341,6 +368,21 @@ def test_timeout_bound_charges_window_offsets():
     assert result.lower_bound <= result.objective_value
 
 
+def test_lr_ub_child_order_prices_window_growth():
+    """qp-lr-ub proves six n=16 instances within 40,000 nodes in total.
+
+    Ordered by objective change alone, opening a window always sorts first
+    under LR-UB, and the same proofs take 181,761 nodes.
+    """
+    lr_ub = spec(ObjectiveKind.LR_UB_POWER)
+    nodes = 0
+    for rep in range(6):
+        result = ts.solve(pinned_instance({"sweep": [7, 16, rep], "kappa": 3.5}), lr_ub)
+        assert result.status is SearchStatus.OPTIMAL, rep
+        nodes += result.nodes_explored
+    assert nodes <= 40_000
+
+
 class TestPartialFix:
     def test_fix_forces_cluster(self):
         instance = helpers.small_random_instance(21)
@@ -401,7 +443,8 @@ def test_solve_matches_pinned_search(case):
     Equal node counts and assignments show that every search still visits
     the same tree in the same order. Three feasibility-only counts were
     re-recorded when feasibility moved into the cluster search, which does
-    not count children it rejects on grouping. Objectives are compared to
+    not count children it rejects on grouping, and ten LR-UB counts when
+    its child order began to price window growth. Objectives are compared to
     1e-12: the recorded values carry the last-bit drift of window
     accumulators that were restored by subtraction.
     """

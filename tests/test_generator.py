@@ -193,6 +193,29 @@ class TestSweep:
         # a cell depends only on its seed, so disjoint sizes may run apart
         assert rows([5], [6]) == rows([5, 6])
 
+    @pytest.mark.parametrize(
+        "methods, base_seed, message",
+        [
+            (["ilp-sm", "bogus"], 0, "^unknown method 'bogus'"),
+            (["ilp-sm", "qp-lr-ub"], 0, "^method qp-lr-ub needs regression coefficients$"),
+            (["ilp-sm", "bb-sm"], -1, "^base_seed must be non-negative, got -1$"),
+        ],
+        ids=["unknown-method", "missing-coefficients", "negative-seed"],
+    )
+    def test_bad_input_is_refused_before_the_first_cell(
+        self, mixed_pool, monkeypatch, methods, base_seed, message
+    ):
+        calls = []
+        monkeypatch.setattr(
+            ts.generator, "run_method", lambda *args, **kwargs: calls.append(args)
+        )
+        with pytest.raises(ValueError, match=message):
+            scalability_sweep(
+                sizes=[5], repetitions=1, methods=methods, time_limit_ms=10000,
+                platform=helpers.MEK, kernel_pool=mixed_pool, base_seed=base_seed,
+            )
+        assert calls == []
+
     @pytest.mark.parametrize("sizes", [[5, 0], [5, -2]])
     def test_bad_size_is_refused_before_the_first_cell(self, mixed_pool, monkeypatch, sizes):
         calls = []
