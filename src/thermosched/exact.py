@@ -28,6 +28,14 @@ signed execution time for the idle-time kinds, and zero for feasibility, so
 that its first witness meets the zero root bound and closes the search. It
 keeps the grouping's window lengths up to date as tasks are inserted.
 
+The cluster-space layer works on cluster maps: each heuristic seed map is
+grouped once, and that grouping decides its fit; the cluster search returns
+its incumbent's grouping, and placements are built from a grouping only
+where a caller receives an assignment: solve's witness, a window-search
+seed priced with schedule_power, and the greedy heuristic's result. The
+greedy heuristic's trial calls, which only ask whether a map fits, build
+none.
+
 brute_force_optimum() is an independent exhaustive enumerator used as a
 testing oracle; it shares no search code with solve().
 """
@@ -151,34 +159,115 @@ def _grouped_lengths(
     return lengths
 
 
+_Grouping = tuple[list[list[tuple[int, int]]], list[int]]
+
+
+def _group(instance: Instance, cluster_of: Mapping[int, int]) -> _Grouping | None:
+    """The aligned grouping of complete cluster choices, or None when it does not fit.
+
+    Returns each cluster's (negated execution time, task index) entries in
+    rank order and the grouping's window lengths; ties between equal
+    execution times break on ascending task index, which is ascending task
+    id, for determinism. None when a cluster needs more windows than the
+    instance allows or the windows overflow the major frame.
+    """
+    tasks = instance.tasks
+    ranked: list[list[tuple[int, int]]] = [[] for _ in instance.platform.clusters]
+    for i, t in enumerate(tasks):
+        cid = cluster_of[t.id]
+        ranked[cid - 1].append((-t.per_cluster[cid - 1].exec_time_ms, i))
+    for entries in ranked:
+        entries.sort()
+    lengths = _grouped_lengths(instance, [[neg_e for neg_e, _ in es] for es in ranked])
+    if lengths is None or sum(lengths) > instance.major_frame_ms:
+        return None
+    return ranked, lengths
+
+
+def _placed(instance: Instance, grouping: _Grouping) -> Assignment:
+    """The assignment of a grouping that fits: its ranks cut into windows.
+
+    The grouping's lengths are the assignment's tight window lengths.
+    """
+    ranked, lengths = grouping
+    tasks = instance.tasks
+    placed = [None] * len(tasks)  # by task index, which is task-id order
+    for c, entries in zip(instance.platform.clusters, ranked):
+        for rank, (_, i) in enumerate(entries):
+            placed[i] = Placement(tasks[i].id, rank // c.core_count + 1, c.id)
+    return Assignment(tuple(placed), tuple(lengths + [0] * (instance.max_windows - len(lengths))))
+
+
 def _grouped_assignment(
     instance: Instance, cluster_of: Mapping[int, int]
 ) -> Assignment | None:
     """Feasible assignment for complete cluster choices, or None.
 
     Windows are filled by the aligned grouping described in the module
-    docstring; ties between equal execution times break on ascending task
-    index, which is ascending task id, for determinism. The grouping's
-    lengths are the assignment's tight window lengths, so the placements
-    are built only for a grouping that fits.
+    docstring, so the placements are built only for a grouping that fits.
     """
-    tasks = instance.tasks
+    grouping = _group(instance, cluster_of)
+    return None if grouping is None else _placed(instance, grouping)
+
+
+def _balanced_cluster_map(instance: Instance, fix: Mapping[int, int]) -> dict[int, int]:
+    """Hardest tasks first, each onto the cluster that keeps the total window length smallest.
+
+    The grouping is kept up to date as in _cluster_search: a task inserted
+    at rank pos of its cluster shifts that cluster's group heads from rank
+    pos on, and a shifted head can only grow, so only those windows can
+    lengthen. Ties go to the first candidate, the lower cluster id. A
+    cluster whose q windows have no free core takes no task at a finite
+    total; once a task overflows one (every candidate was full, or its fix
+    was), every later total is infinite and each later task takes its first
+    candidate.
+    """
     clusters = instance.platform.clusters
-    per_cluster: list[list[tuple[int, int]]] = [[] for _ in clusters]
-    for i, t in enumerate(tasks):
-        cid = cluster_of[t.id]
-        per_cluster[cid - 1].append((-t.per_cluster[cid - 1].exec_time_ms, i))
-    for entries in per_cluster:
-        entries.sort()
-    lengths = _grouped_lengths(instance, [[neg_e for neg_e, _ in es] for es in per_cluster])
-    if lengths is None or sum(lengths) > instance.major_frame_ms:
-        return None
-    placed = [None] * len(tasks)  # by task index, which is task-id order
-    for c, entries in zip(clusters, per_cluster):
-        for rank, (_, i) in enumerate(entries):
-            placed[i] = Placement(tasks[i].id, rank // c.core_count + 1, c.id)
-    lengths += [0] * (instance.max_windows - len(lengths))
-    return Assignment(tuple(placed), tuple(lengths))
+    caps = [c.core_count for c in clusters]
+    slots = [instance.max_windows * cap for cap in caps]
+    lists: list[list[int]] = [[] for _ in clusters]  # negated times, ascending
+    lengths = [0] * instance.max_windows
+    order = sorted(
+        instance.tasks,
+        key=lambda t: (-min(tc.exec_time_ms for tc in t.per_cluster), t.id),
+    )
+    balanced: dict[int, int] = {}
+    overflow = False
+    for t in order:
+        candidates = [fix[t.id]] if t.id in fix else [c.id for c in clusters]
+        if overflow:
+            balanced[t.id] = candidates[0]
+            continue
+        best = None  # (window growth, cluster id, insert rank)
+        for cid in candidates:
+            ci = cid - 1
+            neg = lists[ci]
+            grow, pos = math.inf, None
+            if len(neg) < slots[ci]:
+                e = t.per_cluster[ci].exec_time_ms
+                cap = caps[ci]
+                pos = bisect_right(neg, -e)
+                grow = 0
+                for j in range(-(-pos // cap), len(neg) // cap + 1):
+                    head = e if j * cap == pos else -neg[j * cap - 1]
+                    if head > lengths[j]:
+                        grow += head - lengths[j]
+            if best is None or grow < best[0]:
+                best = (grow, cid, pos)
+        _, cid, pos = best
+        balanced[t.id] = cid
+        if pos is None:
+            overflow = True
+            continue
+        ci = cid - 1
+        neg = lists[ci]
+        neg.insert(pos, -t.per_cluster[ci].exec_time_ms)
+        cap = caps[ci]
+        for j in range(-(-pos // cap), (len(neg) - 1) // cap + 1):
+            head = -neg[j * cap]
+            if head > lengths[j]:
+                lengths[j] = head
+    return balanced
 
 
 def _heuristic_cluster_maps(
@@ -187,7 +276,6 @@ def _heuristic_cluster_maps(
     objective: ObjectiveSpec,
 ) -> Iterator[dict[int, int]]:
     """Cheap complete cluster choices used to seed incumbents, built on demand."""
-    clusters = instance.platform.clusters
     kind = objective.kind
 
     def build(score) -> dict[int, int]:
@@ -212,52 +300,31 @@ def _heuristic_cluster_maps(
         yield build(star_cost)
     yield build(lambda tc: tc.exec_time_ms)
     yield build(lambda tc: tc.activity_coef * tc.exec_time_ms)
-
-    # Balance-aware variant: place hardest tasks first, always onto the
-    # cluster that keeps the grouped total window length smallest.
-    order = sorted(
-        instance.tasks,
-        key=lambda t: (-min(tc.exec_time_ms for tc in t.per_cluster), t.id),
-    )
-    lists: list[list[int]] = [[] for _ in clusters]
-    balanced: dict[int, int] = {}
-    for t in order:
-        candidates = [fix[t.id]] if t.id in fix else [c.id for c in clusters]
-        best_cid, best_total = None, None
-        for cid in candidates:
-            ci = cid - 1
-            e = t.per_cluster[ci].exec_time_ms
-            insort(lists[ci], -e)
-            lengths = _grouped_lengths(instance, lists)
-            total = math.inf if lengths is None else sum(lengths)
-            lists[ci].remove(-e)
-            if best_total is None or total < best_total:
-                best_cid, best_total = cid, total
-        balanced[t.id] = best_cid
-        insort(lists[best_cid - 1], -t.per_cluster[best_cid - 1].exec_time_ms)
-    yield balanced
+    yield _balanced_cluster_map(instance, fix)
 
 
 def _seed_incumbent(
     instance: Instance,
     fix: Mapping[int, int],
     objective: ObjectiveSpec,
-    value_of: Callable[[Assignment], float],
+    price: Callable[[_Grouping], tuple[float, object]],
     root_bound: float,
-) -> tuple[dict[int, int] | None, Assignment | None, float]:
-    """Best heuristic cluster map that groups feasibly, its assignment and value.
+) -> tuple[object, float]:
+    """The witness and value of the best heuristic cluster map that groups feasibly.
 
-    Returns (None, None, inf) when no map groups feasibly. Stops at the first
-    map whose value reaches root_bound, which no other map can beat.
+    Each map is grouped once; price turns a grouping that fits into its
+    value and the witness the caller keeps. Returns (None, inf) when no map
+    groups feasibly. Stops at the first map whose value reaches root_bound,
+    which no other map can beat.
     """
-    best: tuple[dict[int, int] | None, Assignment | None, float] = (None, None, math.inf)
+    best: tuple[object, float] = (None, math.inf)
     for cmap in _heuristic_cluster_maps(instance, fix, objective):
-        asg = _grouped_assignment(instance, cmap)
-        if asg is None:
+        grouping = _group(instance, cmap)
+        if grouping is None:
             continue
-        value = value_of(asg)
-        if value < best[2]:
-            best = (cmap, asg, value)
+        value, witness = price(grouping)
+        if value < best[1]:
+            best = (witness, value)
             if value <= root_bound:
                 break
     return best
@@ -397,12 +464,12 @@ def _window_search(
         offset_charge = sum(deltas[:: plat.total_cores])
     root_bound = p_idle + (tail[0] + offset_charge) / h
     model = PowerModel.LR_UB if is_lrub else PowerModel.SM
-    _, seed, best_value = _seed_incumbent(
-        instance, fix, objective,
-        lambda asg: schedule_power(instance, asg, model, objective.coefficients).watts,
-        root_bound,
-    )
-    best_placements = None if seed is None else seed.placements
+
+    def price(grouping):
+        seed = _placed(instance, grouping)
+        return schedule_power(instance, seed, model, objective.coefficients).watts, seed.placements
+
+    best_placements, best_value = _seed_incumbent(instance, fix, objective, price, root_bound)
     nodes = 0
     aborted = False
 
@@ -529,7 +596,14 @@ def _cluster_search(
     objective: ObjectiveSpec,
     fix: Mapping[int, int],
     deadline: float,
-) -> SearchResult:
+) -> tuple[_Grouping | None, float | None, float | None, int, bool]:
+    """Cluster-space search: its incumbent's grouping and how the search ended.
+
+    Returns (grouping, value, timeout_bound, nodes, aborted), as _finish
+    takes them once the grouping is placed: the incumbent's grouping and
+    value (None, None without one), the bound a timeout reports, the node
+    count, and whether the deadline cut the search.
+    """
     plat = instance.platform
     m = len(plat.clusters)
     q = instance.max_windows
@@ -554,7 +628,7 @@ def _cluster_search(
             base += sign * e
     start_lengths = _grouped_lengths(instance, lists)
     if start_lengths is None or sum(start_lengths) > h:
-        return _finish(None, None, None, 1, False)
+        return None, None, None, 1, False
 
     # Seed before building the branching tables: most feasibility calls are
     # settled here, since a seed that meets the root bound prunes every child
@@ -563,17 +637,19 @@ def _cluster_search(
     root_bound = base + (sign and sum(  # feasibility's bound is 0 without a sum
         min(sign * tc.exec_time_ms for tc in t.per_cluster) for t in free
     ))
-    best_map, seed, best = _seed_incumbent(
+    seed, best = _seed_incumbent(
         instance, fix, objective,
-        lambda asg: sign and sum(  # feasibility's value is 0 without a sum
-            sign * t.per_cluster[p.cluster - 1].exec_time_ms
-            for t, p in zip(instance.tasks, asg.placements)
+        lambda grouping: (
+            sign and -sign * sum(  # feasibility's value is 0 without a sum
+                neg_e for entries in grouping[0] for neg_e, _ in entries
+            ),
+            grouping,
         ),
         root_bound,
     )
     timeout_bound = None if feasibility else to_value(root_bound)
     if seed is not None and best <= root_bound:
-        return _finish(seed, to_value(best), timeout_bound, 1, False)
+        return seed, to_value(best), timeout_bound, 1, False
 
     # Feasibility branches on the hardest-to-place tasks first and tries the
     # clusters by time per core; idle time branches on the tasks whose choice
@@ -606,7 +682,7 @@ def _cluster_search(
     # placed so far: the largest head (rank j * cap) over the clusters.
     lengths = start_lengths + [0] * (q - len(start_lengths))
 
-    incumbent: list = [best_map, best]  # [cluster map, signed processing]
+    incumbent: list = [None, best]  # [cluster map found below the root, signed processing]
     current = dict(fix)
     nodes = 0
     aborted = False
@@ -661,11 +737,9 @@ def _cluster_search(
                 return
 
     rec(0, base, sum(start_lengths))
-    assignment = value = None
     if incumbent[0] is not None:
-        assignment = _grouped_assignment(instance, incumbent[0])
-        value = to_value(incumbent[1])
-    return _finish(assignment, value, timeout_bound, nodes, aborted)
+        seed = _group(instance, incumbent[0])
+    return seed, None if seed is None else to_value(incumbent[1]), timeout_bound, nodes, aborted
 
 
 def solve(
@@ -702,7 +776,8 @@ def solve(
     fix = _check_inputs(instance, objective, fixed_clusters)
     if objective.kind in (ObjectiveKind.SM_POWER, ObjectiveKind.LR_UB_POWER):
         return _window_search(instance, objective, fix, deadline, node_recorder)
-    return _cluster_search(instance, objective, fix, deadline)
+    grouping, *outcome = _cluster_search(instance, objective, fix, deadline)
+    return _finish(None if grouping is None else _placed(instance, grouping), *outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,12 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from .exact import (
-    ObjectiveKind, ObjectiveSpec, SearchStatus, _grouped_assignment, deadline_after, solve,
+    ObjectiveKind,
+    ObjectiveSpec,
+    _cluster_search,
+    _grouped_assignment,
+    deadline_after,
+    solve,  # noqa: F401  (unused here; bench/tracer.py wraps this name)
 )
 from .model import Assignment, Instance, ParseError, _load_json, _write_csv
 from .power import (
@@ -540,12 +545,17 @@ def greedy(instance: Instance, time_limit_ms: float | None = None) -> Assignment
     (activity_coef * exec_time_ms); for each task the clusters are tried by
     non-decreasing expected energy, and a fix is committed only when the
     feasibility oracle confirms the remaining tasks can still be placed.
-    Returns the aligned grouping of the fixed clusters, which is the witness
-    of the final oracle call (every task fixed), or None when the oracle
-    proved that a task fits on no cluster.
+    Each trial runs the oracle's cluster search directly: its fixes are
+    valid by construction, and it returns the grouping of a fitting cluster
+    map without building a schedule. Returns the aligned grouping of the
+    fixed clusters as an assignment, which is the witness of the final
+    trial (every task fixed), or None when the oracle proved that a task
+    fits on no cluster.
 
-    time_limit_ms (None: no limit) bounds the whole run, and each oracle
-    call gets the time left. Raises TimeoutError once it is spent.
+    time_limit_ms (None: no limit) sets one deadline for the whole run. It
+    is checked before every trial, and the oracle search reads it at every
+    node. Raises TimeoutError once it is spent; a spent budget never
+    returns None.
     """
     deadline = deadline_after(time_limit_ms)
 
@@ -564,15 +574,14 @@ def greedy(instance: Instance, time_limit_ms: float | None = None) -> Assignment
         for cid in sorted(cluster_ids, key=lambda c: (energy(task, c), c)):
             trial = dict(fixed)
             trial[task.id] = cid
-            left_ms = (deadline - time.perf_counter()) * 1000.0
-            status = None  # no time left for this trial
-            if left_ms > 0:
-                status = solve(instance, feas, trial, time_limit_ms=left_ms).status
-            if status is SearchStatus.OPTIMAL:
+            if time.perf_counter() >= deadline:
+                raise TimeoutError(f"the time limit ran out on task {task.id}")
+            witness, *_, aborted = _cluster_search(instance, feas, trial, deadline)
+            if aborted:
+                raise TimeoutError(f"the time limit ran out on task {task.id}")
+            if witness is not None:
                 fixed[task.id] = cid
                 break
-            if status is not SearchStatus.INFEASIBLE:
-                raise TimeoutError(f"the time limit ran out on task {task.id}")
         else:  # the oracle proved that no cluster fits
             return None
     return _grouped_assignment(instance, fixed)

@@ -155,6 +155,79 @@ def grouped_assignment(instance: ts.Instance, cluster_of: dict[int, int]) -> ts.
     return ts.Assignment.from_placements(instance, placements)
 
 
+def reference_greedy(instance: ts.Instance) -> tuple[ts.Assignment | None, int]:
+    """Greedy with one solve(FEASIBILITY_ONLY) call per trial, and the call count.
+
+    Tasks by non-increasing max-over-clusters activity energy, clusters by
+    non-decreasing energy, a fix kept when the oracle proves the rest
+    placeable; the result is the aligned grouping of the fixes, or None when
+    a task fits on no cluster.
+    """
+    feas = ts.ObjectiveSpec(ts.ObjectiveKind.FEASIBILITY_ONLY)
+
+    def energy(task, cid):
+        tc = task.on(cid)
+        return tc.activity_coef * tc.exec_time_ms
+
+    cluster_ids = [c.id for c in instance.platform.clusters]
+    order = sorted(
+        instance.tasks, key=lambda t: (-max(energy(t, c) for c in cluster_ids), t.id)
+    )
+    fixed: dict[int, int] = {}
+    calls = 0
+    for task in order:
+        for cid in sorted(cluster_ids, key=lambda c: (energy(task, c), c)):
+            calls += 1
+            status = ts.solve(instance, feas, {**fixed, task.id: cid}).status
+            if status is ts.SearchStatus.OPTIMAL:
+                fixed[task.id] = cid
+                break
+            assert status is ts.SearchStatus.INFEASIBLE
+        else:
+            return None, calls
+    return grouped_assignment(instance, fixed), calls
+
+
+def reference_balanced_map(instance: ts.Instance, fix: dict[int, int]) -> dict[int, int]:
+    """The balance-aware seed map, regrouping every cluster for each candidate.
+
+    Hardest tasks first (smallest time over the clusters, descending; ties
+    on task id), each onto the candidate cluster whose insertion gives the
+    smallest total length of the aligned grouping, inf when a cluster needs
+    more than q windows; ties go to the first candidate.
+    """
+    q = instance.max_windows
+    members: dict[int, list[int]] = {c.id: [] for c in instance.platform.clusters}
+
+    def total() -> float:
+        lengths = [0] * q
+        for c in instance.platform.clusters:
+            times = sorted(members[c.id], reverse=True)
+            heads = times[:: c.core_count]
+            if len(heads) > q:
+                return math.inf
+            for j, head in enumerate(heads):
+                lengths[j] = max(lengths[j], head)
+        return sum(lengths)
+
+    order = sorted(
+        instance.tasks, key=lambda t: (-min(tc.exec_time_ms for tc in t.per_cluster), t.id)
+    )
+    out = {}
+    for t in order:
+        candidates = [fix[t.id]] if t.id in fix else [c.id for c in instance.platform.clusters]
+        best_cid, best_total = None, None
+        for cid in candidates:
+            members[cid].append(t.on(cid).exec_time_ms)
+            value = total()
+            members[cid].pop()
+            if best_total is None or value < best_total:
+                best_cid, best_total = cid, value
+        out[t.id] = best_cid
+        members[best_cid].append(t.on(best_cid).exec_time_ms)
+    return out
+
+
 def reference_decode(genome, instance: ts.Instance) -> list[ts.DecodedGene]:
     """Scalar, gene-by-gene decode: the formula the population decode must match bit for bit."""
     m = len(instance.platform.clusters)

@@ -8,7 +8,7 @@ import pytest
 
 import helpers
 import thermosched as ts
-from thermosched.exact import ObjectiveKind, ObjectiveSpec, SearchStatus
+from thermosched.exact import ObjectiveKind, ObjectiveSpec, SearchStatus, _balanced_cluster_map
 from thermosched.generator import GeneratorConfig, generate_instance, sweep_seed
 from thermosched.power import RegressionCoefficients
 
@@ -420,6 +420,38 @@ class TestPartialFix:
                 subset = dict(rng.sample(items, rng.randint(0, len(items))))
                 sub = ts.solve(instance, feas, subset)
                 assert sub.status is SearchStatus.OPTIMAL
+
+
+def test_balanced_seed_map_matches_full_regrouping():
+    # The balanced seed map grows one cluster's windows per candidate; it
+    # must be the very map that regrouping every cluster gives, including
+    # where a cluster overflows its q * cores slots (every later total is
+    # then inf and each later task takes its first candidate), not merely a
+    # map with the same seed outcome.
+    rng = random.Random(5)
+    instances = []
+    for seed in range(40):
+        instance = helpers.small_random_instance(seed, n_hi=12)
+        instances += [instance, helpers.with_windows(instance, 1)]
+    for n in (30, 45, 60):
+        config = GeneratorConfig(
+            kernel_pool=helpers.MIXED_POOL, n_tasks=n, rng_seed=sweep_seed(4, n, 0),
+            tightness_kappa=3.5,
+        )
+        instances.append(generate_instance(config, helpers.MEK))
+    overflowed = 0
+    for instance in instances:
+        full = helpers.random_cluster_map(instance, rng)
+        partial = dict(rng.sample(sorted(full.items()), len(full) // 3))
+        one_cluster = {t.id: 2 for t in instance.tasks[: len(instance.tasks) // 2]}
+        for fix in ({}, partial, one_cluster):
+            expected = helpers.reference_balanced_map(instance, fix)
+            assert _balanced_cluster_map(instance, fix) == expected
+            slots = {c.id: instance.max_windows * c.core_count for c in instance.platform.clusters}
+            overflowed += any(
+                list(expected.values()).count(cid) > cap for cid, cap in slots.items()
+            )
+    assert overflowed > 20
 
 
 def pinned_instance(case):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import helpers
 import thermosched as ts
 from thermosched import heuristics
-from thermosched.exact import ObjectiveKind, ObjectiveSpec, SearchResult, SearchStatus
-from thermosched.generator import GeneratorConfig, generate_instance
+from thermosched.exact import ObjectiveKind, ObjectiveSpec, SearchStatus
+from thermosched.generator import GeneratorConfig, generate_instance, sweep_seed
 from thermosched.heuristics import _GENE_MAX, _build_children, _PopulationFitness
 from thermosched.power import PowerModel
 from thermosched.runners import run_method
@@ -503,11 +503,79 @@ class TestGreedy:
 
     def test_oracle_timeout_is_not_infeasibility(self, monkeypatch):
         def timed_out(*args, **kwargs):
-            return SearchResult(SearchStatus.UNKNOWN_TIMEOUT, None, None, None, 1024)
+            return None, None, None, 1024, True  # no witness, cut by the deadline
 
-        monkeypatch.setattr(heuristics, "solve", timed_out)
+        monkeypatch.setattr(heuristics, "_cluster_search", timed_out)
         instance, _ = helpers.seven_task_layout()
         with pytest.raises(TimeoutError):
             ts.greedy(instance, time_limit_ms=1)
         outcome = run_method("heur", instance, time_limit_ms=1)
         assert (outcome.status, outcome.assignment) == ("unknown", None)
+
+    def test_deadline_spent_before_the_first_trial(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("no trial may start after the deadline")
+
+        monkeypatch.setattr(heuristics, "_cluster_search", never)
+        monkeypatch.setattr(heuristics, "deadline_after", lambda ms: 0.0)  # long past
+        instance, _ = helpers.seven_task_layout()
+        with pytest.raises(TimeoutError):
+            ts.greedy(instance, time_limit_ms=1000)
+        outcome = run_method("heur", instance, time_limit_ms=1000)
+        assert (outcome.status, outcome.assignment) == ("unknown", None)
+
+
+def _greedy_cases():
+    """Small κ 3.5-6 instances, where first-choice fixes are refused and some
+    runs find no schedule, and generated n=30 and n=45 instances at κ 3.5."""
+    for seed in range(40):
+        yield helpers.small_random_instance(seed, n_hi=8, kappa_lo=3.5, kappa_hi=6.0)
+    for n in (30, 45):
+        for r in range(6):
+            config = GeneratorConfig(
+                kernel_pool=helpers.MIXED_POOL, n_tasks=n, rng_seed=sweep_seed(3, n, r),
+                tightness_kappa=3.5,
+            )
+            yield generate_instance(config, helpers.MEK)
+
+
+class TestGreedyMatchesReference:
+    """greedy against one solve(FEASIBILITY_ONLY) call per trial."""
+
+    def test_same_result_on_every_case(self):
+        refused = none = 0
+        cases = list(_greedy_cases())
+        for instance in cases:
+            expected, calls = helpers.reference_greedy(instance)
+            assert ts.greedy(instance) == expected
+            refused += expected is not None and calls > len(instance.tasks)
+            none += expected is None
+        assert (len(cases), refused, none) == (52, 9, 28)
+
+    def test_one_schedule_built_and_one_oracle_call_per_trial(self, monkeypatch):
+        # Each trial runs the cluster search, which builds no schedule; only
+        # greedy's result is placed. Skipping trials (reusing a witness)
+        # makes heur faster than criterion 12 allows.
+        from thermosched import exact
+
+        instance = helpers.small_random_instance(5, n_hi=8, kappa_lo=3.5, kappa_hi=6.0)
+        expected, reference_calls = helpers.reference_greedy(instance)
+        assert (len(instance.tasks), reference_calls) == (7, 11)  # four fixes refused
+        calls = []
+        for module, name in (
+            (exact, "_grouped_assignment"),
+            (heuristics, "_grouped_assignment"),
+            (heuristics, "_cluster_search"),
+        ):
+            monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
+        assert ts.greedy(instance) == expected
+        assert calls.count("_grouped_assignment") == 1
+        assert calls.count("_cluster_search") == reference_calls
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return counted
