@@ -30,10 +30,8 @@ from .generator import (
     write_sweep_csv,
 )
 from .heuristics import (
-    DecodedGene,
     GaConfig,
     GaResult,
-    decode,
     ga_config_from_dict,
     greedy,
     load_ga_config,
@@ -53,7 +51,6 @@ from .model import (
     TaskCharacteristics,
     check_feasible,
     derive_core_schedule,
-    derive_window_lengths,
     load_assignment,
     load_instance,
     save_assignment,
@@ -70,12 +67,10 @@ from .power import (
     fit_regression_coefficients,
     load_coefficients,
     lr_interval_power,
-    lr_ub_window_power,
     power_to_temperature,
     read_fit_samples_csv,
     save_coefficients,
     schedule_power,
-    sm_window_power,
     write_fit_samples_csv,
 )
 from .presets import (

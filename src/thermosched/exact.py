@@ -198,18 +198,6 @@ def _placed(instance: Instance, grouping: _Grouping) -> Assignment:
     return Assignment(tuple(placed), tuple(lengths + [0] * (instance.max_windows - len(lengths))))
 
 
-def _grouped_assignment(
-    instance: Instance, cluster_of: Mapping[int, int]
-) -> Assignment | None:
-    """Feasible assignment for complete cluster choices, or None.
-
-    Windows are filled by the aligned grouping described in the module
-    docstring, so the placements are built only for a grouping that fits.
-    """
-    grouping = _group(instance, cluster_of)
-    return None if grouping is None else _placed(instance, grouping)
-
-
 def _balanced_cluster_map(instance: Instance, fix: Mapping[int, int]) -> dict[int, int]:
     """Hardest tasks first, each onto the cluster that keeps the total window length smallest.
 

@@ -8,6 +8,8 @@ number formatting, so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+from html import escape
+
 from .model import Assignment, Instance, derive_core_schedule
 
 _PALETTE = (
@@ -56,7 +58,7 @@ def render_gantt_svg(instance: Instance, assignment: Assignment) -> str:
 
     for c, r in rows:
         y = _MARGIN_TOP + row_of[(c.id, r)] * _ROW_HEIGHT
-        label = f"{c.label or 'cluster ' + str(c.id)} core {r}"
+        label = escape(f"{c.label or 'cluster ' + str(c.id)} core {r}", quote=False)
         parts.append(
             f'<text x="{_fmt(_MARGIN_LEFT - 6)}" y="{_fmt(y + _ROW_HEIGHT / 2 + 4)}" '
             f'text-anchor="end">{label}</text>'

@@ -7,7 +7,8 @@ into a feasible assignment where possible (two cyclic sweeps over the
 windows, bumping tasks whose preferred slot is full to the next window);
 genomes that cannot be repaired are discarded by ranking them worst.
 Populations are scored as a whole from per-(task, cluster) tables built
-once per run; decode and reconstruct share that decode and repair code.
+once per run; reconstruct, which turns one genome into an assignment,
+shares that decode and repair code.
 Each distinct genome is scored once across two consecutive generations,
 and a genome whose preferred slots all have free cores skips the repair
 sweeps. Children are built in array passes from the same random draws, in
@@ -31,7 +32,8 @@ from .exact import (
     ObjectiveKind,
     ObjectiveSpec,
     _cluster_search,
-    _grouped_assignment,
+    _group,
+    _placed,
     deadline_after,
     solve,  # noqa: F401  (unused here; bench/tracer.py wraps this name)
 )
@@ -44,15 +46,6 @@ from .power import (
 )
 
 _GENE_MAX = 1.0 - 1e-12  # genes live in [0, 1)
-
-
-@dataclass(frozen=True)
-class DecodedGene:
-    """Preferred (cluster, window) of one task plus its within-window rank."""
-
-    cluster: int
-    window: int
-    preference: float
 
 
 @dataclass(frozen=True)
@@ -145,12 +138,18 @@ def _decode_population(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decode a (population, n) gene array in one pass.
 
+    A gene x in [0, 1) prefers cluster floor(x * m) + 1; the remainder
+    within the cluster sub-interval, rescaled by q * m, gives the
+    preference in [0, q) whose integer part selects the window. The decode
+    is total on the whole of [0, 1), including values within rounding
+    distance of sub-interval boundaries, and element by element its float
+    operations are those of this scalar formula.
+
     Returns the 0-based preferred cluster index, the preference, the
     1-based preferred window and, per genome, the task indices by ascending
     (preference, task index); task index order is task-id order. The window
     is monotone in the preference, so that order also groups the tasks by
-    preferred window. The float operations are those of the scalar formula
-    in decode, element by element, so the values are bit-identical to it.
+    preferred window.
     """
     ci = np.minimum((genomes * m).astype(np.int64), m - 1)
     pref = (genomes - ci / m) * q * m
@@ -158,38 +157,6 @@ def _decode_population(
     window = np.minimum(pref.astype(np.int64), q - 1) + 1
     order = np.argsort(pref, axis=1, kind="stable")
     return ci, pref, window, order
-
-
-def _decode_genome(genome: Sequence[float], instance: Instance) -> tuple[list, list, list, list]:
-    """Validate one genome and decode it as _decode_population does, as lists."""
-    if len(genome) != len(instance.tasks):
-        raise ValueError(
-            f"genome length {len(genome)} does not match task count "
-            f"{len(instance.tasks)}"
-        )
-    genes = np.array([float(x) for x in genome], dtype=float)
-    outside = np.flatnonzero(~((genes >= 0.0) & (genes < 1.0)))
-    if outside.size:
-        raise ValueError(f"gene {genes[outside[0]]} outside [0, 1)")
-    decoded = _decode_population(
-        genes[None, :], len(instance.platform.clusters), instance.max_windows
-    )
-    return tuple(a[0].tolist() for a in decoded)
-
-
-def decode(genome: Sequence[float], instance: Instance) -> list[DecodedGene]:
-    """Map genes in [0, 1) to preferred (cluster, window) pairs.
-
-    cluster = floor(x * m) + 1; the remainder within the cluster
-    sub-interval, rescaled by q * m, gives the preference in [0, q) whose
-    integer part selects the window. Total on the whole of [0, 1)
-    including values within rounding distance of sub-interval boundaries.
-    """
-    ci, pref, window, _ = _decode_genome(genome, instance)
-    return [
-        DecodedGene(cluster=c + 1, window=w, preference=x)
-        for c, w, x in zip(ci, window, pref)
-    ]
 
 
 def _repair(
@@ -247,9 +214,22 @@ def reconstruct(genome: Sequence[float], instance: Instance) -> Assignment | Non
     (ties on task id); a task is placed when its preferred cluster has a
     free core there, otherwise its preference moves to the next window with
     preference reset to zero. Fails when a task stays unassigned or the
-    derived window lengths exceed the major frame.
+    derived window lengths exceed the major frame. Raises ValueError when
+    the genome length is not the task count or a gene lies outside [0, 1).
     """
-    cluster, _, window, order = _decode_genome(genome, instance)
+    if len(genome) != len(instance.tasks):
+        raise ValueError(
+            f"genome length {len(genome)} does not match task count "
+            f"{len(instance.tasks)}"
+        )
+    genes = np.array([float(x) for x in genome], dtype=float)
+    outside = np.flatnonzero(~((genes >= 0.0) & (genes < 1.0)))
+    if outside.size:
+        raise ValueError(f"gene {genes[outside[0]]} outside [0, 1)")
+    decoded = _decode_population(
+        genes[None, :], len(instance.platform.clusters), instance.max_windows
+    )
+    cluster, _, window, order = (a[0].tolist() for a in decoded)
     cores = [c.core_count for c in instance.platform.clusters]
     placed = _repair(order, cluster, window, cores, instance.max_windows)
     if placed is None:
@@ -584,4 +564,4 @@ def greedy(instance: Instance, time_limit_ms: float | None = None) -> Assignment
                 break
         else:  # the oracle proved that no cluster fits
             return None
-    return _grouped_assignment(instance, fixed)
+    return _placed(instance, _group(instance, fixed))

@@ -185,10 +185,11 @@ class Assignment:
         instance: Instance,
         placements: Iterable[Union[Placement, tuple[int, int, int]]],
     ) -> "Assignment":
-        """Build an assignment with tight derived window lengths.
+        """Build an assignment with tight window lengths: each window's longest task, or 0.
 
         Accepts Placement objects or (task_id, window, cluster) triples, in
-        any order; they are sorted by task id.
+        any order; they are sorted by task id. Raises ValueError for a
+        window outside 1..max_windows.
         """
         normalized = tuple(
             sorted(
@@ -196,8 +197,17 @@ class Assignment:
                 key=lambda p: p.task_id,
             )
         )
-        lengths = derive_window_lengths(instance, normalized)
-        return cls(placements=normalized, window_lengths_ms=lengths)
+        lengths = [0] * instance.max_windows
+        for p in normalized:
+            if not 1 <= p.window <= instance.max_windows:
+                raise ValueError(
+                    f"placement of task {p.task_id} uses window {p.window}, "
+                    f"valid range is 1..{instance.max_windows}"
+                )
+            e = instance.task_by_id(p.task_id).on(p.cluster).exec_time_ms
+            if e > lengths[p.window - 1]:
+                lengths[p.window - 1] = e
+        return cls(placements=normalized, window_lengths_ms=tuple(lengths))
 
     @property
     def total_window_length_ms(self) -> int:
@@ -286,23 +296,6 @@ def _instance_violations(instance: Instance) -> list[str]:
                     "must be nonnegative and finite"
                 )
     return v
-
-
-def derive_window_lengths(
-    instance: Instance, placements: Iterable[Placement]
-) -> tuple[int, ...]:
-    """Tight window lengths: max execution time per window, 0 for empty windows."""
-    lengths = [0] * instance.max_windows
-    for p in placements:
-        if not 1 <= p.window <= instance.max_windows:
-            raise ValueError(
-                f"placement of task {p.task_id} uses window {p.window}, "
-                f"valid range is 1..{instance.max_windows}"
-            )
-        e = instance.task_by_id(p.task_id).on(p.cluster).exec_time_ms
-        if e > lengths[p.window - 1]:
-            lengths[p.window - 1] = e
-    return tuple(lengths)
 
 
 def check_feasible(instance: Instance, assignment: Assignment) -> Feasibility:

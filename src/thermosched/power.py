@@ -23,7 +23,7 @@ length of its window w:
 
 One validity rule holds for every model: schedule_power evaluates only an
 assignment that check_feasible accepts and otherwise raises ValueError
-naming the violations. The single-window predictors check their window.
+naming the violations.
 """
 
 from __future__ import annotations
@@ -119,56 +119,6 @@ class PowerEstimate:
         return self.idle_watts + self.activity_watts + self.offset_watts
 
 
-def _window_power(
-    platform: Platform,
-    window_tasks: Sequence[TaskCharacteristics],
-    window_length_ms: int,
-    coefficients: RegressionCoefficients | None = None,
-) -> PowerEstimate:
-    """One window's SM (no coefficients) or LR-UB power; the one window check.
-
-    A non-empty window needs a positive length no shorter than its longest
-    task, and coefficients need one beta per platform cluster.
-    """
-    if coefficients is not None:
-        coefficients.check_covers(platform)
-    if not window_tasks:
-        return PowerEstimate(platform.idle_power_watts, 0.0, 0.0)
-    if window_length_ms < 1:
-        raise ValueError("a non-empty window must have positive length")
-    longest = max(tc.exec_time_ms for tc in window_tasks)
-    if longest > window_length_ms:
-        raise ValueError(
-            f"window of {window_length_ms} ms is shorter than a contained "
-            f"task of {longest} ms"
-        )
-    activity = offset = 0.0
-    if coefficients is None:
-        for tc in window_tasks:
-            activity += tc.activity_coef * tc.exec_time_ms
-        activity /= window_length_ms
-        offset = max(tc.offset_coef for tc in window_tasks)
-    else:
-        for tc in window_tasks:
-            beta = coefficients.beta(tc.cluster_id)
-            activity += beta[0] * tc.activity_coef
-            offset += beta[1] * tc.offset_coef
-    return PowerEstimate(platform.idle_power_watts, activity, offset)
-
-
-def sm_window_power(
-    platform: Platform,
-    window_tasks: Sequence[TaskCharacteristics],
-    window_length_ms: int,
-) -> PowerEstimate:
-    """Sum-max prediction of the average power of one window.
-
-    The window must be at least as long as each contained task. An empty
-    window predicts exactly the idle power (the max term is defined as 0).
-    """
-    return _window_power(platform, window_tasks, window_length_ms)
-
-
 def _lr_energy(
     tc: TaskCharacteristics, beta: Sequence[float], duration_ms: int
 ) -> tuple[float, float]:
@@ -183,20 +133,6 @@ def _lr_energy(
     )
 
 
-def lr_ub_window_power(
-    platform: Platform,
-    coefficients: RegressionCoefficients,
-    window_tasks: Sequence[TaskCharacteristics],
-    window_length_ms: int,
-) -> PowerEstimate:
-    """LR prediction assuming every task runs for the whole window.
-
-    Given the window membership the value is independent of execution times;
-    the length argument is only validated against the precondition.
-    """
-    return _window_power(platform, window_tasks, window_length_ms, coefficients)
-
-
 def decompose_intervals(
     instance: Instance, assignment: Assignment, window: int
 ) -> list[ProcessingInterval]:
@@ -205,8 +141,10 @@ def decompose_intervals(
     All tasks of the window start at the window start, so the interval
     boundaries are the sorted distinct task end times plus the window end.
     The interval lengths sum to the window length; an empty window yields
-    no intervals.
+    no intervals. Raises ValueError for a window outside 1..max_windows.
     """
+    if not 1 <= window <= instance.max_windows:
+        raise ValueError(f"window {window} is outside 1..{instance.max_windows}")
     slots = derive_core_schedule(instance, assignment)[window - 1]
     length = assignment.window_lengths_ms[window - 1]
     if length == 0:
@@ -239,7 +177,8 @@ def lr_interval_power(
     interval: ProcessingInterval,
     instance: Instance,
 ) -> PowerEstimate:
-    """LR prediction of the average power of one processing-idling interval."""
+    """LR power of one processing-idling interval; needs one beta per platform cluster."""
+    coefficients.check_covers(platform)
     activity = 0.0
     offset = 0.0
     for ci, cluster in enumerate(platform.clusters):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -228,7 +229,10 @@ def reference_balanced_map(instance: ts.Instance, fix: dict[int, int]) -> dict[i
     return out
 
 
-def reference_decode(genome, instance: ts.Instance) -> list[ts.DecodedGene]:
+Gene = namedtuple("Gene", "cluster window preference")
+
+
+def reference_decode(genome, instance: ts.Instance) -> list[Gene]:
     """Scalar, gene-by-gene decode: the formula the population decode must match bit for bit."""
     m = len(instance.platform.clusters)
     q = instance.max_windows
@@ -239,7 +243,7 @@ def reference_decode(genome, instance: ts.Instance) -> list[ts.DecodedGene]:
         pref = (x - ci / m) * q * m
         pref = min(max(pref, 0.0), math.nextafter(float(q), 0.0))
         window = min(int(pref), q - 1) + 1
-        out.append(ts.DecodedGene(cluster=ci + 1, window=window, preference=pref))
+        out.append(Gene(cluster=ci + 1, window=window, preference=pref))
     return out
 
 
@@ -336,6 +340,37 @@ def lr_interval_oracle(
             est = ts.lr_interval_power(plat, coefficients, interval, instance)
             above_idle += interval.length_ms / h * (est.activity_watts + est.offset_watts)
     return plat.idle_power_watts + above_idle
+
+
+def window_by_window_power(
+    instance: ts.Instance, assignment: ts.Assignment, model: str, coefficients=None
+) -> float:
+    """SM or LR-UB schedule power as the length-weighted sum of window powers.
+
+    Written from the per-window definitions: above idle, a window of length
+    l draws sum_t a_t e_t / l + max_t b_t under SM, and sum_t (beta_k0 a_t +
+    beta_k1 b_t) under LR-UB; an empty window and the frame time outside
+    the windows draw idle power only.
+    """
+    h = instance.major_frame_ms
+    above_idle = 0.0
+    for j, length in enumerate(assignment.window_lengths_ms, start=1):
+        tcs = [
+            instance.task_by_id(p.task_id).on(p.cluster)
+            for p in assignment.placements if p.window == j
+        ]
+        if not tcs:
+            continue
+        if model == "sm":
+            window = sum(tc.activity_coef * tc.exec_time_ms for tc in tcs) / length
+            window += max(tc.offset_coef for tc in tcs)
+        else:
+            window = 0.0
+            for tc in tcs:
+                beta = coefficients.betas[tc.cluster_id - 1]
+                window += beta[0] * tc.activity_coef + beta[1] * tc.offset_coef
+        above_idle += length / h * window
+    return instance.platform.idle_power_watts + above_idle
 
 
 def random_feasible_assignments(

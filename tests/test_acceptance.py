@@ -62,9 +62,8 @@ def feasible_pack():
 def test_criterion_01_sm_worked_example():
     instance = helpers.worked_example()
     assignment = helpers.worked_example_assignment(instance)
-    tcs = [instance.task_by_id(p.task_id).on(p.cluster) for p in assignment.placements]
-    est = ts.sm_window_power(instance.platform, tcs, 700)
-    runtime = _best_of(lambda: ts.sm_window_power(instance.platform, tcs, 700))
+    est = ts.schedule_power(instance, assignment, "sm")
+    runtime = _best_of(lambda: ts.schedule_power(instance, assignment, "sm"))
     ok = abs(est.watts - 8.58) <= 0.01 and runtime < 1e-3
     _report(
         "criterion 1: SM worked example",

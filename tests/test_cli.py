@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
 import pathlib
 import re
+import xml.dom.minidom
 
 import pytest
 from hypothesis import example, given, settings
@@ -884,6 +886,22 @@ class TestExportGantt:
         assert svg.count('class="task-bar"') == 0
         assert svg.count('class="window-boundary"') == 0
         assert svg.count('class="frame"') == 1
+
+    def test_cluster_label_is_escaped(self, tmp_path):
+        instance, assignment = helpers.seven_task_layout()
+        little, big = instance.platform.clusters
+        platform = dataclasses.replace(
+            instance.platform, clusters=(little, dataclasses.replace(big, label="big & <fast>"))
+        )
+        instance = dataclasses.replace(instance, platform=platform)
+        inst_path, asg_path = tmp_path / "i.json", tmp_path / "a.json"
+        ts.save_instance(instance, str(inst_path))
+        ts.save_assignment(assignment, str(asg_path))
+        out = tmp_path / "g.svg"
+        assert main(["export-gantt", str(inst_path), str(asg_path), "-o", str(out)]) == EXIT_OK
+        texts = xml.dom.minidom.parse(str(out)).getElementsByTagName("text")
+        labels = [t.firstChild.data for t in texts]
+        assert "big & <fast> core 0" in labels and "big & <fast> core 1" in labels
 
     def test_byte_identical(self, tmp_path):
         instance, assignment = helpers.seven_task_layout()

@@ -41,16 +41,27 @@ def qm_instance(n_tasks, q, core_counts=(4, 2), frame=1000, exec_times=None):
     return ts.Instance(plat, tuple(tasks), frame, q)
 
 
+def decoded(genome, instance):
+    """The GA's population decode of one genome, as (cluster id, window, preference)."""
+    ci, pref, window, _ = heuristics._decode_population(
+        np.array([genome], dtype=float), len(instance.platform.clusters), instance.max_windows
+    )
+    return [
+        helpers.Gene(c + 1, w, x)
+        for c, w, x in zip(ci[0].tolist(), window[0].tolist(), pref[0].tolist())
+    ]
+
+
 class TestDecode:
     def test_boundary_of_second_half(self):
         instance = qm_instance(3, 3)
-        genes = ts.decode([0.5, 0.0, 0.0], instance)
+        genes = decoded([0.5, 0.0, 0.0], instance)
         assert (genes[0].cluster, genes[0].window) == (2, 1)
         assert genes[0].preference == pytest.approx(0.0)
 
     def test_quarter_point(self):
         instance = qm_instance(3, 3)
-        g = ts.decode([0.25] * 3, instance)[0]
+        g = decoded([0.25] * 3, instance)[0]
         assert (g.cluster, g.window) == (1, 2)
         assert g.preference == pytest.approx(1.5)
 
@@ -62,7 +73,7 @@ class TestDecode:
         tasks = (ts.Task(1, "t", (ts.TaskCharacteristics(1, 10, 0.1, 0.1),)),)
         instance = ts.Instance(plat, tasks, 10, 1)
         for x in (0.0, 0.37, 0.999999999):
-            g = ts.decode([x], instance)[0]
+            g = decoded([x], instance)[0]
             assert (g.cluster, g.window) == (1, 1)
 
     def test_total_near_boundaries(self):
@@ -78,15 +89,15 @@ class TestDecode:
         for x in edges:
             if not 0.0 <= x < 1.0:
                 continue
-            g = ts.decode([x], instance)[0]
+            g = decoded([x], instance)[0]
             assert 1 <= g.cluster <= m
             assert 1 <= g.window <= q
             assert 0.0 <= g.preference < q
 
     def test_rejects_out_of_range(self):
         instance = qm_instance(1, 2)
-        with pytest.raises(ValueError):
-            ts.decode([1.0], instance)
+        with pytest.raises(ValueError, match=r"^gene 1\.0 outside \[0, 1\)$"):
+            ts.reconstruct([1.0], instance)
 
     def test_bit_identical_to_scalar_formula(self):
         rng = random.Random(3)
@@ -94,7 +105,7 @@ class TestDecode:
             instance = qm_instance(1, q)
             genes = [0.0, _GENE_MAX] + special_genes(2, q) + [rng.random() for _ in range(200)]
             for x in genes:
-                [got] = ts.decode([x], instance)
+                [got] = decoded([x], instance)
                 [want] = helpers.reference_decode([x], instance)
                 assert (got.cluster, got.window) == (want.cluster, want.window)
                 assert got.preference.hex() == want.preference.hex()
@@ -154,7 +165,7 @@ class TestReconstruct:
     def test_conflict_free_matches_decode(self):
         instance = qm_instance(3, 3, frame=1000)
         genome = [0.05, 0.40, 0.90]
-        genes = ts.decode(genome, instance)
+        genes = decoded(genome, instance)
         assignment = ts.reconstruct(genome, instance)
         assert assignment is not None
         placed = {p.task_id: p for p in assignment.placements}
@@ -171,8 +182,8 @@ class TestReconstruct:
         windows = sorted(p.window for p in assignment.placements)
         assert windows == [1, 1, 2]
         bumped = max(assignment.placements, key=lambda p: p.window)
-        assert ts.decode(genome, instance)[bumped.task_id - 1].preference == pytest.approx(
-            max(g.preference for g in ts.decode(genome, instance))
+        assert decoded(genome, instance)[bumped.task_id - 1].preference == pytest.approx(
+            max(g.preference for g in decoded(genome, instance))
         )
 
     def test_frame_budget_failure(self):
@@ -563,13 +574,13 @@ class TestGreedyMatchesReference:
         assert (len(instance.tasks), reference_calls) == (7, 11)  # four fixes refused
         calls = []
         for module, name in (
-            (exact, "_grouped_assignment"),
-            (heuristics, "_grouped_assignment"),
+            (exact, "_placed"),
+            (heuristics, "_placed"),
             (heuristics, "_cluster_search"),
         ):
             monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
         assert ts.greedy(instance) == expected
-        assert calls.count("_grouped_assignment") == 1
+        assert calls.count("_placed") == 1
         assert calls.count("_cluster_search") == reference_calls
 
 

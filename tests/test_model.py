@@ -283,15 +283,25 @@ class TestWindowLengths:
     def test_empty_window_is_zero(self, seven_tasks):
         instance, assignment = seven_tasks
         placements = [p for p in assignment.placements if p.window != 3]
-        lengths = ts.derive_window_lengths(instance, placements)
+        lengths = ts.Assignment.from_placements(instance, placements).window_lengths_ms
         assert lengths[2] == 0
 
     def test_singleton(self):
         instance = make_instance()
-        lengths = ts.derive_window_lengths(
+        lengths = ts.Assignment.from_placements(
             instance, [ts.Placement(3, 2, 2)]
-        )
+        ).window_lengths_ms
         assert lengths == (0, 50, 0)
+
+    @pytest.mark.parametrize("window", [0, 4])
+    def test_window_outside_the_range_is_refused(self, seven_tasks, window):
+        instance, assignment = seven_tasks
+        placements = [dataclasses.replace(assignment.placements[0], window=window)]
+        placements += assignment.placements[1:]
+        with pytest.raises(
+            ValueError, match=rf"^placement of task 1 uses window {window}, valid range is 1\.\.3$"
+        ):
+            ts.Assignment.from_placements(instance, placements)
 
     def test_tightness(self, seven_tasks):
         # decreasing any used window by 1 ms must violate dominance

@@ -10,33 +10,47 @@ import thermosched as ts
 from thermosched.power import FitSample
 
 
+def one_window(platform, tcs, length):
+    """A one-window schedule of tcs whose frame equals the window length.
+
+    Task i runs tcs[i - 1] on its cluster; its entries for the other
+    clusters copy those values and are never placed.
+    """
+    tasks = tuple(
+        ts.Task(i, f"t{i}", tuple(
+            dataclasses.replace(tc, cluster_id=c.id) for c in platform.clusters
+        ))
+        for i, tc in enumerate(tcs, start=1)
+    )
+    placements = tuple(ts.Placement(i, 1, tc.cluster_id) for i, tc in enumerate(tcs, start=1))
+    return ts.Instance(platform, tasks, length, 1), ts.Assignment(placements, (length,))
+
+
 class TestSmWindowPower:
+    """schedule_power's SM on one window that fills the frame."""
+
     def test_worked_example(self, example_window):
-        instance, assignment = example_window
-        tcs = [instance.task_by_id(p.task_id).on(p.cluster) for p in assignment.placements]
-        est = ts.sm_window_power(instance.platform, tcs, 700)
+        est = ts.schedule_power(*example_window, "sm")
         assert est.watts == pytest.approx(8.58, abs=0.01)
         assert est.offset_watts == pytest.approx(1.36, abs=1e-12)
-
-    def test_empty_window_is_idle(self, mek_platform):
-        est = ts.sm_window_power(mek_platform, [], 0)
-        assert est.watts == mek_platform.idle_power_watts
-        assert est.activity_watts == 0.0 and est.offset_watts == 0.0
 
     def test_unit_occupancy(self):
         plat = ts.Platform(clusters=helpers.MEK.clusters, idle_power_watts=0.0)
         tc = ts.TaskCharacteristics(1, 100, 1.0, 1.0)
-        assert ts.sm_window_power(plat, [tc], 100).watts == pytest.approx(2.0)
+        assert ts.schedule_power(*one_window(plat, [tc], 100), "sm").watts == pytest.approx(2.0)
 
     def test_window_shorter_than_task_errors(self, mek_platform):
         tc = ts.TaskCharacteristics(1, 100, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.sm_window_power(mek_platform, [tc], 99)
+        with pytest.raises(ValueError, match="window 1 is shorter than task 1"):
+            ts.schedule_power(*one_window(mek_platform, [tc], 99), "sm")
 
     def test_breakdown_sums(self, example_window):
         instance, assignment = example_window
-        tcs = [instance.task_by_id(p.task_id).on(p.cluster) for p in assignment.placements]
-        est = ts.sm_window_power(instance.platform, tcs, 700)
+        est = ts.schedule_power(instance, assignment, "sm")
+        assert est.idle_watts == instance.platform.idle_power_watts
+        # a_t e_t of tasks 1 and 2 on the little cluster, task 3 on the big one
+        activity = (0.25 * 450 + 0.41 * 550 + 1.24 * 700) / 700
+        assert est.activity_watts == pytest.approx(activity, abs=1e-12)
         assert est.watts == pytest.approx(
             est.idle_watts + est.activity_watts + est.offset_watts, abs=1e-9
         )
@@ -57,8 +71,8 @@ class TestSmWindowPower:
             extra = ts.TaskCharacteristics(
                 2, rng.randint(1, length), rng.uniform(0, 2), rng.uniform(0, 2)
             )
-            before = ts.sm_window_power(plat, base, length).watts
-            after = ts.sm_window_power(plat, base + [extra], length).watts
+            before = ts.schedule_power(*one_window(plat, base, length), "sm").watts
+            after = ts.schedule_power(*one_window(plat, base + [extra], length), "sm").watts
             assert after >= before - 1e-12
 
 
@@ -100,6 +114,12 @@ class TestIntervals:
         intervals = ts.decompose_intervals(instance, assignment, 1)
         assert [iv.length_ms for iv in intervals] == [60]
 
+    @pytest.mark.parametrize("window", [0, 4, -1])
+    def test_window_outside_the_range_is_refused(self, seven_tasks, window):
+        instance, assignment = seven_tasks
+        with pytest.raises(ValueError, match=rf"^window {window} is outside 1\.\.3$"):
+            ts.decompose_intervals(instance, assignment, window)
+
     def test_partition_preserves_busy_time(self):
         rng = random.Random(11)
         for seed in range(8):
@@ -126,6 +146,17 @@ class TestLrPower:
         interval = ts.decompose_intervals(instance, assignment, 1)[0]
         est = ts.lr_interval_power(instance.platform, mek_coefficients, interval, instance)
         assert est.watts - instance.platform.idle_power_watts == pytest.approx(2.99, abs=0.01)
+
+    @pytest.mark.parametrize("betas", [
+        ((1.205, 0.270),),
+        ((1.205, 0.270), (0.969, 0.456), (1.0, 1.0)),
+    ], ids=["one-beta", "three-betas"])
+    def test_coefficients_must_cover_the_platform(self, example_window, betas):
+        instance, assignment = example_window
+        interval = ts.decompose_intervals(instance, assignment, 1)[0]
+        coefficients = ts.RegressionCoefficients(betas=betas)
+        with pytest.raises(ValueError, match=r"^coefficients give \d beta vector"):
+            ts.lr_interval_power(instance.platform, coefficients, interval, instance)
 
     def test_all_idle_interval(self, mek_platform, mek_coefficients):
         interval = ts.ProcessingInterval(
@@ -161,6 +192,7 @@ class TestSchedulePower:
         for model in ("sm", "lr", "lr-ub"):
             est = ts.schedule_power(instance, assignment, model, mek_coefficients)
             assert est.watts == instance.platform.idle_power_watts
+            assert est.activity_watts == 0.0 and est.offset_watts == 0.0
 
     def test_doubling_frame_halves_above_idle(self, example_window, mek_coefficients):
         instance, assignment = example_window
@@ -221,23 +253,6 @@ class TestSchedulePower:
                 checked += 1
         assert checked >= 100
 
-    @staticmethod
-    def window_by_window(instance, assignment, model, coefficients):
-        """idle + sum_w (l_w / h) * (window power - idle), from the one-window predictors."""
-        plat = instance.platform
-        above_idle = 0.0
-        for j, length in enumerate(assignment.window_lengths_ms, start=1):
-            tcs = [
-                instance.task_by_id(p.task_id).on(p.cluster)
-                for p in assignment.placements if p.window == j
-            ]
-            if model == "sm":
-                est = ts.sm_window_power(plat, tcs, length)
-            else:
-                est = ts.lr_ub_window_power(plat, coefficients, tcs, length)
-            above_idle += length / instance.major_frame_ms * (est.watts - plat.idle_power_watts)
-        return plat.idle_power_watts + above_idle
-
     @pytest.mark.parametrize("negated", [False, True], ids=["plain", "negated-odd-offsets"])
     @pytest.mark.parametrize("model", ["sm", "lr-ub"])
     def test_closed_forms_match_window_by_window(self, mek_coefficients, model, negated):
@@ -260,7 +275,7 @@ class TestSchedulePower:
         assert len(cases) > 80
         for instance, assignment in cases:
             got = ts.schedule_power(instance, assignment, model, mek_coefficients).watts
-            want = self.window_by_window(instance, assignment, model, mek_coefficients)
+            want = helpers.window_by_window_power(instance, assignment, model, mek_coefficients)
             assert abs(got - want) <= 1e-12
 
     def test_lr_ub_dominates_lr(self, mek_coefficients):
@@ -277,15 +292,11 @@ class TestSchedulePower:
 
 
 class TestLrUbWindowPower:
-    def test_worked_example(self, example_window, mek_coefficients):
-        instance, assignment = example_window
-        tcs = [instance.task_by_id(p.task_id).on(p.cluster) for p in assignment.placements]
-        est = ts.lr_ub_window_power(instance.platform, mek_coefficients, tcs, 700)
-        assert est.watts == pytest.approx(8.49, abs=0.01)
+    """schedule_power's LR-UB on one window that fills the frame."""
 
-    def test_empty_window(self, mek_platform, mek_coefficients):
-        est = ts.lr_ub_window_power(mek_platform, mek_coefficients, [], 0)
-        assert est.watts == mek_platform.idle_power_watts
+    def test_worked_example(self, example_window, mek_coefficients):
+        est = ts.schedule_power(*example_window, "lr-ub", mek_coefficients)
+        assert est.watts == pytest.approx(8.49, abs=0.01)
 
     def test_unit_star(self, mek_coefficients):
         plat = ts.Platform(clusters=helpers.MEK.clusters, idle_power_watts=5.5)
@@ -294,7 +305,7 @@ class TestLrUbWindowPower:
         a = 0.5
         b = (1.0 - a * beta[0]) / beta[1]
         tc = ts.TaskCharacteristics(1, 10, a, b)
-        est = ts.lr_ub_window_power(plat, mek_coefficients, [tc], 10)
+        est = ts.schedule_power(*one_window(plat, [tc], 10), "lr-ub", mek_coefficients)
         assert est.watts == pytest.approx(6.5)
 
     @pytest.mark.parametrize("betas", [
@@ -304,14 +315,15 @@ class TestLrUbWindowPower:
     def test_coefficients_must_cover_the_platform(self, mek_platform, betas):
         coefficients = ts.RegressionCoefficients(betas=betas)
         tc = ts.TaskCharacteristics(2, 10, 0.4, 0.6)
-        with pytest.raises(ValueError, match=r"^coefficients give \d beta vector"):
-            ts.lr_ub_window_power(mek_platform, coefficients, [tc], 10)
+        for model in ("lr", "lr-ub"):
+            with pytest.raises(ValueError, match=r"^coefficients give \d beta vector"):
+                ts.schedule_power(*one_window(mek_platform, [tc], 10), model, coefficients)
 
     def test_independent_of_exec_time(self, mek_coefficients, mek_platform):
         short = ts.TaskCharacteristics(1, 10, 0.4, 0.6)
         long = ts.TaskCharacteristics(1, 500, 0.4, 0.6)
-        a = ts.lr_ub_window_power(mek_platform, mek_coefficients, [short], 500)
-        b = ts.lr_ub_window_power(mek_platform, mek_coefficients, [long], 500)
+        a = ts.schedule_power(*one_window(mek_platform, [short], 500), "lr-ub", mek_coefficients)
+        b = ts.schedule_power(*one_window(mek_platform, [long], 500), "lr-ub", mek_coefficients)
         assert a.watts == b.watts
 
 
