@@ -296,6 +296,7 @@ def _cmd_sweep(args) -> _Run:
         coefficients=coefficients,
         base_seed=seed,
         tightness_kappa=args.kappa,
+        max_generations=args.max_generations,
     )
     write_sweep_csv(cells, args.output)
     return EXIT_OK, seed, [args.kernels], [args.output]
@@ -316,10 +317,14 @@ def _cmd_compare(args) -> _Run:
     methods = _parse_methods(args)
     instance = load_instance(args.instance)
     coefficients = _resolve_coefficients(args.coefficients)
+    if args.max_generations is not None and args.max_generations < 1:
+        raise ValueError("max_generations must be at least 1")
+    ga_config = GaConfig(rng_seed=seed, max_generations=args.max_generations)
     rows = []
     for method in methods:
         outcome = run_method(
-            method, instance, time_limit_ms=args.time_limit, seed=seed, coefficients=coefficients
+            method, instance, time_limit_ms=args.time_limit, seed=seed, coefficients=coefficients,
+            ga_config=ga_config,
         )
         predicted = None
         if outcome.assignment is not None:
@@ -389,6 +394,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kappa", type=float, default=3.5)
     p.add_argument("--coefficients", default=None)
     p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--max-generations", type=int, default=None, help="GA generation cap")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sweep)
 
@@ -405,6 +411,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--coefficients", default=None)
     p.add_argument("--time-limit", type=float, default=300000.0, help="milliseconds per run")
     p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--max-generations", type=int, default=None, help="GA generation cap")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_compare)
 

@@ -16,6 +16,7 @@ import statistics
 from dataclasses import dataclass
 from typing import IO, Sequence, Union
 
+from .heuristics import GaConfig
 from .model import (
     Instance,
     ParseError,
@@ -234,6 +235,7 @@ def scalability_sweep(
     coefficients: RegressionCoefficients | None = None,
     base_seed: int = 0,
     tightness_kappa: float = 3.5,
+    max_generations: int | None = None,
 ) -> list[SweepCell]:
     """Run every method on seeded random instances of the given sizes.
 
@@ -243,10 +245,15 @@ def scalability_sweep(
     the same rows as one sweep over all of them. The methods, their inputs
     and base_seed (non-negative) are checked, and all instances generated,
     before the first cell runs, so bad input is refused before any work.
+    max_generations (None: no cap; otherwise at least 1) bounds the
+    generations of each genetic search, which otherwise runs until
+    time_limit_ms.
     """
     check_methods(methods, coefficients)
     if base_seed < 0:
         raise ValueError(f"base_seed must be non-negative, got {base_seed}")
+    if max_generations is not None and max_generations < 1:
+        raise ValueError("max_generations must be at least 1")
     runs = []
     for n in sizes:
         for rep in range(repetitions):
@@ -260,10 +267,11 @@ def scalability_sweep(
             runs.append((n, rep, seed, generate_instance(config, platform)))
     cells = []
     for n, rep, seed, instance in runs:
+        ga_config = GaConfig(rng_seed=seed, max_generations=max_generations)
         for method in methods:
             o = run_method(
                 method, instance, time_limit_ms=time_limit_ms, seed=seed,
-                coefficients=coefficients,
+                coefficients=coefficients, ga_config=ga_config,
             )
             cells.append(SweepCell(n, method, rep, o.status, o.elapsed_ms, o.objective, o.bound))
     return cells

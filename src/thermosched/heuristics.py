@@ -8,7 +8,8 @@ windows, bumping tasks whose preferred slot is full to the next window);
 genomes that cannot be repaired are discarded by ranking them worst.
 Populations are scored as a whole from per-(task, cluster) tables built
 once per run; reconstruct, which turns one genome into an assignment,
-shares that decode and repair code.
+shares that decode and repair code. numpy is imported inside the functions
+that use it, so a process that runs no genetic search never loads it.
 Each distinct genome is scored once across two consecutive generations,
 and a genome whose preferred slots all have free cores skips the repair
 sweeps. Children are built in array passes from the same random draws, in
@@ -24,9 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import IO, Sequence, Union
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Sequence, Union
 
 from .exact import (
     ObjectiveKind,
@@ -44,6 +43,9 @@ from .power import (
     _lr_energy,
     schedule_power,  # noqa: F401  (unused here; bench/tracer.py wraps this name)
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _GENE_MAX = 1.0 - 1e-12  # genes live in [0, 1)
 
@@ -151,6 +153,8 @@ def _decode_population(
     is monotone in the preference, so that order also groups the tasks by
     preferred window.
     """
+    import numpy as np
+
     ci = np.minimum((genomes * m).astype(np.int64), m - 1)
     pref = (genomes - ci / m) * q * m
     pref = np.minimum(np.maximum(pref, 0.0), math.nextafter(float(q), 0.0))
@@ -217,6 +221,8 @@ def reconstruct(genome: Sequence[float], instance: Instance) -> Assignment | Non
     derived window lengths exceed the major frame. Raises ValueError when
     the genome length is not the task count or a gene lies outside [0, 1).
     """
+    import numpy as np
+
     if len(genome) != len(instance.tasks):
         raise ValueError(
             f"genome length {len(genome)} does not match task count "
@@ -266,6 +272,8 @@ class _PopulationFitness:
         model: PowerModel,
         coefficients: RegressionCoefficients | None,
     ):
+        import numpy as np
+
         clusters = instance.platform.clusters
         self.m = len(clusters)
         self.q = instance.max_windows
@@ -289,6 +297,8 @@ class _PopulationFitness:
         self._previous: dict[bytes, float] = {}
 
     def __call__(self, population: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         keys = [row.tobytes() for row in population]
         previous = self._previous
         current: dict[bytes, float | None] = {}
@@ -306,6 +316,8 @@ class _PopulationFitness:
         return np.array([current[key] for key in keys])
 
     def _score(self, population: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         m, q = self.m, self.q
         ci, _, window, order = _decode_population(population, m, q)
         rows = np.arange(len(population))[:, None]
@@ -365,6 +377,8 @@ def _build_children(
     is a sum of distinct powers 2**-k with k < bits <= 53, exact in any
     summation order.
     """
+    import numpy as np
+
     size, n = parents_a.shape
     bits = config.bga_precision_bits
     random, integers = rng.random, rng.integers
@@ -430,6 +444,8 @@ def run_ga(
     assignment ever seen is returned, or a result without an assignment
     when no genome ever reconstructed.
     """
+    import numpy as np
+
     deadline = deadline_after(time_limit_ms)
     model = PowerModel(model)
     if model is PowerModel.LR_UB:

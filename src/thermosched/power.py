@@ -34,8 +34,6 @@ from enum import Enum
 from itertools import chain
 from typing import IO, Iterable, Sequence, Union
 
-import numpy as np
-
 from .model import (
     IDLE,
     Assignment,
@@ -270,14 +268,21 @@ class FitSample:
 def fit_regression_coefficients(
     samples: Sequence[FitSample], platform: Platform
 ) -> RegressionCoefficients:
-    """Ordinary least squares for the per-cluster beta vectors.
+    """Least squares for the per-cluster beta vectors, weighted by interval length.
 
     The idle power is the known intercept, not a fitted parameter: the
     regression runs on (measured - idle power) against the per-cluster
-    summed feature vectors. Returns the coefficients together with the
-    coefficient of determination. Raises ValueError when the design matrix
-    is rank deficient or there are too few samples.
+    summed feature vectors. Each sample weighs as much as its interval is
+    long (its row and target are scaled by the square root of its length
+    over the mean length), so one interval of length 2l fits like two equal
+    intervals of length l, and equal lengths give the ordinary fit bit for
+    bit. Returns the coefficients together with the weighted coefficient of
+    determination, taken about the weighted mean. Raises ValueError when
+    the design matrix is rank deficient, there are too few samples, or a
+    length is not positive.
     """
+    import numpy as np
+
     m = len(platform.clusters)
     n_params = m * FEATURE_DIM
     if len(samples) < 2 * n_params:
@@ -291,12 +296,18 @@ def fit_regression_coefficients(
             raise ValueError(
                 f"each sample must carry {m} feature vectors of dimension {FEATURE_DIM}"
             )
+        if not s.interval_length_ms > 0:
+            raise ValueError(f"interval_length_ms must be positive, got {s.interval_length_ms}")
         rows.append([x for f in s.features for x in f])
-    design = np.asarray(rows, dtype=float)
-    y = np.array(
+    lengths = np.array([s.interval_length_ms for s in samples], dtype=float)
+    weights = lengths / lengths.mean()  # equal lengths weigh exactly 1: the ordinary fit
+    scale = np.sqrt(weights)
+    design = np.asarray(rows, dtype=float) * scale[:, None]
+    target = np.array(
         [s.measured_power_watts - platform.idle_power_watts for s in samples],
         dtype=float,
     )
+    y = target * scale
     rank = np.linalg.matrix_rank(design)
     if rank < n_params:
         raise ValueError(
@@ -306,7 +317,7 @@ def fit_regression_coefficients(
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     residual = y - design @ beta
     ss_res = float(residual @ residual)
-    centered = y - y.mean()
+    centered = (target - np.average(target, weights=weights)) * scale
     ss_tot = float(centered @ centered)
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     betas = tuple(

@@ -11,6 +11,7 @@ speedups follow. Two pools are shipped, one with memory-stressing kernels
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
 from .generator import KernelSpec, load_kernel_pool
@@ -86,6 +87,7 @@ def kernel_pool_text(name: str) -> str:
     )
 
 
+@functools.cache  # parsed once per process, like the platform and coefficient presets
 def builtin_kernel_pool(name: str) -> tuple[KernelSpec, ...]:
     import io
 

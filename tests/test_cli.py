@@ -4,8 +4,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import xml.dom.minidom
 
 import pytest
@@ -23,6 +26,8 @@ from thermosched.cli import (
     main,
 )
 from thermosched.presets import kernel_pool_text
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_exit_code_contract():
@@ -944,6 +949,28 @@ class TestCompare:
         rows = self._read_rows(out)
         assert len(rows) == 1 and rows[0]["method"] == "heur"
 
+    def test_max_generations_caps_the_genetic_search(self, tmp_path, example_files):
+        inst_path, _ = example_files
+        out = tmp_path / "cmp.csv"
+        code = main([
+            "compare", inst_path, "--methods", "ilp-sm,bb-sm", "--max-generations", "2",
+            "--time-limit", "60000", "--seed", "5", "-o", str(out),
+        ])
+        assert code == EXIT_OK
+        rows = {r["method"]: r for r in self._read_rows(out)}
+        assert sorted(rows) == ["bb-sm", "ilp-sm"]
+        assert float(rows["bb-sm"]["elapsed_ms"]) < 10000.0
+        # the same run as solve with the same seed and generation cap
+        sol = tmp_path / "sol.json"
+        assert main([
+            "solve", inst_path, "--method", "bb-sm", "--max-generations", "2", "--seed", "5",
+            "-o", str(sol),
+        ]) == EXIT_OK
+        result = json.loads((tmp_path / "sol.result.json").read_text())
+        assert float(rows["bb-sm"]["objective"]) == result["objective_value"]
+        manifest = json.loads((tmp_path / "cmp.manifest.json").read_text())
+        assert manifest["flags"]["max_generations"] == 2
+
     def test_infeasible_instance_all_rows_infeasible(self, tmp_path):
         inst_path = tmp_path / "bad.json"
         ts.save_instance(infeasible_instance(), str(inst_path))
@@ -968,6 +995,18 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,method,rep,status,elapsed_ms,objective,bound"
         assert len(lines) == 3
+
+    def test_max_generations_caps_the_genetic_search(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", "--sizes", "5", "--reps", "1", "--methods", "bb-sm,heur",
+            "--max-generations", "2", "--time-limit", "60000", "--kernels", "mixed",
+            "--seed", "0", "-o", str(out),
+        ])
+        assert code == EXIT_OK
+        rows = {r["method"]: r for r in csv.DictReader(io.StringIO(out.read_text()))}
+        assert sorted(rows) == ["bb-sm", "heur"]
+        assert float(rows["bb-sm"]["elapsed_ms"]) < 10000.0
 
     def test_flow_fixed_not_sweepable(self, tmp_path):
         code = main([
@@ -1019,8 +1058,8 @@ def _manifest_cases(tmp_path, inst_path, asg_path):
              "--kernels", "mixed", "--seed", "3", "-o", out("sweep.csv")],
             "sweep.manifest.json", 3, ["mixed"], [out("sweep.csv")],
             {"coefficients": None, "kappa": 3.5, "kernels": "mixed", "methods": "heur",
-             "output": out("sweep.csv"), "platform": "imx8-mek", "reps": 1, "seed": 3,
-             "sizes": "4", "time_limit": 300000.0},
+             "max_generations": None, "output": out("sweep.csv"), "platform": "imx8-mek",
+             "reps": 1, "seed": 3, "sizes": "4", "time_limit": 300000.0},
         ),
         "export-gantt": (
             ["export-gantt", inst_path, asg_path, "-o", out("g.svg")],
@@ -1030,8 +1069,9 @@ def _manifest_cases(tmp_path, inst_path, asg_path):
         "compare": (
             ["compare", inst_path, "--methods", "heur", "--seed", "2", "-o", out("cmp.csv")],
             "cmp.manifest.json", 2, [inst_path], [out("cmp.csv")],
-            {"coefficients": None, "instance": inst_path, "methods": "heur",
-             "model": "sm", "output": out("cmp.csv"), "seed": 2, "time_limit": 300000.0},
+            {"coefficients": None, "instance": inst_path, "max_generations": None,
+             "methods": "heur", "model": "sm", "output": out("cmp.csv"), "seed": 2,
+             "time_limit": 300000.0},
         ),
     }
 
@@ -1053,6 +1093,79 @@ def test_manifest_records_the_run(tmp_path, example_files, command):
     assert manifest["started_at"] <= manifest["finished_at"]
 
 
+# A fresh interpreter imports the package, runs the argv lists it reads
+# from stdin through cli.main and reports whether numpy was loaded.
+_SESSION = """
+import json, sys
+import thermosched, thermosched.cli
+after_import = "numpy" in sys.modules
+codes = [thermosched.cli.main(argv) for argv in json.load(sys.stdin)]
+print(json.dumps([after_import, "numpy" in sys.modules, codes]))
+"""
+
+
+def _fresh_session(argvs, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SESSION], input=json.dumps(argvs), cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_without_ga_or_fit_never_import_numpy(tmp_path, example_files):
+    # a fresh process: pytest and hypothesis import numpy into this one
+    inst, asg = example_files
+    lengths = ",".join(
+        str(l) for l in helpers.worked_example_assignment(helpers.worked_example()).window_lengths_ms
+    )
+    out = lambda name: str(tmp_path / name)  # noqa: E731
+    argvs = [["generate", "--n", "6", "--kernels", "mixed", "--seed", "1", "-o", out("gen.json")]]
+    for method in ("ilp-sm", "qp-lr-ub", "heur", "flow-fixed", "idle-min", "idle-max"):
+        argvs.append([
+            "solve", inst, "--method", method, "--coefficients", "imx8-mek",
+            "--window-lengths", lengths, "-o", out(f"{method}.json"),
+        ])
+    for model in ("sm", "lr", "lr-ub"):
+        argvs.append([
+            "evaluate", inst, asg, "--model", model, "--coefficients", "imx8-mek",
+            "-o", out(f"{model}.json"),
+        ])
+    argvs += [
+        ["export-gantt", inst, asg, "-o", out("gantt.svg")],
+        ["compare", inst, "--methods", "ilp-sm,heur", "--seed", "0", "-o", out("cmp.csv")],
+        ["sweep", "--sizes", "5", "--reps", "1", "--methods", "ilp-sm,idle-min,idle-max",
+         "--kernels", "mixed", "--seed", "0", "-o", out("sweep.csv")],
+    ]
+    after_import, after_commands, codes = _fresh_session(argvs, tmp_path)
+    assert not after_import
+    assert not after_commands
+    assert codes == [EXIT_OK] * len(argvs)
+
+
+def test_ga_and_fit_import_numpy(tmp_path, example_files):
+    import random
+    from test_power import synthetic_samples
+
+    inst, _ = example_files
+    samples = str(tmp_path / "samples.csv")
+    ts.write_fit_samples_csv(
+        synthetic_samples(helpers.MEK, ((1.2, 0.3), (1.0, 0.5)), 20, 0.0, random.Random(0)),
+        samples,
+    )
+    argvs = [
+        ["solve", inst, "--method", "bb-sm", "--max-generations", "2", "--seed", "0",
+         "-o", str(tmp_path / "ga.json")],
+        ["fit", samples, "--platform", "imx8-mek", "-o", str(tmp_path / "coeff.json")],
+    ]
+    after_import, after_commands, codes = _fresh_session(argvs, tmp_path)
+    assert not after_import
+    assert after_commands
+    assert codes == [EXIT_OK, EXIT_OK]
+
+
 def test_evaluate_to_stdout_writes_no_manifest(tmp_path, monkeypatch, capsys, example_files):
     monkeypatch.chdir(tmp_path)
     assert main(["evaluate", *example_files]) == EXIT_OK
@@ -1061,6 +1174,22 @@ def test_evaluate_to_stdout_writes_no_manifest(tmp_path, monkeypatch, capsys, ex
 
 
 _SWEEP = ["sweep", "--sizes", "4", "--reps", "1", "--kernels", "mixed", "--seed", "0"]
+
+
+@pytest.mark.parametrize("generations", ["0", "-3"])
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_max_generations_below_one_is_refused_before_any_work(
+    tmp_path, capsys, example_files, command, generations
+):
+    # ilp-sm comes first: a refusal that waited for bb-sm would follow a full search
+    head = _SWEEP if command == "sweep" else ["compare", example_files[0], "--seed", "0"]
+    out = tmp_path / "out.csv"
+    code = main(head + [
+        "--methods", "ilp-sm,bb-sm", "--max-generations", generations, "-o", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: max_generations must be at least 1\n"
+    assert not out.exists()
 _USAGE_ERRORS = {
     "solve-qp-lr-ub-no-coefficients": lambda i, a: ["solve", i, "--method", "qp-lr-ub"],
     "solve-bb-lr-no-coefficients": lambda i, a: ["solve", i, "--method", "bb-lr", "--seed", "0"],

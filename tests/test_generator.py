@@ -13,6 +13,7 @@ from thermosched.generator import (
     scalability_sweep,
     write_sweep_csv,
 )
+from thermosched.presets import KERNEL_POOL_NAMES, builtin_kernel_pool, kernel_pool_text
 
 
 def flat_pool(speedup=1.0):
@@ -67,6 +68,17 @@ class TestLoadKernelPool:
         blank = text.replace(f"{row}\n", f"\n{row}\n")
         with pytest.raises(ts.ParseError, match="^line 4: expected 6 columns$"):
             load_kernel_pool(io.StringIO(blank))
+
+    @pytest.mark.parametrize("name", KERNEL_POOL_NAMES)
+    def test_builtin_pool_is_parsed_once(self, name):
+        pool = builtin_kernel_pool(name)
+        assert builtin_kernel_pool(name) is pool
+        assert pool == load_kernel_pool(io.StringIO(kernel_pool_text(name)))
+
+    def test_unknown_builtin_pool_is_refused_every_time(self):
+        for _ in range(2):
+            with pytest.raises(KeyError, match="^\"unknown kernel pool 'gpu'; available: mixed, cpu\"$"):
+                builtin_kernel_pool("gpu")
 
     def test_known_speedup(self, mixed_pool):
         a2time = next(k for k in mixed_pool if k.name == "a2time-4K")

@@ -3,6 +3,7 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 
 import helpers
@@ -417,6 +418,43 @@ class TestFitRegression:
         samples = synthetic_samples(mek_platform, betas, 1000, 0.1, rng)
         fit = ts.fit_regression_coefficients(samples, mek_platform)
         assert fit.r_squared > 0.95
+
+    def test_one_long_interval_fits_like_two_short_copies(self, mek_platform):
+        rng = random.Random(3)
+        samples = synthetic_samples(mek_platform, ((1.205, 0.270), (0.969, 0.456)), 12, 0.1, rng)
+        ell = 700
+        short = [dataclasses.replace(s, interval_length_ms=ell) for s in samples]
+        # sample 0 once at length 2l against twice at length l, the rest at l
+        merged = [dataclasses.replace(short[0], interval_length_ms=2 * ell)] + short[1:]
+        doubled = [short[0]] + short
+        a = ts.fit_regression_coefficients(merged, mek_platform)
+        b = ts.fit_regression_coefficients(doubled, mek_platform)
+        for got, want in zip(a.betas, b.betas):
+            assert got == pytest.approx(want, abs=1e-9)
+        assert a.r_squared == pytest.approx(b.r_squared, abs=1e-9)
+
+    @pytest.mark.parametrize("length", [1, 1000, 40_000])
+    def test_equal_lengths_give_the_ordinary_fit(self, mek_platform, length):
+        rng = random.Random(5)
+        samples = synthetic_samples(mek_platform, ((1.205, 0.270), (0.969, 0.456)), 30, 0.1, rng)
+        samples = [dataclasses.replace(s, interval_length_ms=length) for s in samples]
+        fit = ts.fit_regression_coefficients(samples, mek_platform)
+        # the unweighted least-squares fit and R² about the plain mean
+        design = np.array([[x for f in s.features for x in f] for s in samples])
+        y = np.array([s.measured_power_watts - mek_platform.idle_power_watts for s in samples])
+        beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+        residual = y - design @ beta
+        r_squared = 1.0 - residual @ residual / ((y - y.mean()) @ (y - y.mean()))
+        assert [b for pair in fit.betas for b in pair] == pytest.approx(beta.tolist(), abs=1e-12)
+        assert fit.r_squared == pytest.approx(r_squared, abs=1e-12)
+
+    @pytest.mark.parametrize("length", [0, -5])
+    def test_interval_that_is_not_positive_is_refused(self, mek_platform, length):
+        rng = random.Random(6)
+        samples = synthetic_samples(mek_platform, ((1.0, 0.5), (0.9, 0.4)), 12, 0.0, rng)
+        samples[3] = dataclasses.replace(samples[3], interval_length_ms=length)
+        with pytest.raises(ValueError, match=f"^interval_length_ms must be positive, got {length}$"):
+            ts.fit_regression_coefficients(samples, mek_platform)
 
     def test_samples_csv_round_trip(self, tmp_path, mek_platform):
         rng = random.Random(2)
