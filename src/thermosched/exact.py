@@ -7,6 +7,11 @@ idle time, and plain feasibility with optional per-task cluster fixes.
 The power objectives are searched by depth-first branch and bound over
 (window, cluster) placements with admissible incremental bounds and window
 symmetry breaking (a task may only open the lowest-indexed empty window).
+Tasks are placed in order of what they cost the objective being searched,
+costliest first, so that the bound cuts branches near the root: under SM by
+their cheapest standalone cost (activity energy plus the offset term of a
+window of their own length), under LR-UB by their smallest execution time
+per core.
 Each candidate placement is bounded from its change to the window terms
 before it is applied, so a pruned candidate never touches the search state;
 only the survivors are applied, searched below and undone, cheapest first by
@@ -360,16 +365,32 @@ def _window_search(
     is_lrub = objective.kind is ObjectiveKind.LR_UB_POWER
     betas = objective.coefficients.betas if is_lrub else None
 
-    # Branch on the hardest-to-place tasks first.
-    def min_e(t):
-        allowed = [fix[t.id] - 1] if t.id in fix else range(m)
-        return min(t.per_cluster[ci].exec_time_ms for ci in allowed)
-
-    ordered = sorted(instance.tasks, key=lambda t: (-min_e(t), t.id))
-    tid = [t.id for t in ordered]
-    allowed = [
-        ((fix[t.id] - 1),) if t.id in fix else tuple(range(m)) for t in ordered
+    # Branch on the tasks that cost the objective most first, so that the
+    # bound kills branches near the root (fail first). Over a task's allowed
+    # clusters: for SM its cheapest standalone cost min_k(ae + e*off), which
+    # the root bound's offset charge reuses; for LR-UB its smallest time per
+    # core min_k(e / cores). Ties go to the lower task id.
+    tasks = instance.tasks
+    allowed_by_task = [
+        ((fix[t.id] - 1),) if t.id in fix else tuple(range(m)) for t in tasks
     ]
+    if is_lrub:
+        key = [
+            min(t.per_cluster[ci].exec_time_ms / caps[ci] for ci in cis)
+            for t, cis in zip(tasks, allowed_by_task)
+        ]
+    else:
+        key = [
+            min(
+                tc.activity_coef * tc.exec_time_ms + tc.exec_time_ms * tc.offset_coef
+                for tc in (t.per_cluster[ci] for ci in cis)
+            )
+            for t, cis in zip(tasks, allowed_by_task)
+        ]
+    order = sorted(range(n), key=lambda i: (-key[i], tasks[i].id))
+    ordered = [tasks[i] for i in order]
+    tid = [t.id for t in ordered]
+    allowed = [allowed_by_task[i] for i in order]
     exec_ms = [[tc.exec_time_ms for tc in t.per_cluster] for t in ordered]
     # Per (task, cluster): the window coefficient the task brings (its offset
     # for SM, merged by max; its star rate for LR-UB, merged by sum) and the
@@ -432,8 +453,9 @@ def _window_search(
 
     # The root bound also charges SM window offsets, once per solve. A task p
     # whose allowed offsets are all nonnegative costs, together with the
-    # offset term of any window w holding it, at least min_k(ae + e*off),
-    # because l_w >= e and max off >= off >= 0: delta_p above its min ae.
+    # offset term of any window w holding it, at least min_k(ae + e*off) (its
+    # ordering key), because l_w >= e and max off >= off >= 0: delta_p above
+    # its min ae.
     # So a window costs at least the largest delta among its tasks. A window
     # holds at most C = total cores tasks, so the windows together cost at
     # least every C-th delta in descending order (the aligned-grouping
@@ -442,8 +464,7 @@ def _window_search(
     if not is_lrub:
         deltas = sorted(
             (
-                min(act_e[p][ci] + exec_ms[p][ci] * coef[p][ci] for ci in allowed[p])
-                - incr[p]
+                key[order[p]] - incr[p]
                 for p in range(n)
                 if min(coef[p][ci] for ci in allowed[p]) >= 0.0
             ),

@@ -219,23 +219,27 @@ class TestOracleAgreement:
                 assert all(placed[tid] == cid for tid, cid in fix.items()), seed
         assert statuses == {SearchStatus.OPTIMAL, SearchStatus.INFEASIBLE}
 
-    @pytest.mark.parametrize("signed", [False, True], ids=["mek", "signed"])
-    def test_lr_ub_with_fixes_matches_brute_force(self, signed):
-        # The LR-UB child order prices window growth at the mean cheapest
-        # allowed rate, which the random partial fixes change. It is positive
-        # on all 25 cases under MEK; under SIGNED_COEFF it is clamped to 0 on
-        # 12 of them.
-        lr_ub = ObjectiveSpec(
-            ObjectiveKind.LR_UB_POWER, SIGNED_COEFF if signed else helpers.MEK_COEFF
-        )
+    @pytest.mark.parametrize("variant", ["mek", "signed", "sm", "sm-negated-odd-offsets"])
+    def test_lr_ub_with_fixes_matches_brute_force(self, variant):
+        # Both window-search objectives read the random partial fixes: each
+        # orders its tasks by a key taken over their allowed clusters, and
+        # the LR-UB child order prices window growth at the mean cheapest
+        # allowed rate. That rate is positive on all 25 cases under MEK;
+        # under SIGNED_COEFF it is clamped to 0 on 12 of them.
+        objective = {
+            "mek": ObjectiveSpec(ObjectiveKind.LR_UB_POWER, helpers.MEK_COEFF),
+            "signed": ObjectiveSpec(ObjectiveKind.LR_UB_POWER, SIGNED_COEFF),
+        }.get(variant, ObjectiveSpec(ObjectiveKind.SM_POWER))
         rng = random.Random(41)
         statuses = set()
         for seed in range(25):
             instance = helpers.small_random_instance(seed)
+            if variant == "sm-negated-odd-offsets":
+                instance = helpers.with_negated_odd_offsets(instance)
             full = helpers.random_cluster_map(instance, rng)
             fix = dict(rng.sample(sorted(full.items()), rng.randint(0, len(full))))
-            exact = ts.solve(instance, lr_ub, fix)
-            oracle = ts.brute_force_optimum(instance, lr_ub, fix)
+            exact = ts.solve(instance, objective, fix)
+            oracle = ts.brute_force_optimum(instance, objective, fix)
             assert exact.status == oracle.status, (seed, fix)
             statuses.add(exact.status)
             if exact.status is SearchStatus.OPTIMAL:
@@ -368,19 +372,32 @@ def test_timeout_bound_charges_window_offsets():
     assert result.lower_bound <= result.objective_value
 
 
+def six_n16_proof_nodes(kind):
+    """Total nodes of proving the six sweep_seed(7, 16, rep) instances optimal."""
+    nodes = 0
+    for rep in range(6):
+        result = ts.solve(pinned_instance({"sweep": [7, 16, rep], "kappa": 3.5}), spec(kind))
+        assert result.status is SearchStatus.OPTIMAL, rep
+        nodes += result.nodes_explored
+    return nodes
+
+
 def test_lr_ub_child_order_prices_window_growth():
     """qp-lr-ub proves six n=16 instances within 40,000 nodes in total.
 
     Ordered by objective change alone, opening a window always sorts first
     under LR-UB, and the same proofs take 181,761 nodes.
     """
-    lr_ub = spec(ObjectiveKind.LR_UB_POWER)
-    nodes = 0
-    for rep in range(6):
-        result = ts.solve(pinned_instance({"sweep": [7, 16, rep], "kappa": 3.5}), lr_ub)
-        assert result.status is SearchStatus.OPTIMAL, rep
-        nodes += result.nodes_explored
-    assert nodes <= 40_000
+    assert six_n16_proof_nodes(ObjectiveKind.LR_UB_POWER) <= 40_000
+
+
+def test_sm_branches_on_costliest_tasks_first():
+    """ilp-sm proves the same six n=16 instances within 60,000 nodes in total.
+
+    Branching on the longest minimum execution time first instead of the
+    largest cheapest standalone cost, the same proofs take 393,231 nodes.
+    """
+    assert six_n16_proof_nodes(ObjectiveKind.SM_POWER) <= 60_000
 
 
 class TestPartialFix:
@@ -475,8 +492,11 @@ def test_solve_matches_pinned_search(case):
     Equal node counts and assignments show that every search still visits
     the same tree in the same order. Three feasibility-only counts were
     re-recorded when feasibility moved into the cluster search, which does
-    not count children it rejects on grouping, and ten LR-UB counts when
-    its child order began to price window growth. Objectives are compared to
+    not count children it rejects on grouping, ten LR-UB counts when its
+    child order began to price window growth, and the SM and LR-UB entries
+    when the window search began to branch on each objective's costliest
+    tasks first; six SM cases then found another optimum of the same value,
+    each checked against the exhaustive enumeration. Objectives are compared to
     1e-12: the recorded values carry the last-bit drift of window
     accumulators that were restored by subtraction.
     """
