@@ -32,7 +32,6 @@ from .generator import (
 from .heuristics import (
     GaConfig,
     GaResult,
-    ga_config_from_dict,
     greedy,
     load_ga_config,
     reconstruct,

@@ -213,7 +213,6 @@ def _cmd_solve(args) -> _Run:
         args.method,
         instance,
         time_limit_ms=args.time_limit,
-        seed=seed,
         coefficients=coefficients,
         window_lengths=lengths,
         ga_config=ga_config,
@@ -317,13 +316,11 @@ def _cmd_compare(args) -> _Run:
     methods = _parse_methods(args)
     instance = load_instance(args.instance)
     coefficients = _resolve_coefficients(args.coefficients)
-    if args.max_generations is not None and args.max_generations < 1:
-        raise ValueError("max_generations must be at least 1")
     ga_config = GaConfig(rng_seed=seed, max_generations=args.max_generations)
     rows = []
     for method in methods:
         outcome = run_method(
-            method, instance, time_limit_ms=args.time_limit, seed=seed, coefficients=coefficients,
+            method, instance, time_limit_ms=args.time_limit, coefficients=coefficients,
             ga_config=ga_config,
         )
         predicted = None

@@ -792,8 +792,10 @@ def solve(
 # ---------------------------------------------------------------------------
 # Exhaustive oracle
 
+# any q at n <= 7: generated instances (q = n, kappa 1.0) take up to 0.25 s
 _BRUTE_MAX_TASKS = 10
 _BRUTE_MAX_WINDOWS = 5
+_BRUTE_MAX_TASKS_ANY_WINDOWS = 7
 
 
 @functools.lru_cache(maxsize=128)
@@ -919,7 +921,8 @@ def brute_force_optimum(
 ) -> SearchResult:
     """Exhaustively enumerate all placements and return the exact optimum.
 
-    Guarded to small instances (at most 10 tasks and 5 windows).
+    Guarded to small instances: at most 10 tasks and 5 windows, or at
+    most 7 tasks and any number of windows.
     fixed_clusters is a {task id: cluster id} mapping, checked as solve
     checks it. Windows are enumerated in canonical first-use order, which
     fully removes the window interchange symmetry. The enumeration of the
@@ -927,10 +930,11 @@ def brute_force_optimum(
     asking for several objectives on the same instance costs one.
     """
     n = len(instance.tasks)
-    if n > _BRUTE_MAX_TASKS or instance.max_windows > _BRUTE_MAX_WINDOWS:
+    q = instance.max_windows
+    if n > _BRUTE_MAX_TASKS or (q > _BRUTE_MAX_WINDOWS and n > _BRUTE_MAX_TASKS_ANY_WINDOWS):
         raise ValueError(
-            f"brute force is guarded to n <= {_BRUTE_MAX_TASKS} and "
-            f"q <= {_BRUTE_MAX_WINDOWS}; got n={n}, q={instance.max_windows}"
+            f"brute force is guarded to n <= {_BRUTE_MAX_TASKS} and q <= {_BRUTE_MAX_WINDOWS}, "
+            f"or n <= {_BRUTE_MAX_TASKS_ANY_WINDOWS}; got n={n}, q={q}"
         )
     fixed = tuple(sorted(_check_inputs(instance, objective, fixed_clusters).items()))
     betas = objective.coefficients.betas if objective.coefficients else None

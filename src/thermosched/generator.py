@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Sequence, Union
 
 from .heuristics import GaConfig
@@ -85,21 +85,24 @@ class KernelSpec:
 
 
 def load_kernel_pool(path_or_file: Union[str, IO[str]]) -> tuple[KernelSpec, ...]:
-    """Load a kernel pool CSV; every kernel must cover every cluster."""
+    """Load a kernel pool CSV; every kernel must cover every cluster, once."""
+    rows: dict[str, dict[int, KernelClusterData]] = {}
 
-    def parse(row: list[str]) -> tuple[str, KernelClusterData]:
-        name, cluster_id, activity, offset, ips, frequency = row
-        return name.strip(), KernelClusterData(
+    def parse(row: list[str]) -> None:
+        name, cluster_id, activity, offset, ips, frequency = (c.strip() for c in row)
+        data = KernelClusterData(
             cluster_id=int(cluster_id),
             activity_coef=float(activity),
             offset_coef=float(offset),
             ips=float(ips),
             frequency_mhz=int(frequency),
         )
+        per_cluster = rows.setdefault(name, {})
+        if data.cluster_id in per_cluster:
+            raise ValueError(f"kernel {name} has a second row for cluster {data.cluster_id}")
+        per_cluster[data.cluster_id] = data
 
-    rows: dict[str, dict[int, KernelClusterData]] = {}
-    for name, data in _read_csv(path_or_file, KERNEL_POOL_HEADER, "kernel pool", parse):
-        rows.setdefault(name, {})[data.cluster_id] = data
+    _read_csv(path_or_file, KERNEL_POOL_HEADER, "kernel pool", parse)
     if not rows:
         raise ParseError("kernel pool CSV holds no kernels")
     all_clusters = sorted({cid for data in rows.values() for cid in data})
@@ -252,8 +255,7 @@ def scalability_sweep(
     check_methods(methods, coefficients)
     if base_seed < 0:
         raise ValueError(f"base_seed must be non-negative, got {base_seed}")
-    if max_generations is not None and max_generations < 1:
-        raise ValueError("max_generations must be at least 1")
+    ga_config = GaConfig(max_generations=max_generations)
     runs = []
     for n in sizes:
         for rep in range(repetitions):
@@ -267,11 +269,10 @@ def scalability_sweep(
             runs.append((n, rep, seed, generate_instance(config, platform)))
     cells = []
     for n, rep, seed, instance in runs:
-        ga_config = GaConfig(rng_seed=seed, max_generations=max_generations)
         for method in methods:
             o = run_method(
-                method, instance, time_limit_ms=time_limit_ms, seed=seed,
-                coefficients=coefficients, ga_config=ga_config,
+                method, instance, time_limit_ms=time_limit_ms, coefficients=coefficients,
+                ga_config=replace(ga_config, rng_seed=seed),
             )
             cells.append(SweepCell(n, method, rep, o.status, o.elapsed_ms, o.objective, o.bound))
     return cells

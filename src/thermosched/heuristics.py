@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from typing import IO, TYPE_CHECKING, Sequence, Union
 
 from .exact import (
@@ -36,7 +37,7 @@ from .exact import (
     deadline_after,
     solve,  # noqa: F401  (unused here; bench/tracer.py wraps this name)
 )
-from .model import Assignment, Instance, ParseError, _load_json, _write_csv
+from .model import Assignment, Instance, Unusable, _load_json, _write_csv
 from .power import (
     PowerModel,
     RegressionCoefficients,
@@ -64,8 +65,10 @@ class GaConfig:
     with a fresh random population happens after stall_generations (at
     least 1) generations without improvement. max_generations (unset, or
     at least 1) bounds the total generation count across restarts; the
-    time limit is run_ga's argument. rng_seed is non-negative. run_ga
-    raises ValueError for a value outside these ranges.
+    time limit is run_ga's argument. rng_seed is non-negative. Building a
+    GaConfig, by dataclasses.replace too, raises Unusable unless each field
+    lies in its range and holds an integer where it is one, else a number
+    (never a bool), or None where the default is unset.
     Runs limited only by wall-clock time are seed-deterministic in their
     evolution but may be cut at different generations, so reproducibility
     tests should set max_generations.
@@ -81,31 +84,43 @@ class GaConfig:
     max_generations: int | None = None
     stall_generations: int = 20
 
-
-def ga_config_from_dict(doc: dict, **overrides) -> GaConfig:
-    """Build a GaConfig from a JSON-style document; overrides win.
-
-    Unknown fields are ignored so configs can carry annotations. Known fields
-    must hold an integer where the field is one, a number otherwise, or null
-    where the default is unset; anything else is a ParseError. Override
-    values of None are dropped, which lets callers pass through unset CLI
-    flags directly.
-    """
-    fields = GaConfig.__dataclass_fields__
-    merged = {k: v for k, v in doc.items() if k in fields}
-    for k, v in merged.items():
-        numeric = (int,) if fields[k].type.startswith("int") else (int, float)
-        if type(v) not in numeric and not (v is None and fields[k].default is None):
-            kind = "an integer" if numeric == (int,) else "a number"
-            raise ParseError(f"GA config: '{k}' must be {kind}, got {v!r}")
-    merged.update({k: v for k, v in overrides.items() if v is not None and k in fields})
-    return GaConfig(**merged)
+    def __post_init__(self):
+        for f in fields(self):
+            v, integer = getattr(self, f.name), f.type.startswith("int")
+            ok = isinstance(v, Integral if integer else Real) and not isinstance(v, bool)
+            if not ok and not (v is None and f.default is None):
+                kind = "an integer" if integer else "a number"
+                raise Unusable(f"GA config: '{f.name}' must be {kind}, got {v!r}")
+        if not 0.0 <= self.crossover_rate <= 1.0 or not 0.0 <= self.mutation_rate <= 1.0:
+            raise Unusable("rates must lie in [0, 1]")
+        if not 0.0 <= self.elite_discard_fraction <= 1.0:
+            raise Unusable("elite_discard_fraction must lie in [0, 1]")
+        if not 1 <= self.bga_precision_bits <= 53:
+            raise Unusable("bga_precision_bits must lie in 1..53")
+        if not math.isfinite(self.bga_mutation_range):
+            raise Unusable("bga_mutation_range must be finite")
+        if self.max_generations is not None and self.max_generations < 1:
+            raise Unusable("max_generations must be at least 1")
+        if self.stall_generations < 1:
+            raise Unusable("stall_generations must be at least 1")
+        if self.population_size is not None and self.population_size < 2:
+            raise Unusable("population_size must be at least 2")
+        if self.rng_seed < 0:
+            raise Unusable(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 def load_ga_config(path_or_file: Union[str, IO[str]], **overrides) -> GaConfig:
-    return _load_json(
-        path_or_file, "GA config", lambda doc: ga_config_from_dict(doc, **overrides)
-    )
+    """Read a GaConfig from a JSON document; overrides win.
+
+    Unknown fields are ignored so configs can carry annotations. Override
+    values of None are dropped, which lets callers pass through unset CLI
+    flags directly.
+    """
+    names = {f.name for f in fields(GaConfig)}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    return _load_json(path_or_file, "GA config", lambda doc: GaConfig(
+        **{k: v for k, v in {**doc, **overrides}.items() if k in names}
+    ))
 
 
 @dataclass(frozen=True)
@@ -422,9 +437,9 @@ def run_ga(
 
     The run stops after config.max_generations generations or after the
     first generation that ends past time_limit_ms (counted from the call),
-    whichever comes first; at least one must be set. An instance without
-    tasks has one schedule, the empty one at idle power, which is returned
-    without evolving anything.
+    whichever comes first; at least one must be set (GaConfig checks the
+    rest of config). An instance without tasks has one schedule, the empty
+    one at idle power, which is returned without evolving anything.
 
     Each generation is scored as a whole by _PopulationFitness: a genome
     already scored in this or the previous generation reuses its value,
@@ -456,22 +471,6 @@ def run_ga(
         coefficients.check_covers(instance.platform)
     if time_limit_ms is None and config.max_generations is None:
         raise ValueError("the genetic search needs a time limit or max_generations (or both)")
-    if not 0.0 <= config.crossover_rate <= 1.0 or not 0.0 <= config.mutation_rate <= 1.0:
-        raise ValueError("rates must lie in [0, 1]")
-    if not 0.0 <= config.elite_discard_fraction <= 1.0:
-        raise ValueError("elite_discard_fraction must lie in [0, 1]")
-    if not 1 <= config.bga_precision_bits <= 53:
-        raise ValueError("bga_precision_bits must lie in 1..53")
-    if not math.isfinite(config.bga_mutation_range):
-        raise ValueError("bga_mutation_range must be finite")
-    if config.max_generations is not None and config.max_generations < 1:
-        raise ValueError("max_generations must be at least 1")
-    if config.stall_generations < 1:
-        raise ValueError("stall_generations must be at least 1")
-    if config.population_size is not None and config.population_size < 2:
-        raise ValueError("population_size must be at least 2")
-    if config.rng_seed < 0:
-        raise ValueError(f"rng_seed must be non-negative, got {config.rng_seed}")
 
     n = len(instance.tasks)
     if n == 0:

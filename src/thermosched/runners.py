@@ -2,9 +2,10 @@
 
 Each entry maps a method name to its runner and to what the method needs:
 regression coefficients, fixed window lengths, and whether it is randomized
-(takes a seed). ``check_methods`` is the one place that rejects an unknown
-method or a missing input; ``run_method`` and the CLI's solve, sweep and
-compare all call it. Sweep and compare supply no window lengths, so the
+(seeded by its GaConfig's rng_seed; GaConfig() when none is given). The
+one place that rejects an unknown method or a missing input is
+``check_methods``; ``run_method`` and the CLI's solve, sweep and compare
+all call it. Sweep and compare supply no window lengths, so the
 check leaves the fixed-window flow out of them. Runners look up ``solve``,
 ``run_ga``, ``greedy``, ``build_network`` and ``min_cost_assignment`` in
 this module when called, so replacing such a name here reaches every method
@@ -49,10 +50,8 @@ def _exact(kind: ObjectiveKind):
 
 
 def _genetic(model: PowerModel):
-    def run(method, instance, *, time_limit_ms, seed, coefficients, ga_config, **_):
-        if ga_config is None:
-            ga_config = GaConfig(rng_seed=seed)
-        result = run_ga(instance, model, ga_config, coefficients, time_limit_ms)
+    def run(method, instance, *, time_limit_ms, coefficients, ga_config, **_):
+        result = run_ga(instance, model, ga_config or GaConfig(), coefficients, time_limit_ms)
         # a search that found nothing proves nothing: no verdict
         status, objective = ("feasible", result.fitness) if result.feasible else ("unknown", None)
         return MethodOutcome(method, status, result.assignment, objective, None, trace=result.trace)
@@ -121,7 +120,6 @@ def run_method(
     instance: Instance,
     *,
     time_limit_ms: float | None = None,
-    seed: int = 0,
     coefficients: RegressionCoefficients | None = None,
     window_lengths: Sequence[int] | None = None,
     ga_config: GaConfig | None = None,
@@ -130,7 +128,7 @@ def run_method(
     check_methods([method], coefficients, window_lengths)
     t0 = time.perf_counter()
     outcome = METHODS[method].run(
-        method, instance, time_limit_ms=time_limit_ms, seed=seed, coefficients=coefficients,
+        method, instance, time_limit_ms=time_limit_ms, coefficients=coefficients,
         window_lengths=window_lengths, ga_config=ga_config,
     )
     outcome.elapsed_ms = (time.perf_counter() - t0) * 1000.0

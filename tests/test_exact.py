@@ -250,6 +250,29 @@ class TestOracleAgreement:
                 assert all(placed[tid] == cid for tid, cid in fix.items()), seed
         assert SearchStatus.OPTIMAL in statuses
 
+    @pytest.mark.parametrize("kappa", [3.5, 1.0])
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_generated_instances_match_brute_force(self, n, kappa):
+        # generated instances have q = n windows, past q <= 5 for n = 6, 7
+        optimal = 0
+        for rep in range(3):
+            config = GeneratorConfig(
+                kernel_pool=helpers.MIXED_POOL, n_tasks=n, rng_seed=sweep_seed(0, n, rep),
+                tightness_kappa=kappa,
+            )
+            instance = generate_instance(config, helpers.MEK)
+            assert instance.max_windows == n
+            for kind in ALL_KINDS:
+                oracle = ts.brute_force_optimum(instance, spec(kind))
+                exact = ts.solve(instance, spec(kind))
+                assert exact.status == oracle.status, (rep, kind)
+                if oracle.status is SearchStatus.OPTIMAL:
+                    optimal += 1
+                    assert exact.objective_value == pytest.approx(
+                        oracle.objective_value, abs=1e-9
+                    ), (rep, kind)
+        assert optimal > 0
+
     def test_window_symmetry_invariance(self):
         rng = random.Random(9)
         for seed in range(6):

@@ -53,6 +53,16 @@ class TestLoadKernelPool:
         with pytest.raises(ts.ParseError, match="lonely"):
             load_kernel_pool(io.StringIO(text))
 
+    def test_second_row_for_a_kernel_cluster_is_refused(self):
+        text = (
+            "kernel,cluster_id,activity_coef,offset_coef,ips,frequency_mhz\n"
+            "k1,1,0.1,0.1,500,1000\n"
+            "k1,2,0.2,0.2,500,1000\n"
+            "k1,1,0.3,0.3,700,1000\n"
+        )
+        with pytest.raises(ts.ParseError, match="^line 4: kernel k1 has a second row for cluster 1$"):
+            load_kernel_pool(io.StringIO(text))
+
     @pytest.mark.parametrize(
         "row", ["k,2,0.2,0.2,500,1000,extra", "k,2,0.2,0.2,500"], ids=["extra-column", "short-row"]
     )

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from thermosched import heuristics
 from thermosched.exact import ObjectiveKind, ObjectiveSpec, SearchStatus
 from thermosched.generator import GeneratorConfig, generate_instance, sweep_seed
 from thermosched.heuristics import _GENE_MAX, _build_children, _PopulationFitness
+from thermosched.model import Unusable
 from thermosched.power import PowerModel
 from thermosched.runners import run_method
 
@@ -283,6 +286,45 @@ class TestRunGa:
         lines = path.read_text().splitlines()
         assert lines[0] == "generation,restart,best_fitness"
         assert len(lines) == len(result.trace) + 1
+
+
+# field: (out-of-range value, its message, value of the wrong type, the type wanted)
+_GA_REFUSALS = {
+    "crossover_rate": (1.5, "rates must lie in [0, 1]", "0.8", "a number"),
+    "mutation_rate": (-0.1, "rates must lie in [0, 1]", None, "a number"),
+    "population_size": (1, "population_size must be at least 2", 2.5, "an integer"),
+    "elite_discard_fraction": (
+        math.nan, "elite_discard_fraction must lie in [0, 1]", True, "a number"
+    ),
+    "rng_seed": (-5, "rng_seed must be non-negative, got -5", 1.5, "an integer"),
+    "bga_mutation_range": (math.inf, "bga_mutation_range must be finite", [0.1], "a number"),
+    "bga_precision_bits": (54, "bga_precision_bits must lie in 1..53", True, "an integer"),
+    "max_generations": (0, "max_generations must be at least 1", 2.5, "an integer"),
+    "stall_generations": (0, "stall_generations must be at least 1", 20.0, "an integer"),
+}
+
+
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+@pytest.mark.parametrize("wrong", ["range", "type"])
+@pytest.mark.parametrize("field", sorted(_GA_REFUSALS))
+def test_ga_config_refuses_every_bad_field(field, wrong, build):
+    out_of_range, message, wrong_type, kind = _GA_REFUSALS[field]
+    value = out_of_range
+    if wrong == "type":
+        value, message = wrong_type, f"GA config: '{field}' must be {kind}, got {wrong_type!r}"
+    with pytest.raises(Unusable, match=f"^{re.escape(message)}$"):
+        if build == "replace":
+            dataclasses.replace(ts.GaConfig(), **{field: value})
+        else:
+            ts.GaConfig(**{field: value})
+
+
+def test_ga_config_accepts_any_integral_or_real_number():
+    config = ts.GaConfig(
+        crossover_rate=1, mutation_rate=np.float64(0.5), population_size=np.int64(4),
+        rng_seed=np.int64(3), max_generations=None,
+    )
+    assert config.population_size == 4 and config.mutation_rate == 0.5
 
 
 def feasible_genomes(instance, rng, count):
