@@ -8,7 +8,7 @@ min-cost-flow solver for fixed window lengths, a genetic algorithm, a
 greedy heuristic, an instance generator and a command-line front end.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .exact import (
     ObjectiveKind,

@@ -12,8 +12,9 @@ shares that decode and repair code. numpy is imported inside the functions
 that use it, so a process that runs no genetic search never loads it.
 Each distinct genome is scored once across two consecutive generations,
 and a genome whose preferred slots all have free cores skips the repair
-sweeps. Children are built in array passes from the same random draws, in
-the same order, as a child-by-child crossover and mutation loop.
+sweeps. Children are built in array passes from a fixed number of
+whole-population random draws per generation, so the builder's generator
+calls do not grow with the population or the task count.
 
 The greedy heuristic fixes one task at a time, most energy-hungry first, to
 the cheapest cluster that still leaves the rest of the instance completable,
@@ -381,48 +382,42 @@ def _build_children(
 ) -> np.ndarray:
     """Two-point crossover, then BGA mutation, of each row's parent pair.
 
-    The draws per child, in order: rng.random() against crossover_rate and,
-    if it crosses, the two cut points; rng.random() against mutation_rate
-    and, if it mutates, one draw per gene to pick genes with probability
-    1/n and, per picked gene, bga_precision_bits draws for its terms and
-    one for its sign. No draw depends on a gene value, so all draws come
-    first and the children are then built in array passes: the child takes
-    parent b's genes between the cut points and parent a's elsewhere, and
-    each picked gene gets its delta added and is clipped to [0, 1). A delta
-    is a sum of distinct powers 2**-k with k < bits <= 53, exact in any
-    summation order.
+    A generation makes five generator calls, whatever its size, in order:
+
+    1. rng.random(size): a row crosses when its draw is below crossover_rate;
+    2. rng.integers(0, n + 1, size=(crossing, 2)): the crossing rows' cut
+       points, in row order, each pair sorted;
+    3. rng.random(size): a row mutates when its draw is below mutation_rate;
+    4. rng.random((mutating, n)): a mutating row's gene is picked when its
+       draw is below 1/n;
+    5. rng.random((picked, bits + 1)): per picked gene, in row-major order,
+       bga_precision_bits term draws, each term joining when below 1/bits,
+       then the sign, negative when below 0.5.
+
+    The child takes parent b's genes between the cut points and parent a's
+    elsewhere, and each picked gene gets its delta added and is clipped to
+    [0, 1). A delta is a sum of distinct powers 2**-k with k < bits <= 53,
+    exact in any summation order.
     """
     import numpy as np
 
     size, n = parents_a.shape
     bits = config.bga_precision_bits
-    random, integers = rng.random, rng.integers
-    cuts = [(0, 0)] * size
-    rows: list[int] = []
-    genes: list[np.ndarray] = []
-    draws: list[np.ndarray] = []
-    for i in range(size):
-        if random() < config.crossover_rate:
-            # two scalar calls draw what integers(0, n + 1, size=2) draws, faster
-            a, b = integers(0, n + 1), integers(0, n + 1)
-            cuts[i] = (a, b) if a <= b else (b, a)
-        if random() < config.mutation_rate:
-            picked = np.flatnonzero(random(n) < 1.0 / n)
-            if picked.size:
-                rows += [i] * picked.size
-                genes.append(picked)
-                draws.append(random(picked.size * (bits + 1)))
-    lo, hi = np.array(cuts).T
+    crosses = rng.random(size) < config.crossover_rate
+    cuts = np.zeros((size, 2), dtype=np.int64)
+    cuts[crosses] = np.sort(rng.integers(0, n + 1, size=(np.count_nonzero(crosses), 2)), axis=1)
+    lo, hi = cuts.T
     span = np.arange(n)
     children = np.where(
         (lo[:, None] <= span) & (span < hi[:, None]), parents_b, parents_a
     )
-    if rows:
-        cols = np.concatenate(genes)
-        u = np.concatenate(draws).reshape(-1, bits + 1)
-        delta = config.bga_mutation_range * ((u[:, :bits] < 1.0 / bits) @ 2.0 ** -np.arange(bits))
-        delta = np.where(u[:, bits] < 0.5, -delta, delta)
-        children[rows, cols] = np.clip(children[rows, cols] + delta, 0.0, _GENE_MAX)
+    mutating = np.flatnonzero(rng.random(size) < config.mutation_rate)
+    rows, cols = np.nonzero(rng.random((mutating.size, n)) < 1.0 / n)
+    rows = mutating[rows]
+    u = rng.random((rows.size, bits + 1))
+    delta = config.bga_mutation_range * ((u[:, :bits] < 1.0 / bits) @ 2.0 ** -np.arange(bits))
+    delta = np.where(u[:, bits] < 0.5, -delta, delta)
+    children[rows, cols] = np.clip(children[rows, cols] + delta, 0.0, _GENE_MAX)
     return children
 
 
@@ -449,8 +444,8 @@ def run_ga(
     per run, equal to schedule_power of the repaired assignment (SM bit
     for bit, LR through the same closed form). An Assignment is built only
     when a genome improves on the best so far. Children come from
-    _build_children, which draws from the generator exactly as a
-    child-by-child loop would, so a seed gives the same evolution.
+    _build_children, whose draws follow the fixed order its docstring
+    gives, so a seed gives the same evolution.
 
     Selection is by uniform ranking: the worst elite_discard_fraction of
     each generation is discarded and parents are drawn uniformly from the

@@ -310,12 +310,13 @@ def _bga_mutate(rng, vec, mut_range, bits):
         vec[idx] = min(max(vec[idx] + delta, 0.0), 1.0 - 1e-12)
 
 
-def reference_children(rng, parents_a, parents_b, config: ts.GaConfig):
+def children_drawn_per_child(rng, parents_a, parents_b, config: ts.GaConfig):
     """The GA's children built one at a time: two-point crossover, then BGA mutation.
 
     Each child draws, in order, its crossover coin and cut points, then its
-    mutation coin, gene picks and per-gene term picks and sign; this is the
-    random stream the GA's array builder must reproduce.
+    mutation coin, gene picks and per-gene term picks and sign. The GA
+    draws in another order, so this loop agrees with it in distribution
+    only; it is the independent oracle of that distribution.
     """
     children = np.empty_like(parents_a)
     for i in range(len(parents_a)):
@@ -326,6 +327,44 @@ def reference_children(rng, parents_a, parents_b, config: ts.GaConfig):
         if rng.random() < config.mutation_rate:
             _bga_mutate(rng, children[i], config.bga_mutation_range, config.bga_precision_bits)
     return children
+
+
+def reference_children(rng, parents_a, parents_b, config: ts.GaConfig):
+    """The GA's children from its documented draws, built child by child.
+
+    A generation draws five arrays, in order: crossover coins per child, a
+    sorted pair of cut points per crossing child, mutation coins per child,
+    a pick draw per gene of each mutating child (picked below 1/n) and, per
+    picked gene in row-major order, bga_precision_bits term draws (joining
+    below 1/bits) and a sign draw (negative below 0.5). This is the random
+    stream the GA's array builder must reproduce.
+    """
+    size, n = parents_a.shape
+    bits = config.bga_precision_bits
+    crosses = (rng.random(size) < config.crossover_rate).tolist()
+    cuts = iter(rng.integers(0, n + 1, size=(sum(crosses), 2)).tolist())
+    mutates = (rng.random(size) < config.mutation_rate).tolist()
+    picks = (rng.random((sum(mutates), n)) < 1.0 / n).tolist()
+    terms = iter(rng.random((sum(map(sum, picks)), bits + 1)).tolist())
+    pick_rows = iter(picks)
+    children = []
+    for i, (a, b) in enumerate(zip(parents_a.tolist(), parents_b.tolist())):
+        child = a
+        if crosses[i]:
+            lo, hi = sorted(next(cuts))
+            child[lo:hi] = b[lo:hi]
+        if mutates[i]:
+            for g, picked in enumerate(next(pick_rows)):
+                if picked:
+                    *alpha, sign = next(terms)
+                    delta = config.bga_mutation_range * sum(
+                        2.0 ** -k for k, u in enumerate(alpha) if u < 1.0 / bits
+                    )
+                    if sign < 0.5:
+                        delta = -delta
+                    child[g] = min(max(child[g] + delta, 0.0), 1.0 - 1e-12)
+        children.append(child)
+    return np.array(children, dtype=float).reshape(parents_a.shape)
 
 
 def lr_interval_oracle(

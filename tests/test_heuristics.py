@@ -469,6 +469,74 @@ class TestBuildChildren:
             assert children.tobytes() == want.tobytes()
             assert rng.bit_generator.state == oracle.bit_generator.state
 
+    @pytest.mark.parametrize(
+        "mutation_rate, bits", [(0.5, 16), (1.0, 1)], ids=["bits16", "bits1"]
+    )
+    def test_same_distribution_as_child_by_child_draws(self, mutation_rate, bits):
+        """The array builder's children follow the per-child loop's distribution.
+
+        Parent a holds 0.25 and parent b 0.75 in every gene, and a mutation
+        moves a gene by at most 0.2, so a child gene above 0.5 came from b and
+        its distance to its parent is its delta. With one term (bits=1) every
+        picked gene moves, so the changed genes of a mutated row are its picks.
+        Each statistic of the two builders, estimated from 24k children each,
+        may differ by five standard errors of the difference of two
+        independent estimates.
+        """
+        size, n = 24000, 30
+        config = ts.GaConfig(crossover_rate=0.6, mutation_rate=mutation_rate, bga_precision_bits=bits)
+        parents_a, parents_b = np.full((size, n), 0.25), np.full((size, n), 0.75)
+
+        def statistics(children):
+            from_b = children > 0.5
+            delta = children - np.where(from_b, 0.75, 0.25)
+            spans = from_b.sum(axis=1)
+            first = np.where(spans > 0, from_b.argmax(axis=1), 0)
+            block = (np.arange(n) >= first[:, None]) & (np.arange(n) < (first + spans)[:, None])
+            assert (block == from_b).all()  # b's genes form one block
+            changed = delta != 0.0
+            mutated = changed.any(axis=1)
+            return {
+                "cross": spans > 0,
+                **{f"span{k}": spans == k for k in range(n + 1)},
+                "mutated": mutated,
+                "picks": changed[mutated],
+                "abs_delta": np.abs(delta[changed]),
+                "negative": delta[changed] < 0.0,
+            }
+
+        got = statistics(_build_children(np.random.default_rng(7), parents_a, parents_b, config))
+        want = statistics(helpers.children_drawn_per_child(
+            np.random.default_rng(8), parents_a, parents_b, config
+        ))
+        assert want["cross"].mean() == pytest.approx(0.6 * n / (n + 1), abs=0.02)
+        for name, sample in want.items():
+            mine = got[name]
+            se = np.sqrt(sample.var() / sample.size + mine.var() / mine.size)
+            assert abs(mine.mean() - sample.mean()) <= 5.0 * se + 1e-12, name
+
+    def test_fixed_number_of_generator_calls(self):
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def random(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.random(*args, **kwargs)
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.integers(*args, **kwargs)
+
+        config = ts.GaConfig(crossover_rate=0.9, mutation_rate=0.9)
+        counts = []
+        for size in (2, 50, 1500):
+            parents = np.random.default_rng(size).random((2, size, 30))
+            rng = CountingGenerator(np.random.default_rng(size))
+            _build_children(rng, parents[0], parents[1], config)
+            counts.append(rng.calls)
+        assert len(set(counts)) == 1 and counts[0] <= 5, counts
+
 
 def pinned_cases():
     return json.loads(PINNED_TRACES.read_text())
@@ -478,7 +546,11 @@ def pinned_cases():
     "case", pinned_cases(), ids=lambda c: f"{c['case']}-{c['model']}"
 )
 def test_ga_matches_pinned_trace(case, mek_coefficients):
-    """Traces and best assignments recorded from the per-genome reconstruct + schedule_power GA."""
+    """Traces and best assignments of seeded runs, recorded with the current children builder.
+
+    A seed's evolution depends on the order of _build_children's draws, so
+    changing that order re-records this file (and bumps __version__).
+    """
     instance = generate_instance(
         GeneratorConfig(
             kernel_pool=helpers.MIXED_POOL, n_tasks=case["n"],
