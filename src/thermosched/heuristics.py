@@ -8,11 +8,13 @@ windows, bumping tasks whose preferred slot is full to the next window);
 genomes that cannot be repaired are discarded by ranking them worst.
 Populations are scored as a whole from per-(task, cluster) tables built
 once per run; reconstruct, which turns one genome into an assignment,
-shares that decode and repair code. numpy is imported inside the functions
-that use it, so a process that runs no genetic search never loads it.
-Each distinct genome is scored once across two consecutive generations,
-and a genome whose preferred slots all have free cores skips the repair
-sweeps. Children are built in array passes from a fixed number of
+shares that decode and repair code, and a run calls it once, for the best
+genome. numpy is imported inside the functions that use it, so a process
+that runs no genetic search never loads it. Each distinct genome is
+scored once across two consecutive generations, and the repair sweeps
+visit only the windows that hold an overfull slot or receive a bumped
+task, so a genome whose preferred slots all have free cores visits none.
+Children are built in array passes from a fixed number of
 whole-population random draws per generation, so the builder's generator
 calls do not grow with the population or the task count.
 
@@ -153,7 +155,7 @@ class GaResult:
 
 def _decode_population(
     genomes: np.ndarray, m: int, q: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode a (population, n) gene array in one pass.
 
     A gene x in [0, 1) prefers cluster floor(x * m) + 1; the remainder
@@ -163,11 +165,8 @@ def _decode_population(
     distance of sub-interval boundaries, and element by element its float
     operations are those of this scalar formula.
 
-    Returns the 0-based preferred cluster index, the preference, the
-    1-based preferred window and, per genome, the task indices by ascending
-    (preference, task index); task index order is task-id order. The window
-    is monotone in the preference, so that order also groups the tasks by
-    preferred window.
+    Returns the 0-based preferred cluster index, the preference and the
+    1-based preferred window.
     """
     import numpy as np
 
@@ -175,55 +174,97 @@ def _decode_population(
     pref = (genomes - ci / m) * q * m
     pref = np.minimum(np.maximum(pref, 0.0), math.nextafter(float(q), 0.0))
     window = np.minimum(pref.astype(np.int64), q - 1) + 1
-    order = np.argsort(pref, axis=1, kind="stable")
-    return ci, pref, window, order
+    return ci, pref, window
 
 
 def _repair(
-    order: Sequence[int],
-    cluster: Sequence[int],
-    window: Sequence[int],
+    ci: np.ndarray,
+    pref: np.ndarray,
+    window: np.ndarray,
     cores: Sequence[int],
     q: int,
-) -> list[int] | None:
-    """The repair sweeps of reconstruct; 1-based window per task, or None.
+) -> tuple[np.ndarray, list[int]]:
+    """The repair sweeps of reconstruct, for the decoded rows of a population.
 
-    order lists the task indices by ascending (preference, task index), as
-    _decode_population returns it, so each window's own tasks form one run
-    of it. A task bumped out of a window re-enters the next one with
-    preference zero, ahead of that window's own tasks (whose preferences
-    are at least 1 from window 2 on) and ordered by task index, which is
-    task-id order, among the bumped. Costs O(n log n + q) per genome.
+    Returns the 1-based window per task, written over window, and the
+    indices of the rows that do not repair, whose windows then lie in
+    1..q but make no schedule. Each row's free cores start as cores minus
+    its own load per (window, cluster) slot. The first sweep visits only
+    the windows that hold an overfull slot (more tasks than the cluster
+    has cores) or receive the carry, the tasks bumped out of the window
+    before; every other window keeps its tasks where they prefer to be, so
+    a row with no overfull slot visits none. A visited window first gives
+    back its own tasks' cores, then places the carry, sorted by task
+    index, and its own tasks by ascending (preference, task index): a
+    bumped task re-enters the next window with preference zero, ahead of
+    that window's own tasks (whose preferences are at least 1 from window
+    2 on). The second sweep places the carry only, and a row fails when a
+    task is still bumped after it. Task index order is task-id order. The
+    inputs of the rows that sweep are prepared in a few array passes, so a
+    row costs Python work only for the tasks of the windows it visits.
     """
+    import numpy as np
+
+    size, n = ci.shape
     m = len(cores)
-    n = len(order)
-    free = list(cores) * q  # free cores, indexed (window - 1) * m + cluster
-    placed = [0] * n
-    carry: list[int] = []  # tasks bumped out of the previous window
-    k = 0  # next unvisited position in order
-    for sweep in range(2 * q):
-        j = sweep % q + 1
-        todo = carry
-        todo.sort()
-        carry = []
-        if sweep < q:
-            end = k
-            while end < n and window[order[end]] == j:
-                end += 1
-            if end > k:
-                todo += order[k:end]
-                k = end
-        base = (j - 1) * m
-        for i in todo:
-            slot = base + cluster[i]
-            if free[slot]:
-                free[slot] -= 1
-                placed[i] = j
+    qm = q * m
+    capacity = np.array(cores * q)  # free cores per (window - 1) * m + cluster slot
+    slot = (window - 1) * m + ci + qm * np.arange(size)[:, None]  # row r's slots start at r * qm
+    load = np.bincount(slot.ravel(), minlength=size * qm).reshape(size, qm)
+    # r * q + window - 1 for each overfull slot, ascending
+    over = (np.flatnonzero(load > capacity) // m).tolist()
+    if not over:
+        return window, []
+    rows = list(dict.fromkeys([v // q for v in over]))
+    load = load[rows]
+    # task indices by ascending (preference, task index); the window is
+    # monotone in the preference, so window j's own tasks form the run
+    # starts[(j - 1) * m]:starts[j * m] of it
+    order = np.argsort(pref[rows], axis=1, kind="stable").tolist()
+    starts = np.zeros((len(rows), qm + 1), dtype=np.int64)
+    np.cumsum(load, axis=1, out=starts[:, 1:])
+    free = (capacity - load).tolist()
+    failed = []
+    at, to = [], []  # flat task index and window of each placement of the sweeps
+    p = 0  # next entry of over
+    for r, order_r, cluster, free_r, start in zip(
+        rows, order, ci[rows].tolist(), free, starts.tolist()
+    ):
+        first = r * q  # over holds first + window - 1 for this row's windows
+        carry: list[int] = []  # tasks bumped out of the previous window
+        j = 0  # the last window visited; q + j is window j of the second sweep
+        while True:
+            if carry:
+                j += 1
+                if j > 2 * q:
+                    break
+            elif j >= q:  # the first sweep is over and nothing is bumped
+                break
             else:
-                carry.append(i)
-        if not carry and k == n:
-            return placed
-    return None
+                while p < len(over) and over[p] < first + j:
+                    p += 1
+                if p == len(over) or over[p] >= first + q:
+                    break
+                j = over[p] - first + 1
+            todo = sorted(carry)
+            carry = []
+            w = (j - 1) % q + 1
+            base = (w - 1) * m
+            if j <= q:
+                free_r[base:base + m] = cores
+                todo += order_r[start[base]:start[base + m]]
+            for i in todo:
+                s = base + cluster[i]
+                if free_r[s]:
+                    free_r[s] -= 1
+                    at.append(r * n + i)
+                    to.append(w)
+                else:
+                    carry.append(i)
+        if carry:
+            failed.append(r)
+    np.put(window, at, to)
+    return window, failed
 
 
 def reconstruct(genome: Sequence[float], instance: Instance) -> Assignment | None:
@@ -248,16 +289,15 @@ def reconstruct(genome: Sequence[float], instance: Instance) -> Assignment | Non
     outside = np.flatnonzero(~((genes >= 0.0) & (genes < 1.0)))
     if outside.size:
         raise ValueError(f"gene {genes[outside[0]]} outside [0, 1)")
-    decoded = _decode_population(
-        genes[None, :], len(instance.platform.clusters), instance.max_windows
-    )
-    cluster, _, window, order = (a[0].tolist() for a in decoded)
-    cores = [c.core_count for c in instance.platform.clusters]
-    placed = _repair(order, cluster, window, cores, instance.max_windows)
-    if placed is None:
+    clusters = instance.platform.clusters
+    q = instance.max_windows
+    ci, pref, window = _decode_population(genes[None, :], len(clusters), q)
+    placed, failed = _repair(ci, pref, window, [c.core_count for c in clusters], q)
+    if failed:
         return None
     assignment = Assignment.from_placements(
-        instance, [(t.id, w, c + 1) for t, w, c in zip(instance.tasks, placed, cluster)]
+        instance,
+        [(t.id, w, c + 1) for t, w, c in zip(instance.tasks, placed[0].tolist(), ci[0].tolist())],
     )
     if assignment.total_window_length_ms > instance.major_frame_ms:
         return None
@@ -271,15 +311,14 @@ class _PopulationFitness:
     run, and for SM the offset coefficients too. Each distinct genome is
     scored once: a call looks rows up by their bytes among the genomes of
     this call and of the previous one, and keeps only those two
-    generations. The new rows are decoded together. A row where no
-    (window, cluster) slot holds more tasks than the cluster has cores
-    places every task in its preferred window, so only the other rows go
-    through _repair. The rest is array passes over all rows: window
-    lengths, the frame check, and schedule_power's closed form with its
-    additions in the same order (tasks in task-id order, SM's window
-    offset terms in window order), so SM fitness equals schedule_power bit
-    for bit. Genomes that do not repair, or whose windows overflow the
-    major frame, score inf.
+    generations. The new rows are decoded and repaired together: _repair
+    sweeps only the rows with an overfull (window, cluster) slot, and in
+    them only the windows from that slot on that the bumped tasks reach.
+    The rest is array passes over all rows: window lengths, the frame
+    check, and schedule_power's closed form with its additions in the same
+    order (tasks in task-id order, SM's window offset terms in window
+    order), so SM fitness equals schedule_power bit for bit. Genomes that
+    do not repair, or whose windows overflow the major frame, score inf.
     """
 
     def __init__(
@@ -334,23 +373,16 @@ class _PopulationFitness:
     def _score(self, population: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        m, q = self.m, self.q
-        ci, _, window, order = _decode_population(population, m, q)
+        q = self.q
+        ci, pref, window = _decode_population(population, self.m, q)
+        placed, failed = _repair(ci, pref, window, self.cores, q)
         rows = np.arange(len(population))[:, None]
-        load = np.bincount((ci + (rows * q + window - 1) * m).ravel(), minlength=rows.size * q * m)
-        placed = window  # rows that _repair changes are overwritten below
-        repaired = np.ones(rows.size, dtype=bool)
-        for r in np.flatnonzero((load.reshape(-1, q, m) > self.cores).any(axis=(1, 2))).tolist():
-            row = _repair(order[r].tolist(), ci[r].tolist(), window[r].tolist(), self.cores, q)
-            if row is None:
-                repaired[r] = False
-            else:
-                placed[r] = row
         tasks = np.arange(ci.shape[1])
         execs = self.exec_ms[tasks, ci]
         lengths = np.zeros((rows.size, q), dtype=execs.dtype)
         np.maximum.at(lengths, (rows, placed - 1), execs)
-        fits = repaired & (lengths.sum(axis=1) <= self.h)
+        fits = lengths.sum(axis=1) <= self.h
+        fits[failed] = False
         # accumulate adds along each row in order, as a running sum would
         activity, offset = np.add.accumulate(self.energy[tasks, ci], axis=1)[:, -1].T
         if self.offset is not None:  # SM: each used window's length times its largest offset
@@ -442,8 +474,9 @@ def run_ga(
     overfull preferred slot go through the repair sweeps of reconstruct,
     and the power is computed from per-(task, cluster) tables built once
     per run, equal to schedule_power of the repaired assignment (SM bit
-    for bit, LR through the same closed form). An Assignment is built only
-    when a genome improves on the best so far. Children come from
+    for bit, LR through the same closed form). A copy of the best genome
+    is kept, and its Assignment is built once, at the end of the run, by
+    reconstruct. Children come from
     _build_children, whose draws follow the fixed order its docstring
     gives, so a seed gives the same evolution.
 
@@ -478,7 +511,7 @@ def run_ga(
     fitness_of = _PopulationFitness(instance, model, coefficients)
 
     best_fitness = math.inf
-    best_assignment: Assignment | None = None
+    best_genome: np.ndarray | None = None
     trace: list[TracePoint] = []
     total_generations = 0
     restart = 0
@@ -497,7 +530,7 @@ def run_ga(
                 stall = 0
                 if restart_best < best_fitness:
                     best_fitness = restart_best
-                    best_assignment = reconstruct(population[i_best], instance)
+                    best_genome = population[i_best].copy()
             else:
                 stall += 1
             trace.append(TracePoint(generation, restart, restart_best))
@@ -520,7 +553,7 @@ def run_ga(
         restart += 1
 
     return GaResult(
-        assignment=best_assignment,
+        assignment=None if best_genome is None else reconstruct(best_genome, instance),
         fitness=best_fitness,
         trace=tuple(trace),
         generations=total_generations,

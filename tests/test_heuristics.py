@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ def qm_instance(n_tasks, q, core_counts=(4, 2), frame=1000, exec_times=None):
 
 def decoded(genome, instance):
     """The GA's population decode of one genome, as (cluster id, window, preference)."""
-    ci, pref, window, _ = heuristics._decode_population(
+    ci, pref, window = heuristics._decode_population(
         np.array([genome], dtype=float), len(instance.platform.clusters), instance.max_windows
     )
     return [
@@ -446,6 +447,157 @@ class TestPopulationFitnessFastPaths:
             # the memo keeps the genomes of the last call only between calls
             assert set(fitness_of._previous) == {row.tobytes() for row in population}
         assert kinds == {True, False}
+
+
+@st.composite
+def repair_edge_instance(draw):
+    """A few-core instance with q >= 2 and more tasks than its smallest cluster has cores."""
+    cores = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(q * min(cores) + 1, 12))
+    exec_times = [tuple(draw(st.integers(1, 100)) for _ in cores) for _ in range(n)]
+    return qm_instance(
+        n, q, core_counts=tuple(cores), frame=draw(st.integers(50, 100 * q)),
+        exec_times=exec_times,
+    )
+
+
+def edge_path_population(instance, rng, size):
+    """Rows that overfill window q, cascade through full windows, or overload a cluster.
+
+    Each kind pins randomly chosen tasks to slots of the smallest cluster c
+    and leaves the other genes random: cores + 1 tasks in (q, c); cores + 1
+    in (j, c) and cores in (j + 1, c); or every task on c. Every fourth row
+    is random.
+    """
+    n = len(instance.tasks)
+    m = len(instance.platform.clusters)
+    q = instance.max_windows
+    cores = [cl.core_count for cl in instance.platform.clusters]
+    c = cores.index(min(cores))
+    rows = []
+    for r in range(size):
+        kind = r % 4
+        if kind == 0:
+            pinned = [q] * (cores[c] + 1)
+        elif kind == 1:
+            j = int(rng.integers(1, q))
+            pinned = [j] * (cores[c] + 1) + [j + 1] * cores[c]
+        elif kind == 2:
+            pinned = rng.integers(1, q + 1, size=n).tolist()
+        else:
+            pinned = []
+        genome = rng.random(n)
+        for i, j in zip(rng.permutation(n).tolist(), pinned):
+            genome[i] = slot_gene(c, j, m, q, rng.uniform(0.05, 0.95))
+        rows.append(genome)
+    return np.array(rows)
+
+
+def edge_paths(genome, instance):
+    """The repair paths a genome's preferred slots force, read from its decode alone.
+
+    wrap: a slot of window q is overfull, so a task is carried into the
+    second sweep. cascade: an overfull slot's next window is full in the
+    same cluster, so the carry bumps one of that window's tasks on in turn.
+    unplaced: a cluster is preferred by more tasks than it has cores in all
+    windows, so a task is still bumped after both sweeps.
+    """
+    q = instance.max_windows
+    genes = helpers.reference_decode(genome, instance)
+    load = Counter((g.window, g.cluster) for g in genes)
+    per_cluster = Counter(g.cluster for g in genes)
+    cores = {cl.id: cl.core_count for cl in instance.platform.clusters}
+    paths = set()
+    if any(load[q, c] > k for c, k in cores.items()):
+        paths.add("wrap")
+    if any(load[j, c] > k and load[j + 1, c] >= k for j in range(1, q) for c, k in cores.items()):
+        paths.add("cascade")
+    if any(per_cluster[c] > q * k for c, k in cores.items()):
+        paths.add("unplaced")
+    return paths
+
+
+class TestRepairEdgePaths:
+    """Rows whose repair wraps, cascades or fails score as the reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(repair_edge_instance(), st.integers(0, 10_000))
+    def test_matches_reference(self, instance, seed):
+        population = edge_path_population(instance, np.random.default_rng(seed), 32)
+        fitness = _PopulationFitness(instance, PowerModel.SM, None)(population)
+        kinds = set()
+        for genome, value in zip(population, fitness):
+            paths = edge_paths(genome, instance)
+            kinds |= paths
+            assignment = helpers.reference_reconstruct(genome, instance)
+            assert ts.reconstruct(genome, instance) == assignment
+            if assignment is None:
+                assert value == math.inf
+            else:
+                assert "unplaced" not in paths
+                assert value == ts.schedule_power(instance, assignment, "sm").watts
+        assert kinds == {"wrap", "cascade", "unplaced"}
+
+    @pytest.mark.parametrize(
+        "n, q, cores",
+        [(0, 1, (2, 1)), (0, 3, (1,)), (2, 1, (2, 1)), (4, 1, (2, 1)), (3, 1, (3,)),
+         (6, 3, (2,)), (4, 4, (1,)), (9, 4, (1,))],
+        ids=["n0", "n0-one-cluster", "q1", "q1-too-many", "q1-one-cluster", "one-cluster",
+             "one-cluster-one-core", "one-cluster-too-many"],
+    )
+    def test_reconstruct_at_the_edges(self, n, q, cores):
+        instance = qm_instance(n, q, core_counts=cores, frame=50 * n + 50)
+        m = len(cores)
+        rng = np.random.default_rng(n * 100 + q)
+        genomes = [rng.random(n) for _ in range(300)]
+        genomes += [[0.0] * n, [_GENE_MAX] * n] + [[x] * n for x in special_genes(m, q)]
+        outcomes = set()
+        for genome in genomes:
+            got = ts.reconstruct(genome, instance)
+            assert got == helpers.reference_reconstruct(genome, instance)
+            outcomes.add(got is None)
+        if n == 0:
+            assert outcomes == {False}
+        elif n > q * sum(cores):
+            assert outcomes == {True}
+        else:
+            assert False in outcomes
+
+
+class TestRunGaBuildsOneAssignment:
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        real = heuristics.reconstruct
+
+        def spy(genome, instance):
+            calls.append(genome)
+            return real(genome, instance)
+
+        monkeypatch.setattr(heuristics, "reconstruct", spy)
+        return calls
+
+    def test_one_reconstruct_on_a_feasible_run(self, monkeypatch):
+        instance = helpers.small_random_instance(36, n=8, q_max=4, kappa_lo=1.0, kappa_hi=1.5)
+        calls = self.counting(monkeypatch)
+        result = ts.run_ga(
+            instance, "sm", ts.GaConfig(max_generations=12, rng_seed=3, population_size=40)
+        )
+        assert result.feasible
+        assert len({p.best_fitness for p in result.trace}) > 1  # the best improved more than once
+        assert len(calls) == 1
+        assert ts.schedule_power(instance, result.assignment, "sm").watts == result.fitness
+
+    def test_no_reconstruct_when_no_genome_repairs(self, monkeypatch):
+        # generate --n 10 --kernels mixed --seed 7 (kappa 3.5, imx8-mek)
+        instance = generate_instance(
+            GeneratorConfig(kernel_pool=helpers.MIXED_POOL, n_tasks=10, rng_seed=7), helpers.MEK
+        )
+        calls = self.counting(monkeypatch)
+        result = ts.run_ga(instance, "sm", ts.GaConfig(max_generations=5, rng_seed=0))
+        assert result.assignment is None and result.fitness == math.inf
+        assert calls == []
 
 
 class TestBuildChildren:
