@@ -33,13 +33,15 @@ signed execution time for the idle-time kinds, and zero for feasibility, so
 that its first witness meets the zero root bound and closes the search. It
 keeps the grouping's window lengths up to date as tasks are inserted.
 
-The cluster-space layer works on cluster maps: each heuristic seed map is
-grouped once, and that grouping decides its fit; the cluster search returns
-its incumbent's grouping, and placements are built from a grouping only
-where a caller receives an assignment: solve's witness, a window-search
-seed priced with schedule_power, and the greedy heuristic's result. The
-greedy heuristic's trial calls, which only ask whether a map fits, build
-none.
+Every search starts from one seed: the first heuristic cluster map whose
+aligned grouping fits, the objective's own cheapest map tried first. A
+grouping decides its map's fit; the cluster search returns its incumbent's
+grouping, and the window search prices its seed grouping through the power
+model's closed form, without building an assignment. Placements are built
+from a grouping only where a caller receives an assignment: solve's witness
+(a window-search seed only when no search leaf beat it) and the greedy
+heuristic's result. The greedy heuristic's trial calls, which only ask
+whether a map fits, build none.
 
 brute_force_optimum() is an independent exhaustive enumerator used as a
 testing oracle; it shares no search code with solve().
@@ -56,7 +58,7 @@ from enum import Enum
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .model import Assignment, Instance, Placement
-from .power import PowerModel, RegressionCoefficients, schedule_power
+from .power import PowerModel, RegressionCoefficients, _closed_form
 
 _EPS = 1e-12
 
@@ -189,18 +191,26 @@ def _group(instance: Instance, cluster_of: Mapping[int, int]) -> _Grouping | Non
     return ranked, lengths
 
 
+def _cells(instance: Instance, grouping: _Grouping) -> tuple[list[int], list[int]]:
+    """Each task's window and cluster id in a grouping, by task index: its ranks cut into windows."""
+    windows = [0] * len(instance.tasks)
+    clusters = [0] * len(instance.tasks)
+    for c, entries in zip(instance.platform.clusters, grouping[0]):
+        for rank, (_, i) in enumerate(entries):
+            windows[i] = rank // c.core_count + 1
+            clusters[i] = c.id
+    return windows, clusters
+
+
 def _placed(instance: Instance, grouping: _Grouping) -> Assignment:
-    """The assignment of a grouping that fits: its ranks cut into windows.
+    """The assignment of a grouping that fits.
 
     The grouping's lengths are the assignment's tight window lengths.
     """
-    ranked, lengths = grouping
-    tasks = instance.tasks
-    placed = [None] * len(tasks)  # by task index, which is task-id order
-    for c, entries in zip(instance.platform.clusters, ranked):
-        for rank, (_, i) in enumerate(entries):
-            placed[i] = Placement(tasks[i].id, rank // c.core_count + 1, c.id)
-    return Assignment(tuple(placed), tuple(lengths + [0] * (instance.max_windows - len(lengths))))
+    lengths = grouping[1]
+    ids = [t.id for t in instance.tasks]  # task index order is task-id order
+    placed = tuple(map(Placement, ids, *_cells(instance, grouping)))
+    return Assignment(placed, tuple(lengths + [0] * (instance.max_windows - len(lengths))))
 
 
 def _balanced_cluster_map(instance: Instance, fix: Mapping[int, int]) -> dict[int, int]:
@@ -268,7 +278,14 @@ def _heuristic_cluster_maps(
     fix: Mapping[int, int],
     objective: ObjectiveSpec,
 ) -> Iterator[dict[int, int]]:
-    """Cheap complete cluster choices used to seed incumbents, built on demand."""
+    """Cheap complete cluster choices used to seed incumbents, built on demand.
+
+    Each task takes the cluster that minimizes a per-task score. The
+    objective's own cheapest map comes first: the activity-energy map for
+    SM, the star-energy map for LR-UB and the slowest-cluster map for
+    idle-min; feasibility and idle-max start from the fastest-cluster map.
+    The balanced map comes last.
+    """
     kind = objective.kind
 
     def build(score) -> dict[int, int]:
@@ -281,46 +298,45 @@ def _heuristic_cluster_maps(
                 out[t.id] = min(t.per_cluster, key=score).cluster_id
         return out
 
-    if kind is ObjectiveKind.IDLE_MIN:
-        yield build(lambda tc: -tc.exec_time_ms)
-    if kind is ObjectiveKind.LR_UB_POWER:
+    def fastest(tc):
+        return tc.exec_time_ms
+
+    def activity_energy(tc):
+        return tc.activity_coef * tc.exec_time_ms
+
+    scores = [fastest, activity_energy]
+    if kind is ObjectiveKind.SM_POWER:
+        scores.reverse()
+    elif kind is ObjectiveKind.IDLE_MIN:
+        scores.insert(0, lambda tc: -tc.exec_time_ms)
+    elif kind is ObjectiveKind.LR_UB_POWER:
         betas = objective.coefficients
 
         def star_cost(tc):
             beta = betas.beta(tc.cluster_id)
             return (tc.activity_coef * beta[0] + tc.offset_coef * beta[1]) * tc.exec_time_ms
 
-        yield build(star_cost)
-    yield build(lambda tc: tc.exec_time_ms)
-    yield build(lambda tc: tc.activity_coef * tc.exec_time_ms)
+        scores.insert(0, star_cost)
+    for score in scores:
+        yield build(score)
     yield _balanced_cluster_map(instance, fix)
 
 
 def _seed_incumbent(
-    instance: Instance,
-    fix: Mapping[int, int],
-    objective: ObjectiveSpec,
-    price: Callable[[_Grouping], tuple[float, object]],
-    root_bound: float,
-) -> tuple[object, float]:
-    """The witness and value of the best heuristic cluster map that groups feasibly.
+    instance: Instance, fix: Mapping[int, int], objective: ObjectiveSpec
+) -> _Grouping | None:
+    """The grouping of the first heuristic cluster map that groups feasibly, or None.
 
-    Each map is grouped once; price turns a grouping that fits into its
-    value and the witness the caller keeps. Returns (None, inf) when no map
-    groups feasibly. Stops at the first map whose value reaches root_bound,
-    which no other map can beat.
+    Each map is grouped once, and the search keeps the first that fits:
+    later maps would cost a grouping and a pricing each and, the
+    objective's own map coming first, rarely improve on it by enough to
+    change the search.
     """
-    best: tuple[object, float] = (None, math.inf)
     for cmap in _heuristic_cluster_maps(instance, fix, objective):
         grouping = _group(instance, cmap)
-        if grouping is None:
-            continue
-        value, witness = price(grouping)
-        if value < best[1]:
-            best = (witness, value)
-            if value <= root_bound:
-                break
-    return best
+        if grouping is not None:
+            return grouping
+    return None
 
 
 def _finish(
@@ -472,13 +488,16 @@ def _window_search(
         )
         offset_charge = sum(deltas[:: plat.total_cores])
     root_bound = p_idle + (tail[0] + offset_charge) / h
-    model = PowerModel.LR_UB if is_lrub else PowerModel.SM
-
-    def price(grouping):
-        seed = _placed(instance, grouping)
-        return schedule_power(instance, seed, model, objective.coefficients).watts, seed.placements
-
-    best_placements, best_value = _seed_incumbent(instance, fix, objective, price, root_bound)
+    # The seed grouping fits, so it is priced straight from its cells; it is
+    # placed only if it is still the incumbent when the search ends.
+    seed = _seed_incumbent(instance, fix, objective)
+    best_placements = None  # the trail of the best leaf, once one beats the seed
+    best_value = math.inf
+    if seed is not None:
+        best_value = _closed_form(
+            instance, *_cells(instance, seed), seed[1],
+            PowerModel.LR_UB if is_lrub else PowerModel.SM, objective.coefficients,
+        ).watts
     nodes = 0
     aborted = False
 
@@ -589,10 +608,10 @@ def _window_search(
                 return
 
     rec(0, 0, 0, 0.0, 0.0, 0.0)
-    assignment = (
-        None if best_placements is None
-        else Assignment.from_placements(instance, best_placements)
-    )
+    if best_placements is not None:
+        assignment = Assignment.from_placements(instance, best_placements)
+    else:
+        assignment = None if seed is None else _placed(instance, seed)
     return _finish(assignment, best_value, root_bound, nodes, aborted)
 
 
@@ -646,15 +665,9 @@ def _cluster_search(
     root_bound = base + (sign and sum(  # feasibility's bound is 0 without a sum
         min(sign * tc.exec_time_ms for tc in t.per_cluster) for t in free
     ))
-    seed, best = _seed_incumbent(
-        instance, fix, objective,
-        lambda grouping: (
-            sign and -sign * sum(  # feasibility's value is 0 without a sum
-                neg_e for entries in grouping[0] for neg_e, _ in entries
-            ),
-            grouping,
-        ),
-        root_bound,
+    seed = _seed_incumbent(instance, fix, objective)
+    best = math.inf if seed is None else sign and -sign * sum(  # feasibility: 0 without a sum
+        neg_e for entries in seed[0] for neg_e, _ in entries
     )
     timeout_bound = None if feasibility else to_value(root_bound)
     if seed is not None and best <= root_bound:

@@ -199,10 +199,8 @@ def schedule_power(
     """Average power of a whole schedule under the selected model.
 
     Raises ValueError naming the violations when check_feasible rejects the
-    assignment, whatever the model. Each model is evaluated through its
-    closed form (see the module docstring) in one pass over the tasks in
-    task-id order; SM then adds the used windows' offset terms in window
-    order. A window without tasks adds nothing, whatever its length.
+    assignment, whatever the model. Each model is then evaluated through its
+    closed form, _closed_form.
     """
     model = PowerModel(model)
     if model is not PowerModel.SM:
@@ -215,21 +213,47 @@ def schedule_power(
             f"cannot evaluate {model.value.upper()} power of an infeasible assignment: "
             + "; ".join(verdict.violations)
         )
+    placements = assignment.placements
+    return _closed_form(
+        instance,
+        [p.window for p in placements],
+        [p.cluster for p in placements],
+        assignment.window_lengths_ms,
+        model,
+        coefficients,
+    )
 
+
+def _closed_form(
+    instance: Instance,
+    windows: Sequence[int],
+    clusters: Sequence[int],
+    lengths: Sequence[int],
+    model: PowerModel,
+    coefficients: RegressionCoefficients | None,
+) -> PowerEstimate:
+    """A model's closed form (see the module docstring) over a feasible schedule.
+
+    windows[i] and clusters[i] are the 1-based window and cluster of
+    instance.tasks[i], and lengths[j - 1] the length of every window j that
+    holds a task. The caller has checked feasibility and the coefficients.
+    One pass over the tasks in task-id order; SM then adds the used windows'
+    offset terms in window order. A window without tasks adds nothing,
+    whatever its length.
+    """
     h = instance.major_frame_ms
-    lengths = assignment.window_lengths_ms
     sm, ub = model is PowerModel.SM, model is PowerModel.LR_UB  # looked up once, not per task
     activity = offset = 0.0
     peak: dict[int, float] = {}  # SM: largest offset per used window
-    for t, p in zip(instance.tasks, assignment.placements):
-        tc = t.per_cluster[p.cluster - 1]
+    for t, w, k in zip(instance.tasks, windows, clusters):
+        tc = t.per_cluster[k - 1]
         if sm:
             activity += tc.activity_coef * tc.exec_time_ms
-            if tc.offset_coef > peak.get(p.window, -math.inf):
-                peak[p.window] = tc.offset_coef
+            if tc.offset_coef > peak.get(w, -math.inf):
+                peak[w] = tc.offset_coef
         else:
-            duration = lengths[p.window - 1] if ub else tc.exec_time_ms
-            a, b = _lr_energy(tc, coefficients.beta(p.cluster), duration)
+            duration = lengths[w - 1] if ub else tc.exec_time_ms
+            a, b = _lr_energy(tc, coefficients.beta(k), duration)
             activity += a
             offset += b
     for j in sorted(peak):

@@ -4,15 +4,17 @@ instance factories and independent oracles (kept free of solver internals)."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
 from collections import namedtuple
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 import thermosched as ts
-from thermosched.generator import GeneratorConfig, generate_instance
+from thermosched.generator import GeneratorConfig, generate_instance, sweep_seed
 from thermosched.presets import builtin_coefficients, builtin_kernel_pool, builtin_platform
 
 MEK = builtin_platform("imx8-mek")
@@ -128,6 +130,44 @@ def small_random_instance(
     q_lo = max(1, math.ceil(n / MEK.total_cores))
     q = rng.randint(q_lo, max(q_lo, min(n, q_max)))
     return with_windows(inst, q)
+
+
+PINNED_SEARCH = Path(__file__).parent / "data" / "exact_pinned_search.json"
+
+
+def pinned_search_cases() -> list[dict]:
+    """The recorded exact-search cases: instance recipe, fixes and per-kind results."""
+    return json.loads(PINNED_SEARCH.read_text())
+
+
+def pinned_instance(case: dict) -> ts.Instance:
+    if "sweep" in case:
+        base_seed, n, rep = case["sweep"]
+        config = GeneratorConfig(
+            kernel_pool=MIXED_POOL, n_tasks=n,
+            rng_seed=sweep_seed(base_seed, n, rep), tightness_kappa=case["kappa"],
+        )
+        return generate_instance(config, MEK)
+    seed, kwargs = case["small"]
+    return small_random_instance(seed, **kwargs)
+
+
+def pinned_search_results(case: dict) -> dict[str, dict]:
+    """solve's outcome on a pinned case per objective kind, in the recorded form."""
+    instance = pinned_instance(case)
+    partial = dict(case["fix"]) if case["fix"] else None
+    out = {}
+    for kind in ts.ObjectiveKind:
+        result = ts.solve(instance, ts.ObjectiveSpec(kind, MEK_COEFF), partial)
+        out[kind.value] = {
+            "status": result.status.value,
+            "nodes_explored": result.nodes_explored,
+            "objective_value": result.objective_value,
+            "placements": None if result.assignment is None else [
+                [p.task_id, p.window, p.cluster] for p in result.assignment.placements
+            ],
+        }
+    return out
 
 
 def random_cluster_map(instance: ts.Instance, rng: random.Random) -> dict[int, int]:

@@ -1,18 +1,15 @@
 import dataclasses
-import json
 import random
 import time
-from pathlib import Path
 
 import pytest
 
 import helpers
 import thermosched as ts
+from thermosched import exact
 from thermosched.exact import ObjectiveKind, ObjectiveSpec, SearchStatus, _balanced_cluster_map
 from thermosched.generator import GeneratorConfig, generate_instance, sweep_seed
 from thermosched.power import RegressionCoefficients
-
-PINNED_SEARCH = Path(__file__).parent / "data" / "exact_pinned_search.json"
 
 ALL_KINDS = (
     ObjectiveKind.SM_POWER,
@@ -384,7 +381,7 @@ def test_timeout_bound_charges_window_offsets():
     The offset charge lifts it 4.5 % above the activity-only bound
     p_idle + sum_t min_k ae_tk / h; an activity-only root bound fails this.
     """
-    instance = pinned_instance({"sweep": [0, 24, 0], "kappa": 3.5})
+    instance = helpers.pinned_instance({"sweep": [0, 24, 0], "kappa": 3.5})
     result = ts.solve(instance, spec(ObjectiveKind.SM_POWER), time_limit_ms=1)
     assert result.status is SearchStatus.FEASIBLE_TIMEOUT
     activity_only = instance.platform.idle_power_watts + sum(
@@ -399,7 +396,7 @@ def six_n16_proof_nodes(kind):
     """Total nodes of proving the six sweep_seed(7, 16, rep) instances optimal."""
     nodes = 0
     for rep in range(6):
-        result = ts.solve(pinned_instance({"sweep": [7, 16, rep], "kappa": 3.5}), spec(kind))
+        result = ts.solve(helpers.pinned_instance({"sweep": [7, 16, rep], "kappa": 3.5}), spec(kind))
         assert result.status is SearchStatus.OPTIMAL, rep
         nodes += result.nodes_explored
     return nodes
@@ -421,6 +418,89 @@ def test_sm_branches_on_costliest_tasks_first():
     largest cheapest standalone cost, the same proofs take 393,231 nodes.
     """
     assert six_n16_proof_nodes(ObjectiveKind.SM_POWER) <= 60_000
+
+
+def _recording(calls, fn):
+    def recorded(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    return recorded
+
+
+def _cheapest_map(instance, score):
+    return {t.id: min(t.per_cluster, key=score).cluster_id for t in instance.tasks}
+
+
+class TestSeedIncumbent:
+    """The window search keeps the first seed map that fits and prices it by the closed form."""
+
+    @pytest.mark.parametrize(
+        "kind, model", [(ObjectiveKind.SM_POWER, "sm"), (ObjectiveKind.LR_UB_POWER, "lr-ub")],
+        ids=["sm", "lr-ub"],
+    )
+    def test_prices_one_seed_grouping(self, kind, model, monkeypatch):
+        # SM tries its activity-energy map first, LR-UB its star-energy map.
+        betas = helpers.MEK_COEFF.betas
+        own_score = {
+            "sm": lambda tc: tc.activity_coef * tc.exec_time_ms,
+            "lr-ub": lambda tc: tc.exec_time_ms * (
+                tc.activity_coef * betas[tc.cluster_id - 1][0]
+                + tc.offset_coef * betas[tc.cluster_id - 1][1]
+            ),
+        }[model]
+        group, closed_form, placed = exact._group, exact._closed_form, exact._placed
+        instances = [helpers.small_random_instance(seed) for seed in range(40)] + [
+            helpers.pinned_instance({"sweep": [seed, n, 0], "kappa": kappa})
+            for seed in range(6) for n in (12, 16) for kappa in (3.5, 5.0)
+        ]
+        first_fits = later_fits = seed_kept = 0
+        for instance in instances:
+            groupings, prices, placements = [], [], []
+            monkeypatch.setattr(exact, "_group", _recording(groupings, group))
+            monkeypatch.setattr(exact, "_closed_form", _recording(prices, closed_form))
+            monkeypatch.setattr(exact, "_placed", _recording(placements, placed))
+            result = ts.solve(instance, spec(kind))
+            monkeypatch.undo()
+            (_, first_map), _ = groupings[0]
+            assert first_map == _cheapest_map(instance, own_score)
+            # grouped until the first fit, which alone is priced
+            fits = [grouping is not None for _, grouping in groupings]
+            assert not any(fits[:-1])
+            if not fits[-1]:
+                assert prices == []
+                continue
+            first_fits += len(fits) == 1
+            later_fits += len(fits) > 1
+            seed = groupings[-1][1]
+            (_, seed_power), = prices
+            assert seed_power.watts == ts.schedule_power(
+                instance, placed(instance, seed), model, helpers.MEK_COEFF
+            ).watts
+            # placed only when the seed is still the incumbent at the end
+            if placements:
+                (_, assignment), = placements
+                assert result.assignment is assignment
+                assert result.objective_value == seed_power.watts
+                seed_kept += 1
+            else:
+                assert result.objective_value < seed_power.watts
+        assert first_fits >= 20 and later_fits >= 5 and seed_kept >= 5
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("n", [24, 30, 40, 60])
+    def test_returns_an_incumbent_at_once(self, kind, n):
+        """Every kind returns the seed when its time runs out at the root.
+
+        The seed is grouped and priced before the search first reads the
+        clock, so a 0.5 ms budget still yields a schedule on these tight
+        instances, whichever node the deadline cuts.
+        """
+        for seed in range(12):
+            instance = helpers.pinned_instance({"sweep": [seed, n, 0], "kappa": 3.5})
+            result = ts.solve(instance, spec(kind), time_limit_ms=0.5)
+            assert result.status in (SearchStatus.OPTIMAL, SearchStatus.FEASIBLE_TIMEOUT), seed
+            assert ts.check_feasible(instance, result.assignment).feasible, seed
 
 
 class TestPartialFix:
@@ -494,21 +574,7 @@ def test_balanced_seed_map_matches_full_regrouping():
     assert overflowed > 20
 
 
-def pinned_instance(case):
-    if "sweep" in case:
-        base_seed, n, rep = case["sweep"]
-        config = GeneratorConfig(
-            kernel_pool=helpers.MIXED_POOL, n_tasks=n,
-            rng_seed=sweep_seed(base_seed, n, rep), tightness_kappa=case["kappa"],
-        )
-        return generate_instance(config, helpers.MEK)
-    seed, kwargs = case["small"]
-    return helpers.small_random_instance(seed, **kwargs)
-
-
-@pytest.mark.parametrize(
-    "case", json.loads(PINNED_SEARCH.read_text()), ids=lambda c: c["case"]
-)
+@pytest.mark.parametrize("case", helpers.pinned_search_cases(), ids=lambda c: c["case"])
 def test_solve_matches_pinned_search(case):
     """Statuses, node counts and optima recorded from the apply-then-bound window search.
 
@@ -519,22 +585,18 @@ def test_solve_matches_pinned_search(case):
     child order began to price window growth, and the SM and LR-UB entries
     when the window search began to branch on each objective's costliest
     tasks first; six SM cases then found another optimum of the same value,
-    each checked against the exhaustive enumeration. Objectives are compared to
-    1e-12: the recorded values carry the last-bit drift of window
-    accumulators that were restored by subtraction.
+    each checked against the exhaustive enumeration. Two idle-min counts
+    were re-recorded when every search began to keep only the first seed
+    map that fits. Objectives are compared to 1e-12: the recorded values
+    carry the last-bit drift of window accumulators that were restored by
+    subtraction. `PYTHONPATH=src python3 tests/pinned_search_diff.py` lists
+    what moved.
     """
-    instance = pinned_instance(case)
-    partial = dict(case["fix"]) if case["fix"] else None
-    for kind in ObjectiveKind:
-        expected = case["results"][kind.value]
-        result = ts.solve(instance, spec(kind), partial)
-        placements = (
-            None if result.assignment is None
-            else [[p.task_id, p.window, p.cluster] for p in result.assignment.placements]
-        )
-        got = (result.status.value, result.nodes_explored, placements)
-        assert got == (expected["status"], expected["nodes_explored"], expected["placements"]), kind
+    for kind, got in helpers.pinned_search_results(case).items():
+        expected = case["results"][kind]
+        keys = ("status", "nodes_explored", "placements")
+        assert [got[k] for k in keys] == [expected[k] for k in keys], kind
         if expected["objective_value"] is None:
-            assert result.objective_value is None
+            assert got["objective_value"] is None
         else:
-            assert abs(result.objective_value - expected["objective_value"]) <= 1e-12, kind
+            assert abs(got["objective_value"] - expected["objective_value"]) <= 1e-12, kind
