@@ -11,6 +11,7 @@ from collections import namedtuple
 from functools import lru_cache
 from pathlib import Path
 
+import networkx
 import numpy as np
 
 import thermosched as ts
@@ -609,6 +610,40 @@ def flow_oracle_min_cost(
     v = best(0, start)
     best.cache_clear()
     return None if v == math.inf else v
+
+
+FLOW_COST_SCALE = 10**9  # network simplex needs integer weights
+
+
+def networkx_flow_min_cost(
+    instance: ts.Instance, lengths: tuple[int, ...]
+) -> float | None:
+    """Minimum total energy over fixed windows by networkx's network simplex.
+
+    Built from the instance, one node per (window, cluster) with a
+    capacity-1 arc from every task that fits it, so it shares nothing with
+    the solver's network. Costs are rounded to whole 1e-9 units, which the
+    simplex gets as integers: it is not guaranteed to terminate on float
+    weights. None when infeasible.
+    """
+    graph = networkx.DiGraph()
+    graph.add_node("sink", demand=len(instance.tasks))
+    for j in range(len(lengths)):
+        for c in instance.platform.clusters:
+            graph.add_edge(("wc", j, c.id), "sink", capacity=c.core_count, weight=0)
+    for t in instance.tasks:
+        graph.add_node(("task", t.id), demand=-1)
+        for j, length in enumerate(lengths):
+            for tc in t.per_cluster:
+                if tc.exec_time_ms <= length:
+                    graph.add_edge(
+                        ("task", t.id), ("wc", j, tc.cluster_id), capacity=1,
+                        weight=round(tc.effective_energy_cost * FLOW_COST_SCALE),
+                    )
+    try:
+        return networkx.network_simplex(graph)[0] / FLOW_COST_SCALE
+    except networkx.NetworkXUnfeasible:
+        return None
 
 
 def random_fixed_lengths(instance: ts.Instance, rng: random.Random) -> list[int]:

@@ -1,9 +1,12 @@
 import itertools
+import math
 import random
+import re
 import time
 
-import networkx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 import thermosched as ts
@@ -28,29 +31,68 @@ def two_task_instance():
     return ts.Instance(plat, tasks, 20, 2)
 
 
+def task_arcs(net):
+    return [a for a in net.arcs if a.tail < len(net.instance.tasks)]
+
+
+def sink_capacity(net, v):
+    (arc,) = [a for a in net.arcs if a.tail == v and a.head == net.sink]
+    return arc.capacity
+
+
+def windows_up_the_chain(net, v):
+    """Windows a unit entering class node v can reach: its own, then every longer one."""
+    core_count = net.instance.platform.clusters[
+        (v - len(net.instance.tasks)) // len(net.class_lengths)
+    ].core_count
+    total = 0
+    while v is not None:
+        total += sink_capacity(net, v) // core_count
+        v = next((a.head for a in net.arcs if a.tail == v and a.head != net.sink), None)
+    return total
+
+
 class TestBuildNetwork:
     def test_construction_counts_and_balances(self):
         instance = two_task_instance()
         net = build_network(instance, [10])
-        # 2 tasks + 2 wc nodes + sink
+        # 2 tasks + 2 class nodes + sink
         assert net.sink == 4
-        task_arcs = [a for a, p in zip(net.arcs, net.arc_placements) if p is not None]
-        sink_arcs = [a for a, p in zip(net.arcs, net.arc_placements) if p is None]
-        assert len(task_arcs) == 4 and len(sink_arcs) == 2
-        assert {a.tail for a in task_arcs} == {0, 1}
-        assert {a.head for a in sink_arcs} == {net.sink}
-        assert all(a.capacity == 1 for a in task_arcs)
+        sink_arcs = [a for a in net.arcs if a.head == net.sink]
+        assert len(task_arcs(net)) == 4 and len(sink_arcs) == 2 and len(net.arcs) == 6
+        assert {a.tail for a in task_arcs(net)} == {0, 1}
+        assert all(a.capacity == 1 for a in task_arcs(net))
         assert {a.capacity for a in sink_arcs} == {1}
+
+        # a repeated length is one class whose sink arc takes both windows,
+        # and a zero length gets no class
+        three = ts.Instance(instance.platform, instance.tasks, 40, 4)
+        net = build_network(three, [10, 12, 0, 10])
+        assert net.class_lengths == (12, 10)
+        assert net.sink == 2 + 2 * 2
+        for ci in range(2):
+            longest, shorter = 2 + 2 * ci, 3 + 2 * ci
+            assert sink_capacity(net, longest) == 1 and sink_capacity(net, shorter) == 2
+            chain = [a for a in net.arcs if a.tail == shorter and a.head != net.sink]
+            assert [(a.head, a.cost) for a in chain] == [(longest, 0.0)]
+            assert chain[0].capacity >= len(instance.tasks)
+        assert len(net.arcs) == 4 + 2 * 2 + 2
+        assert sum(a.capacity for a in net.arcs if a.head == net.sink) == 2 * 3
 
     def test_fits_in_window_predicate(self):
         instance = two_task_instance()
         net = build_network(instance, [9])
-        assert len([p for p in net.arc_placements if p is not None]) == 0
+        assert task_arcs(net) == []
         assert not min_cost_assignment(net).feasible
+        # exec time 10 fits a length of exactly 10, and only that class
+        wide = ts.Instance(instance.platform, instance.tasks, 40, 3)
+        net = build_network(wide, [9, 10, 11])
+        assert net.class_lengths == (11, 10, 9)
+        assert {a.head - 2 for a in task_arcs(net)} == {1, 3 + 1}
 
     def test_unit_little_times_reach_every_window(self):
         # shape of the hardness reduction: e on cluster 2 is always 1,
-        # so every task gets an arc to every (window, cluster-2) node
+        # so every task's cluster-2 arc reaches every window
         plat = ts.Platform(
             clusters=(
                 ts.Cluster(id=1, core_count=1, label="a", frequency_mhz=1000),
@@ -69,15 +111,16 @@ class TestBuildNetwork:
         )
         q = len(tasks) // 2
         instance = ts.Instance(plat, tasks, B * q, q)
-        net = build_network(instance, [B] * q)
-        for t in tasks:
-            arcs_to_c2 = [
-                p for p in net.arc_placements if p is not None and p[0] == t.id and p[2] == 2
-            ]
-            assert len(arcs_to_c2) == q
+        lengths = [B] * (q - 1) + [B - 1]  # two classes, so the chain shows
+        net = build_network(instance, lengths)
+        cluster2 = range(len(tasks) + len(net.class_lengths), net.sink)
+        for ti in range(len(tasks)):
+            arcs_to_c2 = [a for a in net.arcs if a.tail == ti and a.head in cluster2]
+            assert len(arcs_to_c2) == 1
+            assert windows_up_the_chain(net, arcs_to_c2[0].head) == q
 
-    def test_arcs_end_at_their_window_cluster_node(self):
-        # three clusters and three windows, so a misnumbered node shows
+    def test_arcs_end_at_their_class_node(self):
+        # three clusters and three lengths, so a misnumbered node shows
         plat = ts.Platform(
             clusters=tuple(ts.Cluster(id=k, core_count=k, label=f"c{k}") for k in (1, 2, 3)),
             idle_power_watts=0.0,
@@ -88,25 +131,44 @@ class TestBuildNetwork:
             ))
             for i in range(1, 5)
         )
-        net = build_network(ts.Instance(plat, tasks, 60, 3), [20, 15, 10])
-        n, m = 4, 3
-        assert net.sink == n + 3 * m
-        wc_nodes = range(n, net.sink)
+        lengths = [15, 20, 10]
+        net = build_network(ts.Instance(plat, tasks, 60, 3), lengths)
+        n, m, d = 4, 3, 3
+        assert net.class_lengths == (20, 15, 10)
+        assert net.sink == n + m * d
+        class_nodes = range(n, net.sink)
         reached = set()
-        for arc, p in zip(net.arcs, net.arc_placements):
-            if p is None:
-                assert arc.tail in wc_nodes and arc.head == net.sink
+        for arc in net.arcs:
+            if arc.tail in class_nodes:
+                ci, r = divmod(arc.tail - n, d)
+                if arc.head == net.sink:
+                    assert arc.capacity == plat.clusters[ci].core_count
+                else:
+                    assert r > 0 and arc.head == arc.tail - 1 and arc.cost == 0.0
                 continue
-            tid, j, k = p
-            assert arc.tail == tid - 1
-            assert arc.head == n + (j - 1) * m + (k - 1)
-            reached.add((j, k))
-        assert reached == {(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)}
+            t = tasks[arc.tail]
+            ci, r = divmod(arc.head - n, d)
+            # the class of the shortest length the task fits
+            e = t.per_cluster[ci].exec_time_ms
+            assert net.class_lengths[r] == min(l for l in lengths if l >= e)
+            assert arc.cost == t.per_cluster[ci].effective_energy_cost
+            reached.add((ci + 1, net.class_lengths[r]))
+        assert reached == {(1, 10), (2, 15), (3, 20)}
+        assert len(net.arcs) == n * m + m * d + m * (d - 1)
 
     def test_budget_precondition(self):
         instance = two_task_instance()
         with pytest.raises(ValueError):
             build_network(instance, [15, 15])
+
+    @pytest.mark.parametrize(
+        "bad", [10.9, True, math.inf, math.nan, "10", None],
+        ids=["float", "bool", "inf", "nan", "str", "none"],
+    )
+    def test_refuses_a_length_that_is_not_an_integer(self, bad):
+        instance = two_task_instance()
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            build_network(instance, [bad, 1])
 
 
 class TestMinCostAssignment:
@@ -141,16 +203,29 @@ class TestMinCostAssignment:
 
     def test_integrality(self):
         rng = random.Random(3)
+        feasible = 0
         for seed in range(10):
             instance = helpers.small_random_instance(seed)
-            lengths = helpers.random_fixed_lengths(instance, rng)
-            net = build_network(instance, lengths)
-            result = min_cost_assignment(net)
-            if result.feasible:
-                # one whole unit per task, on one of the task's arcs
-                chosen = {(p.task_id, p.window, p.cluster) for p in result.assignment.placements}
-                assert len(chosen) == len(instance.tasks)
-                assert chosen <= set(net.arc_placements)
+            candidates = [helpers.random_fixed_lengths(instance, rng)]
+            witness = ts.solve(instance, ts.ObjectiveSpec(ts.ObjectiveKind.FEASIBILITY_ONLY))
+            if witness.assignment is not None:
+                candidates.append(witness.assignment.window_lengths_ms)
+            for lengths in candidates:
+                net = build_network(instance, lengths)
+                result = min_cost_assignment(net)
+                if not result.feasible:
+                    continue
+                feasible += 1
+                # one whole unit per task, on one of the task's arcs: the
+                # window has at least the length of the class the arc enters
+                n, d = len(instance.tasks), len(net.class_lengths)
+                placements = result.assignment.placements
+                assert [p.task_id for p in placements] == [t.id for t in instance.tasks]
+                for ti, p in enumerate(placements):
+                    (arc,) = [a for a in task_arcs(net) if a.tail == ti
+                              and (a.head - n) // d == p.cluster - 1]
+                    assert lengths[p.window - 1] >= net.class_lengths[(arc.head - n) % d]
+        assert feasible >= 5
 
     def test_matches_exhaustive_minimum(self):
         rng = random.Random(4)
@@ -270,25 +345,66 @@ class TestMinCostAssignment:
         assert elapsed < 1.0
 
 
-def networkx_min_cost(network):
-    """Minimum cost by networkx's network simplex, or None when infeasible.
+def fixed_window_case(cores, times, costs, lengths, extra_windows=0):
+    """Tasks with the given per-cluster times and costs, and the fixed lengths."""
+    plat = ts.Platform(
+        clusters=tuple(ts.Cluster(id=k, core_count=c) for k, c in enumerate(cores, start=1)),
+        idle_power_watts=0.0,
+    )
+    tasks = tuple(
+        ts.Task(i, f"t{i}", tuple(
+            ts.TaskCharacteristics(k, e, 0.1, 0.1, energy_cost=c)
+            for k, (e, c) in enumerate(zip(row, cost_row), start=1)
+        ))
+        for i, (row, cost_row) in enumerate(zip(times, costs), start=1)
+    )
+    instance = ts.Instance(plat, tasks, max(1, sum(lengths)), len(lengths) + extra_windows)
+    return instance, tuple(lengths)
 
-    Costs are whole hundredths, which the simplex gets as integers: it is
-    not guaranteed to terminate on float weights.
-    """
-    graph = networkx.DiGraph()
-    n = len(network.instance.tasks)
-    # every task supplies one unit and the sink absorbs all n
-    for v in range(network.sink + 1):
-        graph.add_node(v, demand=-1 if v < n else n if v == network.sink else 0)
-    for a in network.arcs:
-        weight = round(a.cost * 100)
-        assert weight == pytest.approx(a.cost * 100, abs=1e-6)
-        graph.add_edge(a.tail, a.head, capacity=a.capacity, weight=weight)
-    try:
-        return networkx.network_simplex(graph)[0] / 100
-    except networkx.NetworkXUnfeasible:
-        return None
+
+@st.composite
+def fixed_window_cases(draw):
+    cores = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    n = draw(st.integers(0, 6))
+    row = st.lists(st.integers(1, 9), min_size=len(cores), max_size=len(cores))
+    cost_row = st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0]), min_size=len(cores), max_size=len(cores)
+    )
+    times = draw(st.lists(row, min_size=n, max_size=n))
+    costs = draw(st.lists(cost_row, min_size=n, max_size=n))
+    # few distinct values, so lengths repeat, and zero and short ones occur
+    lengths = draw(st.lists(st.sampled_from([0, 1, 3, 5, 9]), min_size=1, max_size=4))
+    return fixed_window_case(cores, times, costs, lengths, draw(st.integers(0, 1)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=fixed_window_cases())
+@example(case=fixed_window_case([2], [], [], [0, 5]))
+@example(case=fixed_window_case([1, 2], [[4, 6], [5, 5]], [[1.0, 0.0], [2.5, 0.5]], [3, 2, 0]))
+@example(case=fixed_window_case([2], [[3], [3], [1]], [[1.0], [0.5], [2.5]], [3, 3, 0]))
+def test_agrees_with_the_capacity_dp(case):
+    instance, lengths = case
+    result = min_cost_assignment(build_network(instance, lengths))
+    expected = helpers.flow_oracle_min_cost(instance, lengths)
+    assert result.feasible == (expected is not None)
+    if expected is None:
+        return
+    assert result.total_cost == pytest.approx(expected, abs=1e-9)
+    asg = result.assignment
+    assert ts.check_feasible(instance, asg).feasible
+    given_lengths = lengths + (0,) * (instance.max_windows - len(lengths))
+    assert all(a <= b for a, b in zip(asg.window_lengths_ms, given_lengths, strict=True))
+    # rank decode: per cluster, tasks by descending time fill the windows by
+    # descending length, core_count per window
+    by_length = sorted(range(len(lengths)), key=lambda j: (-lengths[j], j))
+    window_of = {p.task_id: p.window for p in asg.placements}
+    for c in instance.platform.clusters:
+        members = sorted(
+            (p.task_id for p in asg.placements if p.cluster == c.id),
+            key=lambda tid: (-instance.task_by_id(tid).on(c.id).exec_time_ms, tid),
+        )
+        for rank, tid in enumerate(members):
+            assert window_of[tid] == by_length[rank // c.core_count] + 1
 
 
 class TestContendedAgainstNetworkx:
@@ -308,10 +424,11 @@ class TestContendedAgainstNetworkx:
             instance = helpers.with_windows(inst, q)
             witness = ts.solve(instance, ts.ObjectiveSpec(ts.ObjectiveKind.FEASIBILITY_ONLY))
             assert witness.status is ts.SearchStatus.OPTIMAL
-            net = build_network(instance, witness.assignment.window_lengths_ms)
-            result = min_cost_assignment(net)
+            lengths = witness.assignment.window_lengths_ms
+            result = min_cost_assignment(build_network(instance, lengths))
             assert result.feasible
-            assert result.total_cost == pytest.approx(networkx_min_cost(net), abs=1e-7)
+            expected = helpers.networkx_flow_min_cost(instance, lengths)
+            assert result.total_cost == pytest.approx(expected, abs=1e-7)
             assert ts.check_feasible(instance, result.assignment).feasible
 
     def test_shortened_longest_window_is_infeasible(self, mixed_pool, mek_platform):
@@ -324,6 +441,5 @@ class TestContendedAgainstNetworkx:
         witness = ts.solve(instance, ts.ObjectiveSpec(ts.ObjectiveKind.FEASIBILITY_ONLY))
         lengths = list(witness.assignment.window_lengths_ms)
         lengths[lengths.index(max(lengths))] -= 1
-        net = build_network(instance, lengths)
-        assert networkx_min_cost(net) is None
-        assert not min_cost_assignment(net).feasible
+        assert helpers.networkx_flow_min_cost(instance, lengths) is None
+        assert not min_cost_assignment(build_network(instance, lengths)).feasible
