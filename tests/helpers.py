@@ -142,15 +142,20 @@ def pinned_search_cases() -> list[dict]:
 
 
 def pinned_instance(case: dict) -> ts.Instance:
+    """The instance of a recipe: a sweep or small random instance, offsets negated on request."""
     if "sweep" in case:
         base_seed, n, rep = case["sweep"]
         config = GeneratorConfig(
             kernel_pool=MIXED_POOL, n_tasks=n,
             rng_seed=sweep_seed(base_seed, n, rep), tightness_kappa=case["kappa"],
         )
-        return generate_instance(config, MEK)
-    seed, kwargs = case["small"]
-    return small_random_instance(seed, **kwargs)
+        instance = generate_instance(config, MEK)
+    else:
+        seed, kwargs = case["small"]
+        instance = small_random_instance(seed, **kwargs)
+    if case.get("negated_odd_offsets"):
+        instance = with_negated_odd_offsets(instance)
+    return instance
 
 
 def pinned_search_results(case: dict) -> dict[str, dict]:
