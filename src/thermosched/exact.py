@@ -381,75 +381,79 @@ def _window_search(
     is_lrub = objective.kind is ObjectiveKind.LR_UB_POWER
     betas = objective.coefficients.betas if is_lrub else None
 
-    # Branch on the tasks that cost the objective most first, so that the
-    # bound kills branches near the root (fail first). Over a task's allowed
-    # clusters: for SM its cheapest standalone cost min_k(ae + e*off), which
-    # the root bound's offset charge reuses; for LR-UB its smallest time per
-    # core min_k(e / cores). Ties go to the lower task id.
-    tasks = instance.tasks
-    allowed_by_task = [
-        ((fix[t.id] - 1),) if t.id in fix else tuple(range(m)) for t in tasks
-    ]
-    if is_lrub:
-        key = [
-            min(t.per_cluster[ci].exec_time_ms / caps[ci] for ci in cis)
-            for t, cis in zip(tasks, allowed_by_task)
-        ]
-    else:
-        key = [
-            min(
-                tc.activity_coef * tc.exec_time_ms + tc.exec_time_ms * tc.offset_coef
-                for tc in (t.per_cluster[ci] for ci in cis)
-            )
-            for t, cis in zip(tasks, allowed_by_task)
-        ]
-    order = sorted(range(n), key=lambda i: (-key[i], tasks[i].id))
-    ordered = [tasks[i] for i in order]
-    tid = [t.id for t in ordered]
-    allowed = [allowed_by_task[i] for i in order]
-    exec_ms = [[tc.exec_time_ms for tc in t.per_cluster] for t in ordered]
-    # Per (task, cluster): the window coefficient the task brings (its offset
+    # One pass over the tasks builds, by task index, their allowed cluster
+    # positions and per-cluster tables, and the minima over the allowed
+    # clusters that the order, the bounds and lam take. Per (task, cluster):
+    # the execution time, the window coefficient the task brings (its offset
     # for SM, merged by max; its star rate for LR-UB, merged by sum) and the
     # activity energy it adds outside the window terms (zero for LR-UB).
-    if is_lrub:
-        coef = [
-            [
+    # Each minimum keeps the first of equal values, as min() does.
+    tasks = instance.tasks
+    rows = []
+    key = []
+    incr = []
+    neg_b = []
+    min_coef = []
+    zeros = [0.0] * m
+    for t in tasks:
+        pc = t.per_cluster
+        cis = (fix[t.id] - 1,) if t.id in fix else tuple(range(m))
+        exec_row = [tc.exec_time_ms for tc in pc]
+        if is_lrub:
+            coef_row = [
                 tc.activity_coef * betas[ci][0] + tc.offset_coef * betas[ci][1]
-                for ci, tc in enumerate(t.per_cluster)
+                for ci, tc in enumerate(pc)
             ]
-            for t in ordered
-        ]
-        act_e = [[0.0] * m for _ in ordered]
-    else:
-        coef = [[tc.offset_coef for tc in t.per_cluster] for t in ordered]
-        act_e = [
-            [tc.activity_coef * tc.exec_time_ms for tc in t.per_cluster]
-            for t in ordered
-        ]
+            act_row = zeros
+        else:
+            coef_row = [tc.offset_coef for tc in pc]
+            act_row = [tc.activity_coef * tc.exec_time_ms for tc in pc]
+        rows.append((cis, exec_row, coef_row, act_row))
+        k_min = i_min = c_min = None
+        for ci in cis:
+            e = exec_row[ci]
+            c = coef_row[ci]
+            if is_lrub:
+                k = e / caps[ci]
+                i = (c * e) if c >= 0.0 else c * h
+            else:
+                i = act_row[ci]
+                k = i + e * c
+            if k_min is None or k < k_min:
+                k_min = k
+            if i_min is None or i < i_min:
+                i_min = i
+            if c_min is None or c < c_min:
+                c_min = c
+        key.append(k_min)
+        incr.append(i_min)
+        neg_b.append(0.0 if is_lrub else min(0.0, c_min * h))
+        min_coef.append(c_min)
+
+    # Branch on the tasks that cost the objective most first, so that the
+    # bound kills branches near the root (fail first). The key is, over a
+    # task's allowed clusters: for SM its cheapest standalone cost
+    # min_k(ae + e*off), which the root bound's offset charge reuses; for
+    # LR-UB its smallest time per core min_k(e / cores). Ties go to the
+    # lower task id. From here on tasks are indexed by depth.
+    order = sorted(range(n), key=lambda i: (-key[i], tasks[i].id))
+    tid = [tasks[i].id for i in order]
+    incr = [incr[i] for i in order]
+    neg_b = [neg_b[i] for i in order]
+    min_coef = [min_coef[i] for i in order]
 
     # Admissible bound on what the unassigned tasks from depth d on can add:
     # tail[d]. For SM every placement adds at least the smallest activity
-    # energy, and offsets of not-yet-placed tasks can only lower the
-    # objective when negative, which the h-scaled slack covers. For LR-UB a
-    # placement adds at least its star energy, or h times a negative rate.
-    if is_lrub:
-        incr = [
-            min(
-                (coef[p][ci] * exec_ms[p][ci]) if coef[p][ci] >= 0.0 else coef[p][ci] * h
-                for ci in allowed[p]
-            )
-            for p in range(n)
-        ]
-        neg_b = [0.0] * n
-    else:
-        incr = [min(act_e[p][ci] for ci in allowed[p]) for p in range(n)]
-        neg_b = [min(0.0, min(coef[p][ci] for ci in allowed[p]) * h) for p in range(n)]
+    # energy (incr), and offsets of not-yet-placed tasks can only lower the
+    # objective when negative, which the h-scaled slack neg_b covers. For
+    # LR-UB a placement adds at least its star energy, or h times a negative
+    # rate.
     # The child order prices window growth at lam per ms (see the sort):
     # for LR-UB the mean over tasks of the cheapest allowed rate, floored at
     # 0; for SM 0, which leaves its order the plain objective change.
     lam = 0.0
     if is_lrub and n:
-        lam = max(0.0, sum(min(coef[p][ci] for ci in allowed[p]) for p in range(n)) / n)
+        lam = max(0.0, sum(min_coef) / n)
     suffix = [0.0] * (n + 1)
     suffix_neg = [0.0] * (n + 1)
     for p in range(n - 1, -1, -1):
@@ -457,15 +461,47 @@ def _window_search(
         suffix_neg[p] = suffix_neg[p + 1] + neg_b[p]
     tail = [suffix[p] + suffix_neg[p] for p in range(n + 1)]
 
+    # choices[d] lists, per allowed cluster of the task at depth d:
+    # (ci, e, c, ae) and what the task adds by opening the empty window
+    # there. That depends on the task and cluster alone: an Instance
+    # guarantees e >= 1 ms and at least one core per cluster, so the empty
+    # window always has a free core and takes length e and coefficient c.
+    # The entries are the exact term e*c, the admissible term (e*c, or h*c
+    # when c is negative) and the child-order key.
+    choices = []
+    for i in order:
+        cis, exec_row, coef_row, act_row = rows[i]
+        row = []
+        for ci in cis:
+            e = exec_row[ci]
+            c = coef_row[ci]
+            ae = act_row[ci]
+            o_true = e * c
+            row.append((ci, e, c, ae, o_true, o_true if c >= 0.0 else h * c, ae + o_true + lam * e))
+        choices.append(tuple(row))
+
     # Window state. Windows open in index order, so windows below `used` hold
     # at least one task and window `used` is the only empty one a task may
     # take. room[ci][j] is the free core count of cluster ci in window j;
-    # wcoef[j] is the window's merged coefficient (max offset for SM, summed
-    # star rate for LR-UB).
+    # wcoef[j] is the window's merged coefficient s (max offset for SM,
+    # summed star rate for LR-UB). Each open window also caches its two
+    # terms, so that a candidate prices only the window it would change:
+    # wtrue[j] = l*s, its exact term, and wsafe[j], its admissible term (l*s,
+    # or h*s when s < 0, since the window could still grow). Applying a
+    # child updates the five lists and undoing it assigns the saved values
+    # back. The placed path is kept per depth, window and cluster position
+    # in pick_w and pick_c; placement triples are built only for a new best
+    # leaf and for the node recorder.
     room = [[caps[ci]] * q for ci in range(m)]
     wlen = [0] * q
     wcoef = [0.0] * q
-    trail: list[tuple[int, int, int]] = []
+    wtrue = [0.0] * q
+    wsafe = [0.0] * q
+    pick_w = [0] * n
+    pick_c = [0] * n
+
+    def placed_path(depth: int) -> tuple[tuple[int, int, int], ...]:
+        return tuple((tid[d], pick_w[d] + 1, pick_c[d] + 1) for d in range(depth))
 
     # The root bound also charges SM window offsets, once per solve. A task p
     # whose allowed offsets are all nonnegative costs, together with the
@@ -479,11 +515,7 @@ def _window_search(
     offset_charge = 0.0
     if not is_lrub:
         deltas = sorted(
-            (
-                key[order[p]] - incr[p]
-                for p in range(n)
-                if min(coef[p][ci] for ci in allowed[p]) >= 0.0
-            ),
+            (key[order[p]] - incr[p] for p in range(n) if min_coef[p] >= 0.0),
             reverse=True,
         )
         offset_charge = sum(deltas[:: plat.total_cores])
@@ -491,7 +523,7 @@ def _window_search(
     # The seed grouping fits, so it is priced straight from its cells; it is
     # placed only if it is still the incumbent when the search ends.
     seed = _seed_incumbent(instance, fix, objective)
-    best_placements = None  # the trail of the best leaf, once one beats the seed
+    best_placements = None  # the path of the best leaf, once one beats the seed
     best_value = math.inf
     if seed is not None:
         best_value = _closed_form(
@@ -503,8 +535,7 @@ def _window_search(
 
     # A node carries its accumulators as arguments: sum_ae (activity energy,
     # SM only), true (exact window offset or star terms) and safe (their
-    # admissible lower bounds, h-scaled where a window's coefficient is
-    # negative and the window could still grow). Its bound is
+    # admissible lower bounds). Its bound is
     # p_idle + (safe + tail[depth] + sum_ae) / h.
     def rec(depth: int, used: int, suml: int, sum_ae: float, true: float, safe: float):
         nonlocal nodes, aborted, best_placements, best_value
@@ -513,31 +544,29 @@ def _window_search(
             aborted = True
             return
         if node_recorder is not None:
-            node_recorder(tuple(trail), p_idle + (safe + tail[depth] + sum_ae) / h)
+            node_recorder(placed_path(depth), p_idle + (safe + tail[depth] + sum_ae) / h)
         if depth == n:
             value = p_idle + (true + sum_ae) / h
             if value < best_value:
-                best_placements = tuple(trail)
+                best_placements = placed_path(n)
                 best_value = value
             return
 
         # Generate every placement with its change to the true and safe
         # window terms and bound it, without touching the shared window
-        # state; options the incumbent already prunes are dropped here.
+        # state; options the incumbent already prunes are dropped here. The
+        # incumbent cannot change while they are generated, so its cut is
+        # read once. The open windows come first, then the empty one.
+        cut = best_value - _EPS
         options = []
-        open_limit = used + 1 if used < q else q
-        exec_row = exec_ms[depth]
-        coef_row = coef[depth]
-        act_row = act_e[depth]
         room_left = h - suml
         depth1 = depth + 1
         tail1 = tail[depth1]
-        for ci in allowed[depth]:
-            e = exec_row[ci]
-            c = coef_row[ci]
-            ae = act_row[ci]
+        can_open = used < q
+        for ci, e, c, ae, o_true, o_safe, o_key in choices[depth]:
+            child_ae = sum_ae + ae
             free = room[ci]
-            for j in range(open_limit):
+            for j in range(used):
                 if free[j] == 0:
                     continue
                 wl = wlen[j]
@@ -545,32 +574,30 @@ def _window_search(
                 if grow > room_left:
                     continue
                 newl = wl + grow
-                if j == used:  # empty window
-                    news = c
-                    dtrue = newl * news
-                    dsafe = dtrue if news >= 0.0 else h * news
+                s = wcoef[j]
+                if is_lrub:
+                    news = s + c
                 else:
-                    s = wcoef[j]
-                    if is_lrub:
-                        news = s + c
-                    else:
-                        news = s if s >= c else c
-                    old_true = wl * s
-                    new_true = newl * news
-                    dtrue = new_true - old_true
-                    dsafe = (new_true if news >= 0.0 else h * news) - (
-                        old_true if s >= 0.0 else h * s
-                    )
-                child_safe = safe + dsafe
-                child_ae = sum_ae + ae
+                    news = s if s >= c else c
+                new_true = newl * news
+                dtrue = new_true - wtrue[j]
+                child_safe = safe + ((new_true if news >= 0.0 else h * news) - wsafe[j])
                 bound = p_idle + (child_safe + tail1 + child_ae) / h
-                if bound >= best_value - _EPS:
+                if bound >= cut:
                     continue
                 options.append((
                     ae + dtrue + lam * grow, ci, j, bound, newl, news, true + dtrue,
                     child_safe, child_ae,
                 ))
-        options.sort()
+            if can_open and e <= room_left:
+                child_safe = safe + o_safe
+                bound = p_idle + (child_safe + tail1 + child_ae) / h
+                if bound < cut:
+                    options.append((
+                        o_key, ci, used, bound, e, c, true + o_true, child_safe, child_ae,
+                    ))
+        if len(options) > 1:
+            options.sort()
 
         # Visit in order of increasing objective change plus lam per ms of
         # window growth. Under LR-UB every task of a window pays the window's
@@ -580,18 +607,23 @@ def _window_search(
         # uses up frame time that the tasks still to come pay for at about
         # lam per ms. The incumbent only improves, so an option bounded out
         # above stays out; the rest are bounded again against the incumbent
-        # as it stands now, and only one that survives is applied. Undo
-        # assigns the saved values back.
+        # as it stands now, and only one that survives is applied.
         for _, ci, j, bound, newl, news, child_true, child_safe, child_ae in options:
-            if bound >= best_value - _EPS:
+            if bound >= cut:
                 continue
             free = room[ci]
             wl = wlen[j]
             s = wcoef[j]
+            old_true = wtrue[j]
+            old_safe = wsafe[j]
+            new_true = newl * news
             free[j] -= 1
             wlen[j] = newl
             wcoef[j] = news
-            trail.append((tid[depth], j + 1, ci + 1))
+            wtrue[j] = new_true
+            wsafe[j] = new_true if news >= 0.0 else h * news
+            pick_w[depth] = j
+            pick_c[depth] = ci
             rec(
                 depth1,
                 used + 1 if j == used else used,
@@ -600,12 +632,14 @@ def _window_search(
                 child_true,
                 child_safe,
             )
-            trail.pop()
             free[j] += 1
             wlen[j] = wl
             wcoef[j] = s
+            wtrue[j] = old_true
+            wsafe[j] = old_safe
             if aborted:
                 return
+            cut = best_value - _EPS
 
     rec(0, 0, 0, 0.0, 0.0, 0.0)
     if best_placements is not None:

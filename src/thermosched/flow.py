@@ -40,7 +40,7 @@ from typing import Sequence
 from .model import Assignment, Instance, Placement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowArc:
     tail: int
     head: int

@@ -38,7 +38,7 @@ class Unusable(ValueError):
 IDLE = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cluster:
     """A group of identical cores sharing one architecture and clock frequency."""
 
@@ -78,7 +78,7 @@ class Platform:
         return self.thermal_b is not None  # the three are given together or not at all
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskCharacteristics:
     """Execution time and power coefficients of one task on one cluster.
 
@@ -101,7 +101,7 @@ class TaskCharacteristics:
         return self.activity_coef * self.exec_time_ms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task:
     """per_cluster holds one entry per platform cluster, in cluster id order.
 
@@ -151,7 +151,7 @@ class Instance:
             raise KeyError(f"no task with id {task_id}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
     """One task mapped to a window index and a cluster index (both 1-based)."""
 

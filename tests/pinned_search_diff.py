@@ -10,13 +10,29 @@ objective, and whether the placements are the same; moved placements are
 printed in full. The last line counts the entries that moved. The file is
 only read: an entry that moves on purpose is re-recorded by hand, and this
 listing is what a change note quotes.
+
+With --sweep it instead prints one line per generated instance and kind,
+to be diffed between two checkouts, each run with its own src on the path:
+
+    PYTHONPATH=src python3 tests/pinned_search_diff.py --sweep > new.txt
+    PYTHONPATH=../old/src python3 tests/pinned_search_diff.py --sweep > old.txt
+    diff old.txt new.txt
+
+A line holds sweep_seed(base, n, r), the kind, the status, the node count,
+the repr of the objective and a digest of the placements. The defaults are
+exact-bnb's core jobs: n = 12, kappa 3.5, bases 0 and 1, r < 432, SM and
+LR-UB power.
 """
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import sys
 
 import helpers
+import thermosched as ts
+from thermosched.generator import sweep_seed
 
 
 def _describe(entry: dict) -> str:
@@ -25,7 +41,7 @@ def _describe(entry: dict) -> str:
     return f"{entry['status']} {entry['nodes_explored']} nodes {shown}"
 
 
-def main() -> int:
+def compare_pinned() -> None:
     moved = 0
     total = 0
     for case in helpers.pinned_search_cases():
@@ -44,6 +60,38 @@ def main() -> int:
                 print(f"      old placements: {old['placements']}")
                 print(f"      new placements: {new['placements']}")
     print(f"{moved} of {total} entries moved")
+
+
+def list_sweep(bases: list[int], n: int, kappa: float, reps: int, kinds: list[str]) -> None:
+    specs = [ts.ObjectiveSpec(ts.ObjectiveKind(kind), helpers.MEK_COEFF) for kind in kinds]
+    for base in bases:
+        for r in range(reps):
+            instance = helpers.pinned_instance({"sweep": [base, n, r], "kappa": kappa})
+            for spec in specs:
+                result = ts.solve(instance, spec)
+                placements = None if result.assignment is None else result.assignment.placements
+                digest = hashlib.sha1(repr(placements).encode()).hexdigest()[:16]
+                print(
+                    sweep_seed(base, n, r), spec.kind.value, result.status.value,
+                    result.nodes_explored, repr(result.objective_value), digest,
+                )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sweep", action="store_true",
+                        help="list generated instances instead of the recorded cases")
+    parser.add_argument("--bases", type=int, nargs="+", default=[0, 1])
+    parser.add_argument("--n", type=int, default=12)
+    parser.add_argument("--kappa", type=float, default=3.5)
+    parser.add_argument("--reps", type=int, default=432)
+    parser.add_argument("--kinds", nargs="+", default=["sm-power", "lr-ub-power"],
+                        choices=[k.value for k in ts.ObjectiveKind])
+    args = parser.parse_args(argv)
+    if args.sweep:
+        list_sweep(args.bases, args.n, args.kappa, args.reps, args.kinds)
+    else:
+        compare_pinned()
     return 0
 
 

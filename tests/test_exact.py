@@ -603,3 +603,34 @@ def test_solve_matches_pinned_search(case):
             assert got["objective_value"] is None
         else:
             assert abs(got["objective_value"] - expected["objective_value"]) <= 1e-12, kind
+
+
+RECORDER_CASES = ("sweep-b0-n12", "small-s30-fix", "sweep-b1-n10-negated")
+
+
+@pytest.mark.parametrize("kind", [ObjectiveKind.SM_POWER, ObjectiveKind.LR_UB_POWER],
+                         ids=lambda k: k.value)
+def test_node_recorder_sees_every_node_on_its_path(kind):
+    """node_recorder is called once per node entered, with the node's placed path.
+
+    The root comes first with an empty prefix, and every later prefix
+    extends one recorded before it by exactly one (task, window, cluster)
+    placement: its parent's. The cases include a partial fix under which
+    no schedule exists, and negated offsets.
+    """
+    cases = {c["case"]: c for c in helpers.pinned_search_cases()}
+    for name in RECORDER_CASES:
+        case = cases[name]
+        prefixes = []
+        result = ts.solve(
+            helpers.pinned_instance(case), spec(kind), dict(case["fix"]) or None,
+            node_recorder=lambda prefix, bound: prefixes.append(prefix),
+        )
+        assert len(prefixes) == result.nodes_explored > 1, name
+        assert prefixes[0] == (), name
+        seen = {()}
+        for prefix in prefixes[1:]:
+            assert prefix[:-1] in seen, (name, prefix)
+            assert len(prefix[-1]) == 3 and all(type(x) is int for x in prefix[-1]), (name, prefix)
+            seen.add(prefix)
+        assert len(seen) == len(prefixes), name
