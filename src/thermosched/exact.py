@@ -477,7 +477,8 @@ def _window_search(
             c = coef_row[ci]
             ae = act_row[ci]
             o_true = e * c
-            row.append((ci, e, c, ae, o_true, o_true if c >= 0.0 else h * c, ae + o_true + lam * e))
+            o_safe = o_true if c >= 0.0 else h * c
+            row.append((ci, e, c, ae, o_true, o_safe, ae + o_true + lam * e))
         choices.append(tuple(row))
 
     # Window state. Windows open in index order, so windows below `used` hold
@@ -567,13 +568,17 @@ def _window_search(
             child_ae = sum_ae + ae
             free = room[ci]
             for j in range(used):
-                if free[j] == 0:
+                if not free[j]:
                     continue
                 wl = wlen[j]
-                grow = e - wl if e > wl else 0
-                if grow > room_left:
-                    continue
-                newl = wl + grow
+                if e > wl:
+                    grow = e - wl
+                    if grow > room_left:
+                        continue
+                    newl = e
+                else:  # room_left >= 0: every node's windows fit the frame
+                    grow = 0
+                    newl = wl
                 s = wcoef[j]
                 if is_lrub:
                     news = s + c

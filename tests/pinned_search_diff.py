@@ -19,14 +19,13 @@ to be diffed between two checkouts, each run with its own src on the path:
     diff old.txt new.txt
 
 A line holds sweep_seed(base, n, r), the kind, the status, the node count,
-the repr of the objective and a digest of the placements. The defaults are
-exact-bnb's core jobs: n = 12, kappa 3.5, bases 0 and 1, r < 432, SM and
-LR-UB power.
+the repr of the objective and a digest of the placements. The instances are
+exact-bnb's core jobs (n = 12, kappa 3.5, bases 0 and 1, r < 432), solved
+for SM and LR-UB power: 1,728 searches.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import sys
 
@@ -62,34 +61,35 @@ def compare_pinned() -> None:
     print(f"{moved} of {total} entries moved")
 
 
-def list_sweep(bases: list[int], n: int, kappa: float, reps: int, kinds: list[str]) -> None:
-    specs = [ts.ObjectiveSpec(ts.ObjectiveKind(kind), helpers.MEK_COEFF) for kind in kinds]
-    for base in bases:
-        for r in range(reps):
-            instance = helpers.pinned_instance({"sweep": [base, n, r], "kappa": kappa})
+# exact-bnb's core jobs: n = 12 at kappa 3.5, bases 0 and 1, r < 432.
+SWEEP_BASES = (0, 1)
+SWEEP_N = 12
+SWEEP_KAPPA = 3.5
+SWEEP_REPS = 432
+SWEEP_KINDS = (ts.ObjectiveKind.SM_POWER, ts.ObjectiveKind.LR_UB_POWER)
+
+
+def list_sweep() -> None:
+    specs = [ts.ObjectiveSpec(kind, helpers.MEK_COEFF) for kind in SWEEP_KINDS]
+    for base in SWEEP_BASES:
+        for r in range(SWEEP_REPS):
+            instance = helpers.pinned_instance({"sweep": [base, SWEEP_N, r], "kappa": SWEEP_KAPPA})
             for spec in specs:
                 result = ts.solve(instance, spec)
                 placements = None if result.assignment is None else result.assignment.placements
                 digest = hashlib.sha1(repr(placements).encode()).hexdigest()[:16]
                 print(
-                    sweep_seed(base, n, r), spec.kind.value, result.status.value,
+                    sweep_seed(base, SWEEP_N, r), spec.kind.value, result.status.value,
                     result.nodes_explored, repr(result.objective_value), digest,
                 )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sweep", action="store_true",
-                        help="list generated instances instead of the recorded cases")
-    parser.add_argument("--bases", type=int, nargs="+", default=[0, 1])
-    parser.add_argument("--n", type=int, default=12)
-    parser.add_argument("--kappa", type=float, default=3.5)
-    parser.add_argument("--reps", type=int, default=432)
-    parser.add_argument("--kinds", nargs="+", default=["sm-power", "lr-ub-power"],
-                        choices=[k.value for k in ts.ObjectiveKind])
-    args = parser.parse_args(argv)
-    if args.sweep:
-        list_sweep(args.bases, args.n, args.kappa, args.reps, args.kinds)
+def main() -> int:
+    if sys.argv[1:] == ["--sweep"]:
+        list_sweep()
+    elif sys.argv[1:]:
+        print(f"usage: {sys.argv[0]} [--sweep]", file=sys.stderr)
+        return 64
     else:
         compare_pinned()
     return 0
