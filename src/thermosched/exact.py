@@ -448,18 +448,18 @@ def _window_search(
     # objective when negative, which the h-scaled slack neg_b covers. For
     # LR-UB a placement adds at least its star energy, or h times a negative
     # rate.
-    # The child order prices window growth at lam per ms (see the sort):
-    # for LR-UB the mean over tasks of the cheapest allowed rate, floored at
-    # 0; for SM 0, which leaves its order the plain objective change.
-    lam = 0.0
-    if is_lrub and n:
-        lam = max(0.0, sum(min_coef) / n)
     suffix = [0.0] * (n + 1)
     suffix_neg = [0.0] * (n + 1)
     for p in range(n - 1, -1, -1):
         suffix[p] = suffix[p + 1] + incr[p]
         suffix_neg[p] = suffix_neg[p + 1] + neg_b[p]
     tail = [suffix[p] + suffix_neg[p] for p in range(n + 1)]
+    # The child order prices window growth at lam per ms (see the sort):
+    # for LR-UB the mean over tasks of the cheapest allowed rate, floored at
+    # 0; for SM 0, which leaves its order the plain objective change.
+    lam = 0.0
+    if is_lrub and n:
+        lam = max(0.0, sum(min_coef) / n)
 
     # choices[d] lists, per allowed cluster of the task at depth d:
     # (ci, e, c, ae) and what the task adds by opening the empty window

@@ -587,13 +587,14 @@ def test_solve_matches_pinned_search(case):
     tasks first; six SM cases then found another optimum of the same value,
     each checked against the exhaustive enumeration. Two idle-min counts
     were re-recorded when every search began to keep only the first seed
-    map that fits. Two cases were added, not re-recorded, from that search:
-    sweep-b7-n16, whose SM and LR-UB trees have thousands of nodes, and
-    sweep-b1-n10-negated, whose negated odd offsets give windows a negative
-    SM coefficient and so reach the h-scaled admissible terms. Objectives
-    are compared to 1e-12: the recorded values carry the last-bit drift of
-    window accumulators that were restored by subtraction. `PYTHONPATH=src python3 tests/pinned_search_diff.py` lists
-    what moved.
+    map that fits. Two cases were then added from that search, before its
+    node kernel was rewritten, and none re-recorded: sweep-b7-n16, whose SM
+    and LR-UB trees have thousands of nodes, and sweep-b1-n10-negated, whose
+    negated odd offsets give windows a negative SM coefficient and so reach
+    the h-scaled admissible terms. Objectives are compared to 1e-12: the
+    recorded values carry the last-bit drift of window accumulators that
+    were restored by subtraction. `PYTHONPATH=src python3
+    tests/pinned_search_diff.py` lists what moved.
     """
     for kind, got in helpers.pinned_search_results(case).items():
         expected = case["results"][kind]
