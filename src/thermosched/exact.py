@@ -55,6 +55,7 @@ import time
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .model import Assignment, Instance, Placement
@@ -121,7 +122,8 @@ def _check_inputs(
     """The fixes as a new {task id: cluster id} dict, once the inputs are checked.
 
     Raises ValueError when the LR-UB objective lacks coefficients that cover
-    the platform, or a fix names a task or cluster the instance lacks.
+    the platform, or a fix names a task the instance lacks or a cluster id
+    that is not an int in 1..m (bools included).
     """
     if objective.kind is ObjectiveKind.LR_UB_POWER:
         if objective.coefficients is None:
@@ -133,7 +135,7 @@ def _check_inputs(
     for tid, cid in fix.items():
         if tid not in task_ids:
             raise ValueError(f"partial fix references unknown task {tid}")
-        if not 1 <= cid <= m:
+        if type(cid) is not int or not 1 <= cid <= m:
             raise ValueError(f"partial fix references unknown cluster {cid}")
     return fix
 
@@ -147,7 +149,8 @@ def _grouped_lengths(
     cluster position ci, in ascending order (so the times themselves are
     non-increasing); the searches keep them sorted as tasks are inserted.
     Returns the per-window lengths of the cheapest partition, or None when
-    more windows would be needed than the instance allows.
+    more windows would be needed than the instance allows or the windows
+    overflow the major frame.
     """
     q = instance.max_windows
     lengths: list[int] = []
@@ -163,7 +166,7 @@ def _grouped_lengths(
                 lengths.append(head)
             elif head > lengths[j]:
                 lengths[j] = head
-    return lengths
+    return None if sum(lengths) > instance.major_frame_ms else lengths
 
 
 _Grouping = tuple[list[list[tuple[int, int]]], list[int]]
@@ -186,9 +189,7 @@ def _group(instance: Instance, cluster_of: Mapping[int, int]) -> _Grouping | Non
     for entries in ranked:
         entries.sort()
     lengths = _grouped_lengths(instance, [[neg_e for neg_e, _ in es] for es in ranked])
-    if lengths is None or sum(lengths) > instance.major_frame_ms:
-        return None
-    return ranked, lengths
+    return None if lengths is None else (ranked, lengths)
 
 
 def _cells(instance: Instance, grouping: _Grouping) -> tuple[list[int], list[int]]:
@@ -230,6 +231,21 @@ def _balanced_cluster_map(instance: Instance, fix: Mapping[int, int]) -> dict[in
     slots = [instance.max_windows * cap for cap in caps]
     lists: list[list[int]] = [[] for _ in clusters]  # negated times, ascending
     lengths = [0] * instance.max_windows
+
+    def growth(cid: int, e: int) -> float:
+        """How much a task of time e on cluster cid lengthens the windows; inf when it is full."""
+        neg = lists[cid - 1]
+        if len(neg) >= slots[cid - 1]:
+            return math.inf
+        cap = caps[cid - 1]
+        pos = bisect_right(neg, -e)
+        grow = 0
+        for j in range(-(-pos // cap), len(neg) // cap + 1):
+            head = e if j * cap == pos else -neg[j * cap - 1]
+            if head > lengths[j]:
+                grow += head - lengths[j]
+        return grow
+
     order = sorted(
         instance.tasks,
         key=lambda t: (-min(tc.exec_time_ms for tc in t.per_cluster), t.id),
@@ -241,31 +257,16 @@ def _balanced_cluster_map(instance: Instance, fix: Mapping[int, int]) -> dict[in
         if overflow:
             balanced[t.id] = candidates[0]
             continue
-        best = None  # (window growth, cluster id, insert rank)
-        for cid in candidates:
-            ci = cid - 1
-            neg = lists[ci]
-            grow, pos = math.inf, None
-            if len(neg) < slots[ci]:
-                e = t.per_cluster[ci].exec_time_ms
-                cap = caps[ci]
-                pos = bisect_right(neg, -e)
-                grow = 0
-                for j in range(-(-pos // cap), len(neg) // cap + 1):
-                    head = e if j * cap == pos else -neg[j * cap - 1]
-                    if head > lengths[j]:
-                        grow += head - lengths[j]
-            if best is None or grow < best[0]:
-                best = (grow, cid, pos)
-        _, cid, pos = best
+        cid = min(candidates, key=lambda c: growth(c, t.per_cluster[c - 1].exec_time_ms))
         balanced[t.id] = cid
-        if pos is None:
+        neg = lists[cid - 1]
+        if len(neg) >= slots[cid - 1]:
             overflow = True
             continue
-        ci = cid - 1
-        neg = lists[ci]
-        neg.insert(pos, -t.per_cluster[ci].exec_time_ms)
-        cap = caps[ci]
+        e = t.per_cluster[cid - 1].exec_time_ms
+        pos = bisect_right(neg, -e)
+        neg.insert(pos, -e)
+        cap = caps[cid - 1]
         for j in range(-(-pos // cap), (len(neg) - 1) // cap + 1):
             head = -neg[j * cap]
             if head > lengths[j]:
@@ -286,17 +287,6 @@ def _heuristic_cluster_maps(
     idle-min; feasibility and idle-max start from the fastest-cluster map.
     The balanced map comes last.
     """
-    kind = objective.kind
-
-    def build(score) -> dict[int, int]:
-        out = {}
-        for t in instance.tasks:
-            if t.id in fix:
-                out[t.id] = fix[t.id]
-            else:
-                # per_cluster is in cluster id order: ties go to the lower id
-                out[t.id] = min(t.per_cluster, key=score).cluster_id
-        return out
 
     def fastest(tc):
         return tc.exec_time_ms
@@ -304,21 +294,24 @@ def _heuristic_cluster_maps(
     def activity_energy(tc):
         return tc.activity_coef * tc.exec_time_ms
 
-    scores = [fastest, activity_energy]
-    if kind is ObjectiveKind.SM_POWER:
-        scores.reverse()
-    elif kind is ObjectiveKind.IDLE_MIN:
-        scores.insert(0, lambda tc: -tc.exec_time_ms)
-    elif kind is ObjectiveKind.LR_UB_POWER:
-        betas = objective.coefficients
+    def slowest(tc):
+        return -tc.exec_time_ms
 
-        def star_cost(tc):
-            beta = betas.beta(tc.cluster_id)
-            return (tc.activity_coef * beta[0] + tc.offset_coef * beta[1]) * tc.exec_time_ms
+    def star_cost(tc):
+        beta = objective.coefficients.beta(tc.cluster_id)
+        return (tc.activity_coef * beta[0] + tc.offset_coef * beta[1]) * tc.exec_time_ms
 
-        scores.insert(0, star_cost)
+    scores = {
+        ObjectiveKind.SM_POWER: (activity_energy, fastest),
+        ObjectiveKind.LR_UB_POWER: (star_cost, fastest, activity_energy),
+        ObjectiveKind.IDLE_MIN: (slowest, fastest, activity_energy),
+    }.get(objective.kind, (fastest, activity_energy))
     for score in scores:
-        yield build(score)
+        # per_cluster is in cluster id order: ties go to the lower id
+        yield {
+            t.id: fix[t.id] if t.id in fix else min(t.per_cluster, key=score).cluster_id
+            for t in instance.tasks
+        }
     yield _balanced_cluster_map(instance, fix)
 
 
@@ -381,105 +374,72 @@ def _window_search(
     is_lrub = objective.kind is ObjectiveKind.LR_UB_POWER
     betas = objective.coefficients.betas if is_lrub else None
 
-    # One pass over the tasks builds, by task index, their allowed cluster
-    # positions and per-cluster tables, and the minima over the allowed
-    # clusters that the order, the bounds and lam take. Per (task, cluster):
-    # the execution time, the window coefficient the task brings (its offset
-    # for SM, merged by max; its star rate for LR-UB, merged by sum) and the
-    # activity energy it adds outside the window terms (zero for LR-UB).
-    # Each minimum keeps the first of equal values, as min() does.
-    tasks = instance.tasks
+    # One pass over the tasks builds the search table. A task's cells hold,
+    # per allowed cluster position ci, (ci, e, c, ae): the execution time,
+    # the window coefficient the task brings (its offset for SM, merged by
+    # max; its star rate for LR-UB, merged by sum) and the activity energy
+    # it adds outside the window terms (zero for LR-UB). Over its cells the
+    # task takes four minima, each the first of equal values:
+    # - its ordering key: for SM its cheapest standalone cost
+    #   min_k(ae + e*off), which the root bound's offset charge reuses; for
+    #   LR-UB its smallest time per core min_k(e / cores);
+    # - incr, the least a placement adds to the objective: for SM its
+    #   activity energy, for LR-UB its star energy, or h times a negative
+    #   rate;
+    # - neg_b, the h-scaled slack by which its SM offset can still lower the
+    #   objective when negative (zero for LR-UB);
+    # - its smallest coefficient c.
+    # Sorting the rows branches on the tasks that cost the objective most
+    # first, so that the bound kills branches near the root (fail first);
+    # ties go to the lower task id, and from here on tasks are indexed by
+    # depth.
     rows = []
-    key = []
-    incr = []
-    neg_b = []
-    min_coef = []
-    zeros = [0.0] * m
-    for t in tasks:
-        pc = t.per_cluster
-        cis = (fix[t.id] - 1,) if t.id in fix else tuple(range(m))
-        exec_row = [tc.exec_time_ms for tc in pc]
-        if is_lrub:
-            coef_row = [
-                tc.activity_coef * betas[ci][0] + tc.offset_coef * betas[ci][1]
-                for ci, tc in enumerate(pc)
-            ]
-            act_row = zeros
-        else:
-            coef_row = [tc.offset_coef for tc in pc]
-            act_row = [tc.activity_coef * tc.exec_time_ms for tc in pc]
-        rows.append((cis, exec_row, coef_row, act_row))
-        k_min = i_min = c_min = None
-        for ci in cis:
-            e = exec_row[ci]
-            c = coef_row[ci]
+    for t in instance.tasks:
+        cells, keys, incrs = [], [], []
+        for ci in (fix[t.id] - 1,) if t.id in fix else range(m):
+            tc = t.per_cluster[ci]
+            e = tc.exec_time_ms
             if is_lrub:
-                k = e / caps[ci]
-                i = (c * e) if c >= 0.0 else c * h
+                c = tc.activity_coef * betas[ci][0] + tc.offset_coef * betas[ci][1]
+                cells.append((ci, e, c, 0.0))
+                keys.append(e / caps[ci])
+                incrs.append((c * e) if c >= 0.0 else c * h)
             else:
-                i = act_row[ci]
-                k = i + e * c
-            if k_min is None or k < k_min:
-                k_min = k
-            if i_min is None or i < i_min:
-                i_min = i
-            if c_min is None or c < c_min:
-                c_min = c
-        key.append(k_min)
-        incr.append(i_min)
-        neg_b.append(0.0 if is_lrub else min(0.0, c_min * h))
-        min_coef.append(c_min)
+                c = tc.offset_coef
+                ae = tc.activity_coef * e
+                cells.append((ci, e, c, ae))
+                keys.append(ae + e * c)
+                incrs.append(ae)
+        c_min = min(cell[2] for cell in cells)
+        neg_b = 0.0 if is_lrub else min(0.0, c_min * h)
+        rows.append((-min(keys), t.id, min(incrs), neg_b, c_min, cells))
+    rows.sort()  # task ids are unique, so the cells are never compared
+    neg_key, tid, incr, neg_b, min_coef, cells = zip(*rows) if n else [()] * 6
 
-    # Branch on the tasks that cost the objective most first, so that the
-    # bound kills branches near the root (fail first). The key is, over a
-    # task's allowed clusters: for SM its cheapest standalone cost
-    # min_k(ae + e*off), which the root bound's offset charge reuses; for
-    # LR-UB its smallest time per core min_k(e / cores). Ties go to the
-    # lower task id. From here on tasks are indexed by depth.
-    order = sorted(range(n), key=lambda i: (-key[i], tasks[i].id))
-    tid = [tasks[i].id for i in order]
-    incr = [incr[i] for i in order]
-    neg_b = [neg_b[i] for i in order]
-    min_coef = [min_coef[i] for i in order]
-
-    # Admissible bound on what the unassigned tasks from depth d on can add:
-    # tail[d]. For SM every placement adds at least the smallest activity
-    # energy (incr), and offsets of not-yet-placed tasks can only lower the
-    # objective when negative, which the h-scaled slack neg_b covers. For
-    # LR-UB a placement adds at least its star energy, or h times a negative
-    # rate.
-    suffix = [0.0] * (n + 1)
-    suffix_neg = [0.0] * (n + 1)
-    for p in range(n - 1, -1, -1):
-        suffix[p] = suffix[p + 1] + incr[p]
-        suffix_neg[p] = suffix_neg[p + 1] + neg_b[p]
-    tail = [suffix[p] + suffix_neg[p] for p in range(n + 1)]
+    # tail[d] bounds what the tasks from depth d on can still add: the sum
+    # of their incr and neg_b.
+    tail = [
+        a + b for a, b in zip(
+            accumulate(reversed(incr), initial=0.0), accumulate(reversed(neg_b), initial=0.0)
+        )
+    ][::-1]
     # The child order prices window growth at lam per ms (see the sort):
     # for LR-UB the mean over tasks of the cheapest allowed rate, floored at
     # 0; for SM 0, which leaves its order the plain objective change.
-    lam = 0.0
-    if is_lrub and n:
-        lam = max(0.0, sum(min_coef) / n)
-
-    # choices[d] lists, per allowed cluster of the task at depth d:
-    # (ci, e, c, ae) and what the task adds by opening the empty window
-    # there. That depends on the task and cluster alone: an Instance
+    lam = max(0.0, sum(min_coef) / n) if is_lrub and n else 0.0
+    # choices[d] extends each cell of the task at depth d with what the task
+    # adds by opening the empty window there: the exact term e*c, the
+    # admissible term (e*c, or h*c when c is negative) and the child-order
+    # key. That depends on the task and cluster alone: an Instance
     # guarantees e >= 1 ms and at least one core per cluster, so the empty
     # window always has a free core and takes length e and coefficient c.
-    # The entries are the exact term e*c, the admissible term (e*c, or h*c
-    # when c is negative) and the child-order key.
-    choices = []
-    for i in order:
-        cis, exec_row, coef_row, act_row = rows[i]
-        row = []
-        for ci in cis:
-            e = exec_row[ci]
-            c = coef_row[ci]
-            ae = act_row[ci]
-            o_true = e * c
-            o_safe = o_true if c >= 0.0 else h * c
-            row.append((ci, e, c, ae, o_true, o_safe, ae + o_true + lam * e))
-        choices.append(tuple(row))
+    choices = [
+        tuple(
+            (ci, e, c, ae, e * c, e * c if c >= 0.0 else h * c, ae + e * c + lam * e)
+            for ci, e, c, ae in row
+        )
+        for row in cells
+    ]
 
     # Window state. Windows open in index order, so windows below `used` hold
     # at least one task and window `used` is the only empty one a task may
@@ -513,24 +473,19 @@ def _window_search(
     # holds at most C = total cores tasks, so the windows together cost at
     # least every C-th delta in descending order (the aligned-grouping
     # argument of _grouped_lengths). Node bounds do not use it.
-    offset_charge = 0.0
-    if not is_lrub:
-        deltas = sorted(
-            (key[order[p]] - incr[p] for p in range(n) if min_coef[p] >= 0.0),
-            reverse=True,
-        )
-        offset_charge = sum(deltas[:: plat.total_cores])
+    deltas = [] if is_lrub else sorted(
+        (-nk - i for nk, i, c in zip(neg_key, incr, min_coef) if c >= 0.0), reverse=True
+    )
+    offset_charge = sum(deltas[:: plat.total_cores])
     root_bound = p_idle + (tail[0] + offset_charge) / h
     # The seed grouping fits, so it is priced straight from its cells; it is
     # placed only if it is still the incumbent when the search ends.
     seed = _seed_incumbent(instance, fix, objective)
     best_placements = None  # the path of the best leaf, once one beats the seed
-    best_value = math.inf
-    if seed is not None:
-        best_value = _closed_form(
-            instance, *_cells(instance, seed), seed[1],
-            PowerModel.LR_UB if is_lrub else PowerModel.SM, objective.coefficients,
-        ).watts
+    best_value = math.inf if seed is None else _closed_form(
+        instance, *_cells(instance, seed), seed[1],
+        PowerModel.LR_UB if is_lrub else PowerModel.SM, objective.coefficients,
+    ).watts
     nodes = 0
     aborted = False
 
@@ -694,7 +649,7 @@ def _cluster_search(
             insort(lists[cid - 1], -e)
             base += sign * e
     start_lengths = _grouped_lengths(instance, lists)
-    if start_lengths is None or sum(start_lengths) > h:
+    if start_lengths is None:
         return None, None, None, 1, False
 
     # Seed before building the branching tables: most feasibility calls are

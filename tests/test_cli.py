@@ -1265,3 +1265,60 @@ def test_negative_seed_is_a_usage_error_before_any_work(
     )
     assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["asg.json", "inst.json"]
+
+
+class TestInputRefusals:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["sweep", "--sizes", "20,x", "--methods", "heur", "--kernels", "mixed"],
+                "--sizes expects a comma-separated integer list",
+            ),
+            (
+                ["solve", "{inst}", "--method", "flow-fixed", "--window-lengths", "5,a"],
+                "--window-lengths expects a comma-separated integer list",
+            ),
+        ],
+        ids=["sweep-sizes", "solve-window-lengths"],
+    )
+    def test_non_integer_list_is_a_usage_error(self, tmp_path, capsys, example_files, argv, message):
+        argv = [a.format(inst=example_files[0]) for a in argv]
+        code = main(argv + ["-o", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    def test_assignment_with_window_zero_is_refused(self, tmp_path, capsys, example_files):
+        inst_path, asg_path = example_files
+        document = json.loads(pathlib.Path(asg_path).read_text())
+        document["placements"][0]["window"] = 0
+        bad = tmp_path / "window0.json"
+        bad.write_text(json.dumps(document))
+        code = main(["evaluate", inst_path, str(bad)])
+        assert code == 1
+        assert "window 0 outside 1..1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (",".join(ts.generator.KERNEL_POOL_HEADER) + "\n", "kernel pool CSV holds no kernels"),
+            (
+                "kernel,cluster,activity_coef,offset_coef,ips,frequency_mhz\nk,1,0.1,0.1,1,1\n",
+                "kernel pool CSV must have header",
+            ),
+        ],
+        ids=["header-only", "wrong-header"],
+    )
+    def test_bad_kernel_pool_is_refused(self, tmp_path, capsys, text, message):
+        pool = tmp_path / "pool.csv"
+        pool.write_text(text)
+        code = main(["generate", "--kernels", str(pool), "--seed", "1", "-o", str(tmp_path / "i.json")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_instance_that_is_not_json_is_refused(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text("not json{")
+        code = main(["solve", str(inst), "--method", "heur", "-o", str(tmp_path / "x.json")])
+        assert code == 1
+        assert "error: invalid JSON" in capsys.readouterr().err

@@ -104,6 +104,13 @@ class TestSolveBasics:
         with pytest.raises(ValueError):
             ts.solve(instance, spec(ObjectiveKind.SM_POWER), {1: 99})
 
+    @pytest.mark.parametrize("cid", [1.5, "1", True, None], ids=["float", "str", "bool", "none"])
+    @pytest.mark.parametrize("search", [ts.solve, ts.brute_force_optimum], ids=["solve", "brute"])
+    def test_fix_to_a_cluster_id_that_is_not_an_int_is_refused(self, search, cid):
+        instance = helpers.small_random_instance(1)
+        with pytest.raises(ValueError, match=f"^partial fix references unknown cluster {cid}$"):
+            search(instance, spec(ObjectiveKind.SM_POWER), {1: cid})
+
     def test_lr_ub_requires_coefficients(self):
         instance = helpers.small_random_instance(1)
         with pytest.raises(ValueError):

@@ -162,6 +162,19 @@ class TestBuildNetwork:
             build_network(instance, [15, 15])
 
     @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            ([], "at least one window length is required"),
+            ([5, 5, 5], "3 window lengths given but the instance allows at most 2 windows"),
+            ([10, -1], "window lengths must be nonnegative"),
+        ],
+        ids=["empty", "more-than-max-windows", "negative"],
+    )
+    def test_refuses_bad_length_lists(self, lengths, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_network(two_task_instance(), lengths)
+
+    @pytest.mark.parametrize(
         "bad", [10.9, True, math.inf, math.nan, "10", None],
         ids=["float", "bool", "inf", "nan", "str", "none"],
     )

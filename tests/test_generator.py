@@ -13,7 +13,13 @@ from thermosched.generator import (
     scalability_sweep,
     write_sweep_csv,
 )
-from thermosched.presets import KERNEL_POOL_NAMES, builtin_kernel_pool, kernel_pool_text
+from thermosched.presets import (
+    KERNEL_POOL_NAMES,
+    builtin_coefficients,
+    builtin_kernel_pool,
+    builtin_platform,
+    kernel_pool_text,
+)
 
 
 def flat_pool(speedup=1.0):
@@ -90,6 +96,11 @@ class TestLoadKernelPool:
             with pytest.raises(KeyError, match="^\"unknown kernel pool 'gpu'; available: mixed, cpu\"$"):
                 builtin_kernel_pool("gpu")
 
+    @pytest.mark.parametrize("lookup", [builtin_platform, builtin_coefficients])
+    def test_unknown_builtin_platform_is_refused(self, lookup):
+        with pytest.raises(KeyError, match="unknown .* 'gpu'; available: "):
+            lookup("gpu")
+
     def test_known_speedup(self, mixed_pool):
         a2time = next(k for k in mixed_pool if k.name == "a2time-4K")
         assert a2time.time_scale(2, 1) == pytest.approx(2.8)
@@ -137,6 +148,31 @@ class TestGenerateInstance:
         inst = generate_instance(config, helpers.MEK)
         for t in inst.tasks:
             assert t.on(1).exec_time_ms == 100
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kernel_pool": ()}, "kernel pool must not be empty"),
+            ({"big_exec_min_ms": 50, "big_exec_max_ms": 40}, "must not exceed big_exec_max_ms"),
+            ({"big_exec_min_ms": 0}, "big_exec_min_ms must be positive"),
+            ({"big_cluster_id": 3}, "big cluster 3 is not a platform cluster"),
+        ],
+        ids=["empty-pool", "min-above-max", "min-below-one", "unknown-big-cluster"],
+    )
+    def test_bad_config_is_refused(self, mixed_pool, fields, message):
+        config = GeneratorConfig(**{"kernel_pool": mixed_pool, "n_tasks": 5, **fields})
+        with pytest.raises(ValueError, match=message):
+            generate_instance(config, helpers.MEK)
+
+    def test_pool_on_other_clusters_is_refused(self):
+        text = (
+            "kernel,cluster_id,activity_coef,offset_coef,ips,frequency_mhz\n"
+            "k,1,0.3,0.4,100,1200\n"
+            "k,3,0.8,0.6,150,1600\n"
+        )
+        config = GeneratorConfig(kernel_pool=load_kernel_pool(io.StringIO(text)), n_tasks=5)
+        with pytest.raises(ValueError, match=r"covers clusters \[1, 3\] but the platform has \[1, 2\]"):
+            generate_instance(config, helpers.MEK)
 
     def test_uniform_big_times(self, mixed_pool):
         import scipy.stats

@@ -103,6 +103,11 @@ class TestDecode:
         with pytest.raises(ValueError, match=r"^gene 1\.0 outside \[0, 1\)$"):
             ts.reconstruct([1.0], instance)
 
+    def test_rejects_a_genome_of_the_wrong_length(self):
+        instance = qm_instance(3, 2)
+        with pytest.raises(ValueError, match="^genome length 2 does not match task count 3$"):
+            ts.reconstruct([0.1, 0.2], instance)
+
     def test_bit_identical_to_scalar_formula(self):
         rng = random.Random(3)
         for q in (1, 2, 3, 7, 30):
@@ -249,6 +254,11 @@ class TestRunGa:
         instance = helpers.small_random_instance(33, n=4)
         with pytest.raises(ValueError):
             ts.run_ga(instance, "lr", ts.GaConfig(max_generations=2))
+
+    def test_lr_ub_model_is_refused(self, mek_coefficients):
+        instance = helpers.small_random_instance(33, n=4)
+        with pytest.raises(ValueError, match="^the genetic search uses the SM or LR model$"):
+            ts.run_ga(instance, "lr-ub", ts.GaConfig(max_generations=2), mek_coefficients)
 
     def test_lr_fitness_runs(self, mek_coefficients):
         instance = helpers.small_random_instance(34, n=5, q_max=3)
