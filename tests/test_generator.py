@@ -97,7 +97,7 @@ class TestLoadKernelPool:
                 builtin_kernel_pool("gpu")
 
     @pytest.mark.parametrize("lookup", [builtin_platform, builtin_coefficients])
-    def test_unknown_builtin_platform_is_refused(self, lookup):
+    def test_unknown_builtin_preset_is_refused(self, lookup):
         with pytest.raises(KeyError, match="unknown .* 'gpu'; available: "):
             lookup("gpu")
 
