@@ -418,11 +418,9 @@ def _window_search(
 
     # tail[d] bounds what the tasks from depth d on can still add: the sum
     # of their incr and neg_b.
-    tail = [
-        a + b for a, b in zip(
-            accumulate(reversed(incr), initial=0.0), accumulate(reversed(neg_b), initial=0.0)
-        )
-    ][::-1]
+    suffix = list(accumulate(reversed(incr), initial=0.0))[::-1]
+    suffix_neg = list(accumulate(reversed(neg_b), initial=0.0))[::-1]
+    tail = [a + b for a, b in zip(suffix, suffix_neg)]
     # The child order prices window growth at lam per ms (see the sort):
     # for LR-UB the mean over tasks of the cheapest allowed rate, floored at
     # 0; for SM 0, which leaves its order the plain objective change.
