@@ -22,6 +22,13 @@ A line holds sweep_seed(base, n, r), the kind, the status, the node count,
 the repr of the objective and a digest of the placements. The instances are
 exact-bnb's core jobs (n = 12, kappa 3.5, bases 0 and 1, r < 432), solved
 for SM and LR-UB power: 1,728 searches.
+
+With --ga it prints one line per genetic search in the same way:
+sweep_seed(base, n, r), the model, the generation and restart counts, the
+repr of the best fitness and digests of the trace and of the best
+placements. The runs are ga-loose's jobs (n = 20, 25, 30 by turns,
+kappa 1.0, population 50, 10 generations, the instance's seed as the GA's,
+bases 0 and 1, r < 32), for SM and LR fitness: 128 runs.
 """
 
 from __future__ import annotations
@@ -32,6 +39,10 @@ import sys
 import helpers
 import thermosched as ts
 from thermosched.generator import sweep_seed
+
+
+def _digest(value) -> str:
+    return hashlib.sha1(repr(value).encode()).hexdigest()[:16]
 
 
 def _describe(entry: dict) -> str:
@@ -77,18 +88,42 @@ def list_sweep() -> None:
             for spec in specs:
                 result = ts.solve(instance, spec)
                 placements = None if result.assignment is None else result.assignment.placements
-                digest = hashlib.sha1(repr(placements).encode()).hexdigest()[:16]
                 print(
                     sweep_seed(base, SWEEP_N, r), spec.kind.value, result.status.value,
-                    result.nodes_explored, repr(result.objective_value), digest,
+                    result.nodes_explored, repr(result.objective_value), _digest(placements),
+                )
+
+
+# ga-loose's jobs: n = 20, 25, 30 by turns at kappa 1.0, bases 0 and 1, r < 32.
+GA_BASES = (0, 1)
+GA_N = (20, 25, 30)
+GA_KAPPA = 1.0
+GA_REPS = 32
+GA_MODELS = ("sm", "lr")
+
+
+def list_ga() -> None:
+    for base in GA_BASES:
+        for r in range(GA_REPS):
+            n = GA_N[r % len(GA_N)]
+            seed = sweep_seed(base, n, r)
+            instance = helpers.pinned_instance({"sweep": [base, n, r], "kappa": GA_KAPPA})
+            config = ts.GaConfig(population_size=50, max_generations=10, rng_seed=seed)
+            for model in GA_MODELS:
+                result = ts.run_ga(instance, model, config, helpers.MEK_COEFF)
+                placements = None if result.assignment is None else result.assignment.placements
+                print(
+                    seed, model, result.generations, result.restarts, repr(result.fitness),
+                    _digest(result.trace), _digest(placements),
                 )
 
 
 def main() -> int:
-    if sys.argv[1:] == ["--sweep"]:
-        list_sweep()
+    modes = {"--sweep": list_sweep, "--ga": list_ga}
+    if len(sys.argv) == 2 and sys.argv[1] in modes:
+        modes[sys.argv[1]]()
     elif sys.argv[1:]:
-        print(f"usage: {sys.argv[0]} [--sweep]", file=sys.stderr)
+        print(f"usage: {sys.argv[0]} [--sweep | --ga]", file=sys.stderr)
         return 64
     else:
         compare_pinned()

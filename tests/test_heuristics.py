@@ -459,6 +459,43 @@ class TestPopulationFitnessFastPaths:
         assert kinds == {True, False}
 
 
+class TestPopulationFitnessMemoKeys:
+    """Rows are keyed by their bytes in row order, whatever the population's memory layout."""
+
+    @pytest.mark.parametrize(
+        "layout", [np.asfortranarray, lambda population: population[:, ::-1]],
+        ids=["fortran-order", "reversed-columns"],
+    )
+    @pytest.mark.parametrize("model", ["sm", "lr"])
+    def test_non_contiguous_population_scores_as_its_copy(self, layout, model):
+        instance = helpers.small_random_instance(4, n_lo=6, n_hi=12, q_max=6, kappa_lo=1.0)
+        coefficients = helpers.MEK_COEFF if model == "lr" else None
+        population = layout(fast_path_population(instance, np.random.default_rng(4), 24))
+        assert not population.flags.c_contiguous
+        with pytest.raises(ValueError, match="the last axis must be contiguous"):
+            population.view(f"V{population.itemsize * population.shape[1]}")
+        copy = np.ascontiguousarray(population)
+        want = _PopulationFitness(instance, PowerModel(model), coefficients)(copy)
+        assert 0 < np.isfinite(want).sum() < len(want)
+        fitness_of = _PopulationFitness(instance, PowerModel(model), coefficients)
+        assert fitness_of(population).tolist() == want.tolist()
+        assert set(fitness_of._previous) == {row.tobytes() for row in copy}
+
+    def test_one_row_and_all_hits(self, monkeypatch):
+        instance = helpers.small_random_instance(8, n_lo=6, n_hi=12, q_max=6, kappa_lo=1.0)
+        population = fast_path_population(instance, np.random.default_rng(8), 16)
+        want = _PopulationFitness(instance, PowerModel.SM, None)(population).tolist()
+        fitness_of = _PopulationFitness(instance, PowerModel.SM, None)
+        assert fitness_of(population[5:6]).tolist() == want[5:6]
+        assert list(fitness_of._previous) == [population[5].tobytes()]
+        fitness_of(population)
+        # every row of the next call was scored in this one or the one before
+        monkeypatch.setattr(fitness_of, "_score", lambda rows: pytest.fail("scored a memo hit"))
+        again = population[[5, 0, 0, 15, 3]]
+        assert fitness_of(again).tolist() == [want[r] for r in (5, 0, 0, 15, 3)]
+        assert set(fitness_of._previous) == {row.tobytes() for row in again}
+
+
 @st.composite
 def repair_edge_instance(draw):
     """A few-core instance with q >= 2 and more tasks than its smallest cluster has cores."""
