@@ -13,6 +13,7 @@ greedy run whose feasibility oracle ran out of time), 64 for usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import os
@@ -139,6 +140,7 @@ def _resolve_coefficients(value: str | None):
 
 
 def _resolve_seed(args) -> int:
+    """--seed, or a fresh seed, printed; called after every check and read that can refuse."""
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = secrets.randbelow(2**31)
@@ -179,9 +181,9 @@ def _power_model(args) -> PowerModel:
 
 
 def _cmd_generate(args) -> _Run:
-    seed = _resolve_seed(args)
     platform = _resolve_platform(args.platform)
     pool = _resolve_kernels(args.kernels)
+    seed = _resolve_seed(args)
     config = GeneratorConfig(
         kernel_pool=pool,
         n_tasks=args.n,
@@ -199,16 +201,17 @@ def _cmd_generate(args) -> _Run:
 def _cmd_solve(args) -> _Run:
     lengths = _parse_int_list(args.window_lengths, "--window-lengths")
     _check_methods([args.method], args.coefficients, lengths)
-    randomized = METHODS[args.method].randomized
-    seed = _resolve_seed(args) if randomized else (args.seed or 0)
     instance = load_instance(args.instance)
     coefficients = _resolve_coefficients(args.coefficients)
+    seed = args.seed or 0
     ga_config = None
-    if randomized:
-        overrides = dict(rng_seed=seed, max_generations=args.max_generations)
+    if METHODS[args.method].randomized:
+        overrides = dict(max_generations=args.max_generations)
         ga_config = (
             load_ga_config(args.ga_config, **overrides) if args.ga_config else GaConfig(**overrides)
         )
+        seed = _resolve_seed(args)
+        ga_config = dataclasses.replace(ga_config, rng_seed=seed)
     outcome = run_method(
         args.method,
         instance,
@@ -275,7 +278,6 @@ def _cmd_fit(args) -> _Run:
 
 
 def _cmd_sweep(args) -> _Run:
-    seed = _resolve_seed(args)
     sizes = _parse_int_list(args.sizes, "--sizes")
     if not sizes:
         raise _UsageError("--sizes needs at least one size")
@@ -285,6 +287,7 @@ def _cmd_sweep(args) -> _Run:
     platform = _resolve_platform(args.platform)
     pool = _resolve_kernels(args.kernels)
     coefficients = _resolve_coefficients(args.coefficients)
+    seed = _resolve_seed(args)
     cells = scalability_sweep(
         sizes=sizes,
         repetitions=args.reps,
@@ -311,12 +314,13 @@ def _cmd_export_gantt(args) -> _Run:
 
 
 def _cmd_compare(args) -> _Run:
-    seed = _resolve_seed(args)
     model = _power_model(args)
     methods = _parse_methods(args)
     instance = load_instance(args.instance)
     coefficients = _resolve_coefficients(args.coefficients)
-    ga_config = GaConfig(rng_seed=seed, max_generations=args.max_generations)
+    ga_config = GaConfig(max_generations=args.max_generations)
+    seed = _resolve_seed(args)
+    ga_config = dataclasses.replace(ga_config, rng_seed=seed)
     rows = []
     for method in methods:
         outcome = run_method(

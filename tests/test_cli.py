@@ -1267,6 +1267,48 @@ def test_negative_seed_is_a_usage_error_before_any_work(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["asg.json", "inst.json"]
 
 
+# Calls without --seed that a usage check or an input read refuses, with their exit codes.
+_REFUSED_BEFORE_THE_SEED = {
+    "sweep-sizes-not-integers": (EXIT_USAGE, lambda i: [
+        "sweep", "--sizes", "20,x", "--methods", "heur", "--kernels", "mixed",
+    ]),
+    "sweep-reps-zero": (EXIT_USAGE, lambda i: [
+        "sweep", "--sizes", "4", "--reps", "0", "--methods", "heur", "--kernels", "mixed",
+    ]),
+    "sweep-unknown-method": (EXIT_USAGE, lambda i: [
+        "sweep", "--sizes", "4", "--methods", "nope", "--kernels", "mixed",
+    ]),
+    "sweep-missing-kernel-pool": (1, lambda i: [
+        "sweep", "--sizes", "4", "--methods", "heur", "--kernels", i + ".missing.csv",
+    ]),
+    "compare-lr-no-coefficients": (EXIT_USAGE, lambda i: [
+        "compare", i, "--methods", "heur", "--model", "lr",
+    ]),
+    "compare-unknown-method": (EXIT_USAGE, lambda i: ["compare", i, "--methods", "nope"]),
+    "compare-missing-instance": (1, lambda i: ["compare", i + ".missing", "--methods", "heur"]),
+    "compare-max-generations-zero": (1, lambda i: [
+        "compare", i, "--methods", "heur", "--max-generations", "0",
+    ]),
+    "generate-missing-kernel-pool": (1, lambda i: [
+        "generate", "--n", "4", "--kernels", i + ".missing.csv",
+    ]),
+    "solve-missing-instance": (1, lambda i: ["solve", i + ".missing", "--method", "bb-sm"]),
+    "solve-ga-config-out-of-range": (1, lambda i: [
+        "solve", i, "--method", "bb-sm", "--max-generations", "0",
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_BEFORE_THE_SEED))
+def test_refused_call_prints_no_seed(tmp_path, capsys, example_files, case):
+    code, argv = _REFUSED_BEFORE_THE_SEED[case]
+    assert main(argv(example_files[0]) + ["-o", str(tmp_path / "out")]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: " if code == EXIT_USAGE else "error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["asg.json", "inst.json"]
+
+
 class TestInputRefusals:
     @pytest.mark.parametrize(
         "argv, message",
