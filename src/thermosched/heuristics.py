@@ -216,11 +216,11 @@ def _repair(
     if not over:
         return window, []
     rows = list(dict.fromkeys([v // q for v in over]))
-    load = load[rows]
+    load = load.take(rows, axis=0)
     # task indices by ascending (preference, task index); the window is
     # monotone in the preference, so window j's own tasks form the run
     # starts[(j - 1) * m]:starts[j * m] of it
-    order = np.argsort(pref[rows], axis=1, kind="stable").tolist()
+    order = np.argsort(pref.take(rows, axis=0), axis=1, kind="stable").tolist()
     starts = np.zeros((len(rows), qm + 1), dtype=np.int64)
     np.cumsum(load, axis=1, out=starts[:, 1:])
     free = (capacity - load).tolist()
@@ -228,7 +228,7 @@ def _repair(
     at, to = [], []  # flat task index and window of each placement of the sweeps
     p = 0  # next entry of over
     for r, order_r, cluster, free_r, start in zip(
-        rows, order, ci[rows].tolist(), free, starts.tolist()
+        rows, order, ci.take(rows, axis=0).tolist(), free, starts.tolist()
     ):
         first = r * q  # over holds first + window - 1 for this row's windows
         carry: list[int] = []  # tasks bumped out of the previous window
@@ -307,18 +307,22 @@ def reconstruct(genome: Sequence[float], instance: Instance) -> Assignment | Non
 class _PopulationFitness:
     """SM or LR fitness of whole GA populations for one instance.
 
-    Per-(task, cluster) execution times and energies are tabled once per
-    run, and for SM the offset coefficients too. Each distinct genome is
-    scored once: a call looks rows up by their bytes among the genomes of
-    this call and of the previous one, and keeps only those two
-    generations. The new rows are decoded and repaired together: _repair
-    sweeps only the rows with an overfull (window, cluster) slot, and in
-    them only the windows from that slot on that the bumped tasks reach.
-    The rest is array passes over all rows: window lengths, the frame
-    check, and schedule_power's closed form with its additions in the same
-    order (tasks in task-id order, SM's window offset terms in window
-    order), so SM fitness equals schedule_power bit for bit. Genomes that
-    do not repair, or whose windows overflow the major frame, score inf.
+    Execution times and energies are tabled once per run, flat over the
+    cells of the (task, cluster) grid, and for SM the offset coefficients
+    too: task t on 0-based cluster c is cell t * m + c, read from one
+    per-run base t * m. Each distinct genome is scored once: a call looks
+    rows up by their bytes among the genomes of this call and of the
+    previous one, and keeps only those two generations. The new rows are
+    decoded and repaired together: _repair sweeps only the rows with an
+    overfull (window, cluster) slot, and in them only the windows from that
+    slot on that the bumped tasks reach. The rest is array passes over all
+    rows: the cell of each task and its window's flat slot r * q + window - 1
+    in row r, window lengths and SM's window offset peaks as exact maxima
+    over those slots, the frame check, and schedule_power's closed form with
+    its additions in the same order (tasks in task-id order, SM's window
+    offset terms in window order), so SM fitness equals schedule_power bit
+    for bit. Genomes that do not repair, or whose windows overflow the major
+    frame, score inf.
     """
 
     def __init__(
@@ -335,26 +339,30 @@ class _PopulationFitness:
         self.h = instance.major_frame_ms
         self.idle = instance.platform.idle_power_watts
         self.cores = [c.core_count for c in clusters]
+        self.cell0 = np.arange(len(instance.tasks)) * self.m
 
         def table(term):
-            # rows in task order: the task-id order schedule_power visits placements in
-            return np.array([[term(tc) for tc in t.per_cluster] for t in instance.tasks])
+            # cells in task order, the task-id order schedule_power visits placements in
+            return np.array([term(tc) for t in instance.tasks for tc in t.per_cluster])
 
         self.exec_ms = table(lambda tc: tc.exec_time_ms)
-        # (activity, offset) energies; SM's offset energy depends on the windows
+        # LR: (activity, offset) energies; SM: the activity energy, as its
+        # offset energy depends on the windows
         if model is PowerModel.LR:
             beta = coefficients.beta
             self.energy = table(lambda tc: _lr_energy(tc, beta(tc.cluster_id), tc.exec_time_ms))
             self.offset = None
         else:
-            self.energy = table(lambda tc: (tc.activity_coef * tc.exec_time_ms, 0.0))
+            self.energy = table(lambda tc: tc.activity_coef * tc.exec_time_ms)
             self.offset = table(lambda tc: tc.offset_coef)
         self._previous: dict[bytes, float] = {}
 
     def __call__(self, population: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        keys = [row.tobytes() for row in population]
+        # one bytes key per row, as row.tobytes() gives it
+        population = np.ascontiguousarray(population)
+        keys = population.view(f"V{population.itemsize * population.shape[1]}").ravel().tolist()
         previous = self._previous
         current: dict[bytes, float | None] = {}
         new_rows = []
@@ -364,34 +372,39 @@ class _PopulationFitness:
                 if value is None:
                     new_rows.append(r)
         if new_rows:
-            scores = self._score(population[new_rows])
+            scores = self._score(population.take(new_rows, axis=0))
             for r, value in zip(new_rows, scores.tolist()):
                 current[keys[r]] = value
         self._previous = current
-        return np.array([current[key] for key in keys])
+        return np.fromiter(map(current.__getitem__, keys), float, len(keys))
 
     def _score(self, population: np.ndarray) -> np.ndarray:
         import numpy as np
 
         q = self.q
+        size = len(population)
         ci, pref, window = _decode_population(population, self.m, q)
         placed, failed = _repair(ci, pref, window, self.cores, q)
-        rows = np.arange(len(population))[:, None]
-        tasks = np.arange(ci.shape[1])
-        execs = self.exec_ms[tasks, ci]
-        lengths = np.zeros((rows.size, q), dtype=execs.dtype)
-        np.maximum.at(lengths, (rows, placed - 1), execs)
+        cell = ci + self.cell0  # task t on cluster ci is cell t * m + ci
+        slot = (placed + (q * np.arange(size) - 1)[:, None]).ravel()  # row r's windows start at r * q
+        execs = self.exec_ms.take(cell)
+        lengths = np.zeros(size * q, dtype=execs.dtype)
+        np.maximum.at(lengths, slot, execs.ravel())
+        lengths = lengths.reshape(size, q)
         fits = lengths.sum(axis=1) <= self.h
         fits[failed] = False
         # accumulate adds along each row in order, as a running sum would
-        activity, offset = np.add.accumulate(self.energy[tasks, ci], axis=1)[:, -1].T
-        if self.offset is not None:  # SM: each used window's length times its largest offset
-            peak = np.full((rows.size, q), -math.inf)
-            np.maximum.at(peak, (rows, placed - 1), self.offset[tasks, ci])
+        energy = np.add.accumulate(self.energy.take(cell, axis=0), axis=1)[:, -1]
+        if self.offset is None:
+            activity, offset = energy.T
+        else:  # SM: each used window's length times its largest offset
+            activity = energy
+            peak = np.full(size * q, -math.inf)
+            np.maximum.at(peak, slot, self.offset.take(cell).ravel())
             # mask empty windows before weighting: their peak is -inf and their length 0
-            terms = np.where(peak > -math.inf, peak, 0.0) * lengths
+            terms = np.where(peak > -math.inf, peak, 0.0).reshape(size, q) * lengths
             offset = np.add.accumulate(terms, axis=1)[:, -1]
-        fitness = np.full(rows.size, math.inf)
+        fitness = np.full(size, math.inf)
         fitness[fits] = (self.idle + activity / self.h + offset / self.h)[fits]
         return fitness
 
@@ -545,10 +558,9 @@ def run_ga(
             if stall >= config.stall_generations:
                 break  # converged; restart from scratch
 
-            order = np.argsort(fitness, kind="stable")
-            survivors = population[order[:keep]]
-            parents_a = survivors[rng.integers(0, keep, size=pop_size)]
-            parents_b = survivors[rng.integers(0, keep, size=pop_size)]
+            survivors = np.argsort(fitness, kind="stable")[:keep]
+            parents_a = population.take(survivors.take(rng.integers(0, keep, size=pop_size)), axis=0)
+            parents_b = population.take(survivors.take(rng.integers(0, keep, size=pop_size)), axis=0)
             population = _build_children(rng, parents_a, parents_b, config)
         restart += 1
 
