@@ -206,7 +206,8 @@ def _cmd_solve(args) -> _Run:
     seed = args.seed or 0
     ga_config = None
     if METHODS[args.method].randomized:
-        overrides = dict(max_generations=args.max_generations)
+        # the seed drawn once the file is read replaces any rng_seed it holds
+        overrides = dict(rng_seed=0, max_generations=args.max_generations)
         ga_config = (
             load_ga_config(args.ga_config, **overrides) if args.ga_config else GaConfig(**overrides)
         )

@@ -311,18 +311,19 @@ class _PopulationFitness:
     cells of the (task, cluster) grid, and for SM the offset coefficients
     too: task t on 0-based cluster c is cell t * m + c, read from one
     per-run base t * m. Each distinct genome is scored once: a call looks
-    rows up by their bytes among the genomes of this call and of the
-    previous one, and keeps only those two generations. The new rows are
-    decoded and repaired together: _repair sweeps only the rows with an
-    overfull (window, cluster) slot, and in them only the windows from that
-    slot on that the bumped tasks reach. The rest is array passes over all
-    rows: the cell of each task and its window's flat slot r * q + window - 1
-    in row r, window lengths and SM's window offset peaks as exact maxima
-    over those slots, the frame check, and schedule_power's closed form with
-    its additions in the same order (tasks in task-id order, SM's window
-    offset terms in window order), so SM fitness equals schedule_power bit
-    for bit. Genomes that do not repair, or whose windows overflow the major
-    frame, score inf.
+    rows up by their bytes, read from one view of the population in C
+    order, among the genomes of this call and of the previous one, and
+    keeps only those two generations. The new rows are decoded and
+    repaired together: _repair sweeps only the rows with an overfull
+    (window, cluster) slot, and in them only the windows from that slot on
+    that the bumped tasks reach. The rest is array passes over all rows
+    through two flat indices, each task's cell and its window's slot
+    r * q + window - 1 in row r: window lengths and SM's window offset
+    peaks as exact maxima over the slots, the frame check, and
+    schedule_power's closed form with its additions in the same order
+    (tasks in task-id order, SM's window offset terms in window order), so
+    SM fitness equals schedule_power bit for bit. Genomes that do not
+    repair, or whose windows overflow the major frame, score inf.
     """
 
     def __init__(
@@ -386,7 +387,8 @@ class _PopulationFitness:
         ci, pref, window = _decode_population(population, self.m, q)
         placed, failed = _repair(ci, pref, window, self.cores, q)
         cell = ci + self.cell0  # task t on cluster ci is cell t * m + ci
-        slot = (placed + (q * np.arange(size) - 1)[:, None]).ravel()  # row r's windows start at r * q
+        # window w of row r is slot r * q + w - 1
+        slot = (placed + (q * np.arange(size) - 1)[:, None]).ravel()
         execs = self.exec_ms.take(cell)
         lengths = np.zeros(size * q, dtype=execs.dtype)
         np.maximum.at(lengths, slot, execs.ravel())
@@ -559,9 +561,11 @@ def run_ga(
                 break  # converged; restart from scratch
 
             survivors = np.argsort(fitness, kind="stable")[:keep]
-            parents_a = population.take(survivors.take(rng.integers(0, keep, size=pop_size)), axis=0)
-            parents_b = population.take(survivors.take(rng.integers(0, keep, size=pop_size)), axis=0)
-            population = _build_children(rng, parents_a, parents_b, config)
+            rows_a = survivors.take(rng.integers(0, keep, size=pop_size))
+            rows_b = survivors.take(rng.integers(0, keep, size=pop_size))
+            population = _build_children(
+                rng, population.take(rows_a, axis=0), population.take(rows_b, axis=0), config
+            )
         restart += 1
 
     return GaResult(

@@ -409,6 +409,21 @@ class TestSolve:
         assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not (tmp_path / "x.result.json").exists()
 
+    @pytest.mark.parametrize("file_seed", [5, -1])
+    def test_ga_config_seed_is_replaced_by_the_command_seed(self, tmp_path, file_seed):
+        inst_path = tmp_path / "inst.json"
+        main(["generate", "--n", "6", "--kappa", "1.0", "--kernels", "mixed", "--seed", "5",
+              "-o", str(inst_path)])
+        config_path = tmp_path / "ga.json"
+        config_path.write_text(json.dumps({"rng_seed": file_seed}))
+        args = [
+            "solve", str(inst_path), "--method", "bb-sm", "--seed", "1", "--max-generations", "4",
+        ]
+        with_file = args + ["--ga-config", str(config_path), "-o", str(tmp_path / "a.json")]
+        assert main(with_file) == EXIT_OK
+        assert main(args + ["-o", str(tmp_path / "b.json")]) == EXIT_OK
+        assert (tmp_path / "a.trace.csv").read_bytes() == (tmp_path / "b.trace.csv").read_bytes()
+
     def test_bb_sm_seed_determinism(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         main(["generate", "--n", "6", "--kernels", "mixed", "--seed", "5", "-o", str(inst_path)])
