@@ -26,6 +26,7 @@ from .generator import (
     GeneratorConfig,
     generate_instance,
     load_kernel_pool,
+    resolve_big_cluster,
     scalability_sweep,
     write_sweep_csv,
 )
@@ -183,17 +184,17 @@ def _power_model(args) -> PowerModel:
 def _cmd_generate(args) -> _Run:
     platform = _resolve_platform(args.platform)
     pool = _resolve_kernels(args.kernels)
-    seed = _resolve_seed(args)
     config = GeneratorConfig(
         kernel_pool=pool,
         n_tasks=args.n,
         big_exec_min_ms=args.exec_min,
         big_exec_max_ms=args.exec_max,
         tightness_kappa=args.kappa,
-        rng_seed=seed,
         big_cluster_id=args.big_cluster,
     )
-    instance = generate_instance(config, platform)
+    resolve_big_cluster(config, platform)
+    seed = _resolve_seed(args)
+    instance = generate_instance(dataclasses.replace(config, rng_seed=seed), platform)
     save_instance(instance, args.output)
     return EXIT_OK, seed, [args.kernels], [args.output]
 
@@ -288,6 +289,12 @@ def _cmd_sweep(args) -> _Run:
     platform = _resolve_platform(args.platform)
     pool = _resolve_kernels(args.kernels)
     coefficients = _resolve_coefficients(args.coefficients)
+    # built here only so that a value they refuse is refused before the seed is drawn
+    GaConfig(max_generations=args.max_generations)
+    for n in sizes:
+        resolve_big_cluster(
+            GeneratorConfig(kernel_pool=pool, n_tasks=n, tightness_kappa=args.kappa), platform
+        )
     seed = _resolve_seed(args)
     cells = scalability_sweep(
         sizes=sizes,

@@ -128,7 +128,10 @@ class GeneratorConfig:
 
     tightness_kappa scales the major frame: larger values pack the same
     work into a shorter frame. big_cluster_id overrides the default choice
-    of the highest-frequency cluster as the big one.
+    of the highest-frequency cluster as the big one. Building a config
+    checks it: a non-empty pool, 1 <= big_exec_min_ms <= big_exec_max_ms,
+    a positive finite kappa and at least one task; a breach raises
+    ValueError. resolve_big_cluster checks it against a platform.
     """
 
     kernel_pool: tuple[KernelSpec, ...]
@@ -139,10 +142,41 @@ class GeneratorConfig:
     rng_seed: int = 0
     big_cluster_id: int | None = None
 
+    def __post_init__(self):
+        if not self.kernel_pool:
+            raise ValueError("kernel pool must not be empty")
+        if self.big_exec_min_ms > self.big_exec_max_ms:
+            raise ValueError("big_exec_min_ms must not exceed big_exec_max_ms")
+        if self.big_exec_min_ms < 1:
+            raise ValueError("big_exec_min_ms must be positive")
+        if not 0 < self.tightness_kappa < math.inf:
+            raise ValueError("tightness_kappa must be positive and finite")
+        if self.n_tasks < 1:
+            raise ValueError("n_tasks must be at least 1")
+
 
 def pick_big_cluster(platform: Platform) -> int:
     """The designated big cluster: highest frequency, ties on highest id."""
     return max(platform.clusters, key=lambda c: (c.frequency_mhz, c.id)).id
+
+
+def resolve_big_cluster(config: GeneratorConfig, platform: Platform) -> int:
+    """The big cluster config draws on platform, once its kernel pool covers the platform.
+
+    Raises ValueError when the pool's clusters are not the platform's or
+    config.big_cluster_id is not a platform cluster.
+    """
+    platform_ids = sorted(c.id for c in platform.clusters)
+    pool_ids = sorted(kc.cluster_id for kc in config.kernel_pool[0].per_cluster)
+    if platform_ids != pool_ids:
+        raise ValueError(
+            f"kernel pool covers clusters {pool_ids} but the platform has "
+            f"{platform_ids}"
+        )
+    big = config.big_cluster_id if config.big_cluster_id is not None else pick_big_cluster(platform)
+    if big not in platform_ids:
+        raise ValueError(f"big cluster {big} is not a platform cluster")
+    return big
 
 
 def generate_instance(config: GeneratorConfig, platform: Platform) -> Instance:
@@ -154,27 +188,7 @@ def generate_instance(config: GeneratorConfig, platform: Platform) -> Instance:
     the nearest ms, at least 1). The major frame is round(n * mean exec
     time across all tasks and clusters / kappa); the window budget is n.
     """
-    if not config.kernel_pool:
-        raise ValueError("kernel pool must not be empty")
-    if config.big_exec_min_ms > config.big_exec_max_ms:
-        raise ValueError("big_exec_min_ms must not exceed big_exec_max_ms")
-    if config.big_exec_min_ms < 1:
-        raise ValueError("big_exec_min_ms must be positive")
-    if not 0 < config.tightness_kappa < math.inf:
-        raise ValueError("tightness_kappa must be positive and finite")
-    if config.n_tasks < 1:
-        raise ValueError("n_tasks must be at least 1")
-    platform_ids = sorted(c.id for c in platform.clusters)
-    pool_ids = sorted(kc.cluster_id for kc in config.kernel_pool[0].per_cluster)
-    if platform_ids != pool_ids:
-        raise ValueError(
-            f"kernel pool covers clusters {pool_ids} but the platform has "
-            f"{platform_ids}"
-        )
-    big = config.big_cluster_id if config.big_cluster_id is not None else pick_big_cluster(platform)
-    if big not in platform_ids:
-        raise ValueError(f"big cluster {big} is not a platform cluster")
-
+    big = resolve_big_cluster(config, platform)
     rng = random.Random(config.rng_seed)
     tasks = []
     all_times: list[int] = []

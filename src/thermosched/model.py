@@ -527,20 +527,36 @@ def _json_key(key) -> str:
 
 
 @functools.cache
-def _field_names(kind: type) -> tuple[str, ...]:
-    """A dataclass's field names in sorted order, the order its document lists them."""
-    return tuple(sorted(f.name for f in fields(kind)))
+def _member_heads(kind: type, newline: str) -> tuple[tuple[tuple[str, str, str], ...], str]:
+    """The members of a dataclass written at newline's indent, and their own newline.
+
+    Each member is a field name, in sorted order (the order the document
+    lists them), with its opening text as the object's first member and as
+    a later member: "{" or ",", then the line break and indent, the quoted
+    key and ": ".
+    """
+    inner = newline + "  "
+    members = []
+    for name in sorted(f.name for f in fields(kind)):
+        key = inner + _encode_str(name) + ": "
+        members.append((name, "{" + key, "," + key))
+    return tuple(members), inner
 
 
 def _append_json(value, newline: str, parts: list[str]) -> None:
-    """Append value's JSON text; newline is a line break plus value's own indent."""
+    """Append value's JSON text; newline is a line break plus value's own indent.
+
+    A dataclass is written from its cached _member_heads: each field that is
+    not None gets its head, and an exact int, a finite float or a str is
+    written inline after it; any other value (a container, a bool, an int or
+    float subclass, NaN or an infinity) is written by recursion, so it still
+    goes through json's own encoder.
+    """
     kind = type(value)
     if kind is str:
         parts.append(_encode_str(value))
-    elif kind is int:
-        parts.append(int.__repr__(value))
-    elif kind is float and -_INF < value < _INF:
-        parts.append(float.__repr__(value))
+    elif kind is int or (kind is float and -_INF < value < _INF):
+        parts.append(repr(value))  # json's own text for an exact int or a finite float
     elif isinstance(value, (list, tuple)):
         if not value:
             parts.append("[]")
@@ -552,19 +568,33 @@ def _append_json(value, newline: str, parts: list[str]) -> None:
             sep = "," + inner
             _append_json(item, inner, parts)
         parts.append(newline + "]")
-    elif isinstance(value, dict) or hasattr(kind, "__dataclass_fields__"):
-        if isinstance(value, dict):
-            members = sorted(value.items())
-        else:  # a dataclass: its fields that are not None
-            members = [(k, v) for k in _field_names(kind) if (v := getattr(value, k)) is not None]
+    elif isinstance(value, dict):
         inner = newline + "  "
         sep = "{" + inner
-        for key, item in members:
+        for key, item in sorted(value.items()):
             text = key if isinstance(key, str) else _json_key(key)
             parts.append(sep + _encode_str(text) + ": ")
             sep = "," + inner
             _append_json(item, inner, parts)
-        parts.append(newline + "}" if members else "{}")
+        parts.append(newline + "}" if value else "{}")
+    elif hasattr(kind, "__dataclass_fields__"):
+        members, inner = _member_heads(kind, newline)
+        opened = False
+        for name, first, later in members:
+            item = getattr(value, name)
+            if item is None:
+                continue
+            head = later if opened else first
+            opened = True
+            item_kind = type(item)
+            if item_kind is int or (item_kind is float and -_INF < item < _INF):
+                parts.append(head + repr(item))
+            elif item_kind is str:
+                parts.append(head + _encode_str(item))
+            else:
+                parts.append(head)
+                _append_json(item, inner, parts)
+        parts.append(newline + "}" if opened else "{}")
     else:
         parts.append(_encode_scalar(value))
 
@@ -577,9 +607,11 @@ def _write_json(value, path_or_file: Union[str, IO[str]]) -> None:
     dict of its fields that are not None, keyed by field name. json.dump is
     not used because json's C encoder does not indent, so with indent=2
     every token goes through its pure-Python encoder and its own write call.
-    Here scalars go through json's own functions and the document is joined
-    into one string before the file is opened, so a value json cannot
-    serialize raises TypeError and leaves the file as it was.
+    Here scalars go through json's own functions, a dataclass's keys,
+    separators and indents come from heads cached per (type, indent) by
+    _member_heads, and the document is joined into one string before the
+    file is opened, so a value json cannot serialize raises TypeError and
+    leaves the file as it was.
     """
     parts: list[str] = []
     _append_json(value, "\n", parts)

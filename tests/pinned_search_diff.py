@@ -29,15 +29,30 @@ repr of the best fitness and digests of the trace and of the best
 placements. The runs are ga-loose's jobs (n = 20, 25, 30 by turns,
 kappa 1.0, population 50, 10 generations, the instance's seed as the GA's,
 bases 0 and 1, r < 32), for SM and LR fitness: 128 runs.
+
+With --cli it prints one line per file that cli-pipeline's session writes:
+sweep_seed(base, n, r), the file's suffix and a digest of its bytes. A
+session runs `generate`, `solve` with heur, flow-fixed on heur's window
+lengths and idle-max, and `evaluate` of heur's assignment under SM, LR and
+LR-UB with the imx8-mek coefficients, in a temporary directory, on
+instances with n = 30, 40, 50, 60 by turns, kappa 3.5, bases 0 and 1,
+r < 8: 16 sessions. Before hashing, the started_at, finished_at and
+elapsed_ms lines are dropped and the directory's path becomes "<dir>".
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
+import os
 import sys
+import tempfile
 
 import helpers
 import thermosched as ts
+from thermosched import cli
 from thermosched.generator import sweep_seed
 
 
@@ -118,12 +133,62 @@ def list_ga() -> None:
                 )
 
 
+# cli-pipeline's sessions: n = 30, 40, 50, 60 by turns at kappa 3.5, bases 0 and 1, r < 8.
+CLI_BASES = (0, 1)
+CLI_N = (30, 40, 50, 60)
+CLI_KAPPA = 3.5
+CLI_REPS = 8
+CLI_EVAL_MODELS = ("sm", "lr", "lr-ub")
+CLI_VOLATILE = (b'"started_at": ', b'"finished_at": ', b'"elapsed_ms": ')
+
+
+def _cli(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"exit {code}: {argv}")
+
+
+def _run_session(stem: str, n: int, seed: int) -> None:
+    instance, heur = stem + ".instance.json", stem + ".heur.json"
+    _cli(["generate", "--n", str(n), "--kappa", str(CLI_KAPPA), "--kernels", "mixed",
+          "--platform", "imx8-mek", "--seed", str(seed), "-o", instance])
+    _cli(["solve", instance, "--method", "heur", "-o", heur])
+    with open(heur, encoding="utf-8") as f:
+        lengths = ",".join(map(str, json.load(f)["window_lengths_ms"]))
+    _cli(["solve", instance, "--method", "flow-fixed", "--window-lengths", lengths,
+          "-o", stem + ".flow-fixed.json"])
+    _cli(["solve", instance, "--method", "idle-max", "-o", stem + ".idle-max.json"])
+    for model in CLI_EVAL_MODELS:
+        _cli(["evaluate", instance, heur, "--model", model, "--coefficients", "imx8-mek",
+              "-o", stem + f".evaluate-{model}.json"])
+
+
+def list_cli() -> None:
+    with tempfile.TemporaryDirectory() as workdir:
+        token = workdir.encode()
+        for base in CLI_BASES:
+            for r in range(CLI_REPS):
+                n = CLI_N[r % len(CLI_N)]
+                seed = sweep_seed(base, n, r)
+                _run_session(os.path.join(workdir, str(seed)), n, seed)
+                for name in sorted(os.listdir(workdir)):
+                    path = os.path.join(workdir, name)
+                    with open(path, "rb") as f:
+                        kept = b"".join(
+                            line.replace(token, b"<dir>") for line in f
+                            if not line.lstrip().startswith(CLI_VOLATILE)
+                        )
+                    os.remove(path)
+                    print(seed, name.split(".", 1)[1], hashlib.sha1(kept).hexdigest()[:16])
+
+
 def main() -> int:
-    modes = {"--sweep": list_sweep, "--ga": list_ga}
+    modes = {"--sweep": list_sweep, "--ga": list_ga, "--cli": list_cli}
     if len(sys.argv) == 2 and sys.argv[1] in modes:
         modes[sys.argv[1]]()
     elif sys.argv[1:]:
-        print(f"usage: {sys.argv[0]} [--sweep | --ga]", file=sys.stderr)
+        print(f"usage: {sys.argv[0]} [--sweep | --ga | --cli]", file=sys.stderr)
         return 64
     else:
         compare_pinned()

@@ -1307,6 +1307,26 @@ _REFUSED_BEFORE_THE_SEED = {
     "generate-missing-kernel-pool": (1, lambda i: [
         "generate", "--n", "4", "--kernels", i + ".missing.csv",
     ]),
+    "generate-n-zero": (1, lambda i: ["generate", "--n", "0", "--kernels", "mixed"]),
+    "generate-kappa-zero": (1, lambda i: ["generate", "--kappa", "0", "--kernels", "mixed"]),
+    "generate-kappa-nan": (1, lambda i: ["generate", "--kappa", "nan", "--kernels", "mixed"]),
+    "generate-exec-min-zero": (1, lambda i: ["generate", "--exec-min", "0", "--kernels", "mixed"]),
+    "generate-exec-min-above-max": (1, lambda i: [
+        "generate", "--exec-min", "100", "--exec-max", "50", "--kernels", "mixed",
+    ]),
+    "generate-unknown-big-cluster": (1, lambda i: [
+        "generate", "--big-cluster", "9", "--kernels", "mixed",
+    ]),
+    "sweep-size-zero": (1, lambda i: [
+        "sweep", "--sizes", "0", "--methods", "heur", "--kernels", "mixed",
+    ]),
+    "sweep-kappa-zero": (1, lambda i: [
+        "sweep", "--sizes", "4", "--kappa", "0", "--methods", "heur", "--kernels", "mixed",
+    ]),
+    "sweep-max-generations-zero": (1, lambda i: [
+        "sweep", "--sizes", "4", "--max-generations", "0", "--methods", "heur",
+        "--kernels", "mixed",
+    ]),
     "solve-missing-instance": (1, lambda i: ["solve", i + ".missing", "--method", "bb-sm"]),
     "solve-ga-config-out-of-range": (1, lambda i: [
         "solve", i, "--method", "bb-sm", "--max-generations", "0",

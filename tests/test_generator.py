@@ -160,8 +160,8 @@ class TestGenerateInstance:
         ids=["empty-pool", "min-above-max", "min-below-one", "unknown-big-cluster"],
     )
     def test_bad_config_is_refused(self, mixed_pool, fields, message):
-        config = GeneratorConfig(**{"kernel_pool": mixed_pool, "n_tasks": 5, **fields})
         with pytest.raises(ValueError, match=message):
+            config = GeneratorConfig(**{"kernel_pool": mixed_pool, "n_tasks": 5, **fields})
             generate_instance(config, helpers.MEK)
 
     def test_pool_on_other_clusters_is_refused(self):

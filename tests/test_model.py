@@ -506,6 +506,24 @@ class _Optional:
     a: str | None = None
 
 
+@dataclasses.dataclass
+class _Fields:
+    """A dataclass whose fields are declared out of document order."""
+
+    text: object = None
+    count: object = None
+    flag: object = None
+    ratio: object = None
+    items: object = None
+    inner: object = None
+
+
+def _fields_of(values):
+    """_Fields values whose every field is None or drawn from values."""
+    field = st.none() | values
+    return st.builds(_Fields, **{f.name: field for f in dataclasses.fields(_Fields)})
+
+
 def written_text(doc) -> str:
     buf = io.StringIO()
     ts.model._write_json(doc, buf)
@@ -534,6 +552,20 @@ JSON_DOCS = st.recursive(
     ),
     max_leaves=25,
 )
+# Dataclasses with fields of every kind: None, bools, int and float
+# subclasses, NaN and the infinities, escaped strings, containers and
+# dataclasses nested in them.
+DATACLASSES = _fields_of(
+    st.recursive(
+        JSON_SCALARS,
+        lambda children: (
+            st.lists(children, max_size=3)
+            | st.dictionaries(JSON_TEXT, children, max_size=3)
+            | _fields_of(children)
+        ),
+        max_leaves=15,
+    )
+)
 
 
 class TestWriteJson:
@@ -541,6 +573,18 @@ class TestWriteJson:
     @given(JSON_DOCS)
     def test_matches_the_stdlib(self, doc):
         assert written_text(doc) == stdlib_text(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(DATACLASSES, DATACLASSES)
+    def test_dataclasses_match_the_stdlib(self, shallow, deep):
+        """Member heads are cached per type and indent, so each type is also
+        written at two depths in one document, next to one with no field set."""
+        for doc in (
+            shallow,
+            [shallow, {"deep": [deep]}],
+            _Fields(items=[_Fields(), shallow], inner=deep),
+        ):
+            assert written_text(doc) == stdlib_text(plain(doc))
 
     def test_empty_and_nested_containers(self):
         doc = {"a": {}, "b": [], "c": (), "d": [{}, [[]], {"e": ({"f": None},)}]}
