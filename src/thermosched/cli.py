@@ -30,6 +30,7 @@ from .generator import (
     scalability_sweep,
     write_sweep_csv,
 )
+from .exact import deadline_after
 from .heuristics import GaConfig, load_ga_config, write_fitness_trace_csv
 from .model import (
     ParseError,
@@ -149,6 +150,11 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _check_time_limit(args) -> None:
+    """Refuse a --time-limit that every run's deadline_after refuses, before the seed is drawn."""
+    deadline_after(args.time_limit)
+
+
 def _parse_int_list(raw: str | None, flag: str) -> list[int] | None:
     if raw is None:
         return None
@@ -212,6 +218,7 @@ def _cmd_solve(args) -> _Run:
         ga_config = (
             load_ga_config(args.ga_config, **overrides) if args.ga_config else GaConfig(**overrides)
         )
+        _check_time_limit(args)
         seed = _resolve_seed(args)
         ga_config = dataclasses.replace(ga_config, rng_seed=seed)
     outcome = run_method(
@@ -295,6 +302,7 @@ def _cmd_sweep(args) -> _Run:
         resolve_big_cluster(
             GeneratorConfig(kernel_pool=pool, n_tasks=n, tightness_kappa=args.kappa), platform
         )
+    _check_time_limit(args)
     seed = _resolve_seed(args)
     cells = scalability_sweep(
         sizes=sizes,
@@ -327,6 +335,7 @@ def _cmd_compare(args) -> _Run:
     instance = load_instance(args.instance)
     coefficients = _resolve_coefficients(args.coefficients)
     ga_config = GaConfig(max_generations=args.max_generations)
+    _check_time_limit(args)
     seed = _resolve_seed(args)
     ga_config = dataclasses.replace(ga_config, rng_seed=seed)
     rows = []

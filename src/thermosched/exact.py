@@ -34,14 +34,20 @@ that its first witness meets the zero root bound and closes the search. It
 keeps the grouping's window lengths up to date as tasks are inserted.
 
 Every search starts from one seed: the first heuristic cluster map whose
-aligned grouping fits, the objective's own cheapest map tried first. A
-grouping decides its map's fit; the cluster search returns its incumbent's
-grouping, and the window search prices its seed grouping through the power
-model's closed form, without building an assignment. Placements are built
-from a grouping only where a caller receives an assignment: solve's witness
-(a window-search seed only when no search leaf beat it) and the greedy
-heuristic's result. The greedy heuristic's trial calls, which only ask
-whether a map fits, build none.
+aligned grouping fits, the objective's own cheapest map tried first. Seed
+maps and groupings are read from one per-task table per run (_TaskTable),
+which solve builds once per call and the greedy heuristic once per run,
+for all of its trials; none outlives its run. It holds each task's
+execution times, the cluster of each seed score's first minimum and, per
+cluster, every task in grouping rank order. A seed map is then the table's
+list with the fixes written in, and a grouping filters the rank orders
+instead of sorting. A grouping decides its map's fit; the cluster search
+returns its incumbent's grouping, and the window search prices its seed
+grouping through the power model's closed form, without building an
+assignment. Placements are built from a grouping only where a caller
+receives an assignment: solve's witness (a window-search seed only when no
+search leaf beat it) and the greedy heuristic's result. The greedy
+heuristic's trial calls, which only ask whether a map fits, build none.
 
 brute_force_optimum() is an independent exhaustive enumerator used as a
 testing oracle; it shares no search code with solve().
@@ -52,7 +58,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -140,64 +146,96 @@ def _check_inputs(
     return fix
 
 
-def _grouped_lengths(
-    instance: Instance, neg_lists: Sequence[Sequence[int]]
-) -> list[int] | None:
-    """Minimal window lengths for complete cluster choices.
+class _TaskTable:
+    """One run's per-task rows for the cluster-space code.
 
-    neg_lists[ci] holds the negated execution times of the tasks put on
-    cluster position ci, in ascending order (so the times themselves are
-    non-increasing); the searches keep them sorted as tasks are inserted.
-    Returns the per-window lengths of the cheapest partition, or None when
-    more windows would be needed than the instance allows or the windows
+    solve builds one per call and greedy one per run, which each of its
+    trials reads; none is kept on the instance. Tasks are indexed by their
+    position in instance.tasks, which is task-id order, and clusters by
+    position. exec_ms[i] is task i's execution time per cluster.
+    seeds[score][i] is the cluster of task i's first minimum of a seed
+    score (ties go to the lower cluster id): "fastest" (execution time),
+    "activity" (activity energy), "slowest" (negated execution time) and,
+    when coefficients are given, "star" (LR-UB star energy). ranked[ci]
+    holds every task index in grouping rank order on cluster ci:
+    decreasing execution time, ties on increasing index.
+    """
+
+    __slots__ = ("instance", "index", "exec_ms", "seeds", "ranked")
+
+    def __init__(
+        self, instance: Instance, coefficients: RegressionCoefficients | None = None
+    ):
+        self.instance = instance
+        self.index = {t.id: i for i, t in enumerate(instance.tasks)}
+        self.exec_ms = exec_ms = []
+        fastest, activity, slowest, star = [], [], [], []
+        for t in instance.tasks:
+            row = [tc.exec_time_ms for tc in t.per_cluster]
+            energy = [tc.activity_coef * tc.exec_time_ms for tc in t.per_cluster]
+            exec_ms.append(row)
+            fastest.append(row.index(min(row)))
+            activity.append(energy.index(min(energy)))
+            slowest.append(row.index(max(row)))  # the first maximum is the first minimum of -e
+            if coefficients is not None:
+                cost = [
+                    (tc.activity_coef * beta[0] + tc.offset_coef * beta[1]) * tc.exec_time_ms
+                    for tc, beta in zip(t.per_cluster, coefficients.betas)
+                ]
+                star.append(cost.index(min(cost)))
+        self.seeds = {"fastest": fastest, "activity": activity, "slowest": slowest}
+        if coefficients is not None:
+            self.seeds["star"] = star
+        # sorting is stable under reverse=True, so equal times keep index order
+        self.ranked = [
+            sorted(range(len(exec_ms)), key=[row[ci] for row in exec_ms].__getitem__, reverse=True)
+            for ci in range(len(instance.platform.clusters))
+        ]
+
+
+# (task index lists by cluster position in rank order, window lengths)
+_Grouping = tuple[list[list[int]], list[int]]
+
+
+def _group(table: _TaskTable, cluster_of: Sequence[int]) -> _Grouping | None:
+    """The aligned grouping of cluster choices, or None when it does not fit.
+
+    cluster_of[i] is task i's cluster position, or -1 to leave task i out
+    (the cluster search groups its fixes alone that way). Each cluster's
+    tasks are its entries of the table's rank order (decreasing execution
+    time, ties on ascending index, which is ascending task id), cut into
+    core-count sized groups; window j is as long as the longest group head
+    at rank j * cores over the clusters. Returns each cluster's task
+    indices in rank order and these minimal window lengths, or None when a
+    cluster needs more windows than the instance allows or the windows
     overflow the major frame.
     """
+    instance = table.instance
     q = instance.max_windows
+    exec_ms = table.exec_ms
+    members = []
     lengths: list[int] = []
-    for ci, cluster in enumerate(instance.platform.clusters):
-        cap = cluster.core_count
-        neg = neg_lists[ci]
-        groups = (len(neg) + cap - 1) // cap
-        if groups > q:
+    for ci, (c, order) in enumerate(zip(instance.platform.clusters, table.ranked)):
+        ranked = [i for i in order if cluster_of[i] == ci]
+        heads = ranked[:: c.core_count]
+        if len(heads) > q:
             return None
-        for j in range(groups):
-            head = -neg[j * cap]
+        for j, i in enumerate(heads):
+            head = exec_ms[i][ci]
             if j == len(lengths):
                 lengths.append(head)
             elif head > lengths[j]:
                 lengths[j] = head
-    return None if sum(lengths) > instance.major_frame_ms else lengths
-
-
-_Grouping = tuple[list[list[tuple[int, int]]], list[int]]
-
-
-def _group(instance: Instance, cluster_of: Mapping[int, int]) -> _Grouping | None:
-    """The aligned grouping of complete cluster choices, or None when it does not fit.
-
-    Returns each cluster's (negated execution time, task index) entries in
-    rank order and the grouping's window lengths; ties between equal
-    execution times break on ascending task index, which is ascending task
-    id, for determinism. None when a cluster needs more windows than the
-    instance allows or the windows overflow the major frame.
-    """
-    tasks = instance.tasks
-    ranked: list[list[tuple[int, int]]] = [[] for _ in instance.platform.clusters]
-    for i, t in enumerate(tasks):
-        cid = cluster_of[t.id]
-        ranked[cid - 1].append((-t.per_cluster[cid - 1].exec_time_ms, i))
-    for entries in ranked:
-        entries.sort()
-    lengths = _grouped_lengths(instance, [[neg_e for neg_e, _ in es] for es in ranked])
-    return None if lengths is None else (ranked, lengths)
+        members.append(ranked)
+    return None if sum(lengths) > instance.major_frame_ms else (members, lengths)
 
 
 def _cells(instance: Instance, grouping: _Grouping) -> tuple[list[int], list[int]]:
     """Each task's window and cluster id in a grouping, by task index: its ranks cut into windows."""
     windows = [0] * len(instance.tasks)
     clusters = [0] * len(instance.tasks)
-    for c, entries in zip(instance.platform.clusters, grouping[0]):
-        for rank, (_, i) in enumerate(entries):
+    for c, members in zip(instance.platform.clusters, grouping[0]):
+        for rank, i in enumerate(members):
             windows[i] = rank // c.core_count + 1
             clusters[i] = c.id
     return windows, clusters
@@ -274,59 +312,55 @@ def _balanced_cluster_map(instance: Instance, fix: Mapping[int, int]) -> dict[in
     return balanced
 
 
-def _heuristic_cluster_maps(
-    instance: Instance,
-    fix: Mapping[int, int],
-    objective: ObjectiveSpec,
-) -> Iterator[dict[int, int]]:
+# The seed scores tried per objective kind, its own cheapest map first; the
+# other kinds (feasibility, idle-max) start from the fastest-cluster map.
+_SEED_SCORES = {
+    ObjectiveKind.SM_POWER: ("activity", "fastest"),
+    ObjectiveKind.LR_UB_POWER: ("star", "fastest", "activity"),
+    ObjectiveKind.IDLE_MIN: ("slowest", "fastest", "activity"),
+}
+
+
+def _fixed_map(table: _TaskTable, fix: Mapping[int, int]) -> list[int]:
+    """The fixes as a map of each task's cluster position by task index, -1 where it is free."""
+    cluster_of = [-1] * len(table.exec_ms)
+    for tid, cid in fix.items():
+        cluster_of[table.index[tid]] = cid - 1
+    return cluster_of
+
+
+def _seed_maps(
+    table: _TaskTable, fixed: Sequence[int], objective: ObjectiveSpec
+) -> Iterator[list[int]]:
     """Cheap complete cluster choices used to seed incumbents, built on demand.
 
-    Each task takes the cluster that minimizes a per-task score. The
-    objective's own cheapest map comes first: the activity-energy map for
-    SM, the star-energy map for LR-UB and the slowest-cluster map for
-    idle-min; feasibility and idle-max start from the fastest-cluster map.
-    The balanced map comes last.
+    fixed is the fixes' map from _fixed_map. Each score's map takes the
+    table's first minimum wherever fixed leaves a task free: the
+    objective's own cheapest map first (activity energy for SM, star energy
+    for LR-UB, slowest cluster for idle-min, fastest cluster for
+    feasibility and idle-max), then the kind's other scores. The balanced
+    map comes last.
     """
-
-    def fastest(tc):
-        return tc.exec_time_ms
-
-    def activity_energy(tc):
-        return tc.activity_coef * tc.exec_time_ms
-
-    def slowest(tc):
-        return -tc.exec_time_ms
-
-    def star_cost(tc):
-        beta = objective.coefficients.beta(tc.cluster_id)
-        return (tc.activity_coef * beta[0] + tc.offset_coef * beta[1]) * tc.exec_time_ms
-
-    scores = {
-        ObjectiveKind.SM_POWER: (activity_energy, fastest),
-        ObjectiveKind.LR_UB_POWER: (star_cost, fastest, activity_energy),
-        ObjectiveKind.IDLE_MIN: (slowest, fastest, activity_energy),
-    }.get(objective.kind, (fastest, activity_energy))
-    for score in scores:
-        # per_cluster is in cluster id order: ties go to the lower id
-        yield {
-            t.id: fix[t.id] if t.id in fix else min(t.per_cluster, key=score).cluster_id
-            for t in instance.tasks
-        }
-    yield _balanced_cluster_map(instance, fix)
+    for score in _SEED_SCORES.get(objective.kind, ("fastest", "activity")):
+        yield [seed if ci < 0 else ci for ci, seed in zip(fixed, table.seeds[score])]
+    tasks = table.instance.tasks
+    fix = {t.id: ci + 1 for t, ci in zip(tasks, fixed) if ci >= 0}
+    balanced = _balanced_cluster_map(table.instance, fix)
+    yield [balanced[t.id] - 1 for t in tasks]
 
 
 def _seed_incumbent(
-    instance: Instance, fix: Mapping[int, int], objective: ObjectiveSpec
+    table: _TaskTable, fixed: Sequence[int], objective: ObjectiveSpec
 ) -> _Grouping | None:
-    """The grouping of the first heuristic cluster map that groups feasibly, or None.
+    """The grouping of the first seed map that groups feasibly, or None.
 
     Each map is grouped once, and the search keeps the first that fits:
     later maps would cost a grouping and a pricing each and, the
     objective's own map coming first, rarely improve on it by enough to
     change the search.
     """
-    for cmap in _heuristic_cluster_maps(instance, fix, objective):
-        grouping = _group(instance, cmap)
+    for cluster_of in _seed_maps(table, fixed, objective):
+        grouping = _group(table, cluster_of)
         if grouping is not None:
             return grouping
     return None
@@ -358,12 +392,13 @@ def _finish(
 
 
 def _window_search(
-    instance: Instance,
+    table: _TaskTable,
     objective: ObjectiveSpec,
     fix: Mapping[int, int],
     deadline: float,
     node_recorder: NodeRecorder | None,
 ) -> SearchResult:
+    instance = table.instance
     plat = instance.platform
     m = len(plat.clusters)
     q = instance.max_windows
@@ -470,7 +505,7 @@ def _window_search(
     # So a window costs at least the largest delta among its tasks. A window
     # holds at most C = total cores tasks, so the windows together cost at
     # least every C-th delta in descending order (the aligned-grouping
-    # argument of _grouped_lengths). Node bounds do not use it.
+    # argument of _group). Node bounds do not use it.
     deltas = [] if is_lrub else sorted(
         (-nk - i for nk, i, c in zip(neg_key, incr, min_coef) if c >= 0.0), reverse=True
     )
@@ -478,7 +513,7 @@ def _window_search(
     root_bound = p_idle + (tail[0] + offset_charge) / h
     # The seed grouping fits, so it is priced straight from its cells; it is
     # placed only if it is still the incumbent when the search ends.
-    seed = _seed_incumbent(instance, fix, objective)
+    seed = _seed_incumbent(table, _fixed_map(table, fix), objective)
     best_placements = None  # the path of the best leaf, once one beats the seed
     best_value = math.inf if seed is None else _closed_form(
         instance, *_cells(instance, seed), seed[1],
@@ -612,7 +647,7 @@ def _window_search(
 
 
 def _cluster_search(
-    instance: Instance,
+    table: _TaskTable,
     objective: ObjectiveSpec,
     fix: Mapping[int, int],
     deadline: float,
@@ -624,10 +659,12 @@ def _cluster_search(
     value (None, None without one), the bound a timeout reports, the node
     count, and whether the deadline cut the search.
     """
+    instance = table.instance
     plat = instance.platform
     m = len(plat.clusters)
     q = instance.max_windows
     h = instance.major_frame_ms
+    exec_ms = table.exec_ms
     feasibility = objective.kind is ObjectiveKind.FEASIBILITY_ONLY
     # Internal objective: minimize the signed processing time, sign * e per
     # task. Feasibility's zero cost lets the first witness meet the root
@@ -638,66 +675,57 @@ def _cluster_search(
     def to_value(signed_processing: int) -> float:
         return float(idle_const - sign * signed_processing)
 
-    lists: list[list[int]] = [[] for _ in range(m)]  # negated times, ascending
-    base = 0
-    for t in instance.tasks:
-        cid = fix.get(t.id)
-        if cid is not None:
-            e = t.per_cluster[cid - 1].exec_time_ms
-            insort(lists[cid - 1], -e)
-            base += sign * e
-    start_lengths = _grouped_lengths(instance, lists)
-    if start_lengths is None:
+    def processing(grouping: _Grouping) -> int:
+        return sum(exec_ms[i][ci] for ci, members in enumerate(grouping[0]) for i in members)
+
+    # The fixed tasks alone must fit; with nothing fixed there is nothing to group.
+    cluster_of = _fixed_map(table, fix)  # the fixes; the search writes the free tasks' clusters
+    fixed = _group(table, cluster_of) if fix else ([[] for _ in range(m)], [])
+    if fixed is None:
         return None, None, None, 1, False
+    free = [i for i, ci in enumerate(cluster_of) if ci < 0]
 
     # Seed before building the branching tables: most feasibility calls are
     # settled here, since a seed that meets the root bound prunes every child
-    # of the root.
-    free = [t for t in instance.tasks if t.id not in fix]
-    root_bound = base + (sign and sum(  # feasibility's bound is 0 without a sum
-        min(sign * tc.exec_time_ms for tc in t.per_cluster) for t in free
+    # of the root. The least signed time of a task is sign times its
+    # smallest time (idle-max) or its largest (idle-min); feasibility's
+    # bound and seed value are 0 without a sum.
+    root_bound = sign and sign * (processing(fixed) + sum(
+        map(min if sign > 0 else max, map(exec_ms.__getitem__, free))
     ))
-    seed = _seed_incumbent(instance, fix, objective)
-    best = math.inf if seed is None else sign and -sign * sum(  # feasibility: 0 without a sum
-        neg_e for entries in seed[0] for neg_e, _ in entries
-    )
+    seed = _seed_incumbent(table, cluster_of, objective)
+    best = math.inf if seed is None else sign and sign * processing(seed)
     timeout_bound = None if feasibility else to_value(root_bound)
     if seed is not None and best <= root_bound:
         return seed, to_value(best), timeout_bound, 1, False
 
     # Feasibility branches on the hardest-to-place tasks first and tries the
     # clusters by time per core; idle time branches on the tasks whose choice
-    # matters most and tries the cheapest signed time first.
+    # matters most and tries the cheapest signed time first. free is in task
+    # index order, and the sorts are stable, so ties keep it.
     if feasibility:
-        free.sort(key=lambda t: (-min(tc.exec_time_ms for tc in t.per_cluster), t.id))
+        free.sort(key=lambda i: -min(exec_ms[i]))
     else:
-        free.sort(
-            key=lambda t: (
-                -(max(tc.exec_time_ms for tc in t.per_cluster)
-                  - min(tc.exec_time_ms for tc in t.per_cluster)),
-                -min(tc.exec_time_ms for tc in t.per_cluster),
-                t.id,
-            )
-        )
+        free.sort(key=lambda i: (min(exec_ms[i]) - max(exec_ms[i]), -min(exec_ms[i])))
     n_free = len(free)
-    exec_ms = [[tc.exec_time_ms for tc in t.per_cluster] for t in free]
-    cost = [[sign * e for e in row] for row in exec_ms]
-    rank = (
-        [[e / c.core_count for e, c in zip(row, plat.clusters)] for row in exec_ms]
-        if feasibility else cost
-    )
+    rows = [exec_ms[i] for i in free]
+    cost = [[sign * e for e in row] for row in rows]
+    caps = [c.core_count for c in plat.clusters]
+    rank = [[e / cap for e, cap in zip(row, caps)] for row in rows] if feasibility else cost
     choice_order = [sorted(range(m), key=lambda ci: (row[ci], ci)) for row in rank]
     suffix = [0] * (n_free + 1)
     for p in range(n_free - 1, -1, -1):
         suffix[p] = suffix[p + 1] + min(cost[p])
-    caps = [c.core_count for c in plat.clusters]
     caps_total = [q * cap for cap in caps]
+    # lists[ci] holds the negated times of the tasks on cluster ci, ascending;
     # lengths[j] is window j's length in the aligned grouping of the tasks
     # placed so far: the largest head (rank j * cap) over the clusters.
-    lengths = start_lengths + [0] * (q - len(start_lengths))
+    lists = [[-exec_ms[i][ci] for i in members] for ci, members in enumerate(fixed[0])]
+    lengths = fixed[1] + [0] * (q - len(fixed[1]))
 
-    incumbent: list = [None, best]  # [cluster map found below the root, signed processing]
-    current = dict(fix)
+    # [cluster map of the best leaf found below the root, signed processing]
+    incumbent: list = [None, best]
+    pick = [0] * n_free  # the cluster position chosen at each depth of the path
     nodes = 0
     aborted = False
 
@@ -714,11 +742,12 @@ def _cluster_search(
             return
         if depth == n_free:
             if acc < incumbent[1]:
-                incumbent[0] = dict(current)
+                for i, ci in zip(free, pick):
+                    cluster_of[i] = ci
+                incumbent[0] = cluster_of.copy()
                 incumbent[1] = acc
             return
-        tid = free[depth].id
-        exec_row = exec_ms[depth]
+        exec_row = rows[depth]
         cost_row = cost[depth]
         rest = suffix[depth + 1]
         for ci in choice_order[depth]:
@@ -742,17 +771,16 @@ def _cluster_search(
                     grow += head - lengths[j]
                     lengths[j] = head
             if suml + grow <= h:
-                current[tid] = ci + 1
+                pick[depth] = ci
                 rec(depth + 1, acc + c, suml + grow)
-                del current[tid]
             lengths[lo:hi] = saved
             del neg[pos]
             if aborted:
                 return
 
-    rec(0, base, sum(start_lengths))
+    rec(0, sign * processing(fixed), sum(fixed[1]))
     if incumbent[0] is not None:
-        seed = _group(instance, incumbent[0])
+        seed = _group(table, incumbent[0])
     return seed, None if seed is None else to_value(incumbent[1]), timeout_bound, nodes, aborted
 
 
@@ -788,9 +816,11 @@ def solve(
     """
     deadline = deadline_after(time_limit_ms)
     fix = _check_inputs(instance, objective, fixed_clusters)
-    if objective.kind in (ObjectiveKind.SM_POWER, ObjectiveKind.LR_UB_POWER):
-        return _window_search(instance, objective, fix, deadline, node_recorder)
-    grouping, *outcome = _cluster_search(instance, objective, fix, deadline)
+    lr_ub = objective.kind is ObjectiveKind.LR_UB_POWER
+    table = _TaskTable(instance, objective.coefficients if lr_ub else None)
+    if lr_ub or objective.kind is ObjectiveKind.SM_POWER:
+        return _window_search(table, objective, fix, deadline, node_recorder)
+    grouping, *outcome = _cluster_search(table, objective, fix, deadline)
     return _finish(None if grouping is None else _placed(instance, grouping), *outcome)
 
 

@@ -34,6 +34,7 @@ from typing import IO, TYPE_CHECKING, Sequence, Union
 from .exact import (
     ObjectiveKind,
     ObjectiveSpec,
+    _TaskTable,
     _cluster_search,
     _group,
     _placed,
@@ -586,10 +587,13 @@ def greedy(instance: Instance, time_limit_ms: float | None = None) -> Assignment
     feasibility oracle confirms the remaining tasks can still be placed.
     Each trial runs the oracle's cluster search directly: its fixes are
     valid by construction, and it returns the grouping of a fitting cluster
-    map without building a schedule. Returns the aligned grouping of the
-    fixed clusters as an assignment, which is the witness of the final
-    trial (every task fixed), or None when the oracle proved that a task
-    fits on no cluster.
+    map without building a schedule. The run builds one task table (each
+    task's execution times, seed-map clusters and rank orders) that every
+    trial reads, so a trial copies a seed map and filters rank orders
+    instead of rebuilding and sorting them; each trial still runs the whole
+    oracle. Returns the aligned grouping of the fixed clusters as an
+    assignment, which is the witness of the final trial (every task fixed),
+    or None when the oracle proved that a task fits on no cluster.
 
     time_limit_ms (None: no limit) sets one deadline for the whole run. It
     is checked before every trial, and the oracle search reads it at every
@@ -597,6 +601,7 @@ def greedy(instance: Instance, time_limit_ms: float | None = None) -> Assignment
     returns None.
     """
     deadline = deadline_after(time_limit_ms)
+    table = _TaskTable(instance)
 
     def energy(task, cid):
         tc = task.per_cluster[cid - 1]
@@ -615,7 +620,7 @@ def greedy(instance: Instance, time_limit_ms: float | None = None) -> Assignment
             trial[task.id] = cid
             if time.perf_counter() >= deadline:
                 raise TimeoutError(f"the time limit ran out on task {task.id}")
-            witness, *_, aborted = _cluster_search(instance, feas, trial, deadline)
+            witness, *_, aborted = _cluster_search(table, feas, trial, deadline)
             if aborted:
                 raise TimeoutError(f"the time limit ran out on task {task.id}")
             if witness is not None:
@@ -623,4 +628,4 @@ def greedy(instance: Instance, time_limit_ms: float | None = None) -> Assignment
                 break
         else:  # the oracle proved that no cluster fits
             return None
-    return _placed(instance, _group(instance, fixed))
+    return _placed(instance, _group(table, [fixed[t.id] - 1 for t in instance.tasks]))

@@ -21,7 +21,8 @@ to be diffed between two checkouts, each run with its own src on the path:
 A line holds sweep_seed(base, n, r), the kind, the status, the node count,
 the repr of the objective and a digest of the placements. The instances are
 exact-bnb's core jobs (n = 12, kappa 3.5, bases 0 and 1, r < 432), solved
-for SM and LR-UB power: 1,728 searches.
+for SM and LR-UB power in the window search and for idle-min, idle-max and
+feasibility-only in the cluster search: 4,320 searches.
 
 With --ga it prints one line per genetic search in the same way:
 sweep_seed(base, n, r), the model, the generation and restart counts, the
@@ -38,6 +39,14 @@ LR-UB with the imx8-mek coefficients, in a temporary directory, on
 instances with n = 30, 40, 50, 60 by turns, kappa 3.5, bases 0 and 1,
 r < 8: 16 sessions. Before hashing, the started_at, finished_at and
 elapsed_ms lines are dropped and the directory's path becomes "<dir>".
+
+With --ratio it prints criterion 12's timing margin: for n = 20, 25, 30,
+35 and 40, the median run_method time of heur and of idle-max on the
+criterion's instance (sweep_seed(0, n, 0), default generator settings) and
+their ratio. Each median is over 15 interleaved calls after one untimed
+warm-up call per method. The criterion needs heur slower than idle-max at
+every one of these sizes, so a change to the feasibility oracle reports
+this listing before and after.
 """
 
 from __future__ import annotations
@@ -47,13 +56,14 @@ import hashlib
 import io
 import json
 import os
+import statistics
 import sys
 import tempfile
 
 import helpers
 import thermosched as ts
 from thermosched import cli
-from thermosched.generator import sweep_seed
+from thermosched.generator import GeneratorConfig, generate_instance, sweep_seed
 
 
 def _digest(value) -> str:
@@ -92,7 +102,13 @@ SWEEP_BASES = (0, 1)
 SWEEP_N = 12
 SWEEP_KAPPA = 3.5
 SWEEP_REPS = 432
-SWEEP_KINDS = (ts.ObjectiveKind.SM_POWER, ts.ObjectiveKind.LR_UB_POWER)
+SWEEP_KINDS = (
+    ts.ObjectiveKind.SM_POWER,
+    ts.ObjectiveKind.LR_UB_POWER,
+    ts.ObjectiveKind.IDLE_MIN,
+    ts.ObjectiveKind.IDLE_MAX,
+    ts.ObjectiveKind.FEASIBILITY_ONLY,
+)
 
 
 def list_sweep() -> None:
@@ -183,12 +199,37 @@ def list_cli() -> None:
                     print(seed, name.split(".", 1)[1], hashlib.sha1(kept).hexdigest()[:16])
 
 
+# criterion 12's timed sizes and budget; heur must be slower than idle-max at each
+RATIO_N = (20, 25, 30, 35, 40)
+RATIO_METHODS = ("heur", "idle-max")
+RATIO_ROUNDS = 15
+RATIO_LIMIT_MS = 60000
+
+
+def list_ratio() -> None:
+    print("n heur_ms idle_max_ms ratio")
+    for n in RATIO_N:
+        config = GeneratorConfig(
+            kernel_pool=helpers.MIXED_POOL, n_tasks=n, rng_seed=sweep_seed(0, n, 0)
+        )
+        instance = generate_instance(config, helpers.MEK)
+        for method in RATIO_METHODS:
+            ts.run_method(method, instance, time_limit_ms=RATIO_LIMIT_MS)
+        times: dict[str, list[float]] = {method: [] for method in RATIO_METHODS}
+        for _ in range(RATIO_ROUNDS):
+            for method in RATIO_METHODS:
+                outcome = ts.run_method(method, instance, time_limit_ms=RATIO_LIMIT_MS)
+                times[method].append(outcome.elapsed_ms)
+        heur, idle_max = (statistics.median(times[method]) for method in RATIO_METHODS)
+        print(f"{n} {heur:.3f} {idle_max:.3f} {heur / idle_max:.2f}")
+
+
 def main() -> int:
-    modes = {"--sweep": list_sweep, "--ga": list_ga, "--cli": list_cli}
+    modes = {"--sweep": list_sweep, "--ga": list_ga, "--cli": list_cli, "--ratio": list_ratio}
     if len(sys.argv) == 2 and sys.argv[1] in modes:
         modes[sys.argv[1]]()
     elif sys.argv[1:]:
-        print(f"usage: {sys.argv[0]} [--sweep | --ga | --cli]", file=sys.stderr)
+        print(f"usage: {sys.argv[0]} [--sweep | --ga | --cli | --ratio]", file=sys.stderr)
         return 64
     else:
         compare_pinned()

@@ -1331,6 +1331,22 @@ _REFUSED_BEFORE_THE_SEED = {
     "solve-ga-config-out-of-range": (1, lambda i: [
         "solve", i, "--method", "bb-sm", "--max-generations", "0",
     ]),
+    "solve-time-limit-zero": (1, lambda i: ["solve", i, "--method", "bb-sm", "--time-limit", "0"]),
+    "solve-time-limit-negative": (1, lambda i: [
+        "solve", i, "--method", "bb-sm", "--time-limit", "-5",
+    ]),
+    "solve-time-limit-nan": (1, lambda i: [
+        "solve", i, "--method", "bb-sm", "--time-limit", "nan",
+    ]),
+    "solve-lr-time-limit-zero": (1, lambda i: [
+        "solve", i, "--method", "bb-lr", "--coefficients", "imx8-mek", "--time-limit", "0",
+    ]),
+    "compare-time-limit-zero": (1, lambda i: [
+        "compare", i, "--methods", "heur", "--time-limit", "0",
+    ]),
+    "sweep-time-limit-zero": (1, lambda i: [
+        "sweep", "--sizes", "4", "--methods", "heur", "--kernels", "mixed", "--time-limit", "0",
+    ]),
 }
 
 

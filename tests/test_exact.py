@@ -469,7 +469,9 @@ class TestSeedIncumbent:
             monkeypatch.setattr(exact, "_placed", _recording(placements, placed))
             result = ts.solve(instance, spec(kind))
             monkeypatch.undo()
+            # _group takes a map of cluster positions by task index
             (_, first_map), _ = groupings[0]
+            first_map = {t.id: ci + 1 for t, ci in zip(instance.tasks, first_map)}
             assert first_map == _cheapest_map(instance, own_score)
             # grouped until the first fit, which alone is priced
             fits = [grouping is not None for _, grouping in groupings]
@@ -579,6 +581,140 @@ def test_balanced_seed_map_matches_full_regrouping():
                 list(expected.values()).count(cid) > cap for cid, cap in slots.items()
             )
     assert overflowed > 20
+
+
+def _seed_scores(coefficients):
+    """Each seed score of the task table as a per-(task, cluster) function."""
+    betas = coefficients.betas
+    return {
+        "fastest": lambda tc: tc.exec_time_ms,
+        "activity": lambda tc: tc.activity_coef * tc.exec_time_ms,
+        "slowest": lambda tc: -tc.exec_time_ms,
+        "star": lambda tc: (
+            tc.activity_coef * betas[tc.cluster_id - 1][0]
+            + tc.offset_coef * betas[tc.cluster_id - 1][1]
+        ) * tc.exec_time_ms,
+    }
+
+
+def tied_scores_instance():
+    """Three clusters, where each task ties on some score between two or three clusters.
+
+    Task 1 is the same on every cluster; task 2 ties its slowest time on
+    clusters 1 and 3 and its activity energy (0.5 * 10 = 0.25 * 20) on
+    clusters 2 and 3; task 3 ties its activity and star energies
+    (0.5 * 20 = 1.0 * 10 = 0.25 * 40, with zero offsets) on all three.
+    """
+    plat = ts.Platform(
+        clusters=tuple(
+            ts.Cluster(id=k, core_count=2, label=f"c{k}", frequency_mhz=1000) for k in (1, 2, 3)
+        ),
+        idle_power_watts=1.0,
+    )
+    tasks = (
+        ts.Task(1, "same", tuple(ts.TaskCharacteristics(k, 10, 0.5, 0.25) for k in (1, 2, 3))),
+        ts.Task(2, "time-ties", (
+            ts.TaskCharacteristics(1, 20, 0.5, 0.25),
+            ts.TaskCharacteristics(2, 10, 0.5, 0.25),
+            ts.TaskCharacteristics(3, 20, 0.25, 0.5),
+        )),
+        ts.Task(3, "energy-ties", (
+            ts.TaskCharacteristics(1, 20, 0.5, 0.0),
+            ts.TaskCharacteristics(2, 10, 1.0, 0.0),
+            ts.TaskCharacteristics(3, 40, 0.25, 0.0),
+        )),
+    )
+    coefficients = RegressionCoefficients(betas=((1.0, 1.0),) * 3)
+    return ts.Instance(plat, tasks, 100, 3), coefficients
+
+
+class TestTaskTable:
+    """The per-run task table against independent rebuilds of its maps and groupings."""
+
+    def _reference_maps(self, instance, fix, objective):
+        """The seed maps as {task id: cluster id}, rebuilt from the tasks in documented order."""
+        scores = _seed_scores(objective.coefficients)
+        names = {
+            ObjectiveKind.SM_POWER: ("activity", "fastest"),
+            ObjectiveKind.LR_UB_POWER: ("star", "fastest", "activity"),
+            ObjectiveKind.IDLE_MIN: ("slowest", "fastest", "activity"),
+        }.get(objective.kind, ("fastest", "activity"))
+        maps = [
+            {t.id: fix.get(t.id, min(t.per_cluster, key=scores[name]).cluster_id)
+             for t in instance.tasks}
+            for name in names
+        ]
+        return maps + [helpers.reference_balanced_map(instance, fix)]
+
+    def _as_dict(self, instance, cluster_of):
+        return {t.id: ci + 1 for t, ci in zip(instance.tasks, cluster_of)}
+
+    def test_seed_maps_take_the_first_minimum(self):
+        rng = random.Random(23)
+        cases = [tied_scores_instance()] + [
+            (helpers.small_random_instance(seed, n_hi=12), helpers.MEK_COEFF) for seed in range(30)
+        ]
+        for instance, coefficients in cases:
+            table = exact._TaskTable(instance, coefficients)
+            for name, score in _seed_scores(coefficients).items():
+                expected = {t.id: min(t.per_cluster, key=score).cluster_id for t in instance.tasks}
+                assert self._as_dict(instance, table.seeds[name]) == expected, name
+            partial = dict(rng.sample(
+                sorted(helpers.random_cluster_map(instance, rng).items()), len(instance.tasks) // 2
+            ))
+            for fix in ({}, partial):
+                fixed = exact._fixed_map(table, fix)
+                for kind in ObjectiveKind:
+                    objective = ObjectiveSpec(kind, coefficients)
+                    maps = [self._as_dict(instance, cluster_of)
+                            for cluster_of in exact._seed_maps(table, fixed, objective)]
+                    assert maps == self._reference_maps(instance, fix, objective), kind
+        # the first minimum wins each tie: clusters 1, 2 and 1 are the first of the tied ones
+        instance, coefficients = tied_scores_instance()
+        seeds = exact._TaskTable(instance, coefficients).seeds
+        assert (seeds["fastest"], seeds["slowest"], seeds["activity"], seeds["star"]) == (
+            [0, 1, 1], [0, 0, 2], [0, 1, 0], [0, 1, 0],
+        )
+
+    def test_grouping_places_what_the_rebuild_places(self):
+        rng = random.Random(29)
+        fits = set()
+        for seed in range(60):
+            instance = helpers.small_random_instance(seed, n_hi=16, q_max=6)
+            if seed % 3 == 0:
+                instance = helpers.with_windows(instance, 1)
+            table = exact._TaskTable(instance, helpers.MEK_COEFF)
+            full = helpers.random_cluster_map(instance, rng)
+            partial = dict(rng.sample(sorted(full.items()), len(full) // 2))
+            maps = [[full[t.id] - 1 for t in instance.tasks]]
+            for fix in ({}, partial):
+                for kind in ObjectiveKind:
+                    maps += exact._seed_maps(table, exact._fixed_map(table, fix), spec(kind))
+            for cluster_of in maps:
+                grouping = exact._group(table, cluster_of)
+                cmap = self._as_dict(instance, cluster_of)
+                expected = helpers.grouped_assignment(instance, cmap)
+                if expected is None:
+                    assert grouping is None
+                else:
+                    assert exact._placed(instance, grouping) == expected
+                fits.add(expected is not None)
+        assert fits == {True, False}
+
+    def test_solve_builds_one_table_per_call(self, monkeypatch):
+        built = []
+        table = exact._TaskTable
+
+        def counted(*args):
+            built.append(args[0])
+            return table(*args)
+
+        monkeypatch.setattr(exact, "_TaskTable", counted)
+        instance = helpers.pinned_instance({"sweep": [2, 12, 0], "kappa": 5.0})
+        for kind in ObjectiveKind:
+            built.clear()
+            ts.solve(instance, spec(kind))
+            assert built == [instance], kind
 
 
 @pytest.mark.parametrize("case", helpers.pinned_search_cases(), ids=lambda c: c["case"])

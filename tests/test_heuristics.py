@@ -897,6 +897,20 @@ class TestGreedyMatchesReference:
         assert calls.count("_cluster_search") == reference_calls
 
 
+    def test_one_table_built_per_run(self, monkeypatch):
+        # Every trial of a run reads the one task table; a table per trial
+        # would rebuild the seed maps and rank orders that it holds.
+        calls = []
+        monkeypatch.setattr(
+            heuristics, "_TaskTable", _counting(calls, "_TaskTable", heuristics._TaskTable)
+        )
+        for instance in list(_greedy_cases())[::4]:
+            calls.clear()
+            expected, _ = helpers.reference_greedy(instance)
+            assert ts.greedy(instance) == expected
+            assert calls == ["_TaskTable"]
+
+
 def _counting(calls, name, fn):
     def counted(*args, **kwargs):
         calls.append(name)
