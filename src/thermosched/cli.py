@@ -21,6 +21,7 @@ import secrets
 import sys
 
 from . import __version__
+from .exact import deadline_after
 from .gantt import render_gantt_svg
 from .generator import (
     GeneratorConfig,
@@ -30,7 +31,6 @@ from .generator import (
     scalability_sweep,
     write_sweep_csv,
 )
-from .exact import deadline_after
 from .heuristics import GaConfig, load_ga_config, write_fitness_trace_csv
 from .model import (
     ParseError,

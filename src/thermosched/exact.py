@@ -147,7 +147,7 @@ def _check_inputs(
 
 
 class _TaskTable:
-    """One run's per-task rows for the cluster-space code.
+    """One run's per-task rows for the seed maps and the cluster search.
 
     solve builds one per call and greedy one per run, which each of its
     trials reads; none is kept on the instance. Tasks are indexed by their
@@ -689,8 +689,9 @@ def _cluster_search(
     # settled here, since a seed that meets the root bound prunes every child
     # of the root. The least signed time of a task is sign times its
     # smallest time (idle-max) or its largest (idle-min); feasibility's
-    # bound and seed value are 0 without a sum.
-    root_bound = sign and sign * (processing(fixed) + sum(
+    # base, bound and seed value are 0 without a sum.
+    base = sign and sign * processing(fixed)
+    root_bound = base + (sign and sign * sum(
         map(min if sign > 0 else max, map(exec_ms.__getitem__, free))
     ))
     seed = _seed_incumbent(table, cluster_of, objective)
@@ -778,7 +779,7 @@ def _cluster_search(
             if aborted:
                 return
 
-    rec(0, sign * processing(fixed), sum(fixed[1]))
+    rec(0, base, sum(fixed[1]))
     if incumbent[0] is not None:
         seed = _group(table, incumbent[0])
     return seed, None if seed is None else to_value(incumbent[1]), timeout_bound, nodes, aborted

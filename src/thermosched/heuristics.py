@@ -589,9 +589,9 @@ def greedy(instance: Instance, time_limit_ms: float | None = None) -> Assignment
     valid by construction, and it returns the grouping of a fitting cluster
     map without building a schedule. The run builds one task table (each
     task's execution times, seed-map clusters and rank orders) that every
-    trial reads, so a trial copies a seed map and filters rank orders
-    instead of rebuilding and sorting them; each trial still runs the whole
-    oracle. Returns the aligned grouping of the fixed clusters as an
+    trial reads, so a trial writes its fixes over the table's seed-map
+    clusters and filters rank orders instead of rebuilding and sorting
+    them; each trial still runs the whole oracle. Returns the aligned grouping of the fixed clusters as an
     assignment, which is the witness of the final trial (every task fixed),
     or None when the oracle proved that a task fits on no cluster.
 
