@@ -38,16 +38,20 @@ aligned grouping fits, the objective's own cheapest map tried first. Seed
 maps and groupings are read from one per-task table per run (_TaskTable),
 which solve builds once per call and the greedy heuristic once per run,
 for all of its trials; none outlives its run. It holds each task's
-execution times, the cluster of each seed score's first minimum and, per
-cluster, every task in grouping rank order. A seed map is then the table's
-list with the fixes written in, and a grouping filters the rank orders
-instead of sorting. A grouping decides its map's fit; the cluster search
-returns its incumbent's grouping, and the window search prices its seed
-grouping through the power model's closed form, without building an
-assignment. Placements are built from a grouping only where a caller
-receives an assignment: solve's witness (a window-search seed only when no
-search leaf beat it) and the greedy heuristic's result. The greedy
-heuristic's trial calls, which only ask whether a map fits, build none.
+execution times, the cluster of each seed score's first minimum (each
+score's list built on its first read) and, per cluster, every task in
+grouping rank order. A seed map is then the table's list with the fixes
+written in, and a grouping filters the rank orders instead of sorting. A
+grouping decides its map's fit. A seed map holds the fixes, so one that
+fits proves that they fit: the cluster search groups its fixed tasks alone
+only when no score map fits, and a call that its first map settles groups
+once. The cluster search returns its incumbent's grouping, and the window
+search prices its seed grouping through the power model's closed form,
+without building an assignment. Placements are built from a grouping only
+where a caller receives an assignment: solve's witness (a window-search
+seed only when no search leaf beat it) and the greedy heuristic's result.
+The greedy heuristic's trial calls, which only ask whether a map fits,
+build none.
 
 brute_force_optimum() is an independent exhaustive enumerator used as a
 testing oracle; it shares no search code with solve().
@@ -62,7 +66,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import Assignment, Instance, Placement
 from .power import PowerModel, RegressionCoefficients, _closed_form
@@ -146,6 +150,43 @@ def _check_inputs(
     return fix
 
 
+class _Seeds(dict):
+    """A table's seed lists by score name, each built on its first read.
+
+    A run reads one to three of them (greedy's trials mostly the fastest
+    alone), so the others are never built. "star" is a missing key when
+    the table has no coefficients.
+    """
+
+    __slots__ = ("tasks", "exec_ms", "coefficients")
+
+    def __missing__(self, score: str) -> list[int]:
+        if score == "slowest":  # the first maximum is the first minimum of -e
+            seeds = [row.index(max(row)) for row in self.exec_ms]
+        else:
+            if score == "fastest":
+                costs = self.exec_ms
+            elif score == "activity":
+                costs = (
+                    [tc.activity_coef * tc.exec_time_ms for tc in t.per_cluster]
+                    for t in self.tasks
+                )
+            elif score == "star" and self.coefficients is not None:
+                betas = self.coefficients.betas
+                costs = (
+                    [
+                        (tc.activity_coef * beta[0] + tc.offset_coef * beta[1]) * tc.exec_time_ms
+                        for tc, beta in zip(t.per_cluster, betas)
+                    ]
+                    for t in self.tasks
+                )
+            else:
+                raise KeyError(score)
+            seeds = [row.index(min(row)) for row in costs]
+        self[score] = seeds
+        return seeds
+
+
 class _TaskTable:
     """One run's per-task rows for the seed maps and the cluster search.
 
@@ -156,9 +197,10 @@ class _TaskTable:
     seeds[score][i] is the cluster of task i's first minimum of a seed
     score (ties go to the lower cluster id): "fastest" (execution time),
     "activity" (activity energy), "slowest" (negated execution time) and,
-    when coefficients are given, "star" (LR-UB star energy). ranked[ci]
-    holds every task index in grouping rank order on cluster ci:
-    decreasing execution time, ties on increasing index.
+    when coefficients are given, "star" (LR-UB star energy); each list is
+    built when it is first read. ranked[ci] holds every task index in
+    grouping rank order on cluster ci: decreasing execution time, ties on
+    increasing index.
     """
 
     __slots__ = ("instance", "index", "exec_ms", "seeds", "ranked")
@@ -166,26 +208,12 @@ class _TaskTable:
     def __init__(
         self, instance: Instance, coefficients: RegressionCoefficients | None = None
     ):
+        tasks = instance.tasks
         self.instance = instance
-        self.index = {t.id: i for i, t in enumerate(instance.tasks)}
-        self.exec_ms = exec_ms = []
-        fastest, activity, slowest, star = [], [], [], []
-        for t in instance.tasks:
-            row = [tc.exec_time_ms for tc in t.per_cluster]
-            energy = [tc.activity_coef * tc.exec_time_ms for tc in t.per_cluster]
-            exec_ms.append(row)
-            fastest.append(row.index(min(row)))
-            activity.append(energy.index(min(energy)))
-            slowest.append(row.index(max(row)))  # the first maximum is the first minimum of -e
-            if coefficients is not None:
-                cost = [
-                    (tc.activity_coef * beta[0] + tc.offset_coef * beta[1]) * tc.exec_time_ms
-                    for tc, beta in zip(t.per_cluster, coefficients.betas)
-                ]
-                star.append(cost.index(min(cost)))
-        self.seeds = {"fastest": fastest, "activity": activity, "slowest": slowest}
-        if coefficients is not None:
-            self.seeds["star"] = star
+        self.index = {t.id: i for i, t in enumerate(tasks)}
+        self.exec_ms = exec_ms = [[tc.exec_time_ms for tc in t.per_cluster] for t in tasks]
+        self.seeds = seeds = _Seeds()
+        seeds.tasks, seeds.exec_ms, seeds.coefficients = tasks, exec_ms, coefficients
         # sorting is stable under reverse=True, so equal times keep index order
         self.ranked = [
             sorted(range(len(exec_ms)), key=[row[ci] for row in exec_ms].__getitem__, reverse=True)
@@ -244,12 +272,17 @@ def _cells(instance: Instance, grouping: _Grouping) -> tuple[list[int], list[int
 def _placed(instance: Instance, grouping: _Grouping) -> Assignment:
     """The assignment of a grouping that fits.
 
-    The grouping's lengths are the assignment's tight window lengths.
+    The grouping's lengths are the assignment's tight window lengths; each
+    task's window is its rank cut into windows, as in _cells.
     """
+    tasks = instance.tasks  # task index order is task-id order
+    placed: list = [None] * len(tasks)
+    for c, members in zip(instance.platform.clusters, grouping[0]):
+        cap, cid = c.core_count, c.id
+        for rank, i in enumerate(members):
+            placed[i] = Placement(tasks[i].id, rank // cap + 1, cid)
     lengths = grouping[1]
-    ids = [t.id for t in instance.tasks]  # task index order is task-id order
-    placed = tuple(map(Placement, ids, *_cells(instance, grouping)))
-    return Assignment(placed, tuple(lengths + [0] * (instance.max_windows - len(lengths))))
+    return Assignment(tuple(placed), tuple(lengths + [0] * (instance.max_windows - len(lengths))))
 
 
 def _balanced_cluster_map(instance: Instance, fix: Mapping[int, int]) -> dict[int, int]:
@@ -329,29 +362,43 @@ def _fixed_map(table: _TaskTable, fix: Mapping[int, int]) -> list[int]:
     return cluster_of
 
 
+def _seed_scores(objective: ObjectiveSpec) -> tuple[str, ...]:
+    """The objective's seed scores: its own cheapest map first, then the kind's others.
+
+    Activity energy for SM, star energy for LR-UB, slowest cluster for
+    idle-min, fastest cluster for feasibility and idle-max.
+    """
+    return _SEED_SCORES.get(objective.kind, ("fastest", "activity"))
+
+
+def _score_map(table: _TaskTable, fixed: Sequence[int], score: str) -> list[int]:
+    """A seed score's first minima wherever fixed (from _fixed_map) leaves a task free."""
+    return [seed if ci < 0 else ci for ci, seed in zip(fixed, table.seeds[score])]
+
+
+def _balanced_map(table: _TaskTable, fixed: Sequence[int]) -> list[int]:
+    """The last seed map: _balanced_cluster_map under the fixes of fixed."""
+    tasks = table.instance.tasks
+    balanced = _balanced_cluster_map(
+        table.instance, {t.id: ci + 1 for t, ci in zip(tasks, fixed) if ci >= 0}
+    )
+    return [balanced[t.id] - 1 for t in tasks]
+
+
 def _seed_maps(
     table: _TaskTable, fixed: Sequence[int], objective: ObjectiveSpec
 ) -> Iterator[list[int]]:
     """Cheap complete cluster choices used to seed incumbents, built on demand.
 
-    fixed is the fixes' map from _fixed_map. Each score's map takes the
-    table's first minimum wherever fixed leaves a task free: the
-    objective's own cheapest map first (activity energy for SM, star energy
-    for LR-UB, slowest cluster for idle-min, fastest cluster for
-    feasibility and idle-max), then the kind's other scores. The balanced
-    map comes last.
+    fixed is the fixes' map from _fixed_map. The objective's score maps
+    come first, in _seed_scores order, and the balanced map last.
     """
-    for score in _SEED_SCORES.get(objective.kind, ("fastest", "activity")):
-        yield [seed if ci < 0 else ci for ci, seed in zip(fixed, table.seeds[score])]
-    tasks = table.instance.tasks
-    fix = {t.id: ci + 1 for t, ci in zip(tasks, fixed) if ci >= 0}
-    balanced = _balanced_cluster_map(table.instance, fix)
-    yield [balanced[t.id] - 1 for t in tasks]
+    for score in _seed_scores(objective):
+        yield _score_map(table, fixed, score)
+    yield _balanced_map(table, fixed)
 
 
-def _seed_incumbent(
-    table: _TaskTable, fixed: Sequence[int], objective: ObjectiveSpec
-) -> _Grouping | None:
+def _seed_incumbent(table: _TaskTable, maps: Iterable[list[int]]) -> _Grouping | None:
     """The grouping of the first seed map that groups feasibly, or None.
 
     Each map is grouped once, and the search keeps the first that fits:
@@ -359,7 +406,7 @@ def _seed_incumbent(
     objective's own map coming first, rarely improve on it by enough to
     change the search.
     """
-    for cluster_of in _seed_maps(table, fixed, objective):
+    for cluster_of in maps:
         grouping = _group(table, cluster_of)
         if grouping is not None:
             return grouping
@@ -513,7 +560,7 @@ def _window_search(
     root_bound = p_idle + (tail[0] + offset_charge) / h
     # The seed grouping fits, so it is priced straight from its cells; it is
     # placed only if it is still the incumbent when the search ends.
-    seed = _seed_incumbent(table, _fixed_map(table, fix), objective)
+    seed = _seed_incumbent(table, _seed_maps(table, _fixed_map(table, fix), objective))
     best_placements = None  # the path of the best leaf, once one beats the seed
     best_value = math.inf if seed is None else _closed_form(
         instance, *_cells(instance, seed), seed[1],
@@ -678,45 +725,65 @@ def _cluster_search(
     def processing(grouping: _Grouping) -> int:
         return sum(exec_ms[i][ci] for ci, members in enumerate(grouping[0]) for i in members)
 
-    # The fixed tasks alone must fit; with nothing fixed there is nothing to group.
     cluster_of = _fixed_map(table, fix)  # the fixes; the search writes the free tasks' clusters
-    fixed = _group(table, cluster_of) if fix else ([[] for _ in range(m)], [])
-    if fixed is None:
-        return None, None, None, 1, False
-    free = [i for i, ci in enumerate(cluster_of) if ci < 0]
 
-    # Seed before building the branching tables: most feasibility calls are
-    # settled here, since a seed that meets the root bound prunes every child
-    # of the root. The least signed time of a task is sign times its
-    # smallest time (idle-max) or its largest (idle-min); feasibility's
-    # base, bound and seed value are 0 without a sum.
-    base = sign and sign * processing(fixed)
-    root_bound = base + (sign and sign * sum(
-        map(min if sign > 0 else max, map(exec_ms.__getitem__, free))
-    ))
-    seed = _seed_incumbent(table, cluster_of, objective)
-    best = math.inf if seed is None else sign and sign * processing(seed)
+    def group_fixes() -> _Grouping | None:
+        """The fixed tasks' own grouping; with nothing fixed there is nothing to group."""
+        return _group(table, cluster_of) if fix else ([[] for _ in range(m)], [])
+
+    # Seed before building the branching tables: most calls are settled
+    # here, since a seed that meets the root bound prunes every child of
+    # the root. The least signed time of a task is sign times its smallest
+    # time (idle-max) or its largest (idle-min); feasibility's base, bound
+    # and seed value are 0 without a sum.
+    base = root_bound = 0
+    if sign:
+        base = sign * sum(exec_ms[table.index[tid]][cid - 1] for tid, cid in fix.items())
+        least = min if sign > 0 else max
+        root_bound = base + sign * sum(least(row) for row, ci in zip(exec_ms, cluster_of) if ci < 0)
     timeout_bound = None if feasibility else to_value(root_bound)
+    # A seed map holds the fixes, so one that fits proves that the fixed
+    # tasks fit. They are grouped alone only when no score map fits, before
+    # the costlier balanced map: when they overflow, so does every map.
+    fixed = None  # the fixed tasks' own grouping, built once it is needed
+    seed = _seed_incumbent(
+        table, (_score_map(table, cluster_of, score) for score in _seed_scores(objective))
+    )
+    if seed is None:
+        fixed = group_fixes()
+        if fixed is None:
+            return None, None, None, 1, False
+        seed = _group(table, _balanced_map(table, cluster_of))
+    best = math.inf if seed is None else sign and sign * processing(seed)
     if seed is not None and best <= root_bound:
         return seed, to_value(best), timeout_bound, 1, False
+    if fixed is None:
+        fixed = group_fixes()
 
     # Feasibility branches on the hardest-to-place tasks first and tries the
     # clusters by time per core; idle time branches on the tasks whose choice
-    # matters most and tries the cheapest signed time first. free is in task
-    # index order, and the sorts are stable, so ties keep it.
+    # matters most and tries the cheapest signed time first. Each task's key
+    # is computed once; ties go to the lower task index, and the choice
+    # sort is stable, so ties there go to the lower cluster position.
+    free = [i for i, ci in enumerate(cluster_of) if ci < 0]
+    shortest = list(map(min, map(exec_ms.__getitem__, free)))
     if feasibility:
-        free.sort(key=lambda i: -min(exec_ms[i]))
+        keys = [-e for e in shortest]
     else:
-        free.sort(key=lambda i: (min(exec_ms[i]) - max(exec_ms[i]), -min(exec_ms[i])))
+        keys = [(e - max(exec_ms[i]), -e) for e, i in zip(shortest, free)]
+    free = [i for _, i in sorted(zip(keys, free))]
     n_free = len(free)
     rows = [exec_ms[i] for i in free]
-    cost = [[sign * e for e in row] for row in rows]
+    cost = rows if sign == 1 else [[sign * e for e in row] for row in rows]  # signed times
     caps = [c.core_count for c in plat.clusters]
     rank = [[e / cap for e, cap in zip(row, caps)] for row in rows] if feasibility else cost
-    choice_order = [sorted(range(m), key=lambda ci: (row[ci], ci)) for row in rank]
-    suffix = [0] * (n_free + 1)
-    for p in range(n_free - 1, -1, -1):
-        suffix[p] = suffix[p + 1] + min(cost[p])
+    if m == 2:  # one comparison per task; a tie keeps the first cluster first
+        choice_order = [(0, 1) if row[0] <= row[1] else (1, 0) for row in rank]
+    else:
+        clusters = range(m)
+        choice_order = [sorted(clusters, key=row.__getitem__) for row in rank]
+    # suffix[p]: the least signed time the tasks from depth p on still add
+    suffix = list(accumulate(map(min, reversed(cost)), initial=0))[::-1]
     caps_total = [q * cap for cap in caps]
     # lists[ci] holds the negated times of the tasks on cluster ci, ascending;
     # lengths[j] is window j's length in the aligned grouping of the tasks

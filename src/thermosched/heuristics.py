@@ -591,9 +591,11 @@ def greedy(instance: Instance, time_limit_ms: float | None = None) -> Assignment
     task's execution times, seed-map clusters and rank orders) that every
     trial reads, so a trial writes its fixes over the table's seed-map
     clusters and filters rank orders instead of rebuilding and sorting
-    them; each trial still runs the whole oracle. Returns the aligned grouping of the fixed clusters as an
-    assignment, which is the witness of the final trial (every task fixed),
-    or None when the oracle proved that a task fits on no cluster.
+    them. Every trial runs the oracle; one that its first seed map settles
+    groups once, as that map holds the fixes and so proves they fit.
+    Returns the aligned grouping of the fixed clusters as an assignment,
+    which is the witness of the final trial (every task fixed), or None
+    when the oracle proved that a task fits on no cluster.
 
     time_limit_ms (None: no limit) sets one deadline for the whole run. It
     is checked before every trial, and the oracle search reads it at every

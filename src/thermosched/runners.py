@@ -5,12 +5,15 @@ regression coefficients, fixed window lengths, and whether it is randomized
 (seeded by its GaConfig's rng_seed; GaConfig() when none is given). The
 one place that rejects an unknown method or a missing input is
 ``check_methods``; ``run_method`` and the CLI's solve, sweep and compare
-all call it. Sweep and compare supply no window lengths, so the
-check leaves the fixed-window flow out of them. Runners look up ``solve``,
-``run_ga``, ``greedy``, ``build_network`` and ``min_cost_assignment`` in
-this module when called, so replacing such a name here reaches every method
-that uses it. Every run happens in the calling process, one at a time,
-and a time limit bounds the whole run, whatever the method.
+all call it. Sweep and compare supply no window lengths, so the check
+leaves the fixed-window flow out of them. ``run_method`` also refuses a
+time limit that exact.deadline_after refuses before any method runs, so
+the fixed-window flow, which reads no limit, refuses it too. Runners look
+up ``solve``, ``run_ga``, ``greedy``, ``build_network`` and
+``min_cost_assignment`` in this module when called, so replacing such a
+name here reaches every method that uses it. Every run happens in the
+calling process, one at a time, and a time limit bounds the whole run,
+whatever the method.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .exact import ObjectiveKind, ObjectiveSpec, solve
+from .exact import ObjectiveKind, ObjectiveSpec, deadline_after, solve
 from .flow import build_network, min_cost_assignment
 from .heuristics import GaConfig, greedy, run_ga
 from .model import Assignment, Instance
@@ -124,8 +127,13 @@ def run_method(
     window_lengths: Sequence[int] | None = None,
     ga_config: GaConfig | None = None,
 ) -> MethodOutcome:
-    """Run one method on one instance, time the whole run and normalize the outcome."""
+    """Run one method on one instance, time the whole run and normalize the outcome.
+
+    Raises ValueError before the method runs when check_methods refuses it
+    or time_limit_ms is not None and not positive (NaN included).
+    """
     check_methods([method], coefficients, window_lengths)
+    deadline_after(time_limit_ms)  # every method refuses a limit by this one rule
     t0 = time.perf_counter()
     outcome = METHODS[method].run(
         method, instance, time_limit_ms=time_limit_ms, coefficients=coefficients,

@@ -40,6 +40,18 @@ instances with n = 30, 40, 50, 60 by turns, kappa 3.5, bases 0 and 1,
 r < 8: 16 sessions. Before hashing, the started_at, finished_at and
 elapsed_ms lines are dropped and the directory's path becomes "<dir>".
 
+With --greedy it prints one line per greedy run: the instance's seed, n,
+kappa, the verdict (feasible, infeasible, or unknown if the limit ran
+out), the number of oracle trials, the number of groupings (exact._group
+calls, the result's included) and a digest of the placements. The runs
+are cli-pipeline's instances (base 0, r < 204: n = 30, 40, 50, 60 by
+turns, kappa 3.5) and 48 tight ones (sweep_seed(s, n, 0) for s < 12 and
+n = 12, 16, 24, 30, kappa 5.0), each with a 60 s limit that no run
+reaches. The listing is diffable between checkouts except for the
+grouping counts, which show what a change to the oracle saves. A second,
+uncounted pass then times greedy over each set and prints the seconds
+on stderr.
+
 With --ratio it prints criterion 12's timing margin: for n = 20, 25, 30,
 35 and 40, the median run_method time of heur and of idle-max on the
 criterion's instance (sweep_seed(0, n, 0), default generator settings) and
@@ -59,10 +71,11 @@ import os
 import statistics
 import sys
 import tempfile
+import time
 
 import helpers
 import thermosched as ts
-from thermosched import cli
+from thermosched import cli, exact, heuristics
 from thermosched.generator import GeneratorConfig, generate_instance, sweep_seed
 
 
@@ -199,6 +212,81 @@ def list_cli() -> None:
                     print(seed, name.split(".", 1)[1], hashlib.sha1(kept).hexdigest()[:16])
 
 
+# greedy on cli-pipeline's instances (base 0) and on tight kappa 5.0 instances
+GREEDY_CLI_REPS = 204
+GREEDY_TIGHT_KAPPA = 5.0
+GREEDY_TIGHT_BASES = range(12)
+GREEDY_TIGHT_N = (12, 16, 24, 30)
+GREEDY_LIMIT_MS = 60000
+
+
+def _greedy_sets() -> dict[str, list[tuple[int, int, float, ts.Instance]]]:
+    """The runs by set name, each as (seed, n, kappa, instance)."""
+    recipes = {
+        "cli-pipeline": [
+            (0, CLI_N[r % len(CLI_N)], r, CLI_KAPPA) for r in range(GREEDY_CLI_REPS)
+        ],
+        "tight": [
+            (s, n, 0, GREEDY_TIGHT_KAPPA) for s in GREEDY_TIGHT_BASES for n in GREEDY_TIGHT_N
+        ],
+    }
+    return {
+        name: [
+            (sweep_seed(base, n, r), n, kappa,
+             helpers.pinned_instance({"sweep": [base, n, r], "kappa": kappa}))
+            for base, n, r, kappa in runs
+        ]
+        for name, runs in recipes.items()
+    }
+
+
+def _greedy_verdict(instance: ts.Instance):
+    try:
+        assignment = ts.greedy(instance, time_limit_ms=GREEDY_LIMIT_MS)
+    except TimeoutError:
+        return "unknown", None
+    return ("infeasible" if assignment is None else "feasible"), assignment
+
+
+def list_greedy() -> None:
+    sets = _greedy_sets()
+    counts = {"trials": 0, "groupings": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return call
+
+    patched = [
+        (heuristics, "_cluster_search", "trials"),
+        (heuristics, "_group", "groupings"),
+        (exact, "_group", "groupings"),
+    ]
+    originals = [getattr(module, name) for module, name, _ in patched]
+    for (module, name, key), fn in zip(patched, originals):
+        setattr(module, name, counted(key, fn))
+    try:
+        for runs in sets.values():
+            for seed, n, kappa, instance in runs:
+                counts.update(trials=0, groupings=0)
+                verdict, assignment = _greedy_verdict(instance)
+                placements = None if assignment is None else assignment.placements
+                print(
+                    seed, n, kappa, verdict, counts["trials"], counts["groupings"],
+                    _digest(placements),
+                )
+    finally:
+        for (module, name, _), fn in zip(patched, originals):
+            setattr(module, name, fn)
+    for name, runs in sets.items():
+        start = time.perf_counter()
+        for *_, instance in runs:
+            _greedy_verdict(instance)
+        print(f"{name}: {len(runs)} runs in {time.perf_counter() - start:.3f} s", file=sys.stderr)
+
+
 # criterion 12's timed sizes and budget; heur must be slower than idle-max at each
 RATIO_N = (20, 25, 30, 35, 40)
 RATIO_METHODS = ("heur", "idle-max")
@@ -225,11 +313,14 @@ def list_ratio() -> None:
 
 
 def main() -> int:
-    modes = {"--sweep": list_sweep, "--ga": list_ga, "--cli": list_cli, "--ratio": list_ratio}
+    modes = {
+        "--sweep": list_sweep, "--ga": list_ga, "--cli": list_cli, "--greedy": list_greedy,
+        "--ratio": list_ratio,
+    }
     if len(sys.argv) == 2 and sys.argv[1] in modes:
         modes[sys.argv[1]]()
     elif sys.argv[1:]:
-        print(f"usage: {sys.argv[0]} [--sweep | --ga | --cli | --ratio]", file=sys.stderr)
+        print(f"usage: {sys.argv[0]} [{' | '.join(modes)}]", file=sys.stderr)
         return 64
     else:
         compare_pinned()

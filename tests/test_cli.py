@@ -248,14 +248,15 @@ class TestSolve:
         assert not out.exists()
 
     @pytest.mark.parametrize("limit", ["0", "-5", "nan"])
-    @pytest.mark.parametrize("method", ["ilp-sm", "idle-max", "heur", "bb-sm"])
+    @pytest.mark.parametrize("method", ["ilp-sm", "idle-max", "heur", "bb-sm", "flow-fixed"])
     def test_time_limit_that_is_not_positive_is_an_error(
         self, tmp_path, capsys, example_files, method, limit
     ):
+        # the fixed-window flow reads no limit, yet refuses one like the others
         inst_path, _ = example_files
         code = main([
             "solve", inst_path, "--method", method, "--time-limit", limit,
-            "--max-generations", "2", "-o", str(tmp_path / "x.json"),
+            "--max-generations", "2", "--window-lengths", "700", "-o", str(tmp_path / "x.json"),
         ])
         assert code == 1
         assert "time_limit_ms must be positive" in capsys.readouterr().err

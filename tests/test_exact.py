@@ -717,6 +717,34 @@ class TestTaskTable:
             assert built == [instance], kind
 
 
+@pytest.mark.parametrize(
+    "kind", [ObjectiveKind.IDLE_MIN, ObjectiveKind.IDLE_MAX, ObjectiveKind.FEASIBILITY_ONLY],
+    ids=lambda k: k.value,
+)
+def test_fixes_that_overflow_alone_end_the_cluster_search_at_its_root(kind, monkeypatch):
+    # Five tasks fixed to the first cluster, more than its cores in the one
+    # window: no map that holds the fixes fits, so once the score maps fail
+    # the fixes are grouped alone, and the search ends at its root before
+    # the balanced map is built.
+    instance = helpers.with_windows(helpers.small_random_instance(3, n=8), 1)
+    first = instance.platform.clusters[0]
+    assert first.core_count < 5
+    fix = {t.id: first.id for t in instance.tasks[:5]}
+    balanced = []
+    monkeypatch.setattr(
+        exact, "_balanced_cluster_map", _recording(balanced, exact._balanced_cluster_map)
+    )
+    table = exact._TaskTable(instance, helpers.MEK_COEFF)
+    assert exact._cluster_search(table, spec(kind), fix, float("inf")) == (
+        None, None, None, 1, False,
+    )
+    assert balanced == []
+    result = ts.solve(instance, spec(kind), fix)
+    assert (result.status, result.assignment, result.lower_bound, result.nodes_explored) == (
+        SearchStatus.INFEASIBLE, None, None, 1,
+    )
+
+
 @pytest.mark.parametrize("case", helpers.pinned_search_cases(), ids=lambda c: c["case"])
 def test_solve_matches_pinned_search(case):
     """Statuses, node counts and optima recorded from the apply-then-bound window search.

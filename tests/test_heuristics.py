@@ -897,6 +897,38 @@ class TestGreedyMatchesReference:
         assert calls.count("_cluster_search") == reference_calls
 
 
+    @pytest.mark.parametrize("base, n, r", [(1, 12, 7), (3, 16, 0)])
+    def test_a_trial_settled_by_its_first_seed_map_groups_once(self, base, n, r, monkeypatch):
+        # On these instances every trial's first seed map fits, which proves
+        # that its fixes fit, so they are never grouped alone: one grouping
+        # per trial and one for the result.
+        from thermosched import exact
+
+        config = GeneratorConfig(
+            kernel_pool=helpers.MIXED_POOL, n_tasks=n, rng_seed=sweep_seed(base, n, r),
+            tightness_kappa=3.5,
+        )
+        instance = generate_instance(config, helpers.MEK)
+        expected, _ = helpers.reference_greedy(instance)
+        calls, fits = [], []
+        group = exact._group
+
+        def grouped(*args):
+            grouping = group(*args)
+            fits.append(grouping is not None)
+            return grouping
+
+        monkeypatch.setattr(exact, "_group", _counting(calls, "_group", grouped))
+        monkeypatch.setattr(heuristics, "_group", _counting(calls, "_group", grouped))
+        monkeypatch.setattr(
+            heuristics, "_cluster_search",
+            _counting(calls, "_cluster_search", heuristics._cluster_search),
+        )
+        assert ts.greedy(instance) == expected
+        assert calls.count("_cluster_search") == n  # no fix is refused
+        assert calls.count("_group") == n + 1
+        assert all(fits)
+
     def test_one_table_built_per_run(self, monkeypatch):
         # Every trial of a run reads the one task table; a table per trial
         # would rebuild the seed maps and rank orders that it holds.

@@ -73,6 +73,24 @@ class TestRunMethod:
         with pytest.raises(ValueError, match="window lengths"):
             run_method("flow-fixed", instance)
 
+    @pytest.mark.parametrize("limit", [0, -5, float("nan")])
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_time_limit_that_is_not_positive_is_refused_before_the_run(
+        self, method, limit, monkeypatch
+    ):
+        # the fixed-window flow reads no limit, yet refuses one as every other method does
+        instance = helpers.small_random_instance(5)
+        calls = []
+        for name in ("solve", "run_ga", "greedy", "build_network", "min_cost_assignment"):
+            monkeypatch.setattr(runners, name, _counting(calls, name, getattr(runners, name)))
+        with pytest.raises(ValueError, match="time_limit_ms must be positive"):
+            run_method(
+                method, instance, time_limit_ms=limit,
+                coefficients=builtin_coefficients("imx8-mek"), window_lengths=(700,),
+                ga_config=GaConfig(population_size=4, max_generations=2),
+            )
+        assert calls == []
+
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_on_a_task_free_instance(self, method):
         # the empty assignment is the only one: the exact methods and the
