@@ -68,7 +68,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .model import Assignment, Instance, Placement
+from .model import Assignment, Instance, Placement, Task
 from .power import PowerModel, RegressionCoefficients, _closed_form
 
 _EPS = 1e-12
@@ -160,6 +160,15 @@ class _Seeds(dict):
 
     __slots__ = ("tasks", "exec_ms", "coefficients")
 
+    def __init__(
+        self,
+        tasks: Sequence[Task],
+        exec_ms: list[list[int]],
+        coefficients: RegressionCoefficients | None,
+    ):
+        super().__init__()
+        self.tasks, self.exec_ms, self.coefficients = tasks, exec_ms, coefficients
+
     def __missing__(self, score: str) -> list[int]:
         if score == "slowest":  # the first maximum is the first minimum of -e
             seeds = [row.index(max(row)) for row in self.exec_ms]
@@ -212,8 +221,7 @@ class _TaskTable:
         self.instance = instance
         self.index = {t.id: i for i, t in enumerate(tasks)}
         self.exec_ms = exec_ms = [[tc.exec_time_ms for tc in t.per_cluster] for t in tasks]
-        self.seeds = seeds = _Seeds()
-        seeds.tasks, seeds.exec_ms, seeds.coefficients = tasks, exec_ms, coefficients
+        self.seeds = _Seeds(tasks, exec_ms, coefficients)
         # sorting is stable under reverse=True, so equal times keep index order
         self.ranked = [
             sorted(range(len(exec_ms)), key=[row[ci] for row in exec_ms].__getitem__, reverse=True)
@@ -272,17 +280,12 @@ def _cells(instance: Instance, grouping: _Grouping) -> tuple[list[int], list[int
 def _placed(instance: Instance, grouping: _Grouping) -> Assignment:
     """The assignment of a grouping that fits.
 
-    The grouping's lengths are the assignment's tight window lengths; each
-    task's window is its rank cut into windows, as in _cells.
+    The grouping's lengths are the assignment's tight window lengths.
     """
-    tasks = instance.tasks  # task index order is task-id order
-    placed: list = [None] * len(tasks)
-    for c, members in zip(instance.platform.clusters, grouping[0]):
-        cap, cid = c.core_count, c.id
-        for rank, i in enumerate(members):
-            placed[i] = Placement(tasks[i].id, rank // cap + 1, cid)
     lengths = grouping[1]
-    return Assignment(tuple(placed), tuple(lengths + [0] * (instance.max_windows - len(lengths))))
+    ids = [t.id for t in instance.tasks]  # task index order is task-id order
+    placed = tuple(map(Placement, ids, *_cells(instance, grouping)))
+    return Assignment(placed, tuple(lengths + [0] * (instance.max_windows - len(lengths))))
 
 
 def _balanced_cluster_map(instance: Instance, fix: Mapping[int, int]) -> dict[int, int]:
@@ -745,15 +748,20 @@ def _cluster_search(
     # A seed map holds the fixes, so one that fits proves that the fixed
     # tasks fit. They are grouped alone only when no score map fits, before
     # the costlier balanced map: when they overflow, so does every map.
+    # With no task free, the fixes' map is every seed map, so it is grouped
+    # once.
+    any_free = -1 in cluster_of
     fixed = None  # the fixed tasks' own grouping, built once it is needed
     seed = _seed_incumbent(
-        table, (_score_map(table, cluster_of, score) for score in _seed_scores(objective))
+        table,
+        (_score_map(table, cluster_of, score) for score in _seed_scores(objective))
+        if any_free else (),
     )
     if seed is None:
         fixed = group_fixes()
         if fixed is None:
             return None, None, None, 1, False
-        seed = _group(table, _balanced_map(table, cluster_of))
+        seed = _group(table, _balanced_map(table, cluster_of)) if any_free else fixed
     best = math.inf if seed is None else sign and sign * processing(seed)
     if seed is not None and best <= root_bound:
         return seed, to_value(best), timeout_bound, 1, False
@@ -777,11 +785,8 @@ def _cluster_search(
     cost = rows if sign == 1 else [[sign * e for e in row] for row in rows]  # signed times
     caps = [c.core_count for c in plat.clusters]
     rank = [[e / cap for e, cap in zip(row, caps)] for row in rows] if feasibility else cost
-    if m == 2:  # one comparison per task; a tie keeps the first cluster first
-        choice_order = [(0, 1) if row[0] <= row[1] else (1, 0) for row in rank]
-    else:
-        clusters = range(m)
-        choice_order = [sorted(clusters, key=row.__getitem__) for row in rank]
+    clusters = range(m)
+    choice_order = [sorted(clusters, key=row.__getitem__) for row in rank]
     # suffix[p]: the least signed time the tasks from depth p on still add
     suffix = list(accumulate(map(min, reversed(cost)), initial=0))[::-1]
     caps_total = [q * cap for cap in caps]
