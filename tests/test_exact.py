@@ -745,6 +745,39 @@ def test_fixes_that_overflow_alone_end_the_cluster_search_at_its_root(kind, monk
     )
 
 
+@pytest.mark.parametrize(
+    "kind", [ObjectiveKind.IDLE_MIN, ObjectiveKind.IDLE_MAX, ObjectiveKind.FEASIBILITY_ONLY],
+    ids=lambda k: k.value,
+)
+def test_a_search_with_every_task_fixed_groups_its_map_once(kind, monkeypatch):
+    # With no task free every seed map is the fixes' map, so the search
+    # groups it once and ends at its root, whether it fits or not.
+    roomy = helpers.small_random_instance(3, n=8)
+    witness = ts.solve(roomy, spec(ObjectiveKind.FEASIBILITY_ONLY)).assignment
+    tight = helpers.with_windows(roomy, 1)
+    first = tight.platform.clusters[0]
+    assert witness is not None and first.core_count < len(tight.tasks)
+    for instance, fix, fits in (
+        (roomy, {p.task_id: p.cluster for p in witness.placements}, True),
+        (tight, {t.id: first.id for t in tight.tasks}, False),
+    ):
+        table = exact._TaskTable(instance, helpers.MEK_COEFF)
+        groupings = []
+        monkeypatch.setattr(exact, "_group", _recording(groupings, exact._group))
+        grouping, value, bound, nodes, aborted = exact._cluster_search(
+            table, spec(kind), fix, float("inf")
+        )
+        monkeypatch.undo()
+        assert [args[1] for args, _ in groupings] == [exact._fixed_map(table, fix)]
+        assert (grouping is not None, nodes, aborted) == (fits, 1, False)
+        assert grouping == groupings[0][1]
+        result = ts.solve(instance, spec(kind), fix)
+        assert result.nodes_explored == 1
+        assert result.assignment == (exact._placed(instance, grouping) if fits else None)
+        if fits and kind is not ObjectiveKind.FEASIBILITY_ONLY:
+            assert value == bound == result.objective_value
+
+
 @pytest.mark.parametrize("case", helpers.pinned_search_cases(), ids=lambda c: c["case"])
 def test_solve_matches_pinned_search(case):
     """Statuses, node counts and optima recorded from the apply-then-bound window search.
